@@ -3,7 +3,8 @@
 A recipe bundles hyperparameters and knows how to train a fresh model on
 a dataset with a given seed and how to classify one feature vector. The
 map-based classifier additionally normalizes its inputs, which is why
-the adapter layer exists at all.
+the adapter layer exists at all. A recipe may also train every
+cross-validation fold in one call (`train_folds`), as the map does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .mlp import (MlpModel, MlpTrainConfig, _forward_batch, mlp_classify, mlp_in
                   train_lm_arrays)
 from .rbf import RbfModel, _activations, rbf_classify, rbf_train
 from .som import (SomModel, SomTrainConfig, quantization_error, som_classify,
-                  som_init, som_label, som_train)
+                  som_init, som_label, som_train_folds)
 
 
 def _as_vector(x) -> np.ndarray:
@@ -84,28 +85,26 @@ class SomRecipe:
     name: str = "som"
 
     def train(self, data: LabeledDataset, seed: int) -> tuple[SomModel, TrainReport]:
+        return self.train_folds([data], [seed])[0]
+
+    def train_folds(self, train_sets, seeds) -> list[tuple[SomModel, TrainReport]]:
+        """Train one map per (dataset, seed) pair in a single lockstep run.
+
+        Each report's wall time is an even share of the whole run, so the
+        shares add up to its total.
+        """
         start = time.perf_counter()
-        cfg = replace(self.train_config, seed=seed)
-        X = l2_normalize_rows(data.features())
-        model = som_train(som_init(seed), X, cfg)
-        model = som_label(model, X, data.labels())
-        qe = quantization_error(model, X)
-        wall = time.perf_counter() - start
+        Xs = [l2_normalize_rows(data.features()) for data in train_sets]
+        maps = som_train_folds([som_init(seed) for seed in seeds], Xs,
+                               self.train_config, seeds)
+        models = [som_label(m, X, data.labels())
+                  for m, X, data in zip(maps, Xs, train_sets)]
+        qerrs = [quantization_error(m, X) for m, X in zip(models, Xs)]
+        wall = (time.perf_counter() - start) / len(models)
         # No MSE target exists for the map; completing the schedule counts.
-        return model, TrainReport(qe, cfg.epochs, wall, True, ())
+        return [(m, TrainReport(qe, self.train_config.epochs, wall, True, ()))
+                for m, qe in zip(models, qerrs)]
 
     def classify(self, model: SomModel, x) -> ClassLabel:
         return som_classify(model, _as_vector(x))
 
-
-def recipe_by_name(name: str, *, hidden: int = 7,
-                   mlp_config: MlpTrainConfig | None = None,
-                   rbf_centers: int = 10,
-                   som_config: SomTrainConfig | None = None):
-    if name == "mlp":
-        return MlpRecipe(hidden=hidden, train_config=mlp_config or MlpTrainConfig())
-    if name == "rbf":
-        return RbfRecipe(centers=rbf_centers)
-    if name == "som":
-        return SomRecipe(train_config=som_config or SomTrainConfig())
-    raise ValueError(f"unknown classifier {name!r}")

@@ -7,6 +7,19 @@ diameter down to the tuning radius, then a tuning phase at a fixed small
 rate and radius 1. Neighborhoods are measured in link distance, the hop
 count of the hexagonal neighbor graph.
 
+Cross-validation trains k maps at once. `som_train_folds` runs them in
+lockstep on one stacked codebook: step s presents each map the s-th
+sample of its own stream, drawn from its own seeded generator, at the
+schedule for presentation s. Maps with fewer presentations drop out of
+the stack when their stream ends. Each map's step is
+`cb += r * (x - cb)`, where r is the learning rate inside the winner's
+neighborhood and exactly 0 outside it, which leaves those rows
+unchanged for finite inputs, and the winner minimizes the
+squared distance summed in component order with ties to the lowest
+index. This is the sequential masked update and best-matching unit
+bit for bit, so every map equals the same map trained alone;
+`som_train` is the one-map case.
+
 Classification is by best-matching unit after neurons have been labeled
 with the majority class of the training samples they win.
 """
@@ -14,15 +27,13 @@ with the majority class of the training samples they win.
 from __future__ import annotations
 
 import math
-import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import EmptyData, Unlabeled
 from ..preproc import ClassLabel, l2_normalize_rows
-from .base import TrainReport
 
 GRID_ROWS = 5
 GRID_COLS = 5
@@ -30,6 +41,10 @@ N_NEURONS = GRID_ROWS * GRID_COLS
 
 # Preferred order when breaking label ties.
 _LABEL_ORDER = (ClassLabel.NORMAL, ClassLabel.AMPLIFICATION, ClassLabel.DIRECT_DOS)
+_LABEL_INDEX = {lbl: i for i, lbl in enumerate(_LABEL_ORDER)}
+
+# Lockstep training gathers the presented samples this many steps at a time.
+_CHUNK_STEPS = 128
 
 
 def grid_positions() -> np.ndarray:
@@ -97,45 +112,90 @@ def som_init(seed: int) -> SomModel:
     return SomModel(codebook=rng.random((N_NEURONS, 3)), grid=grid_positions())
 
 
-def _bmu(codebook: np.ndarray, x: np.ndarray) -> int:
-    d2 = ((codebook - x) ** 2).sum(axis=1)
-    return int(d2.argmin())   # ties go to the lowest index
+def best_matching_units(codebook: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Index of the nearest codebook vector for each row of the (n, 3) `X`.
+
+    Squared distances are summed in component order, as in training;
+    ties go to the lowest neuron index.
+    """
+    diff = X[:, None, :] - codebook[None, :, :]
+    sq = diff * diff
+    return (sq[..., 0] + sq[..., 1] + sq[..., 2]).argmin(axis=1)
 
 
 def som_train(model: SomModel, data, cfg: SomTrainConfig = SomTrainConfig()) -> SomModel:
     """Run the two-phase competitive schedule; returns a new model.
 
-    Presentation order is re-shuffled each epoch from the seeded
-    generator; one epoch presents every sample once. The first
-    `ordering_steps` presentations form the ordering phase.
+    Presentation order is re-shuffled each epoch from the generator
+    seeded with `cfg.seed`; one epoch presents every sample once. The
+    first `ordering_steps` presentations form the ordering phase.
     """
-    X = np.asarray(data, dtype=float).reshape(-1, 3)
-    if len(X) == 0:
-        raise EmptyData("som training needs at least one sample")
+    return som_train_folds([model], [data], cfg, [cfg.seed])[0]
+
+
+def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomModel]:
+    """Train one map per (model, dataset, seed) in lockstep; returns new models.
+
+    Map i follows `som_train(models[i], datasets[i], cfg)` with seed
+    `seeds[i]` exactly; `cfg.seed` is not used. Datasets may differ in
+    size. An empty dataset fails with an error naming its fold index.
+    """
+    Xs = [np.asarray(d, dtype=float).reshape(-1, 3) for d in datasets]
+    if not len(models) == len(Xs) == len(seeds):
+        raise ValueError("need one model and one seed per dataset")
+    for fold, X in enumerate(Xs):
+        if len(X) == 0:
+            raise EmptyData(f"fold {fold}: som training needs at least one sample")
     if not 0 < cfg.ordering_lr <= 1 or not 0 < cfg.tuning_lr <= 1:
         raise ValueError("learning rates must be in (0, 1]")
     if cfg.ordering_steps < 1:
         raise ValueError("ordering_steps must be >= 1")
 
-    rng = np.random.default_rng(cfg.seed)
-    codebook = model.codebook.copy()
-    presented = 0
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(len(X)):
-            x = X[i]
-            if presented < cfg.ordering_steps:
-                frac = presented / cfg.ordering_steps
-                lr = cfg.ordering_lr + (cfg.tuning_lr - cfg.ordering_lr) * frac
-                radius = GRID_DIAMETER + (cfg.tuning_neighbor_dist - GRID_DIAMETER) * frac
-            else:
-                lr = cfg.tuning_lr
-                radius = cfg.tuning_neighbor_dist
-            winner = _bmu(codebook, x)
-            mask = _LINKS[winner] <= radius
-            codebook[mask] += lr * (x - codebook[mask])
-            presented += 1
-    return SomModel(codebook=codebook, grid=model.grid.copy(),
-                    neuron_labels=model.neuron_labels)
+    # Maps run in descending order of presentation count, so the maps
+    # still training at any step are a prefix of the stack.
+    sizes = [len(X) for X in Xs]
+    presentations = np.array([cfg.epochs * n for n in sizes])
+    rank = np.argsort(-presentations, kind="stable")
+    steps = int(presentations.max(initial=0))
+    # Row r holds the presentation stream of map rank[r] as indices into
+    # `samples`; the padding after a short stream is never read.
+    samples = np.concatenate(Xs)
+    offsets = np.cumsum([0] + sizes)
+    order = np.zeros((len(Xs), steps), dtype=np.int32)
+    for r, i in enumerate(rank):
+        n = sizes[i]
+        rng = np.random.default_rng(seeds[i])
+        for e in range(cfg.epochs):
+            order[r, e * n:(e + 1) * n] = rng.permutation(n) + offsets[i]
+
+    # Component-major (3, maps, 25) layout keeps every inner loop 25 long.
+    codebooks = np.stack([models[i].codebook for i in rank]).astype(float)
+    codebooks = codebooks.transpose(2, 0, 1).copy()
+    for start in range(0, steps, _CHUNK_STEPS):
+        stop = min(start + _CHUNK_STEPS, steps)
+        s = np.arange(start, stop)
+        frac = s / cfg.ordering_steps
+        ordering = s < cfg.ordering_steps
+        lr = np.where(ordering, cfg.ordering_lr + (cfg.tuning_lr - cfg.ordering_lr) * frac,
+                      cfg.tuning_lr)
+        radius = np.where(ordering,
+                          GRID_DIAMETER + (cfg.tuning_neighbor_dist - GRID_DIAMETER) * frac,
+                          cfg.tuning_neighbor_dist)
+        # rates[j, w, n]: the step size of neuron n when w wins at step j,
+        # lr inside the neighborhood radius and exactly 0 outside it.
+        rates = np.where(_LINKS <= radius[:, None, None], lr[:, None, None], 0.0)
+        active = (presentations[rank] > s[:, None]).sum(axis=1).tolist()
+        # (steps, 3, maps, 1), contiguous so each step reads one block
+        xs = np.ascontiguousarray(samples[order[:, start:stop]].transpose(1, 2, 0))[..., None]
+        for j, m in enumerate(active):
+            cb = codebooks[:, :m]
+            diff = xs[j, :, :m] - cb
+            sq = diff * diff
+            winners = (sq[0] + sq[1] + sq[2]).argmin(axis=1)
+            cb += rates[j].take(winners, axis=0) * diff
+    trained = {i: codebooks[:, r].T.copy() for r, i in enumerate(rank)}
+    return [SomModel(codebook=trained[i], grid=m.grid.copy(), neuron_labels=m.neuron_labels)
+            for i, m in enumerate(models)]
 
 
 def quantization_error(model: SomModel, data) -> float:
@@ -143,20 +203,18 @@ def quantization_error(model: SomModel, data) -> float:
     X = np.asarray(data, dtype=float).reshape(-1, 3)
     if len(X) == 0:
         raise EmptyData("quantization error needs at least one sample")
-    d2 = ((X[:, None, :] - model.codebook[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    diff = X - model.codebook[best_matching_units(model.codebook, X)]
+    return float(np.sqrt((diff * diff).sum(axis=1)).mean())
 
 
-def _pick_label(counter: Counter, global_counts: Counter) -> ClassLabel:
-    top = max(counter.values())
-    tied = [lbl for lbl in _LABEL_ORDER if counter.get(lbl, 0) == top]
-    if len(tied) == 1:
-        return tied[0]
-    top_global = max(global_counts.get(lbl, 0) for lbl in tied)
-    for lbl in _LABEL_ORDER:
-        if lbl in tied and global_counts.get(lbl, 0) == top_global:
-            return lbl
-    return tied[0]
+def _pick_label(votes: np.ndarray, global_counts: np.ndarray) -> ClassLabel:
+    """Majority label of one neuron's votes, both indexed in `_LABEL_ORDER`.
+
+    Ties go to the globally most frequent tied class, then to the first
+    in `_LABEL_ORDER`.
+    """
+    tied = votes == votes.max()
+    return _LABEL_ORDER[int(np.where(tied, global_counts, -1).argmax())]
 
 
 def som_label(model: SomModel, vectors, labels) -> SomModel:
@@ -172,21 +230,17 @@ def som_label(model: SomModel, vectors, labels) -> SomModel:
     if len(X) == 0 or len(labels) != len(X):
         raise EmptyData("neuron labeling needs matching non-empty samples")
 
-    votes: dict[int, Counter] = {}
-    for x, lbl in zip(X, labels):
-        votes.setdefault(_bmu(model.codebook, x), Counter())[lbl] += 1
-    global_counts = Counter(labels)
-
-    assigned: dict[int, ClassLabel] = {
-        n: _pick_label(counter, global_counts) for n, counter in votes.items()}
-    result: list[ClassLabel] = []
-    labeled = sorted(assigned)
+    classes = np.array([_LABEL_INDEX[lbl] for lbl in labels])
+    winners = best_matching_units(model.codebook, X)
+    votes = np.bincount(winners * len(_LABEL_ORDER) + classes,
+                        minlength=N_NEURONS * len(_LABEL_ORDER)).reshape(N_NEURONS, -1)
+    global_counts = votes.sum(axis=0)
+    labeled = np.flatnonzero(votes.sum(axis=1))
+    result = []
     for n in range(N_NEURONS):
-        if n in assigned:
-            result.append(assigned[n])
-        else:
-            nearest = min(labeled, key=lambda j: (_LINKS[n, j], j))
-            result.append(assigned[nearest])
+        # argmin over the ascending `labeled` takes the lowest index on ties
+        source = n if votes[n].any() else labeled[_LINKS[n, labeled].argmin()]
+        result.append(_pick_label(votes[source], global_counts))
     return SomModel(model.codebook.copy(), model.grid.copy(), tuple(result))
 
 
@@ -199,5 +253,5 @@ def som_classify(model: SomModel, x) -> ClassLabel:
     if model.neuron_labels is None:
         raise Unlabeled("neuron labels missing; run som_label first")
     arr = np.asarray(x, dtype=float).reshape(1, 3)
-    arr = l2_normalize_rows(arr)[0]
-    return model.neuron_labels[_bmu(model.codebook, arr)]
+    arr = l2_normalize_rows(arr)
+    return model.neuron_labels[int(best_matching_units(model.codebook, arr)[0])]

@@ -184,6 +184,8 @@ def cmd_evaluate(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
     names = cfg.classifier_names if args.classifier == "all" else (args.classifier,)
     if args.k is not None:
+        if args.k < 2:
+            raise errors.ConfigError(f"--k must be >= 2, got {args.k}")
         cfg = replace(cfg, cv_folds=args.k)
     do_evaluate(Path(args.dataset), cfg, names, Path(args.out), digest)
     return 0

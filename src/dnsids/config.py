@@ -152,6 +152,8 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
         cv_folds = int(pipe.get("cv_folds", "10"))
     except ValueError as exc:
         raise ConfigError(f"bad pipeline value: {exc}") from None
+    if cv_folds < 2:
+        raise ConfigError(f"[pipeline] cv_folds must be >= 2, got {cv_folds}")
     names = tuple(n.strip() for n in pipe.get("classifiers", "mlp,rbf,som").split(","))
     for n in names:
         if n not in _VALID_CLASSIFIERS:

@@ -191,12 +191,21 @@ def dataset_fingerprint(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _train_fold(recipe, fold_idx: int, train_set: LabeledDataset, seed: int):
+    try:
+        return recipe.train(train_set, seed)
+    except DnsIdsError as exc:
+        raise type(exc)(f"fold {fold_idx}: {exc}") from exc
+
+
 def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> EvalEntry:
     """Train on k-1 folds, score the held-out fold, pool all predictions.
 
     Fold membership derives from (seed, "kfold") and per-fold training
     seeds from (seed, recipe name, fold index), so repeated calls with
-    the same arguments reproduce each other exactly.
+    the same arguments reproduce each other exactly. A recipe with
+    `train_folds` trains all folds in one call; otherwise each fold is
+    trained just before it is scored.
     """
     plan = kfold_split(data, k, derive_seed(seed, "kfold"))
     all_preds: list[ClassLabel] = []
@@ -208,16 +217,19 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
     test_points = 0
     has_codes = hasattr(recipe, "predict_codes")
 
-    for fold_idx, held_out in enumerate(plan.folds):
+    train_sets = []
+    for held_out in plan.folds:
         held_set = set(held_out)
-        train_idx = [i for i in range(len(data)) if i not in held_set]
-        train_set = data.subset(train_idx)
+        train_sets.append(data.subset([i for i in range(len(data)) if i not in held_set]))
+    seeds = [derive_seed(seed, recipe.name, fold_idx) for fold_idx in range(len(plan.folds))]
+    if hasattr(recipe, "train_folds"):
+        trained = recipe.train_folds(train_sets, seeds)
+    else:
+        trained = (_train_fold(recipe, fold_idx, train_set, fold_seed)
+                   for fold_idx, (train_set, fold_seed) in enumerate(zip(train_sets, seeds)))
+
+    for held_out, (model, report) in zip(plan.folds, trained):
         test_set = data.subset(held_out)
-        try:
-            model, report = recipe.train(train_set,
-                                         derive_seed(seed, recipe.name, fold_idx))
-        except DnsIdsError as exc:
-            raise type(exc)(f"fold {fold_idx}: {exc}") from exc
         train_time += report.wall_time
         train_mses.append(report.final_mse)
 

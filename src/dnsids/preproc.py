@@ -237,6 +237,8 @@ def read_dataset(text: str) -> LabeledDataset:
             loss = int(loss_s)
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {exc}", line=line_no) from None
+        if not (math.isfinite(thr) and math.isfinite(mps)):
+            raise ParseError("non-finite feature value", line=line_no)
         if thr < 0 or mps < 0 or loss < 0:
             raise ParseError("negative feature value", line=line_no)
         if label_s not in _LABEL_BY_NAME:

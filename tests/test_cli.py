@@ -100,6 +100,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             validate_for_training(cfg)
 
+    @pytest.mark.parametrize("folds", ["0", "1", "-3"])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        bad = TINY_CONFIG.replace("cv_folds = 4", f"cv_folds = {folds}")
+        with pytest.raises(ConfigError, match="cv_folds"):
+            parse_pipeline_config(bad)
+
     def test_digest_stability(self):
         assert config_digest(TINY_CONFIG) == config_digest(TINY_CONFIG)
         assert config_digest(TINY_CONFIG) != config_digest(DEFAULT_CONFIG)
@@ -260,6 +266,17 @@ class TestCommandsAndExitCodes:
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_evaluate_fewer_than_two_folds_is_config_error(self, tiny_run, tmp_path,
+                                                           capsys, k):
+        cfg_path, out = tiny_run
+        rc = main(["evaluate", "--config", str(cfg_path), "--dataset",
+                   str(out / "dataset.csv"), "--k", k, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "--k" in err["detail"]
 
     def test_evaluate_single_classifier(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run

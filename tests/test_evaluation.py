@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig
-from dnsids.classifiers.recipes import MlpRecipe
-from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, TooFewSamples,
-                           UndefinedMetric)
+from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
+from dnsids.classifiers.som import SomTrainConfig
+from dnsids.errors import (Empty, EmptyData, InvalidWidth, LengthMismatch,
+                           TooFewSamples, UndefinedMetric)
 from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, EvalReport,
                                MetricSet, accuracy, accuracy_3class, confusion,
                                cross_validate, detection_rate, far, fold_metric_mean,
@@ -216,6 +217,39 @@ class TestCrossValidate:
 
         with pytest.raises(Empty, match="fold 0"):
             cross_validate(Exploding(), tiny_dataset(), k=4, seed=0)
+
+    def test_batched_training_failures_name_the_fold(self):
+        # one fold leaves nothing to train on
+        with pytest.raises(EmptyData, match="fold 0"):
+            cross_validate(SomRecipe(SomTrainConfig(epochs=1)), tiny_dataset(), k=1)
+
+    def test_fold_batched_training_matches_per_fold_training(self):
+        recipe = SomRecipe(SomTrainConfig(epochs=3, ordering_steps=40))
+        predictions = {}
+
+        class PerFold:
+            name = recipe.name
+
+            def __init__(self, key):
+                self.key = key
+                predictions[key] = []
+
+            def train(self, data, seed):
+                return recipe.train(data, seed)
+
+            def classify(self, model, x):
+                predictions[self.key].append(
+                    (model.codebook.tobytes(), model.neuron_labels))
+                return recipe.classify(model, x)
+
+        class Batched(PerFold):
+            def train_folds(self, train_sets, seeds):
+                return recipe.train_folds(train_sets, seeds)
+
+        a = cross_validate(PerFold("per_fold"), tiny_dataset(), k=5, seed=3)
+        b = cross_validate(Batched("batched"), tiny_dataset(), k=5, seed=3)
+        assert predictions["per_fold"] == predictions["batched"]
+        assert (a.metrics, a.fold_metrics) == (b.metrics, b.fold_metrics)
 
 
 class TestSweep:

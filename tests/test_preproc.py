@@ -221,6 +221,13 @@ class TestDatasetSerialization:
         with pytest.raises(ParseError):
             read_dataset(text)
 
+    @pytest.mark.parametrize("row", ["nan,inf,0,normal", "1.0,nan,0,normal",
+                                     "inf,2.0,0,normal", "1.0,-inf,0,normal"])
+    def test_non_finite_feature_rejected(self, row):
+        text = f"throughput_bps,mean_packet_size_bytes,packet_loss,label\n{row}\n"
+        with pytest.raises(ParseError, match="non-finite.*line 2"):
+            read_dataset(text)
+
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):
             read_dataset("1.0,2.0,0,normal\n")

@@ -1,14 +1,18 @@
 """Hexagonal-grid map: layout, link distance, training, labeling, decisions."""
 
+import hashlib
 import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnsids.classifiers.som import (GRID_DIAMETER, N_NEURONS, SomModel, SomTrainConfig,
-                                    grid_positions, linkdist, quantization_error,
-                                    som_classify, som_init, som_label, som_train)
+                                    best_matching_units, grid_positions, linkdist,
+                                    quantization_error, som_classify, som_init, som_label,
+                                    som_train, som_train_folds)
 from dnsids.errors import EmptyData, Unlabeled
 from dnsids.preproc import ClassLabel, l2_normalize_rows
 
@@ -120,6 +124,92 @@ class TestTraining:
         cfg = SomTrainConfig(epochs=4, ordering_steps=200, seed=3)
         qe_after = quantization_error(som_train(initial, data, cfg), data)
         assert qe_after <= qe_before
+
+
+def reference_som_train(codebook, X, cfg):
+    """One sample at a time, masked update: the loop lockstep training replaced."""
+    rng = np.random.default_rng(cfg.seed)
+    codebook = codebook.copy()
+    presented = 0
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(len(X)):
+            x = X[i]
+            if presented < cfg.ordering_steps:
+                frac = presented / cfg.ordering_steps
+                lr = cfg.ordering_lr + (cfg.tuning_lr - cfg.ordering_lr) * frac
+                radius = GRID_DIAMETER + (cfg.tuning_neighbor_dist - GRID_DIAMETER) * frac
+            else:
+                lr = cfg.tuning_lr
+                radius = cfg.tuning_neighbor_dist
+            winner = int(((codebook - x) ** 2).sum(axis=1).argmin())
+            mask = np.array([linkdist(winner, j) <= radius for j in range(N_NEURONS)])
+            codebook[mask] += lr * (x - codebook[mask])
+            presented += 1
+    return codebook
+
+
+class TestLockstep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_fold_matches_training_it_alone(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5), "sizes")
+        epochs = data.draw(st.integers(0, 3), "epochs")
+        # below the longest fold's presentation count, so both phases run
+        ordering_steps = data.draw(st.integers(1, max(1, epochs * max(sizes) - 1)),
+                                   "ordering_steps")
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(sizes),
+                                   max_size=len(sizes)), "seeds")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "data_seed"))
+        Xs = [l2_normalize_rows(np.abs(rng.normal(size=(n, 3))) + 0.01) for n in sizes]
+        cfg = SomTrainConfig(epochs=epochs, ordering_steps=ordering_steps)
+
+        stacked = som_train_folds([som_init(s) for s in seeds], Xs, cfg, seeds)
+        for model, X, seed in zip(stacked, Xs, seeds):
+            alone_cfg = SomTrainConfig(epochs=epochs, ordering_steps=ordering_steps,
+                                       seed=seed)
+            alone = som_train(som_init(seed), X, alone_cfg)
+            assert np.array_equal(model.codebook, alone.codebook)
+            assert np.array_equal(model.codebook,
+                                  reference_som_train(som_init(seed).codebook, X,
+                                                      alone_cfg))
+
+    def test_pinned_codebook_digest(self):
+        # Digest of the codebook the per-sample trainer produced for this input.
+        rng = np.random.default_rng(0)
+        X = l2_normalize_rows(np.abs(rng.normal(size=(17, 3))) + 0.05)
+        model = som_train(som_init(3), X,
+                          SomTrainConfig(epochs=3, ordering_steps=20, seed=11))
+        assert hashlib.sha256(model.codebook.tobytes()).hexdigest() == (
+            "ccac2e958e59778a8678a064073771f6e8d966645c43e77623425242950bed10")
+
+    def test_empty_fold_is_named(self):
+        X = np.ones((4, 3)) / math.sqrt(3)
+        with pytest.raises(EmptyData, match="fold 1"):
+            som_train_folds([som_init(0), som_init(1)], [X, X[:0]],
+                            SomTrainConfig(epochs=1), [0, 1])
+
+    def test_rounding_near_tie_follows_the_sequential_sum_order(self):
+        # Neurons 0-2 hold permutations of one vector, so their distances
+        # to the origin differ only by rounding, and which one wins the
+        # tuning step depends on the order the squares are summed in.
+        p, q, r = 0.005265304565574724, 0.8212284183827663, 0.7970694287520462
+        codebook = np.full((N_NEURONS, 3), 5.0)
+        codebook[:3] = [(p, q, r), (q, r, p), (r, p, q)]
+        X = np.zeros((1, 3))
+        cfg = SomTrainConfig(epochs=2, ordering_steps=1, tuning_neighbor_dist=0)
+        (trained,) = som_train_folds([SomModel(codebook, grid_positions())], [X], cfg, [0])
+        assert np.array_equal(trained.codebook, reference_som_train(codebook, X, cfg))
+
+        p, q, r = 0.40847320541999865, 0.045275193902445166, 0.04875771072716806
+        codebook[:3] = [(p, q, r), (q, r, p), (r, p, q)]
+        sequential = ((codebook - X[0]) ** 2).sum(axis=1).argmin()
+        assert best_matching_units(codebook, X)[0] == sequential
+
+    def test_best_matching_units_break_ties_low(self):
+        codebook = np.zeros((N_NEURONS, 3))
+        codebook[[3, 7]] = (1.0, 0.0, 0.0)        # two equally near neurons
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert best_matching_units(codebook, X).tolist() == [3, 0]
 
 
 class TestLabeling:
