@@ -26,7 +26,7 @@ from .evaluation import (EvalReport, cross_validate, dataset_fingerprint,
 from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,
                       window_trace, write_dataset)
 from .seeding import derive_seed
-from .simnet import read_trace, run, write_trace
+from .simnet import PacketTrace, read_trace, run, write_trace
 
 log = logging.getLogger("dnsids")
 
@@ -72,12 +72,12 @@ def _build_recipes(cfg: PipelineConfig, names) -> list:
 
 # --- stages (shared by the individual commands and `pipeline`) ---------------
 
-def do_simulate(cfg: PipelineConfig, out: Path, digest: str) -> list[Path]:
+def _simulated(cfg: PipelineConfig, out: Path, digest: str):
+    """Run every scenario; write each trace file, then yield (path, trace)."""
     if not cfg.scenarios:
         raise errors.ConfigError("no [scenario.*] sections to simulate")
     trace_dir = out / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     for block in cfg.scenarios:
         for r in range(block.runs):
             seed = derive_seed(cfg.seed, "simulate", block.name, r)
@@ -86,30 +86,38 @@ def do_simulate(cfg: PipelineConfig, out: Path, digest: str) -> list[Path]:
             stamped = (f"#master_seed={cfg.seed}\n#config_digest={digest}\n" + text)
             path = trace_dir / f"{block.name}-{r:03d}.trace"
             path.write_text(stamped, encoding="utf-8")
-            paths.append(path)
-            log.info("simulated %s: %d events, %d dropped", path.name,
-                     len(trace.events),
-                     sum(1 for e in trace.events if e.disposition.value == "dropped_at_queue"))
-    return paths
+            log.info("simulated %s: %d events, %d dropped", path.name, len(trace), trace.drops)
+            yield path, trace
 
 
-def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> Path:
-    if not trace_paths:
-        raise errors.ConfigError("no trace files given")
-    parts = []
-    for path in sorted(trace_paths):
-        trace = read_trace(path.read_text(encoding="utf-8"))
-        window_len = trace.config.window_len
-        windows = window_trace(trace, window_len)
-        parts.append(label_windows(windows, trace.truth, window_len,
-                                   provenance=(path.name,)))
-    dataset = merge_datasets(parts)
+def do_simulate(cfg: PipelineConfig, out: Path, digest: str) -> list[Path]:
+    return [path for path, _ in _simulated(cfg, out, digest)]
+
+
+def _labeled(trace: PacketTrace, path: Path) -> LabeledDataset:
+    window_len = trace.config.window_len
+    return label_windows(window_trace(trace, window_len), trace.truth, window_len,
+                         provenance=(path.name,))
+
+
+def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: int,
+                    digest: str) -> Path:
+    """Merge per-trace datasets in trace file name order and write dataset.csv."""
+    dataset = merge_datasets([part for _, part in sorted(parts, key=lambda p: p[0])])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dataset.csv"
     path.write_text(write_dataset(dataset, comments=_stamp(seed, digest)),
                     encoding="utf-8")
     log.info("wrote %s: %d windows from %d traces", path, len(dataset), len(parts))
     return path
+
+
+def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> Path:
+    if not trace_paths:
+        raise errors.ConfigError("no trace files given")
+    parts = [(path, _labeled(read_trace(path.read_text(encoding="utf-8")), path))
+             for path in trace_paths]
+    return _write_features(parts, out, seed, digest)
 
 
 def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
@@ -210,8 +218,9 @@ def cmd_pipeline(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
     validate_for_training(cfg)
     out = Path(args.out)
-    trace_paths = do_simulate(cfg, out, digest)
-    dataset_path = do_features(trace_paths, out, cfg.seed, digest)
+    # Each trace is windowed as soon as its file is written, not read back.
+    parts = [(path, _labeled(trace, path)) for path, trace in _simulated(cfg, out, digest)]
+    dataset_path = _write_features(parts, out, cfg.seed, digest)
     do_evaluate(dataset_path, cfg, cfg.classifier_names, out, digest)
     return 0
 

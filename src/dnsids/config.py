@@ -17,7 +17,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, fields
 
-from .classifiers.mlp import MlpTrainConfig
+from .classifiers.mlp import MAX_HIDDEN, MlpTrainConfig
 from .classifiers.som import SomTrainConfig
 from .errors import ConfigError
 from .simnet import AttackKind, ScenarioConfig, make_scenario
@@ -106,28 +106,69 @@ _SOM_KEYS = {"epochs", "ordering_lr", "ordering_steps", "tuning_lr",
 _VALID_CLASSIFIERS = ("mlp", "rbf", "som")
 
 
+def _convert(section_name: str, key: str, raw: str, convert):
+    """`convert(raw)`, failing as a ConfigError that names the section and key."""
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"[{section_name}] {key}: bad value {raw!r}") from None
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    lo, comma, hi = raw.partition(",")
+    if not comma:
+        raise ValueError("expected two comma-separated numbers")
+    return float(lo), float(hi)
+
+
+def _require(ok: bool, section_name: str, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"[{section_name}] {key} must be {rule}, got {value}")
+
+
 def _parse_scenario(section_name: str, section, window_len: float) -> ScenarioBlock:
     runs = 1
     params: dict = {"window_len": window_len}
     for key, raw in section.items():
         if key == "runs":
-            runs = int(raw)
+            runs = _convert(section_name, key, raw, int)
             continue
         if key not in _SCENARIO_FIELD_TYPES:
             raise ConfigError(f"unknown scenario key {key!r} in [{section_name}]")
         if key == "attack_kind":
             params[key] = raw.strip()
         elif key == "attack_start_jitter":
-            lo, _, hi = raw.partition(",")
-            params[key] = (float(lo), float(hi))
-        elif key in _INT_SCENARIO:
-            params[key] = int(raw)
+            params[key] = _convert(section_name, key, raw, _pair)
         else:
-            params[key] = float(raw)
-    if runs < 1:
-        raise ConfigError(f"[{section_name}] runs must be >= 1")
+            params[key] = _convert(section_name, key, raw,
+                                   int if key in _INT_SCENARIO else float)
+    _require(runs >= 1, section_name, "runs", ">= 1", runs)
     name = section_name.split(".", 1)[1]
     return ScenarioBlock(name=name, runs=runs, config=make_scenario(**params))
+
+
+def _parse_mlp(section) -> MlpSettings:
+    values = {key: _convert("mlp", key, raw, int if key in ("hidden", "max_epochs") else float)
+              for key, raw in section.items()}
+    hidden = values.pop("hidden", MlpSettings.hidden)
+    _require(1 <= hidden <= MAX_HIDDEN, "mlp", "hidden", f"in 1..{MAX_HIDDEN}", hidden)
+    train = MlpTrainConfig(**values)
+    _require(train.max_epochs >= 1, "mlp", "max_epochs", ">= 1", train.max_epochs)
+    _require(train.target_mse > 0, "mlp", "target_mse", "> 0", train.target_mse)
+    _require(train.lm_lambda_up > 1, "mlp", "lm_lambda_up", "> 1", train.lm_lambda_up)
+    _require(0 < train.lm_lambda_down < 1, "mlp", "lm_lambda_down", "in (0, 1)",
+             train.lm_lambda_down)
+    return MlpSettings(hidden=hidden, train=train)
+
+
+def _parse_som(section) -> SomTrainConfig:
+    cfg = SomTrainConfig(**{
+        key: _convert("som", key, raw, float if key in ("ordering_lr", "tuning_lr") else int)
+        for key, raw in section.items()})
+    for key in ("ordering_lr", "tuning_lr"):
+        _require(0 < getattr(cfg, key) <= 1, "som", key, "in (0, 1]", getattr(cfg, key))
+    _require(cfg.ordering_steps >= 1, "som", "ordering_steps", ">= 1", cfg.ordering_steps)
+    return cfg
 
 
 def parse_pipeline_config(text: str) -> PipelineConfig:
@@ -146,14 +187,10 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
         raise ConfigError(f"unknown pipeline key {sorted(unknown)[0]!r}")
     if "seed" not in pipe:
         raise ConfigError("[pipeline] must set a master seed")
-    try:
-        seed = int(pipe["seed"])
-        window_len = float(pipe.get("window_len", "20"))
-        cv_folds = int(pipe.get("cv_folds", "10"))
-    except ValueError as exc:
-        raise ConfigError(f"bad pipeline value: {exc}") from None
-    if cv_folds < 2:
-        raise ConfigError(f"[pipeline] cv_folds must be >= 2, got {cv_folds}")
+    seed = _convert("pipeline", "seed", pipe["seed"], int)
+    window_len = _convert("pipeline", "window_len", pipe.get("window_len", "20"), float)
+    cv_folds = _convert("pipeline", "cv_folds", pipe.get("cv_folds", "10"), int)
+    _require(cv_folds >= 2, "pipeline", "cv_folds", ">= 2", cv_folds)
     names = tuple(n.strip() for n in pipe.get("classifiers", "mlp,rbf,som").split(","))
     for n in names:
         if n not in _VALID_CLASSIFIERS:
@@ -173,30 +210,18 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
             unknown = set(section) - _MLP_KEYS
             if unknown:
                 raise ConfigError(f"unknown mlp key {sorted(unknown)[0]!r}")
-            hidden = int(section.get("hidden", "7"))
-            train_kwargs = {}
-            for key in _MLP_KEYS - {"hidden"}:
-                if key in section:
-                    value = section[key]
-                    train_kwargs[key] = (int(value) if key == "max_epochs"
-                                         else float(value))
-            mlp_settings = MlpSettings(hidden=hidden, train=MlpTrainConfig(**train_kwargs))
+            mlp_settings = _parse_mlp(section)
         elif section_name == "rbf":
             unknown = set(section) - {"centers"}
             if unknown:
                 raise ConfigError(f"unknown rbf key {sorted(unknown)[0]!r}")
-            rbf_centers = int(section.get("centers", "10"))
+            rbf_centers = _convert("rbf", "centers", section.get("centers", "10"), int)
+            _require(rbf_centers >= 2, "rbf", "centers", ">= 2", rbf_centers)
         elif section_name == "som":
             unknown = set(section) - _SOM_KEYS
             if unknown:
                 raise ConfigError(f"unknown som key {sorted(unknown)[0]!r}")
-            kwargs = {}
-            for key in _SOM_KEYS:
-                if key in section:
-                    value = section[key]
-                    kwargs[key] = (float(value) if key in ("ordering_lr", "tuning_lr")
-                                   else int(value))
-            som_settings = SomTrainConfig(**kwargs)
+            som_settings = _parse_som(section)
         else:
             raise ConfigError(f"unknown section [{section_name}]")
 

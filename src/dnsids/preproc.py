@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParseError, ZeroVector
-from .simnet import AttackKind, Disposition, GroundTruth, PacketKind, PacketTrace
+from .simnet import DROPPED, TO_SERVER, AttackKind, GroundTruth, PacketTrace
 
 
 class ClassLabel(Enum):
@@ -111,17 +111,12 @@ def window_trace(trace: PacketTrace, window_len: float) -> list[WindowStats]:
     if window_len <= 0:
         raise ValueError("window_len must be > 0")
     n = math.ceil(trace.config.duration / window_len)
-    bits = [0] * n
-    packets = [0] * n
-    lost = [0] * n
-    for ev in trace.events:
-        idx = min(int(ev.timestamp // window_len), n - 1)
-        if ev.disposition is Disposition.DELIVERED_TO_SERVER:
-            bits[idx] += ev.size * 8
-            packets[idx] += 1
-        elif ev.disposition is Disposition.DROPPED_AT_QUEUE:
-            lost[idx] += 1
-    return [WindowStats(i, i * window_len, bits[i], packets[i], lost[i])
+    index = np.minimum(trace.t // window_len, n - 1).astype(np.intp)
+    received = trace.disposition == TO_SERVER
+    bits = np.bincount(index[received], weights=trace.size[received] * 8.0, minlength=n)
+    packets = np.bincount(index[received], minlength=n)
+    lost = np.bincount(index[trace.disposition == DROPPED], minlength=n)
+    return [WindowStats(i, i * window_len, int(bits[i]), int(packets[i]), int(lost[i]))
             for i in range(n)]
 
 

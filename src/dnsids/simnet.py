@@ -1,4 +1,4 @@
-"""Discrete-event simulation of DoS traffic against a DNS server.
+"""Simulation of DoS traffic against a DNS server, and the trace format.
 
 Models the smallest topology that reproduces the phenomena the detector
 relies on: a legitimate client and an attack source both route through a
@@ -16,19 +16,36 @@ Traffic sources:
 * an amplification flood delivers oversized reflected responses to the
   server's inbound path.
 
+With one contested FIFO there is no need for a general event calendar.
+The constant-bit-rate attack arrivals are computed up front as an array;
+the few legitimate requests, timeouts and responses run on a small
+agenda merged into that stream. Each admitted packet leaves the link at
+d_k = max(a_k, d_{k-1}) + s_k (Lindley 1952), and an arrival is dropped
+while the packet `queue_capacity + 1` places ahead of it is still on the
+link. Rows come out in the order a calendar that breaks time ties by
+insertion order would process them; where times tie exactly, that order
+is recovered from the events' causes (see `run`).
+
+A trace is held as columns with one entry per recorded event: `t`
+(float64 seconds, rounded to 6 places), `kind` and `disposition` (int8
+indices into KINDS and DISPOSITIONS), `size` (int32 bytes) and `flow`
+(int32: n for the legitimate flow `q<n>`, -1 for the attack stream
+`atk`). `PacketTrace.events` rebuilds `PacketEvent` rows on demand.
+
 Traces serialize to UTF-8 text: ``#key=value`` header lines followed by
-one ``seq,timestamp,kind,size,disposition,flow_id`` row per packet event.
-Event timestamps are recorded at microsecond resolution so the text form
-round-trips exactly.
+one ``seq,timestamp,kind,size,disposition,flow_id`` row per packet event;
+names appear only in this text form. Event timestamps are recorded at
+microsecond resolution so the text form round-trips exactly.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cmp_to_key
+
+import numpy as np
 
 from .errors import InvalidConfig, ParseError
 
@@ -49,6 +66,14 @@ class Disposition(Enum):
     DELIVERED_TO_SERVER = "delivered_to_server"
     DROPPED_AT_QUEUE = "dropped_at_queue"
     DELIVERED_TO_CLIENT = "delivered_to_client"
+
+
+# Column codes: a trace's `kind` and `disposition` entries index these.
+KINDS: tuple[PacketKind, ...] = tuple(PacketKind)
+DISPOSITIONS: tuple[Disposition, ...] = tuple(Disposition)
+REQUEST, RESPONSE, ATTACK = (KINDS.index(k) for k in PacketKind)
+TO_SERVER, DROPPED, TO_CLIENT = (DISPOSITIONS.index(d) for d in Disposition)
+ATTACK_FLOW = -1  # `flow` entry of the attack stream, written as "atk"
 
 
 # Ratio of offered attack load to bottleneck capacity when no explicit
@@ -82,6 +107,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class PacketEvent:
+    """One trace row, as a read-only view built from the columns."""
     seq: int
     timestamp: float
     kind: PacketKind
@@ -96,15 +122,64 @@ class GroundTruth:
     interval: tuple[float, float] | None  # None when attack_kind is NONE
 
 
-@dataclass(frozen=True)
+_COLUMNS = {"t": np.float64, "kind": np.int8, "size": np.int32,
+            "disposition": np.int8, "flow": np.int32}
+
+
+def flow_name(flow: int) -> str:
+    return "atk" if flow == ATTACK_FLOW else f"q{flow}"
+
+
+@dataclass(frozen=True, eq=False)
 class PacketTrace:
+    """One run: the scenario, its counters and the event columns.
+
+    The column arrays are private read-only copies of equal length.
+    """
     config: ScenarioConfig
     seed: int
-    events: tuple[PacketEvent, ...]
+    t: np.ndarray
+    kind: np.ndarray
+    size: np.ndarray
+    disposition: np.ndarray
+    flow: np.ndarray
     truth: GroundTruth
     packets_generated: int
     in_flight_at_end: int
     max_queue_occupancy: int
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if len({getattr(self, name).size for name in _COLUMNS}) != 1:
+            raise ValueError("trace columns differ in length")
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __eq__(self, other):
+        if not isinstance(other, PacketTrace):
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.name not in _COLUMNS)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _COLUMNS))
+
+    @property
+    def drops(self) -> int:
+        """Number of packets dropped at the bottleneck queue."""
+        return int(np.count_nonzero(self.disposition == DROPPED))
+
+    @property
+    def events(self) -> tuple[PacketEvent, ...]:
+        """The rows as `PacketEvent` records, built on each access."""
+        return tuple(
+            PacketEvent(seq, t, KINDS[k], size, DISPOSITIONS[d], flow_name(f))
+            for seq, (t, k, size, d, f) in enumerate(zip(
+                self.t.tolist(), self.kind.tolist(), self.size.tolist(),
+                self.disposition.tolist(), self.flow.tolist())))
 
 
 def _check(cond: bool, constraint: str) -> None:
@@ -171,15 +246,43 @@ def make_scenario(**params) -> ScenarioConfig:
     return validate_config(cfg)
 
 
-# Calendar event tags.
-_EMIT_REQ, _EMIT_ATK, _ARRIVE, _TX_DONE, _DELIVER, _RESPOND, _TIMEOUT = range(7)
+def _attack_emissions(start: float, end: float, rate: float) -> np.ndarray:
+    """Constant-bit-rate emission times start + i / rate that fall before `end`."""
+    n = int((end - start) * rate) + 1
+    while start + n / rate < end:
+        n += 1
+    emit = start + np.arange(n + 1) / rate
+    return emit[emit < end]
+
+
+def _round6(x: np.ndarray) -> np.ndarray:
+    """Python's round(v, 6) of every element.
+
+    Multiplication rounds monotonically, so rint(v * 1e6) is v rounded to
+    whole microseconds unless the product is exactly half-way between two
+    integers or too large to hold a fraction; those elements take
+    Python's round.
+    """
+    scaled = x * 1e6
+    out = np.rint(scaled) / 1e6
+    inexact = (scaled - np.floor(scaled) == 0.5) | ~(np.abs(scaled) < 2.0**52)
+    for i in np.flatnonzero(inexact).tolist():
+        out[i] = round(float(x[i]), 6)
+    return out
 
 
 def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     """Simulate one scenario; identical (config, seed) gives identical traces.
 
     The only random draw is the attack start offset, taken uniformly from
-    the configured jitter range. Calendar ties break by insertion order.
+    the configured jitter range. Events up to and including `duration`
+    take effect. Events at the same instant take effect in the order of
+    a calendar that breaks time ties by insertion order. An event is
+    inserted when its cause is processed, so equal times are ordered by
+    their causes' processing order, then by the order in which one cause
+    creates them; the first request emission and the first attack
+    emission are inserted before anything else, in that order. Exact ties
+    are rare, so this order is worked out only where two times are equal.
     """
     validate_config(config)
     cfg = config
@@ -205,113 +308,223 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     def tx_time(size: int) -> float:
         return size * 8 / cfg.bottleneck_rate
 
+    horizon = cfg.duration
+    link_delay = cfg.bottleneck_delay
     # Uncontested return path: serialize on both links, no queueing.
-    def reverse_latency(size: int) -> float:
-        return tx_time(size) + cfg.bottleneck_delay + edge_latency(size)
+    reverse = (tx_time(cfg.normal_response_size) + cfg.bottleneck_delay
+               + edge_latency(cfg.normal_response_size))
+    request_edge = edge_latency(cfg.request_size)
+    request_tx = tx_time(cfg.request_size)
+    attack_tx = tx_time(attack_size)
 
-    heap: list[tuple[float, int, int, object]] = []
-    push_count = 0
+    emit = (_attack_emissions(attack_start, emit_end, cfg.attack_rate)
+            if attack_start < emit_end else np.empty(0))
+    attack_arrive = emit + edge_latency(attack_size)
+    request_emit = [0.0]
+    while request_emit[-1] + cfg.legit_interarrival < horizon:
+        request_emit.append(request_emit[-1] + cfg.legit_interarrival)
 
-    def push(t: float, tag: int, payload: object) -> None:
-        nonlocal push_count
-        heapq.heappush(heap, (t, push_count, tag, payload))
-        push_count += 1
+    # Events are named (tag, index):
+    #   "E" attack emission i, "A" its arrival at the router;
+    #   "Q" request emission n, "L" arrival and "O" timeout of request
+    #   transmission s;
+    #   "T" end of transmission of admitted packet k, "D" its delivery to
+    #   the server, "R" the response to it when it is a request.
+    sent_t: list[float] = []           # request transmission s: when, why and
+    sent_cause: list[tuple] = []       # for which flow; its arrival is ("L", s)
+    sent_flow: list[int] = []          # and its timeout ("O", s)
+    tries: list[int] = []              # flow n: request transmissions so far
+    admitted: list[list[int]] = []     # flow n: its admitted packets k
+    depart: list[float] = []           # admitted packet k: end of transmission,
+    source: list[int] = []             # its arrival (attack i, or ~s), and
+    own_start: list[bool] = []         # whether its arrival started the link
+    dropped: list[int] = []            # dropped arrivals, encoded as `source`
 
-    events: list[PacketEvent] = []
+    def arrival(x: int) -> tuple:
+        return ("A", x) if x >= 0 else ("L", ~x)
 
-    def record(t: float, kind: PacketKind, size: int, disp: Disposition, flow: str) -> None:
-        events.append(PacketEvent(len(events), round(t, 6), kind, size, disp, flow))
+    def when(ev: tuple) -> float:
+        tag, i = ev
+        if tag == "E":
+            return emit[i]
+        if tag == "A":
+            return attack_arrive[i]
+        if tag == "Q":
+            return request_emit[i]
+        if tag == "L":
+            return sent_t[i] + request_edge
+        if tag == "O":
+            return sent_t[i] + cfg.retransmit_timeout
+        if tag == "T":
+            return depart[i]
+        delivered = depart[i] + link_delay
+        return delivered if tag == "D" else delivered + reverse
 
-    queue: deque[tuple[int, PacketKind, str]] = deque()
-    busy = False
+    def cause(ev: tuple) -> tuple:
+        """(causing event, rank among its children), or (None, insertion rank)."""
+        tag, i = ev
+        if tag == "E":
+            return (None, 1) if i == 0 else (("E", i - 1), 1)
+        if tag == "A":
+            return ("E", i), 0
+        if tag == "Q":
+            return (None, 0) if i == 0 else (("Q", i - 1), 2)
+        if tag == "L":
+            return sent_cause[i], 0
+        if tag == "O":
+            return sent_cause[i], 1
+        if tag == "T":
+            return (arrival(source[i]), 0) if own_start[i] else (("T", i - 1), 1)
+        return (("T", i), 0) if tag == "D" else (("D", i), 0)
+
+    def before(x: tuple, y: tuple) -> bool:
+        """Whether the calendar processes event x before event y."""
+        while True:
+            tx, ty = when(x), when(y)
+            if tx != ty:
+                return tx < ty
+            (px, cx), (py, cy) = cause(x), cause(y)
+            if px == py:
+                return cx < cy
+            if px is None or py is None:
+                return px is None
+            x, y = px, py
+
+    capacity = cfg.queue_capacity
+    done = 0            # admitted packets whose transmission has ended
     max_occupancy = 0
-    generated = 0
-    delivered = 0
-    dropped = 0
-    # flow -> [answered, request emissions so far]
-    flows: dict[str, list] = {}
 
-    push(0.0, _EMIT_REQ, 0)
-    if cfg.attack_kind is not AttackKind.NONE and attack_start < emit_end:
-        push(attack_start, _EMIT_ATK, 0)
+    def arrive(x: int, a: float, service: float) -> bool:
+        """Admit arrival x at time a to the drop-tail FIFO, or drop it."""
+        nonlocal done, max_occupancy
+        n = len(depart)
+        while done < n and (depart[done] < a or depart[done] == a
+                            and before(("T", done), arrival(x))):
+            done += 1
+        ahead = n - done        # on the link or queued
+        if ahead > capacity:
+            dropped.append(x)
+            return False
+        if ahead > max_occupancy:
+            max_occupancy = ahead
+        depart.append((depart[-1] if ahead else a) + service)
+        source.append(x)
+        own_start.append(not ahead)
+        return True
 
-    while heap and heap[0][0] <= cfg.duration:
-        t, _, tag, payload = heapq.heappop(heap)
+    # Pending legitimate events: request emissions, arrivals and timeouts.
+    agenda: list[tuple] = [("Q", 0)]
+    generated = len(emit)
 
-        if tag == _EMIT_REQ:
-            n = payload
-            flow = f"q{n}"
-            flows[flow] = [False, 1]
+    def send(flow: int, sender: tuple, t: float) -> None:
+        """One request of `flow` sent at t: its arrival, then its timeout."""
+        sent_t.append(t)
+        sent_cause.append(sender)
+        sent_flow.append(flow)
+        s = len(sent_t) - 1
+        agenda.extend(ev for ev in (("L", s), ("O", s)) if when(ev) <= horizon)
+
+    def handle_next() -> tuple[tuple | None, float]:
+        """Process the earliest agenda event; return the next one and its time."""
+        nonlocal generated
+        ev = head
+        agenda.remove(ev)
+        tag, i = ev
+        if tag == "Q":
             generated += 1
-            push(t + edge_latency(cfg.request_size), _ARRIVE,
-                 (cfg.request_size, PacketKind.LEGIT_REQUEST, flow))
-            push(t + cfg.retransmit_timeout, _TIMEOUT, flow)
-            nxt = t + cfg.legit_interarrival
-            if nxt < cfg.duration:
-                push(nxt, _EMIT_REQ, n + 1)
-
-        elif tag == _EMIT_ATK:
-            i = payload
-            generated += 1
-            push(t + edge_latency(attack_size), _ARRIVE,
-                 (attack_size, PacketKind.ATTACK, "atk"))
-            nxt = attack_start + (i + 1) / cfg.attack_rate
-            if nxt < emit_end:
-                push(nxt, _EMIT_ATK, i + 1)
-
-        elif tag == _ARRIVE:
-            size, kind, flow = payload
-            if not busy:
-                busy = True
-                push(t + tx_time(size), _TX_DONE, payload)
-            elif len(queue) < cfg.queue_capacity:
-                queue.append(payload)
-                if len(queue) > max_occupancy:
-                    max_occupancy = len(queue)
-            else:
-                dropped += 1
-                record(t, kind, size, Disposition.DROPPED_AT_QUEUE, flow)
-
-        elif tag == _TX_DONE:
-            push(t + cfg.bottleneck_delay, _DELIVER, payload)
-            if queue:
-                nxt_payload = queue.popleft()
-                push(t + tx_time(nxt_payload[0]), _TX_DONE, nxt_payload)
-            else:
-                busy = False
-
-        elif tag == _DELIVER:
-            size, kind, flow = payload
-            delivered += 1
-            record(t, kind, size, Disposition.DELIVERED_TO_SERVER, flow)
-            if kind is PacketKind.LEGIT_REQUEST:
+            tries.append(1)
+            admitted.append([])
+            send(i, ev, request_emit[i])
+            if i + 1 < len(request_emit):
+                agenda.append(("Q", i + 1))
+        elif tag == "O":
+            flow = sent_flow[i]
+            if (tries[flow] <= cfg.retransmit_max
+                    and not any(before(("R", k), ev) for k in admitted[flow])):
+                tries[flow] += 1
                 generated += 1
-                push(t + reverse_latency(cfg.normal_response_size), _RESPOND, flow)
+                send(flow, ev, when(ev))
+        elif arrive(~i, when(ev), request_tx):
+            admitted[sent_flow[i]].append(len(depart) - 1)
+        if not agenda:
+            return None, np.inf
+        first = agenda[0]
+        for other in agenda[1:]:
+            if before(other, first):
+                first = other
+        return first, when(first)
 
-        elif tag == _RESPOND:
-            flow = payload
-            delivered += 1
-            record(t, PacketKind.LEGIT_RESPONSE, cfg.normal_response_size,
-                   Disposition.DELIVERED_TO_CLIENT, flow)
-            flows[flow][0] = True
+    head, head_t = ("Q", 0), 0.0
+    n_attack = int(np.count_nonzero(attack_arrive <= horizon))
+    for i, a in enumerate(attack_arrive[:n_attack].tolist()):
+        while head_t < a or head_t == a and before(head, ("A", i)):
+            head, head_t = handle_next()
+        arrive(i, a, attack_tx)
+    while head is not None:
+        head, head_t = handle_next()
 
-        elif tag == _TIMEOUT:
-            flow = payload
-            state = flows[flow]
-            if not state[0] and state[1] <= cfg.retransmit_max:
-                state[1] += 1
-                generated += 1
-                push(t + edge_latency(cfg.request_size), _ARRIVE,
-                     (cfg.request_size, PacketKind.LEGIT_REQUEST, flow))
-                push(t + cfg.retransmit_timeout, _TIMEOUT, flow)
+    # Rows: drops at their arrival, deliveries to the server, responses.
+    source_ids = np.array(source, dtype=np.int64)
+    drop_ids = np.array(dropped, dtype=np.int64)
+    deliver_t = np.array(depart) + link_delay
+    delivered = np.flatnonzero(deliver_t <= horizon)
+    requests = delivered[source_ids[delivered] < 0]
+    generated += len(requests)                  # one response per delivered request
+    answered = requests[deliver_t[requests] + reverse <= horizon]
+
+    legit_times = np.array(sent_t) + request_edge
+    legit_flows = np.array(sent_flow, dtype=np.int32)
+
+    def packets(ids: np.ndarray):
+        """Time, kind, size and flow of the arrivals `ids`."""
+        legit = ids < 0
+        t = np.empty(len(ids))
+        t[legit] = legit_times[~ids[legit]]
+        t[~legit] = attack_arrive[ids[~legit]]
+        flow = np.full(len(ids), ATTACK_FLOW, dtype=np.int32)
+        flow[legit] = legit_flows[~ids[legit]]
+        return (t, np.where(legit, REQUEST, ATTACK),
+                np.where(legit, cfg.request_size, attack_size), flow)
+
+    drop_t, drop_kind, drop_size, drop_flow = packets(drop_ids)
+    _, del_kind, del_size, del_flow = packets(source_ids[delivered])
+    n_answered = len(answered)
+    times = np.concatenate([drop_t, deliver_t[delivered], deliver_t[answered] + reverse])
+    kind = np.concatenate([drop_kind, del_kind, np.full(n_answered, RESPONSE)])
+    size = np.concatenate([drop_size, del_size,
+                           np.full(n_answered, cfg.normal_response_size)])
+    disposition = np.repeat([DROPPED, TO_SERVER, TO_CLIENT],
+                            [len(drop_ids), len(delivered), n_answered])
+    flow = np.concatenate([drop_flow, del_flow, packets(source_ids[answered])[3]])
+
+    order = np.argsort(times, kind="stable")
+    ties = np.flatnonzero(times[order][1:] == times[order][:-1])
+    if ties.size:
+        n_drop, n_del = len(drop_ids), len(delivered)
+
+        def row_event(r: int) -> tuple:
+            if r < n_drop:
+                return arrival(int(drop_ids[r]))
+            if r < n_drop + n_del:
+                return "D", int(delivered[r - n_drop])
+            return "R", int(answered[r - n_drop - n_del])
+
+        calendar = cmp_to_key(lambda r, s: -1 if before(row_event(r), row_event(s)) else 1)
+        for group in np.split(ties, np.flatnonzero(np.diff(ties) > 1) + 1):
+            lo, hi = group[0], group[-1] + 2
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=calendar)
 
     return PacketTrace(
         config=cfg,
         seed=seed,
-        events=tuple(events),
+        t=_round6(times[order]),
+        kind=kind[order],
+        size=size[order],
+        disposition=disposition[order],
+        flow=flow[order],
         truth=truth,
         packets_generated=generated,
-        in_flight_at_end=generated - delivered - dropped,
+        in_flight_at_end=generated - len(delivered) - n_answered - len(drop_ids),
         max_queue_occupancy=max_occupancy,
     )
 
@@ -321,6 +534,60 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
 _CONFIG_FIELDS = [f.name for f in fields(ScenarioConfig)]
 _INT_CONFIG_FIELDS = {"request_size", "normal_response_size", "amp_response_size",
                       "retransmit_max", "queue_capacity", "attack_packet_size"}
+_COUNTERS = ("seed", "packets_generated", "in_flight_at_end", "max_queue_occupancy")
+_KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
+_DISPOSITION_CODES = {disp.value: code for code, disp in enumerate(DISPOSITIONS)}
+_INT32_MAX = 2**31 - 1
+
+
+def _digits(values: np.ndarray, width: int | None = None) -> np.ndarray:
+    """ASCII digits of non-negative integers, one right-aligned row each.
+
+    With a width, every number is zero-padded to it. Without one, rows are
+    as wide as the largest number and shorter numbers lead with 0 bytes
+    for the caller to strip.
+    """
+    w = width or len(str(int(values.max(initial=0))))
+    powers = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    out = (values[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    if width is None:
+        lead = values[:, None] < powers
+        lead[:, -1] = False
+        out[lead] = 0
+    return out
+
+
+def _render_rows(trace: PacketTrace) -> str:
+    """The event rows, each ending in a newline, rendered column-wise."""
+    n = len(trace)
+    if n == 0:
+        return ""
+    if not trace.t.min() >= 0:
+        raise ValueError("trace timestamps must be >= 0")
+    micros = np.rint(trace.t * 1e6).astype(np.int64)
+    # ",kind,size,disposition,flow\n" takes few distinct values: render each once.
+    sizes, size_idx = np.unique(trace.size, return_inverse=True)
+    flows, flow_idx = np.unique(trace.flow, return_inverse=True)
+    code = (((size_idx * len(flows) + flow_idx) * len(KINDS) + trace.kind)
+            * len(DISPOSITIONS) + trace.disposition)
+    codes, row_code = np.unique(code, return_inverse=True)
+    tails = []
+    for c in codes.tolist():
+        c, d = divmod(c, len(DISPOSITIONS))
+        c, k = divmod(c, len(KINDS))
+        s, f = divmod(c, len(flows))
+        tails.append(f",{KINDS[k].value},{sizes[s]},{DISPOSITIONS[d].value},"
+                     f"{flow_name(int(flows[f]))}\n".encode())
+    table = np.zeros((len(tails), max(map(len, tails))), dtype=np.uint8)
+    for row, tail in zip(table, tails):
+        row[:len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+
+    def byte(ch: str) -> np.ndarray:
+        return np.full((n, 1), ord(ch), dtype=np.uint8)
+
+    text = np.hstack([_digits(np.arange(n)), byte(","), _digits(micros // 10**6),
+                      byte("."), _digits(micros % 10**6, 6), table[row_code]])
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def write_trace(trace: PacketTrace) -> str:
@@ -344,10 +611,7 @@ def write_trace(trace: PacketTrace) -> str:
     lines.append(f"#packets_generated={trace.packets_generated}")
     lines.append(f"#in_flight_at_end={trace.in_flight_at_end}")
     lines.append(f"#max_queue_occupancy={trace.max_queue_occupancy}")
-    for ev in trace.events:
-        lines.append(f"{ev.seq},{ev.timestamp:.6f},{ev.kind.value},{ev.size},"
-                     f"{ev.disposition.value},{ev.flow_id}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _render_rows(trace)
 
 
 def _parse_header_value(key: str, raw: str, line_no: int):
@@ -357,12 +621,41 @@ def _parse_header_value(key: str, raw: str, line_no: int):
         if key == "attack_start_jitter":
             lo, hi = raw.split(",")
             return (float(lo), float(hi))
-        if key in _INT_CONFIG_FIELDS or key in ("seed", "packets_generated",
-                                                "in_flight_at_end", "max_queue_occupancy"):
+        if key in _INT_CONFIG_FIELDS or key in _COUNTERS:
             return int(raw)
         return float(raw)
     except (ValueError, TypeError):
         raise ParseError(f"bad value {raw!r}", line=line_no, field=key) from None
+
+
+def _flow_code(name: str) -> int | None:
+    """Column entry of a flow id: -1 for "atk", n for "q<n>"; None if malformed."""
+    if name == "atk":
+        return ATTACK_FLOW
+    digits = name[1:]
+    if (name[:1] == "q" and digits.isdecimal() and digits.isascii()
+            and str(int(digits)) == digits and int(digits) <= _INT32_MAX):
+        return int(digits)
+    return None
+
+
+def _parse_column(values: list[str], dtype, what: str, line_nos: list[int]):
+    """One numeric column; a value that does not parse fails naming its line."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (ValueError, OverflowError):
+        convert = float if dtype is np.float64 else int
+        for value, line_no in zip(values, line_nos):
+            try:
+                convert(value)
+            except ValueError:
+                raise ParseError(f"bad event row: invalid {what} {value!r}",
+                                 line=line_no) from None
+        raise ParseError(f"bad event row: {what} out of range") from None
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
 
 
 def read_trace(text: str) -> PacketTrace:
@@ -370,51 +663,32 @@ def read_trace(text: str) -> PacketTrace:
 
     Unknown header keys are ignored so writers may annotate traces; all
     config fields, the seed, and the bookkeeping counters are required.
+    Header lines come first; blank lines are skipped. Event rows must be numbered from 0 without gaps, carry timestamps
+    that never decrease and lie within [0, duration], and name a flow as
+    `atk` or `q<n>`.
     """
+    lines = text.splitlines()
+    n_header = 0
+    while n_header < len(lines) and (lines[n_header][:1] == "#"
+                                     or not lines[n_header].strip()):
+        n_header += 1
     header: dict[str, object] = {}
     attack_start_raw: str | None = None
     attack_end_raw: str | None = None
-    rows: list[PacketEvent] = []
-
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines[:n_header], start=1):
         if not line.strip():
             continue
-        if line.startswith("#"):
-            if rows:
-                raise ParseError("header line after event rows", line=line_no)
-            body = line[1:]
-            if "=" not in body:
-                raise ParseError("header line without '='", line=line_no)
-            key, _, raw = body.partition("=")
-            if key == "attack_start":
-                attack_start_raw = raw
-            elif key == "attack_end":
-                attack_end_raw = raw
-            elif key in _CONFIG_FIELDS or key in ("seed", "packets_generated",
-                                                  "in_flight_at_end", "max_queue_occupancy"):
-                header[key] = _parse_header_value(key, raw, line_no)
-            continue
+        key, eq, raw = line[1:].partition("=")
+        if not eq:
+            raise ParseError("header line without '='", line=line_no)
+        if key == "attack_start":
+            attack_start_raw = raw
+        elif key == "attack_end":
+            attack_end_raw = raw
+        elif key in _CONFIG_FIELDS or key in _COUNTERS:
+            header[key] = _parse_header_value(key, raw, line_no)
 
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 fields, got {len(parts)}", line=line_no)
-        seq_s, ts_s, kind_s, size_s, disp_s, flow = parts
-        try:
-            seq = int(seq_s)
-            ts = float(ts_s)
-            kind = PacketKind(kind_s)
-            size = int(size_s)
-            disp = Disposition(disp_s)
-        except ValueError as exc:
-            raise ParseError(f"bad event row: {exc}", line=line_no) from None
-        if seq != len(rows):
-            raise ParseError(f"sequence gap: expected {len(rows)}, got {seq}", line=line_no)
-        if size < 1:
-            raise ParseError("size must be >= 1", line=line_no)
-        rows.append(PacketEvent(seq, ts, kind, size, disp, flow))
-
-    for key in _CONFIG_FIELDS + ["seed", "packets_generated", "in_flight_at_end",
-                                 "max_queue_occupancy"]:
+    for key in _CONFIG_FIELDS + list(_COUNTERS):
         if key not in header:
             raise ParseError("missing header key", field=key)
     if attack_start_raw is None or attack_end_raw is None:
@@ -428,6 +702,57 @@ def read_trace(text: str) -> PacketTrace:
             raise ParseError("attack scenario without interval", field="attack_start")
         truth = GroundTruth(cfg.attack_kind, (float(attack_start_raw), float(attack_end_raw)))
 
+    rows = lines[n_header:]
+    line_nos = list(range(n_header + 1, len(lines) + 1))
+    commas = [row.count(",") for row in rows]
+    if commas.count(5) != len(rows):    # blank lines, late header lines or bad rows
+        kept = []
+        for i, (row, line_no) in enumerate(zip(rows, line_nos)):
+            if not row.strip():
+                continue
+            if row[0] == "#":
+                raise ParseError("header line after event rows", line=line_no)
+            if commas[i] != 5:
+                raise ParseError(f"expected 6 fields, got {commas[i] + 1}", line=line_no)
+            kept.append(i)
+        rows = [rows[i] for i in kept]
+        line_nos = [line_nos[i] for i in kept]
+    fields_ = ",".join(rows).split(",") if rows else []
+    seq_s, t_s, kind_s, size_s, disp_s, flow_s = (fields_[i::6] for i in range(6))
+
+    seq = _parse_column(seq_s, np.int64, "seq", line_nos)
+    gap = seq != np.arange(len(rows))
+    if gap.any():
+        i = _first(gap)
+        raise ParseError(f"sequence gap: expected {i}, got {seq[i]}", line=line_nos[i])
+    t = _parse_column(t_s, np.float64, "timestamp", line_nos)
+    outside = ~((t >= 0) & (t <= cfg.duration))
+    if outside.any():
+        i = _first(outside)
+        raise ParseError(f"timestamp {t_s[i]} outside [0, duration]", line=line_nos[i])
+    decreasing = t[1:] < t[:-1]
+    if decreasing.any():
+        i = _first(decreasing) + 1
+        raise ParseError(f"timestamp {t_s[i]} before the previous row's", line=line_nos[i])
+    size = _parse_column(size_s, np.int64, "size", line_nos)
+    small, large = size < 1, size > _INT32_MAX
+    if small.any() or large.any():
+        i = _first(small | large)
+        raise ParseError("size must be >= 1" if small[i] else "size too large",
+                         line=line_nos[i])
+    flow_codes = {s: code for s in set(flow_s) if (code := _flow_code(s)) is not None}
+    columns = {"t": t, "size": size}
+    for name, values, codes in (("kind", kind_s, _KIND_CODES),
+                                ("disposition", disp_s, _DISPOSITION_CODES),
+                                ("flow", flow_s, flow_codes)):
+        try:
+            columns[name] = np.fromiter(map(codes.__getitem__, values),
+                                        dtype=_COLUMNS[name], count=len(values))
+        except KeyError:
+            i = next(i for i, value in enumerate(values) if value not in codes)
+            raise ParseError(f"bad event row: unknown {name} {values[i]!r}",
+                             line=line_nos[i]) from None
+
     expected_events = header["packets_generated"] - header["in_flight_at_end"]
     if len(rows) != expected_events:
         raise ParseError(
@@ -437,7 +762,7 @@ def read_trace(text: str) -> PacketTrace:
     return PacketTrace(
         config=cfg,
         seed=header["seed"],
-        events=tuple(rows),
+        **columns,
         truth=truth,
         packets_generated=header["packets_generated"],
         in_flight_at_end=header["in_flight_at_end"],

@@ -272,6 +272,21 @@ def test_golden_output_digests(default_pipeline):
         assert got == want, name
 
 
+# One SHA-256 over the bundled run's trace files, concatenated in sorted
+# name order (30 files, 12,367,697 bytes at seed 42).
+GOLDEN_TRACE_DIGEST = "853d8718bd215d6b13c4aabe2868206bc2948dbf6ded7ba375d104003dcddd50"
+
+
+def test_golden_trace_digest(default_pipeline):
+    """The bundled pipeline's trace files hash to the recorded value."""
+    digest = hashlib.sha256()
+    paths = sorted((default_pipeline["out_a"] / "traces").glob("*.trace"))
+    for path in paths:
+        digest.update(path.read_bytes())
+    assert len(paths) == 30
+    assert digest.hexdigest() == GOLDEN_TRACE_DIGEST
+
+
 def test_c10_som_properties(default_pipeline):
     """Scale-invariant decisions; ordering phase does not raise quantization error."""
     dataset = default_pipeline["dataset"]

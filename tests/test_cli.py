@@ -11,6 +11,7 @@ from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
 from dnsids.classifiers.recipes import RbfRecipe, SomRecipe
 from dnsids.classifiers.som import SomTrainConfig, som_init
 from dnsids.classifiers.store import load_model, save_model
+from dnsids import cli
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, config_digest, parse_pipeline_config,
                            validate_for_training)
@@ -105,6 +106,29 @@ class TestConfigParsing:
         bad = TINY_CONFIG.replace("cv_folds = 4", f"cv_folds = {folds}")
         with pytest.raises(ConfigError, match="cv_folds"):
             parse_pipeline_config(bad)
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("hidden = 5", "hidden = abc", "[mlp] hidden"),
+        ("runs = 2", "runs = x", "[scenario.normal] runs"),
+        ("attack_start_jitter = 0,9.5", "attack_start_jitter = 5",
+         "[scenario.direct_dos] attack_start_jitter"),
+        ("max_epochs = 120", "max_epochs = 0", "[mlp] max_epochs"),
+        ("hidden = 5", "hidden = 0", "[mlp] hidden"),
+        ("centers = 6", "centers = 1", "[rbf] centers"),
+        ("epochs = 6", "epochs = six", "[som] epochs"),
+        ("centers = 6", "centers = 6.5", "[rbf] centers"),
+        ("window_len = 20", "window_len = twenty", "[pipeline] window_len"),
+    ])
+    def test_bad_value_is_config_error_naming_section_and_key(self, tmp_path, capsys,
+                                                              old, new, where):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace(old, new, 1))
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith(where)
 
     def test_digest_stability(self):
         assert config_digest(TINY_CONFIG) == config_digest(TINY_CONFIG)
@@ -203,6 +227,20 @@ class TestPipelineCommand:
         assert (staged / "dataset.csv").read_bytes() == (out / "dataset.csv").read_bytes()
         assert (staged / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
+    def test_pipeline_windows_traces_without_reading_them_back(self, tiny_run, tmp_path,
+                                                               monkeypatch):
+        cfg_path, out = tiny_run
+
+        def refuse(text):
+            raise AssertionError("pipeline parsed a trace file")
+
+        monkeypatch.setattr(cli, "read_trace", refuse)
+        dest = tmp_path / "in_memory"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(dest)]) == 0
+        assert (dest / "dataset.csv").read_bytes() == (out / "dataset.csv").read_bytes()
+        assert sorted(p.name for p in (dest / "traces").glob("*.trace")) == sorted(
+            p.name for p in (out / "traces").glob("*.trace"))
+
     def test_rerun_is_byte_identical(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run
         again = tmp_path / "again"
@@ -266,6 +304,23 @@ class TestCommandsAndExitCodes:
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "ParseError"
+
+    def test_out_of_order_trace_is_parse_error_naming_line(self, tiny_run, tmp_path,
+                                                            capsys):
+        cfg_path, out = tiny_run
+        lines = sorted((out / "traces").glob("*.trace"))[0].read_text().splitlines()
+        second = [i for i, line in enumerate(lines) if not line.startswith("#")][1]
+        fields = lines[second].split(",")
+        lines[second] = ",".join([fields[0], "0.000000", *fields[2:]])
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "bad.trace").write_text("\n".join(lines) + "\n")
+        rc = main(["features", "--config", str(cfg_path), "--traces", str(traces),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert f"line {second + 1}" in err["detail"]
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_evaluate_fewer_than_two_folds_is_config_error(self, tiny_run, tmp_path,

@@ -12,13 +12,20 @@ from dnsids.preproc import (CLASS_ORDER, ClassLabel, FeatureVector, LabeledDatas
                             TARGET_CODES, WindowStats, extract_features,
                             l2_normalize_rows, label_windows, merge_datasets,
                             normalize_l2, read_dataset, window_trace, write_dataset)
-from dnsids.simnet import (AttackKind, Disposition, GroundTruth, PacketEvent,
-                           PacketKind, ScenarioConfig, make_scenario, run)
+from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
+                           PacketEvent, PacketKind, PacketTrace, ScenarioConfig,
+                           make_scenario, run)
 
 
 def _trace(cfg, events):
-    from dnsids.simnet import PacketTrace
-    return PacketTrace(config=cfg, seed=0, events=tuple(events),
+    """A trace whose columns hold the given `PacketEvent` rows."""
+    return PacketTrace(config=cfg, seed=0,
+                       t=[e.timestamp for e in events],
+                       kind=[KINDS.index(e.kind) for e in events],
+                       size=[e.size for e in events],
+                       disposition=[DISPOSITIONS.index(e.disposition) for e in events],
+                       flow=[-1 if e.flow_id == "atk" else int(e.flow_id[1:])
+                             for e in events],
                        truth=GroundTruth(AttackKind.NONE, None),
                        packets_generated=len(events), in_flight_at_end=0,
                        max_queue_occupancy=0)

@@ -1,14 +1,20 @@
 """Simulator laws: configuration, determinism, conservation, serialization."""
 
-import math
+import heapq
+import random
+from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnsids.errors import InvalidConfig, ParseError
-from dnsids.simnet import (AttackKind, Disposition, PacketKind, ScenarioConfig,
-                           make_scenario, read_trace, run, write_trace)
+from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
+                           PacketKind, ScenarioConfig, _round6, make_scenario, read_trace,
+                           run, validate_config, write_trace)
+
+COLUMNS = ("t", "kind", "size", "disposition", "flow")
 
 
 def drops(trace):
@@ -253,3 +259,315 @@ class TestTraceSerialization:
         trace = run(make_scenario(duration=200), seed=1)
         for e in trace.events:
             assert e.timestamp == round(e.timestamp, 6)
+
+    def test_events_view_matches_columns(self):
+        trace = run(make_scenario(attack_kind="direct_dos", duration=20,
+                                  bottleneck_rate=100_000), seed=4)
+        rows = trace.events
+        assert len(rows) == len(trace) > 0
+        assert [e.seq for e in rows] == list(range(len(trace)))
+        assert [e.timestamp for e in rows] == trace.t.tolist()
+        assert {e.flow_id for e in rows if e.kind is PacketKind.ATTACK} == {"atk"}
+        assert trace.drops == len(drops(trace))
+        with pytest.raises(ValueError):
+            trace.t[0] = 1.0
+
+
+def test_vector_rounding_equals_python_round():
+    rng = np.random.default_rng(0)
+    values = np.concatenate([
+        rng.uniform(0.0, 1e4, 20_000),
+        # decimal half-way points, where the scaled product can round either way
+        (rng.integers(0, 10**9, 20_000) + 0.5) / 1e6,
+        np.round(rng.uniform(0.0, 1e3, 20_000), 7),
+        rng.uniform(1e9, 1e13, 2_000),
+    ])
+    assert _round6(values).tolist() == [round(v, 6) for v in values.tolist()]
+
+
+def _rows(text: str) -> tuple[list[str], list[str]]:
+    lines = text.splitlines()
+    n_header = sum(line.startswith("#") for line in lines)
+    return lines[:n_header], lines[n_header:]
+
+
+def _with_row(text: str, index: int, **changes) -> str:
+    """The trace text with one event row's fields replaced."""
+    header, rows = _rows(text)
+    fields = dict(zip(("seq", "t", "kind", "size", "disposition", "flow"),
+                      rows[index].split(",")))
+    fields.update(changes)
+    rows[index] = ",".join(fields.values())
+    return "\n".join(header + rows) + "\n"
+
+
+class TestStrictTraceParsing:
+    @pytest.fixture(scope="class")
+    def text(self):
+        cfg = make_scenario(attack_kind="direct_dos", duration=30, bottleneck_rate=100_000,
+                            attack_start_jitter=(0.0, 0.0), attack_duration=30)
+        return write_trace(run(cfg, seed=2))
+
+    def test_decreasing_timestamp_names_its_line(self, text):
+        header, _ = _rows(text)
+        bad = _with_row(text, 40, t="0.000001")
+        with pytest.raises(ParseError, match=f"line {len(header) + 41}"):
+            read_trace(bad)
+
+    @pytest.mark.parametrize("t", ["-0.000001", "30.000001", "nan", "inf"])
+    def test_timestamp_outside_duration_names_its_line(self, text, t):
+        header, rows = _rows(text)
+        last = len(rows) - 1
+        bad = _with_row(text, last if t != "-0.000001" else 0, t=t)
+        line = len(header) + (last if t != "-0.000001" else 0) + 1
+        with pytest.raises(ParseError, match=f"outside.*line {line}"):
+            read_trace(bad)
+
+    @pytest.mark.parametrize("change", [dict(flow="q01"), dict(flow="x1"), dict(flow="q"),
+                                        dict(kind="legit"), dict(disposition="lost"),
+                                        dict(size="0"), dict(size="1.5"), dict(seq="7")])
+    def test_bad_field_names_its_line(self, text, change):
+        header, _ = _rows(text)
+        with pytest.raises(ParseError, match=f"line {len(header) + 6}"):
+            read_trace(_with_row(text, 5, **change))
+
+    def test_header_line_after_rows_rejected(self, text):
+        with pytest.raises(ParseError, match="header line after event rows"):
+            read_trace(text + "#late=1\n")
+
+    def test_blank_lines_skipped(self, text):
+        header, rows = _rows(text)
+        spaced = "\n".join(header + ["", *rows[:3], "  ", *rows[3:]]) + "\n"
+        assert read_trace(spaced) == read_trace(text)
+
+
+
+# --- reference simulator ------------------------------------------------------
+#
+# The heap-driven discrete-event simulator that `run` replaced, kept as the
+# oracle for `run`'s rows and counters. Calendar ties break by insertion
+# order. Rows are (timestamp, kind code, size, disposition code, flow).
+
+_EMIT_REQ, _EMIT_ATK, _ARRIVE, _TX_DONE, _DELIVER, _RESPOND, _TIMEOUT = range(7)
+
+
+def reference_run(config: ScenarioConfig, seed: int) -> dict:
+    """Simulate one scenario with an event heap; also count same-time pops."""
+    validate_config(config)
+    cfg = config
+    rng = random.Random(seed)
+
+    if cfg.attack_kind is not AttackKind.NONE:
+        lo, hi = cfg.attack_start_jitter
+        attack_start = round(lo + rng.random() * (hi - lo), 6)
+        emit_end = min(attack_start + cfg.attack_duration, cfg.duration)
+        truth = GroundTruth(cfg.attack_kind, (attack_start, round(emit_end, 6)))
+        attack_size = (cfg.amp_response_size
+                       if cfg.attack_kind is AttackKind.AMPLIFICATION
+                       else cfg.attack_packet_size)
+    else:
+        attack_start = 0.0
+        emit_end = 0.0
+        truth = GroundTruth(AttackKind.NONE, None)
+        attack_size = 0
+
+    def edge_latency(size: int) -> float:
+        return size * 8 / cfg.edge_rate + cfg.edge_delay
+
+    def tx_time(size: int) -> float:
+        return size * 8 / cfg.bottleneck_rate
+
+    # Uncontested return path: serialize on both links, no queueing.
+    def reverse_latency(size: int) -> float:
+        return tx_time(size) + cfg.bottleneck_delay + edge_latency(size)
+
+    heap: list[tuple[float, int, int, object]] = []
+    push_count = 0
+
+    def push(t: float, tag: int, payload: object) -> None:
+        nonlocal push_count
+        heapq.heappush(heap, (t, push_count, tag, payload))
+        push_count += 1
+
+    events: list[tuple] = []
+
+    def record(t: float, kind: PacketKind, size: int, disp: Disposition, flow: str) -> None:
+        events.append((round(t, 6), KINDS.index(kind), size, DISPOSITIONS.index(disp),
+                       -1 if flow == "atk" else int(flow[1:])))
+
+    queue: deque[tuple[int, PacketKind, str]] = deque()
+    busy = False
+    max_occupancy = 0
+    generated = 0
+    delivered = 0
+    dropped = 0
+    # flow -> [answered, request emissions so far]
+    flows: dict[str, list] = {}
+
+    push(0.0, _EMIT_REQ, 0)
+    if cfg.attack_kind is not AttackKind.NONE and attack_start < emit_end:
+        push(attack_start, _EMIT_ATK, 0)
+
+    last_t = None
+    same_time_pops = 0
+    while heap and heap[0][0] <= cfg.duration:
+        t, _, tag, payload = heapq.heappop(heap)
+        same_time_pops += t == last_t
+        last_t = t
+
+        if tag == _EMIT_REQ:
+            n = payload
+            flow = f"q{n}"
+            flows[flow] = [False, 1]
+            generated += 1
+            push(t + edge_latency(cfg.request_size), _ARRIVE,
+                 (cfg.request_size, PacketKind.LEGIT_REQUEST, flow))
+            push(t + cfg.retransmit_timeout, _TIMEOUT, flow)
+            nxt = t + cfg.legit_interarrival
+            if nxt < cfg.duration:
+                push(nxt, _EMIT_REQ, n + 1)
+
+        elif tag == _EMIT_ATK:
+            i = payload
+            generated += 1
+            push(t + edge_latency(attack_size), _ARRIVE,
+                 (attack_size, PacketKind.ATTACK, "atk"))
+            nxt = attack_start + (i + 1) / cfg.attack_rate
+            if nxt < emit_end:
+                push(nxt, _EMIT_ATK, i + 1)
+
+        elif tag == _ARRIVE:
+            size, kind, flow = payload
+            if not busy:
+                busy = True
+                push(t + tx_time(size), _TX_DONE, payload)
+            elif len(queue) < cfg.queue_capacity:
+                queue.append(payload)
+                if len(queue) > max_occupancy:
+                    max_occupancy = len(queue)
+            else:
+                dropped += 1
+                record(t, kind, size, Disposition.DROPPED_AT_QUEUE, flow)
+
+        elif tag == _TX_DONE:
+            push(t + cfg.bottleneck_delay, _DELIVER, payload)
+            if queue:
+                nxt_payload = queue.popleft()
+                push(t + tx_time(nxt_payload[0]), _TX_DONE, nxt_payload)
+            else:
+                busy = False
+
+        elif tag == _DELIVER:
+            size, kind, flow = payload
+            delivered += 1
+            record(t, kind, size, Disposition.DELIVERED_TO_SERVER, flow)
+            if kind is PacketKind.LEGIT_REQUEST:
+                generated += 1
+                push(t + reverse_latency(cfg.normal_response_size), _RESPOND, flow)
+
+        elif tag == _RESPOND:
+            flow = payload
+            delivered += 1
+            record(t, PacketKind.LEGIT_RESPONSE, cfg.normal_response_size,
+                   Disposition.DELIVERED_TO_CLIENT, flow)
+            flows[flow][0] = True
+
+        elif tag == _TIMEOUT:
+            flow = payload
+            state = flows[flow]
+            if not state[0] and state[1] <= cfg.retransmit_max:
+                state[1] += 1
+                generated += 1
+                push(t + edge_latency(cfg.request_size), _ARRIVE,
+                     (cfg.request_size, PacketKind.LEGIT_REQUEST, flow))
+                push(t + cfg.retransmit_timeout, _TIMEOUT, flow)
+
+    return {
+        "columns": [np.array(c) for c in zip(*events)] if events else [[]] * 5,
+        "truth": truth,
+        "packets_generated": generated,
+        "in_flight_at_end": generated - delivered - dropped,
+        "max_queue_occupancy": max_occupancy,
+        "same_time_pops": same_time_pops,
+    }
+
+
+def assert_matches_reference(cfg, seed) -> dict:
+    want = reference_run(cfg, seed)
+    got = run(cfg, seed)
+    for name, column in zip(COLUMNS, want["columns"]):
+        assert np.array_equal(getattr(got, name), column), name
+    assert got.truth == want["truth"]
+    for key in ("packets_generated", "in_flight_at_end", "max_queue_occupancy"):
+        assert getattr(got, key) == want[key], key
+    return want
+
+
+@st.composite
+def scenarios(draw):
+    """Small scenarios, often at exactly 1.0x load so that arrivals land on
+    transmit completions."""
+    kind = draw(st.sampled_from(["none", "direct_dos", "amplification"]))
+    rate = draw(st.sampled_from([20_000.0, 50_000.0, 100_000.0, 400_000.0]))
+    duration = draw(st.sampled_from([0.005, 6.0, 17.5, 30.0]))
+    # Request emissions, timeouts and the attack start share a grid of
+    # 2.5 s multiples, so they coincide as well.
+    params = dict(attack_kind=kind, bottleneck_rate=rate, duration=duration,
+                  legit_interarrival=draw(st.sampled_from([10.0, 5.0, 2.5])),
+                  retransmit_timeout=draw(st.sampled_from([5.0, 5.0, 2.5, 10.0])),
+                  queue_capacity=draw(st.integers(1, 5)),
+                  retransmit_max=draw(st.integers(0, 3)))
+    if kind != "none":
+        size = draw(st.sampled_from([60, 512]))
+        wire = 4000 if kind == "amplification" else size
+        load = draw(st.sampled_from([1.0, 1.0, 0.5, 1.2, 3.0]))
+        jitter = draw(st.sampled_from([(0.0, 0.0), (0.0, 0.0), (0.0, 2.0), (5.0, 5.0),
+                                       (10.0, 10.0)]))
+        params.update(attack_packet_size=size, attack_rate=load * rate / (8 * wire),
+                      attack_start_jitter=jitter if jitter[1] < duration else (0.0, 0.0),
+                      attack_duration=draw(st.sampled_from([0.02, 0.5, 4.0, 100.0])))
+    return make_scenario(**params)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=scenarios(), seed=st.integers(0, 2**32 - 1))
+    def test_columns_and_counters_match_reference(self, cfg, seed):
+        assert_matches_reference(cfg, seed)
+
+    @pytest.mark.parametrize("params", [
+        # 1.0x load from t=0: transmit completions, attack arrivals and (for
+        # 60-byte packets) legitimate arrivals coincide exactly.
+        dict(attack_packet_size=512, attack_rate=50_000 / (8 * 512)),
+        dict(attack_packet_size=60, attack_rate=50_000 / (8 * 60)),
+        # The first attack packet leaves with request q1, and the two
+        # 60-byte packets reach the router at the same instant.
+        dict(attack_packet_size=60, attack_start_jitter=(10.0, 10.0)),
+        # Interarrival equals the timeout: a new request and the
+        # retransmission of a dropped one leave at the same instant.
+        dict(legit_interarrival=5.0, retransmit_timeout=5.0, retransmit_max=1),
+    ])
+    def test_exact_ties(self, params):
+        params = dict(dict(attack_kind="direct_dos", duration=30, bottleneck_rate=50_000,
+                           queue_capacity=1, attack_start_jitter=(0.0, 0.0),
+                           attack_duration=30), **params)
+        assert assert_matches_reference(make_scenario(**params), seed=1)["same_time_pops"] > 0
+
+    @pytest.mark.parametrize("kind", ["none", "direct_dos", "amplification"])
+    def test_bundled_scale_matches_reference(self, kind):
+        params = dict(attack_kind=kind, duration=120, bottleneck_rate=100_000)
+        if kind != "none":
+            params.update(attack_start_jitter=(0.0, 9.5), attack_duration=120)
+        assert_matches_reference(make_scenario(**params), seed=42)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_text_round_trip_is_exact(cfg, seed):
+    trace = run(cfg, seed)
+    back = read_trace(write_trace(trace))
+    for name in COLUMNS:
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (back.config, back.seed, back.truth) == (trace.config, trace.seed, trace.truth)
+    assert back == trace
