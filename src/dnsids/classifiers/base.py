@@ -8,8 +8,10 @@ import numpy as np
 
 from ..preproc import TARGET_CODES, ClassLabel
 
-# Tie-break preference when an output is equidistant from several codes.
+# Class preference on ties: an output equidistant from several codes, or
+# a map neuron with tied votes.
 _DECISION_ORDER = (ClassLabel.NORMAL, ClassLabel.AMPLIFICATION, ClassLabel.DIRECT_DOS)
+_CODES = np.array([TARGET_CODES[label] for label in _DECISION_ORDER])
 
 
 @dataclass(frozen=True)
@@ -21,18 +23,14 @@ class TrainReport:
     mse_history: tuple[float, ...] = ()
 
 
-def nearest_code_label(output) -> ClassLabel:
-    """Map a raw 3-vector output to the class with the nearest target code.
+def nearest_code_labels(outputs) -> list[ClassLabel]:
+    """Map each row of an (n, 3) output array to the class with the nearest code.
 
-    Ties break Normal, then Amplification, then DirectDoS.
+    Squared distances are summed in component order; ties break Normal,
+    then Amplification, then DirectDoS.
     """
-    out = np.asarray(output, dtype=float)
-    best_label = _DECISION_ORDER[0]
-    best_d2 = float("inf")
-    for label in _DECISION_ORDER:
-        code = np.array(TARGET_CODES[label])
-        d2 = float(np.sum((out - code) ** 2))
-        if d2 < best_d2:
-            best_d2 = d2
-            best_label = label
-    return best_label
+    out = np.asarray(outputs, dtype=float).reshape(-1, 3)
+    diff = out[:, None, :] - _CODES[None, :, :]
+    sq = diff * diff
+    d2 = sq[..., 0] + sq[..., 1] + sq[..., 2]
+    return [_DECISION_ORDER[i] for i in d2.argmin(axis=1)]

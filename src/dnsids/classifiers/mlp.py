@@ -11,13 +11,13 @@ if the error drops, and scale lambda down on success / up on rejection.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import Empty, InvalidWidth, SingularUpdate
-from ..preproc import ClassLabel, LabeledDataset
-from .base import TrainReport, nearest_code_label
+from ..preproc import LabeledDataset
+from .base import TrainReport
 
 MAX_HIDDEN = 64
 
@@ -63,13 +63,9 @@ def mlp_init(hidden: int, seed: int, init_range: float = 0.5) -> MlpModel:
     )
 
 
-def mlp_forward(model: MlpModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    hidden = np.tanh(model.hidden_weights @ x + model.hidden_bias)
-    return model.output_weights @ hidden + model.output_bias
-
-
-def _forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
+def mlp_forward(model: MlpModel, X) -> np.ndarray:
+    """Raw outputs, (n, 3), for the rows of the (n, 3) input `X`."""
+    X = np.asarray(X, dtype=float)
     hidden = np.tanh(X @ model.hidden_weights.T + model.hidden_bias)
     return hidden @ model.output_weights.T + model.output_bias
 
@@ -145,7 +141,7 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
     T = np.asarray(T, dtype=float).reshape(-1, 3)
     current = model.copy()
     params = get_params(current)
-    mse = _mse(_forward_batch(current, X), T)
+    mse = _mse(mlp_forward(current, X), T)
     history = [mse]
     lam = cfg.lm_lambda_init
     epochs_run = 0
@@ -159,7 +155,7 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
     stalled = False
     for _ in range(cfg.max_epochs):
         J = mlp_jacobian(current, X)
-        residual = (T - _forward_batch(current, X)).ravel()
+        residual = (T - mlp_forward(current, X)).ravel()
         jt_j = J.T @ J
         jt_e = J.T @ residual
         while True:
@@ -172,7 +168,7 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
                         "normal equations unsolvable at maximum damping") from None
                 continue
             trial = set_params(current, params + delta)
-            trial_mse = _mse(_forward_batch(trial, X), T)
+            trial_mse = _mse(mlp_forward(trial, X), T)
             if np.isfinite(trial_mse) and trial_mse < mse:
                 current = trial
                 params = params + delta
@@ -193,7 +189,3 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
     wall = time.perf_counter() - start
     return current, TrainReport(mse, epochs_run, wall, mse <= cfg.target_mse,
                                 tuple(history))
-
-
-def mlp_classify(model: MlpModel, x) -> ClassLabel:
-    return nearest_code_label(mlp_forward(model, x))

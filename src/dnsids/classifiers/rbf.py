@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateDesign, NeedTwoCenters, TooFewPoints
-from ..preproc import ClassLabel, LabeledDataset
-from .base import TrainReport, nearest_code_label
+from ..preproc import LabeledDataset
+from .base import TrainReport
 
 MSE_TARGET = 0.001
 RIDGE = 1e-8
@@ -116,11 +116,7 @@ def rbf_train(data: LabeledDataset, k: int, seed: int,
     return model, TrainReport(mse, 1, wall, mse <= MSE_TARGET, (mse,))
 
 
-def rbf_forward(model: RbfModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(1, 3)
-    phi = _activations(model.centers, model.width, x)[0]
-    return model.output_weights @ phi + model.output_bias
-
-
-def rbf_classify(model: RbfModel, x) -> ClassLabel:
-    return nearest_code_label(rbf_forward(model, x))
+def rbf_forward(model: RbfModel, X) -> np.ndarray:
+    """Raw outputs, (n, 3), for the rows of the (n, 3) input `X`."""
+    phi = _activations(model.centers, model.width, np.asarray(X, dtype=float))
+    return phi @ model.output_weights.T + model.output_bias

@@ -1,10 +1,12 @@
-"""Uniform train/classify adapters so evaluation stays classifier-agnostic.
+"""Uniform train/predict adapters so evaluation stays classifier-agnostic.
 
 A recipe bundles hyperparameters and knows how to train a fresh model on
-a dataset with a given seed and how to classify one feature vector. The
-map-based classifier additionally normalizes its inputs, which is why
-the adapter layer exists at all. A recipe may also train every
-cross-validation fold in one call (`train_folds`), as the map does.
+a dataset with a given seed (`train`) and how to label a batch of raw
+feature rows (`predict`). The feed-forward and radial-basis recipes also
+return their raw output codes for a batch (`predict_codes`), and their
+labels are the nearest target codes to those outputs. The map-based
+classifier normalizes its inputs instead, and trains every
+cross-validation fold in one call (`train_folds`).
 """
 
 from __future__ import annotations
@@ -15,19 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import Empty
-from ..preproc import ClassLabel, FeatureVector, LabeledDataset, l2_normalize_rows
-from .base import TrainReport
-from .mlp import (MlpModel, MlpTrainConfig, _forward_batch, mlp_classify, mlp_init,
-                  train_lm_arrays)
-from .rbf import RbfModel, _activations, rbf_classify, rbf_train
+from ..preproc import ClassLabel, LabeledDataset, l2_normalize_rows
+from .base import TrainReport, nearest_code_labels
+from .mlp import MlpModel, MlpTrainConfig, mlp_forward, mlp_init, train_lm_arrays
+from .rbf import RbfModel, rbf_forward, rbf_train
 from .som import (SomModel, SomTrainConfig, quantization_error, som_classify,
                   som_init, som_label, som_train_folds)
-
-
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return x.as_array()
-    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -56,11 +51,11 @@ class MlpRecipe:
                              trained.output_bias.copy())
         return raw_model, report
 
-    def classify(self, model: MlpModel, x) -> ClassLabel:
-        return mlp_classify(model, _as_vector(x))
+    def predict_codes(self, model: MlpModel, X) -> np.ndarray:
+        return mlp_forward(model, X)
 
-    def predict_codes(self, model: MlpModel, X: np.ndarray) -> np.ndarray:
-        return _forward_batch(model, np.asarray(X, dtype=float))
+    def predict(self, model: MlpModel, X) -> list[ClassLabel]:
+        return nearest_code_labels(self.predict_codes(model, X))
 
 
 @dataclass(frozen=True)
@@ -71,12 +66,11 @@ class RbfRecipe:
     def train(self, data: LabeledDataset, seed: int) -> tuple[RbfModel, TrainReport]:
         return rbf_train(data, self.centers, seed)
 
-    def classify(self, model: RbfModel, x) -> ClassLabel:
-        return rbf_classify(model, _as_vector(x))
+    def predict_codes(self, model: RbfModel, X) -> np.ndarray:
+        return rbf_forward(model, X)
 
-    def predict_codes(self, model: RbfModel, X: np.ndarray) -> np.ndarray:
-        phi = _activations(model.centers, model.width, np.asarray(X, dtype=float))
-        return phi @ model.output_weights.T + model.output_bias
+    def predict(self, model: RbfModel, X) -> list[ClassLabel]:
+        return nearest_code_labels(self.predict_codes(model, X))
 
 
 @dataclass(frozen=True)
@@ -105,6 +99,6 @@ class SomRecipe:
         return [(m, TrainReport(qe, self.train_config.epochs, wall, True, ()))
                 for m, qe in zip(models, qerrs)]
 
-    def classify(self, model: SomModel, x) -> ClassLabel:
-        return som_classify(model, _as_vector(x))
+    def predict(self, model: SomModel, X) -> list[ClassLabel]:
+        return som_classify(model, X)
 

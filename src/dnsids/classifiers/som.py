@@ -34,14 +34,13 @@ import numpy as np
 
 from ..errors import EmptyData, Unlabeled
 from ..preproc import ClassLabel, l2_normalize_rows
+from .base import _DECISION_ORDER
 
 GRID_ROWS = 5
 GRID_COLS = 5
 N_NEURONS = GRID_ROWS * GRID_COLS
 
-# Preferred order when breaking label ties.
-_LABEL_ORDER = (ClassLabel.NORMAL, ClassLabel.AMPLIFICATION, ClassLabel.DIRECT_DOS)
-_LABEL_INDEX = {lbl: i for i, lbl in enumerate(_LABEL_ORDER)}
+_LABEL_INDEX = {lbl: i for i, lbl in enumerate(_DECISION_ORDER)}
 
 # Lockstep training gathers the presented samples this many steps at a time.
 _CHUNK_STEPS = 128
@@ -208,13 +207,13 @@ def quantization_error(model: SomModel, data) -> float:
 
 
 def _pick_label(votes: np.ndarray, global_counts: np.ndarray) -> ClassLabel:
-    """Majority label of one neuron's votes, both indexed in `_LABEL_ORDER`.
+    """Majority label of one neuron's votes, both indexed in `_DECISION_ORDER`.
 
     Ties go to the globally most frequent tied class, then to the first
-    in `_LABEL_ORDER`.
+    in `_DECISION_ORDER`.
     """
     tied = votes == votes.max()
-    return _LABEL_ORDER[int(np.where(tied, global_counts, -1).argmax())]
+    return _DECISION_ORDER[int(np.where(tied, global_counts, -1).argmax())]
 
 
 def som_label(model: SomModel, vectors, labels) -> SomModel:
@@ -232,8 +231,8 @@ def som_label(model: SomModel, vectors, labels) -> SomModel:
 
     classes = np.array([_LABEL_INDEX[lbl] for lbl in labels])
     winners = best_matching_units(model.codebook, X)
-    votes = np.bincount(winners * len(_LABEL_ORDER) + classes,
-                        minlength=N_NEURONS * len(_LABEL_ORDER)).reshape(N_NEURONS, -1)
+    votes = np.bincount(winners * len(_DECISION_ORDER) + classes,
+                        minlength=N_NEURONS * len(_DECISION_ORDER)).reshape(N_NEURONS, -1)
     global_counts = votes.sum(axis=0)
     labeled = np.flatnonzero(votes.sum(axis=1))
     result = []
@@ -244,14 +243,13 @@ def som_label(model: SomModel, vectors, labels) -> SomModel:
     return SomModel(model.codebook.copy(), model.grid.copy(), tuple(result))
 
 
-def som_classify(model: SomModel, x) -> ClassLabel:
-    """Label of the best-matching unit for a raw (unnormalized) input.
+def som_classify(model: SomModel, X) -> list[ClassLabel]:
+    """Labels of the best-matching units for the rows of a raw (n, 3) input.
 
-    The input is unit-normalized first, so classification is invariant
-    under positive scaling; an all-zero input is matched as-is.
+    Rows are unit-normalized first, so classification is invariant under
+    positive scaling; an all-zero row is matched as-is.
     """
     if model.neuron_labels is None:
         raise Unlabeled("neuron labels missing; run som_label first")
-    arr = np.asarray(x, dtype=float).reshape(1, 3)
-    arr = l2_normalize_rows(arr)
-    return model.neuron_labels[int(best_matching_units(model.codebook, arr)[0])]
+    X = l2_normalize_rows(np.asarray(X, dtype=float).reshape(-1, 3))
+    return [model.neuron_labels[i] for i in best_matching_units(model.codebook, X)]

@@ -3,7 +3,9 @@
 Subcommands: simulate, features, train, evaluate, sweep, pipeline. Every
 output is a pure function of the config file and master seed; outputs
 embed both in a header comment. Logs go to stderr, data to files. Exit
-codes: 0 success, 2 configuration error, 3 parse error, 4 training error.
+codes: 0 success, 2 configuration error (including an input file that
+cannot be read), 3 parse error (including an input file that is not
+UTF-8), 4 training error; each failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -30,22 +32,24 @@ from .simnet import PacketTrace, read_trace, run, write_trace
 
 log = logging.getLogger("dnsids")
 
-_TRAINING_ERRORS = (
-    errors.TrainingError, errors.Empty, errors.EmptyData, errors.TooFewPoints,
-    errors.NeedTwoCenters, errors.DegenerateDesign, errors.SingularUpdate,
-    errors.InvalidWidth, errors.TooFewSamples, errors.LengthMismatch,
-    errors.UndefinedMetric, errors.Unlabeled, errors.ZeroVector,
-)
+
+def _read_input(path, what: str) -> str:
+    """Text of an input file.
+
+    A path that cannot be read as a file (missing, a directory) fails as
+    a ConfigError; bytes that are not UTF-8 fail as a ParseError.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise errors.ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(
+            f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_config(path: str | None, seed_override: int | None) -> tuple[PipelineConfig, str]:
-    if path is None:
-        text = DEFAULT_CONFIG
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise errors.ConfigError(f"config file not found: {path}")
-        text = p.read_text(encoding="utf-8")
+    text = DEFAULT_CONFIG if path is None else _read_input(path, "config file")
     cfg = parse_pipeline_config(text)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
@@ -115,14 +119,14 @@ def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: i
 def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> Path:
     if not trace_paths:
         raise errors.ConfigError("no trace files given")
-    parts = [(path, _labeled(read_trace(path.read_text(encoding="utf-8")), path))
+    parts = [(path, _labeled(read_trace(_read_input(path, "trace file")), path))
              for path in trace_paths]
     return _write_features(parts, out, seed, digest)
 
 
 def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
                 digest: str) -> tuple[Path, Path]:
-    data = read_dataset(dataset_path.read_text(encoding="utf-8"))
+    data = read_dataset(_read_input(dataset_path, "dataset"))
     if len(data) == 0:
         raise errors.Empty("dataset has no samples")
     plan = kfold_split(data, cfg.cv_folds, derive_seed(cfg.seed, "kfold"))
@@ -170,7 +174,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
-    data = read_dataset(Path(args.dataset).read_text(encoding="utf-8"))
+    data = read_dataset(_read_input(args.dataset, "dataset"))
     if len(data) == 0:
         raise errors.Empty("dataset has no samples")
     recipe = _build_recipes(cfg, [args.classifier])[0]
@@ -201,8 +205,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
-    data = read_dataset(Path(args.dataset).read_text(encoding="utf-8"))
-    widths = [int(w) for w in args.widths.split(",")]
+    try:
+        widths = [int(w) for w in args.widths.split(",")]
+    except ValueError:
+        raise errors.ConfigError(
+            f"--widths must be comma-separated integers, got {args.widths!r}") from None
+    data = read_dataset(_read_input(args.dataset, "dataset"))
     rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,
                                 train_config=cfg.mlp.train)
     out = Path(args.out)
@@ -273,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(kind: str, exc: Exception, code: int) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "detail": str(exc)}) + "\n")
+def _fail(exc: Exception, code: int) -> int:
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "detail": str(exc)}) + "\n")
     return code
 
 
@@ -285,14 +293,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (errors.ConfigError, errors.InvalidConfig) as exc:
-        return _fail(type(exc).__name__, exc, 2)
-    except FileNotFoundError as exc:
-        return _fail("ConfigError", exc, 2)
+    except errors.ConfigError as exc:
+        return _fail(exc, 2)
     except errors.ParseError as exc:
-        return _fail("ParseError", exc, 3)
-    except _TRAINING_ERRORS as exc:
-        return _fail(type(exc).__name__, exc, 4)
+        return _fail(exc, 3)
+    except errors.TrainingError as exc:
+        return _fail(exc, 4)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error descends from exactly one of three roots, which the CLI maps
+to its exit codes: `ConfigError` (2), `ParseError` (3) and
+`TrainingError` (4).
+"""
 
 
 class DnsIdsError(Exception):
     """Base class for every package-specific error."""
 
 
-class InvalidConfig(DnsIdsError):
-    """A scenario configuration violates a constraint."""
+class ConfigError(DnsIdsError):
+    """Pipeline configuration invalid, or an input file missing or unreadable."""
 
 
 class ParseError(DnsIdsError):
@@ -25,57 +30,57 @@ class ParseError(DnsIdsError):
         super().__init__(message)
 
 
-class ZeroVector(DnsIdsError):
+class TrainingError(DnsIdsError):
+    """Classifier training or scoring failed."""
+
+
+class InvalidConfig(ConfigError):
+    """A scenario configuration violates a constraint."""
+
+
+class ZeroVector(TrainingError):
     """A vector with no nonzero component cannot be normalized."""
 
 
-class InvalidWidth(DnsIdsError):
+class InvalidWidth(TrainingError):
     """Hidden-layer width outside the supported range."""
 
 
-class SingularUpdate(DnsIdsError):
+class SingularUpdate(TrainingError):
     """Damped normal equations unsolvable even at maximum damping."""
 
 
-class TooFewPoints(DnsIdsError):
+class TooFewPoints(TrainingError):
     """Not enough (distinct) points for the requested cluster count."""
 
 
-class NeedTwoCenters(DnsIdsError):
+class NeedTwoCenters(TrainingError):
     """The width rule needs at least two centers."""
 
 
-class DegenerateDesign(DnsIdsError):
+class DegenerateDesign(TrainingError):
     """Regularized least-squares system unsolvable."""
 
 
-class EmptyData(DnsIdsError):
+class EmptyData(TrainingError):
     """An operation received an empty training set."""
 
 
-class Unlabeled(DnsIdsError):
+class Unlabeled(TrainingError):
     """Classification requested before neuron labeling."""
 
 
-class LengthMismatch(DnsIdsError):
+class LengthMismatch(TrainingError):
     """Prediction and truth lists differ in length."""
 
 
-class Empty(DnsIdsError):
+class Empty(TrainingError):
     """An operation received no samples."""
 
 
-class UndefinedMetric(DnsIdsError):
+class UndefinedMetric(TrainingError):
     """A metric denominator is zero; the value is absent, not 0 or 100."""
 
 
-class TooFewSamples(DnsIdsError):
+class TooFewSamples(TrainingError):
     """Fewer samples than cross-validation folds."""
-
-
-class ConfigError(DnsIdsError):
-    """Pipeline configuration file invalid or missing."""
-
-
-class TrainingError(DnsIdsError):
-    """Classifier training failed."""

@@ -1,5 +1,9 @@
 """Confusion accounting, detection metrics, cross-validation, and reports.
 
+Cross-validation is classifier-agnostic: a recipe trains a model on a
+dataset and predicts the labels of a batch of feature rows, one batch
+per held-out fold.
+
 The binarized view treats either attack class as the positive case: an
 attack window predicted as the wrong attack class still counts as a true
 positive there, but as a miss in that class's detection-rate row. Fold
@@ -233,14 +237,15 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
         train_time += report.wall_time
         train_mses.append(report.final_mse)
 
-        preds = [recipe.classify(model, fv) for fv, _ in test_set.samples]
+        X = test_set.features()
+        preds = recipe.predict(model, X)
         truth = test_set.labels()
         all_preds.extend(preds)
         all_truth.extend(truth)
         fold_metrics.append(metrics_from_confusion(confusion(preds, truth)))
 
         if has_codes:
-            codes = recipe.predict_codes(model, test_set.features())
+            codes = recipe.predict_codes(model, X)
             test_sse += float(np.sum((codes - test_set.targets()) ** 2))
             test_points += codes.size
 

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParseError, ZeroVector
+from .errors import ParseError
 from .simnet import DROPPED, TO_SERVER, AttackKind, GroundTruth, PacketTrace
 
 
@@ -157,29 +157,19 @@ def label_windows(windows: list[WindowStats], truth: GroundTruth,
     return LabeledDataset(tuple(samples), provenance)
 
 
-def normalize_l2(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm.
-
-    Pre-scales by the largest magnitude so that extreme components
-    neither underflow nor overflow when squared. Raises ZeroVector when
-    every component is 0.
-    """
-    arr = np.asarray(v, dtype=float)
-    peak = float(np.max(np.abs(arr)))
-    if peak == 0.0:
-        raise ZeroVector("cannot normalize an all-zero vector")
-    scaled = arr / peak
-    return scaled / math.sqrt(float(np.sum(scaled * scaled)))
-
-
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise unit normalization for classifier inputs.
 
-    Exactly-zero rows (a window with no traffic at all) pass through
-    unchanged instead of failing, so classifiers keep their contract of
-    returning a label for any finite input.
+    Each row is first scaled by the smallest power of two above its
+    largest magnitude, which is exact, so that extreme components
+    neither underflow nor overflow when squared. Exactly-zero rows (a
+    window with no traffic at all) pass through unchanged instead of
+    failing, so classifiers keep their contract of returning a label for
+    any finite input.
     """
     arr = np.asarray(matrix, dtype=float)
+    _, exponent = np.frexp(np.abs(arr).max(axis=1, keepdims=True, initial=0.0))
+    arr = np.ldexp(arr, -exponent)
     norms = np.sqrt((arr * arr).sum(axis=1, keepdims=True))
     safe = np.where(norms == 0.0, 1.0, norms)
     return arr / safe
@@ -232,6 +222,10 @@ def read_dataset(text: str) -> LabeledDataset:
             loss = int(loss_s)
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {exc}", line=line_no) from None
+        try:
+            float(loss)
+        except OverflowError:
+            raise ParseError("packet_loss too large for a float", line=line_no) from None
         if not (math.isfinite(thr) and math.isfinite(mps)):
             raise ParseError("non-finite feature value", line=line_no)
         if thr < 0 or mps < 0 or loss < 0:

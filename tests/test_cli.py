@@ -11,7 +11,7 @@ from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
 from dnsids.classifiers.recipes import RbfRecipe, SomRecipe
 from dnsids.classifiers.som import SomTrainConfig, som_init
 from dnsids.classifiers.store import load_model, save_model
-from dnsids import cli
+from dnsids import cli, errors
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, config_digest, parse_pipeline_config,
                            validate_for_training)
@@ -342,3 +342,80 @@ class TestCommandsAndExitCodes:
         assert rc == 0
         body = (dest / "report.csv").read_text()
         assert "\nrbf," in body and "\nbp," not in body
+
+
+def one_json_error(capsys) -> dict:
+    """The single stderr line of a failed command, parsed."""
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    return json.loads(line)
+
+
+class TestInputFiles:
+    @staticmethod
+    def command(kind, path, tmp_path):
+        """A command that reads `path` as its config, dataset or trace file."""
+        out = str(tmp_path / "o")
+        if kind == "config":
+            return ["simulate", "--config", str(path), "--out", out]
+        if kind == "dataset":
+            return ["train", "--dataset", str(path), "--out", out]
+        return ["features", "--traces", str(path.parent), "--out", out]
+
+    @pytest.mark.parametrize("kind", ["config", "dataset"])
+    @pytest.mark.parametrize("make_dir", [True, False], ids=["directory", "missing"])
+    def test_unreadable_path_is_config_error(self, tmp_path, capsys, kind, make_dir):
+        path = tmp_path / "input"
+        if make_dir:
+            path.mkdir()
+        assert main(self.command(kind, path, tmp_path)) == 2
+        err = one_json_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert str(path) in err["detail"]
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "trace"])
+    def test_non_utf8_file_is_parse_error_naming_it(self, tmp_path, capsys, kind):
+        valid = {"config": TINY_CONFIG, "dataset": write_dataset(LabeledDataset(())),
+                 "trace": ""}[kind]
+        (tmp_path / "in").mkdir()
+        path = tmp_path / "in" / f"latin1.{kind}"
+        path.write_bytes(valid.encode() + b"# caf\xe9\n")
+        assert main(self.command(kind, path, tmp_path)) == 3
+        err = one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert str(path) in err["detail"]
+
+    def test_loss_too_large_for_a_float_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
+                        f"1.0,2.0,{'9' * 400},normal\n")
+        rc = main(["train", "--dataset", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert "line 2" in err["detail"]
+
+    @pytest.mark.parametrize("widths", ["3,x", "3,,5"])
+    def test_bad_sweep_widths_are_config_error(self, tmp_path, capsys, widths):
+        path = tmp_path / "empty.csv"
+        path.write_text(write_dataset(LabeledDataset(())))
+        rc = main(["sweep", "--dataset", str(path), "--widths", widths,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = one_json_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert "--widths" in err["detail"]
+
+
+def test_every_error_descends_from_exactly_one_root():
+    roots = (errors.ConfigError, errors.ParseError, errors.TrainingError)
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = set(subclasses(errors.DnsIdsError))
+    assert set(roots) < found
+    assert len(found) >= 16
+    for cls in found:
+        assert sum(issubclass(cls, root) for root in roots) == 1, cls.__name__

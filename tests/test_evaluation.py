@@ -161,8 +161,8 @@ class ConstantNormal:
     def train(self, data, seed):
         return None, TrainReport(0.0, 0, 0.0, True)
 
-    def classify(self, model, x):
-        return N
+    def predict(self, model, X):
+        return [N] * len(X)
 
 
 class TestCrossValidate:
@@ -194,10 +194,10 @@ class TestCrossValidate:
                 seen.append({tuple(fv.as_array()) for fv, _ in data.samples})
                 return None, TrainReport(0.0, 0, 0.0, True)
 
-            def classify(self, model, x):
-                xs = tuple(x.as_array()) if hasattr(x, "as_array") else tuple(x)
-                assert xs not in seen[-1]
-                return N
+            def predict(self, model, X):
+                for x in X:
+                    assert tuple(x) not in seen[-1]
+                return [N] * len(X)
 
         cross_validate(Spy(), tiny_dataset(), k=4, seed=5)
 
@@ -237,10 +237,11 @@ class TestCrossValidate:
             def train(self, data, seed):
                 return recipe.train(data, seed)
 
-            def classify(self, model, x):
+            def predict(self, model, X):
+                labels = recipe.predict(model, X)
                 predictions[self.key].append(
-                    (model.codebook.tobytes(), model.neuron_labels))
-                return recipe.classify(model, x)
+                    (model.codebook.tobytes(), model.neuron_labels, labels))
+                return labels
 
         class Batched(PerFold):
             def train_folds(self, train_sets, seeds):

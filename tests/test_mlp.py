@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dnsids.classifiers.mlp import (MlpModel, MlpTrainConfig, get_params, mlp_classify,
-                                    mlp_forward, mlp_init, mlp_jacobian, mlp_train_lm,
-                                    set_params, train_lm_arrays)
+from dnsids.classifiers.mlp import (MlpModel, MlpTrainConfig, get_params, mlp_forward,
+                                    mlp_init, mlp_jacobian, mlp_train_lm, set_params,
+                                    train_lm_arrays)
 from dnsids.classifiers.recipes import MlpRecipe
 from dnsids.errors import Empty, InvalidWidth
 from dnsids.preproc import ClassLabel, FeatureVector, LabeledDataset
@@ -50,24 +50,24 @@ class TestInit:
 
 class TestForward:
     def test_all_zero_weights_give_zero_output(self):
-        assert np.array_equal(mlp_forward(zero_model(), [5.0, -3.0, 2.0]),
-                              np.zeros(3))
+        X = [[5.0, -3.0, 2.0], [1.0, 0.0, 7.0]]
+        assert np.array_equal(mlp_forward(zero_model(), X), np.zeros((2, 3)))
 
     def test_single_active_path_is_tanh(self):
         m = zero_model()
         m.hidden_weights[0, 0] = 1.0
         m.output_weights[0, 0] = 1.0
-        out = mlp_forward(m, [1.0, 0.0, 0.0])
+        (out,) = mlp_forward(m, [[1.0, 0.0, 0.0]])
         # independent scalar evaluation of the activation
         assert out[0] == pytest.approx(math.tanh(1.0), abs=1e-12)
         assert out[0] == pytest.approx(0.761594, abs=1e-6)
 
     def test_input_scaling_absorbed_by_first_layer(self):
         m = mlp_init(7, 9)
-        x = np.array([0.3, -1.2, 2.0])
+        X = np.array([[0.3, -1.2, 2.0], [5.0, 0.0, -0.7]])
         halved = MlpModel(m.hidden_weights / 2.0, m.hidden_bias.copy(),
                           m.output_weights.copy(), m.output_bias.copy())
-        assert np.allclose(mlp_forward(m, x), mlp_forward(halved, 2.0 * x))
+        assert np.allclose(mlp_forward(m, X), mlp_forward(halved, 2.0 * X))
 
 
 class TestJacobian:
@@ -79,8 +79,8 @@ class TestJacobian:
             plus[i] += eps
             minus = base.copy()
             minus[i] -= eps
-            out_p = np.array([mlp_forward(set_params(model, plus), x) for x in X])
-            out_m = np.array([mlp_forward(set_params(model, minus), x) for x in X])
+            out_p = mlp_forward(set_params(model, plus), X)
+            out_m = mlp_forward(set_params(model, minus), X)
             rows.append(((out_p - out_m) / (2 * eps)).ravel())
         return np.stack(rows, axis=1)
 
@@ -132,8 +132,7 @@ class TestTraining:
 
         def mse_at(p):
             m = set_params(model, p)
-            out = np.array([mlp_forward(m, x) for x in X])
-            return float(np.mean((out - T) ** 2))
+            return float(np.mean((mlp_forward(m, X) - T) ** 2))
 
         eps = 1e-5
         for _ in range(400):
@@ -175,31 +174,37 @@ class TestTraining:
         data = dataset_from_arrays(X, labels)
         recipe = MlpRecipe(hidden=7)
         model, report = recipe.train(data, seed=3)
-        preds = [recipe.classify(model, fv) for fv, _ in data.samples]
+        preds = recipe.predict(model, data.features())
         assert preds == labels
 
 
 class TestClassify:
+    def predict_one(self, model, x):
+        (label,) = MlpRecipe().predict(model, [x])
+        return label
+
     def test_nearest_code_examples(self):
         m = zero_model()
         m.output_bias = np.array([0.1, 0.2, 0.9])
-        assert mlp_classify(m, [0, 0, 0]) is ClassLabel.DIRECT_DOS
+        assert self.predict_one(m, [0, 0, 0]) is ClassLabel.DIRECT_DOS
         m.output_bias = np.array([0.0, 0.0, 0.0])
-        assert mlp_classify(m, [0, 0, 0]) is ClassLabel.NORMAL
+        assert self.predict_one(m, [0, 0, 0]) is ClassLabel.NORMAL
         m.output_bias = np.array([0.5, 0.5, 0.5])
-        assert mlp_classify(m, [0, 0, 0]) is ClassLabel.NORMAL  # tie rule
+        assert self.predict_one(m, [0, 0, 0]) is ClassLabel.NORMAL  # tie rule
 
     def test_amplification_code_nearest(self):
         m = zero_model()
         m.output_bias = np.array([0.1, 0.8, 0.2])
-        assert mlp_classify(m, [1, 1, 1]) is ClassLabel.AMPLIFICATION
+        assert self.predict_one(m, [1, 1, 1]) is ClassLabel.AMPLIFICATION
 
     def test_any_finite_input_gets_a_label(self):
         m = mlp_init(7, 2)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
-            assert mlp_classify(m, x) in set(ClassLabel)
+        X = np.array([rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
+                      for _ in range(50)])
+        labels = MlpRecipe().predict(m, X)
+        assert len(labels) == 50
+        assert set(labels) <= set(ClassLabel)
 
 
 class TestRecipeStandardization:
@@ -218,5 +223,5 @@ class TestRecipeStandardization:
         recipe = MlpRecipe()
         model, report = recipe.train(data, seed=1)
         assert report.converged
-        preds = [recipe.classify(model, fv) for fv, _ in data.samples]
+        preds = recipe.predict(model, data.features())
         assert preds == labels

@@ -1,17 +1,18 @@
 """Windowing, feature arithmetic, labeling, normalization, dataset CSV."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnsids.errors import ParseError, ZeroVector
+from dnsids.errors import ParseError
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, FeatureVector, LabeledDataset,
                             TARGET_CODES, WindowStats, extract_features,
                             l2_normalize_rows, label_windows, merge_datasets,
-                            normalize_l2, read_dataset, window_trace, write_dataset)
+                            read_dataset, window_trace, write_dataset)
 from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
                            PacketEvent, PacketKind, PacketTrace, ScenarioConfig,
                            make_scenario, run)
@@ -159,34 +160,53 @@ class TestTargetCodes:
 
 class TestNormalization:
     def test_three_four_five(self):
-        assert np.allclose(normalize_l2([3, 4, 0]), [0.6, 0.8, 0.0], atol=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            normalize_l2([0.0, 0.0, 0.0])
+        assert np.allclose(l2_normalize_rows([[3, 4, 0]]), [[0.6, 0.8, 0.0]], atol=1e-12)
 
     def test_unit_vector_unchanged(self):
-        assert np.allclose(normalize_l2([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+        assert np.allclose(l2_normalize_rows([[1.0, 0.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
     def test_unit_norm_property(self, v):
-        vec = np.array(v)
+        vec = np.array([v])
         if not np.any(vec != 0):
             return
-        out = normalize_l2(vec)
+        out = l2_normalize_rows(vec)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     @given(st.lists(st.floats(0.01, 1e5), min_size=2, max_size=6),
            st.floats(1e-3, 1e3))
     def test_scale_invariance(self, v, c):
-        vec = np.array(v)
-        assert np.allclose(normalize_l2(vec), normalize_l2(c * vec), atol=1e-9)
+        vec = np.array([v])
+        assert np.allclose(l2_normalize_rows(vec), l2_normalize_rows(c * vec), atol=1e-9)
 
     def test_row_normalizer_passes_zero_rows(self):
         rows = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
         out = l2_normalize_rows(rows)
         assert np.allclose(out[0], [0.6, 0.8, 0.0])
         assert np.array_equal(out[1], [0.0, 0.0, 0.0])
+        assert np.array_equal(l2_normalize_rows(np.zeros((0, 3))), np.zeros((0, 3)))
+
+    def test_extreme_rows_are_normalized(self):
+        # Squaring overflows on the first row and underflows on the second
+        # unless each row is pre-scaled.
+        rows = np.array([[1e200, 1e198, 0.0], [1e-170, 3e-171, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = l2_normalize_rows(rows)
+        for row, ratio in zip(out, (1e-2, 0.3)):
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-15)
+            assert row[1] / row[0] == pytest.approx(ratio, rel=1e-15)
+            assert row[2] == 0.0
+
+    @given(st.lists(st.floats(1e-6, 1e9), min_size=3, max_size=3),
+           st.integers(-900, 900))
+    def test_pre_scaling_is_exact(self, v, e):
+        # Pre-scaling by a power of two changes no bit of a row that needs none.
+        row = np.array([v])
+        plain = row / np.sqrt((row * row).sum(axis=1, keepdims=True))
+        assert np.array_equal(l2_normalize_rows(row), plain)
+        # every scaled component stays a normal float, so scaling is exact
+        assert np.array_equal(l2_normalize_rows(np.ldexp(row, e)), plain)
 
 
 def quantized(value: float) -> float:
@@ -234,6 +254,18 @@ class TestDatasetSerialization:
         text = f"throughput_bps,mean_packet_size_bytes,packet_loss,label\n{row}\n"
         with pytest.raises(ParseError, match="non-finite.*line 2"):
             read_dataset(text)
+
+    def test_loss_too_large_for_a_float_rejected(self):
+        text = ("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
+                f"1.0,2.0,{10 ** 400},normal\n")
+        with pytest.raises(ParseError, match="packet_loss.*line 2"):
+            read_dataset(text)
+
+    def test_extreme_rows_accepted_by_the_reader_reach_the_map_normalized(self):
+        text = ("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
+                "1e200,1e198,0,normal\n1e-170,3e-171,0,normal\n")
+        out = l2_normalize_rows(read_dataset(text).features())
+        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dnsids.classifiers.rbf import (RbfModel, _activations, _lloyd_steps, kmeans,
-                                    rbf_classify, rbf_forward, rbf_train, rbf_width)
+                                    rbf_forward, rbf_train, rbf_width)
+from dnsids.classifiers.recipes import RbfRecipe
 from dnsids.errors import NeedTwoCenters, TooFewPoints
 from dnsids.preproc import ClassLabel, FeatureVector, LabeledDataset
 
@@ -128,7 +129,7 @@ class TestTraining:
         assert min(gaps) > 8 * 0.5  # margin dwarfs blob spread
         data = dataset_from_arrays(np.array(X), labels)
         model, _ = rbf_train(data, k=6, seed=1)
-        preds = [rbf_classify(model, fv.as_array()) for fv, _ in data.samples]
+        preds = RbfRecipe().predict(model, data.features())
         assert preds == labels
 
     def test_k_below_two_rejected(self):
@@ -161,19 +162,19 @@ class TestClassify:
                         output_bias=np.array(bias, dtype=float))
 
     def test_nearest_code_examples(self):
-        far_x = [100.0, 100.0, 100.0]  # activations vanish, bias decides
-        assert rbf_classify(self.crafted_model([0.1, 0.2, 0.9]), far_x) \
-            is ClassLabel.DIRECT_DOS
-        assert rbf_classify(self.crafted_model([0.0, 0.0, 0.0]), far_x) \
-            is ClassLabel.NORMAL
-        assert rbf_classify(self.crafted_model([0.5, 0.5, 0.5]), far_x) \
-            is ClassLabel.NORMAL
+        far_x = [[100.0, 100.0, 100.0]]  # activations vanish, bias decides
+        assert RbfRecipe().predict(self.crafted_model([0.1, 0.2, 0.9]), far_x) \
+            == [ClassLabel.DIRECT_DOS]
+        assert RbfRecipe().predict(self.crafted_model([0.0, 0.0, 0.0]), far_x) \
+            == [ClassLabel.NORMAL]
+        assert RbfRecipe().predict(self.crafted_model([0.5, 0.5, 0.5]), far_x) \
+            == [ClassLabel.NORMAL]
 
     def test_forward_is_gaussian_mix(self):
         model = RbfModel(centers=np.array([[0.0, 0.0, 0.0]] * 2), width=1.0,
                          output_weights=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
                          output_bias=np.zeros(3))
-        out = rbf_forward(model, [1.0, 0.0, 0.0])
+        (out,) = rbf_forward(model, [[1.0, 0.0, 0.0]])
         assert out[0] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_any_finite_input_gets_a_label(self):
@@ -182,6 +183,8 @@ class TestClassify:
         labels = ([ClassLabel.NORMAL] * 20 + [ClassLabel.DIRECT_DOS] * 20
                   + [ClassLabel.AMPLIFICATION] * 20)
         model, _ = rbf_train(dataset_from_arrays(X, labels), k=4, seed=0)
-        for _ in range(50):
-            x = rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
-            assert rbf_classify(model, x) in set(ClassLabel)
+        X = np.array([rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
+                      for _ in range(50)])
+        labels = RbfRecipe().predict(model, X)
+        assert len(labels) == 50
+        assert set(labels) <= set(ClassLabel)

@@ -274,30 +274,33 @@ class TestClassify:
 
     def test_codebook_vector_maps_to_own_neuron_label(self):
         model = self.labeled_model()
-        for i in (0, 1, 13, 24):
-            assert som_classify(model, model.codebook[i]) is model.neuron_labels[i]
+        rows = [0, 1, 13, 24]
+        assert som_classify(model, model.codebook[rows]) == [
+            model.neuron_labels[i] for i in rows]
 
     def test_unlabeled_model_rejected(self):
         model = som_init(0)
         with pytest.raises(Unlabeled):
-            som_classify(model, [1.0, 0.0, 0.0])
+            som_classify(model, [[1.0, 0.0, 0.0]])
 
     def test_positive_scaling_invariance(self):
         model = self.labeled_model()
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            x = np.abs(rng.normal(size=3)) + 1e-3
-            base = som_classify(model, x)
-            for c in (0.1, 1.0, 1000.0):
-                assert som_classify(model, c * x) is base
+        X = np.abs(rng.normal(size=(50, 3))) + 1e-3
+        base = som_classify(model, X)
+        for c in (0.1, 1.0, 1000.0):
+            assert som_classify(model, c * X) == base
 
     def test_zero_vector_still_classified(self):
         model = self.labeled_model()
-        assert som_classify(model, [0.0, 0.0, 0.0]) in set(ClassLabel)
+        (label,) = som_classify(model, [[0.0, 0.0, 0.0]])
+        assert label in set(ClassLabel)
 
     def test_any_finite_input_gets_a_label(self):
         model = self.labeled_model()
         rng = np.random.default_rng(21)
-        for _ in range(50):
-            x = rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
-            assert som_classify(model, x) in set(ClassLabel)
+        X = np.array([rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
+                      for _ in range(50)])
+        labels = som_classify(model, X)
+        assert len(labels) == 50
+        assert set(labels) <= set(ClassLabel)
