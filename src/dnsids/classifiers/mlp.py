@@ -63,11 +63,20 @@ def mlp_init(hidden: int, seed: int, init_range: float = 0.5) -> MlpModel:
     )
 
 
+def _hidden(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Hidden activations, (n, h), for the rows of the float (n, 3) input `X`."""
+    return np.tanh(X @ model.hidden_weights.T + model.hidden_bias)
+
+
+def _output(model: MlpModel, hidden: np.ndarray) -> np.ndarray:
+    """Raw outputs, (n, 3), from the hidden activations."""
+    return hidden @ model.output_weights.T + model.output_bias
+
+
 def mlp_forward(model: MlpModel, X) -> np.ndarray:
     """Raw outputs, (n, 3), for the rows of the (n, 3) input `X`."""
     X = np.asarray(X, dtype=float)
-    hidden = np.tanh(X @ model.hidden_weights.T + model.hidden_bias)
-    return hidden @ model.output_weights.T + model.output_bias
+    return _output(model, _hidden(model, X))
 
 
 def get_params(model: MlpModel) -> np.ndarray:
@@ -85,6 +94,37 @@ def set_params(model: MlpModel, params: np.ndarray) -> MlpModel:
     return MlpModel(w1.copy(), b1.copy(), w2.copy(), b2.copy())
 
 
+def _jacobian_buffer(n: int, h: int) -> np.ndarray:
+    """Zeroed (n, 3, 7h+3) Jacobian with its constant `b2` ones set.
+
+    Axis 1 is the output component; the last axis follows `get_params`:
+    W1 (j-major, 3h), b1 (h), W2 (k-major, 3h), b2 (3). The blocks that
+    `_fill_jacobian` leaves alone (W2 off its diagonal, b2) never change.
+    """
+    J = np.zeros((n, 3, 7 * h + 3))
+    for k in range(3):
+        J[:, k, 7 * h + k] = 1.0
+    return J
+
+
+def _fill_jacobian(J: np.ndarray, model: MlpModel, X: np.ndarray,
+                   hidden: np.ndarray) -> None:
+    """Write the weight-dependent blocks of `J` in place.
+
+    With a = `hidden`, d = 1 - a^2 (tanh') and g = W2 * d, for output k,
+    hidden unit j and input m: dy_k/dW1[j,m] = g[k,j] * x[m],
+    dy_k/db1[j] = g[k,j] and dy_k/dW2[k,j] = a[j]. The W1 entries are
+    rounded as (W2*d)*x, in that order.
+    """
+    h = model.hidden_size
+    g = model.output_weights[None, :, :] * (1.0 - hidden * hidden)[:, None, :]
+    J[:, :, 3 * h:4 * h] = g
+    for m in range(3):
+        np.multiply(g, X[:, m, None, None], out=J[:, :, m:3 * h:3])
+    for k in range(3):
+        J[:, k, (4 + k) * h:(5 + k) * h] = hidden
+
+
 def mlp_jacobian(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """d(outputs)/d(params), shape (n_samples * 3, n_params).
 
@@ -92,20 +132,9 @@ def mlp_jacobian(model: MlpModel, X: np.ndarray) -> np.ndarray:
     output component. Column layout matches `get_params`.
     """
     X = np.asarray(X, dtype=float).reshape(-1, 3)
-    n = X.shape[0]
-    h = model.hidden_size
-    z = X @ model.hidden_weights.T + model.hidden_bias        # (n, h)
-    a = np.tanh(z)
-    d = 1.0 - a * a                                           # tanh'
-
-    # dy_k/dW1[j,m] = W2[k,j] * d[i,j] * x[i,m]
-    g = model.output_weights[None, :, :] * d[:, None, :]      # (n, 3, h)
-    j_w1 = (g[:, :, :, None] * X[:, None, None, :]).reshape(n * 3, h * 3)
-    j_b1 = g.reshape(n * 3, h)
-    eye = np.eye(3)
-    j_w2 = (eye[None, :, :, None] * a[:, None, None, :]).reshape(n * 3, 3 * h)
-    j_b2 = np.tile(eye, (n, 1))
-    return np.concatenate([j_w1, j_b1, j_w2, j_b2], axis=1)
+    J = _jacobian_buffer(X.shape[0], model.hidden_size)
+    _fill_jacobian(J, model, X, _hidden(model, X))
+    return J.reshape(-1, J.shape[2])
 
 
 def _mse(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -141,7 +170,9 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
     T = np.asarray(T, dtype=float).reshape(-1, 3)
     current = model.copy()
     params = get_params(current)
-    mse = _mse(mlp_forward(current, X), T)
+    hidden = _hidden(current, X)
+    outputs = _output(current, hidden)
+    mse = _mse(outputs, T)
     history = [mse]
     lam = cfg.lm_lambda_init
     epochs_run = 0
@@ -152,10 +183,13 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
 
     n_params = params.size
     identity = np.eye(n_params)
+    J3 = _jacobian_buffer(X.shape[0], current.hidden_size)
+    J = J3.reshape(-1, n_params)
     stalled = False
     for _ in range(cfg.max_epochs):
-        J = mlp_jacobian(current, X)
-        residual = (T - mlp_forward(current, X)).ravel()
+        # `hidden` and `outputs` belong to `current`: the accepted trial's.
+        _fill_jacobian(J3, current, X, hidden)
+        residual = (T - outputs).ravel()
         jt_j = J.T @ J
         jt_e = J.T @ residual
         while True:
@@ -168,9 +202,11 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
                         "normal equations unsolvable at maximum damping") from None
                 continue
             trial = set_params(current, params + delta)
-            trial_mse = _mse(mlp_forward(trial, X), T)
+            trial_hidden = _hidden(trial, X)
+            trial_outputs = _output(trial, trial_hidden)
+            trial_mse = _mse(trial_outputs, T)
             if np.isfinite(trial_mse) and trial_mse < mse:
-                current = trial
+                current, hidden, outputs = trial, trial_hidden, trial_outputs
                 params = params + delta
                 mse = trial_mse
                 lam *= cfg.lm_lambda_down

@@ -4,8 +4,9 @@ Subcommands: simulate, features, train, evaluate, sweep, pipeline. Every
 output is a pure function of the config file and master seed; outputs
 embed both in a header comment. Logs go to stderr, data to files. Exit
 codes: 0 success, 2 configuration error (including an input file that
-cannot be read), 3 parse error (including an input file that is not
-UTF-8), 4 training error; each failure writes one JSON line to stderr.
+cannot be read or an output that cannot be written), 3 parse error
+(including an input file that is not UTF-8), 4 training error; each
+failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -48,6 +49,20 @@ def _read_input(path, what: str) -> str:
             f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
+def _write_output(path: Path, text: str) -> Path:
+    """Write an output file, creating its directory first.
+
+    A directory that cannot be created or a file that cannot be written
+    fails as a ConfigError naming the path.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise errors.ConfigError(f"cannot write output {path}: {exc.strerror}") from None
+    return path
+
+
 def _load_config(path: str | None, seed_override: int | None) -> tuple[PipelineConfig, str]:
     text = DEFAULT_CONFIG if path is None else _read_input(path, "config file")
     cfg = parse_pipeline_config(text)
@@ -81,15 +96,13 @@ def _simulated(cfg: PipelineConfig, out: Path, digest: str):
     if not cfg.scenarios:
         raise errors.ConfigError("no [scenario.*] sections to simulate")
     trace_dir = out / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
     for block in cfg.scenarios:
         for r in range(block.runs):
             seed = derive_seed(cfg.seed, "simulate", block.name, r)
             trace = run(block.config, seed)
             text = write_trace(trace)
             stamped = (f"#master_seed={cfg.seed}\n#config_digest={digest}\n" + text)
-            path = trace_dir / f"{block.name}-{r:03d}.trace"
-            path.write_text(stamped, encoding="utf-8")
+            path = _write_output(trace_dir / f"{block.name}-{r:03d}.trace", stamped)
             log.info("simulated %s: %d events, %d dropped", path.name, len(trace), trace.drops)
             yield path, trace
 
@@ -108,10 +121,8 @@ def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: i
                     digest: str) -> Path:
     """Merge per-trace datasets in trace file name order and write dataset.csv."""
     dataset = merge_datasets([part for _, part in sorted(parts, key=lambda p: p[0])])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "dataset.csv"
-    path.write_text(write_dataset(dataset, comments=_stamp(seed, digest)),
-                    encoding="utf-8")
+    path = _write_output(out / "dataset.csv",
+                         write_dataset(dataset, comments=_stamp(seed, digest)))
     log.info("wrote %s: %d windows from %d traces", path, len(dataset), len(parts))
     return path
 
@@ -119,9 +130,17 @@ def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: i
 def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> Path:
     if not trace_paths:
         raise errors.ConfigError("no trace files given")
-    parts = [(path, _labeled(read_trace(_read_input(path, "trace file")), path))
-             for path in trace_paths]
+    parts = [(path, _labeled(_read_trace_file(path), path)) for path in trace_paths]
     return _write_features(parts, out, seed, digest)
+
+
+def _read_trace_file(path: Path) -> PacketTrace:
+    """Parse one trace file; a malformed trace's ParseError names the file."""
+    text = _read_input(path, "trace file")
+    try:
+        return read_trace(text)
+    except errors.ParseError as exc:
+        raise errors.ParseError(f"trace file {path}: {exc}") from None
 
 
 def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
@@ -143,13 +162,10 @@ def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
     )
     text, _ = render_report(report, stable_times=False)
     _, csv_stable = render_report(report, stable_times=True)
-    out.mkdir(parents=True, exist_ok=True)
     comment = (f"# master_seed={cfg.seed} config_digest={digest} "
                f"dataset={report.dataset_fingerprint} folds={cfg.cv_folds}\n")
-    csv_path = out / "report.csv"
-    csv_path.write_text(comment + csv_stable, encoding="utf-8")
-    txt_path = out / "report.txt"
-    txt_path.write_text(comment + text, encoding="utf-8")
+    csv_path = _write_output(out / "report.csv", comment + csv_stable)
+    txt_path = _write_output(out / "report.txt", comment + text)
     sys.stdout.write(text)
     return csv_path, txt_path
 
@@ -180,12 +196,9 @@ def cmd_train(args) -> int:
     recipe = _build_recipes(cfg, [args.classifier])[0]
     model, report = recipe.train(data, derive_seed(cfg.seed, recipe.name, "train"))
     train_cfg = {"mlp": cfg.mlp.train, "som": cfg.som, "rbf": None}[args.classifier]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"model_{args.classifier}.json"
-    path.write_text(save_model(model, train_cfg, report,
-                               extra={"master_seed": cfg.seed, "config_digest": digest}),
-                    encoding="utf-8")
+    _write_output(Path(args.out) / f"model_{args.classifier}.json",
+                  save_model(model, train_cfg, report,
+                             extra={"master_seed": cfg.seed, "config_digest": digest}))
     log.info("trained %s: mse=%.6g epochs=%d wall=%.2fs converged=%s",
              args.classifier, report.final_mse, report.epochs_run,
              report.wall_time, report.converged)
@@ -213,11 +226,8 @@ def cmd_sweep(args) -> int:
     data = read_dataset(_read_input(args.dataset, "dataset"))
     rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,
                                 train_config=cfg.mlp.train)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
     comment = f"# master_seed={cfg.seed} config_digest={digest}\n"
-    path.write_text(comment + render_sweep_csv(rows), encoding="utf-8")
+    path = _write_output(Path(args.out) / "sweep.csv", comment + render_sweep_csv(rows))
     log.info("wrote %s (%d widths)", path, len(rows))
     return 0
 

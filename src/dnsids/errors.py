@@ -38,10 +38,6 @@ class InvalidConfig(ConfigError):
     """A scenario configuration violates a constraint."""
 
 
-class ZeroVector(TrainingError):
-    """A vector with no nonzero component cannot be normalized."""
-
-
 class InvalidWidth(TrainingError):
     """Hidden-layer width outside the supported range."""
 

@@ -7,13 +7,17 @@ two genuinely independent executions.
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dnsids
 from dnsids.classifiers.mlp import (MlpTrainConfig, get_params, mlp_forward, mlp_init,
                                     mlp_jacobian, set_params, train_lm_arrays)
 from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
@@ -256,8 +260,8 @@ def test_c09_end_to_end_determinism(default_pipeline):
 
 
 # SHA-256 of the bundled run's outputs at its own seed, 42. sweep.csv is
-# left out: the width sweep's least-squares steps round differently with
-# the BLAS thread count, so its bytes depend on the host.
+# pinned by `test_golden_sweep_digest`, which runs the sweep with one BLAS
+# thread: its least-squares steps round differently with the thread count.
 GOLDEN_DIGESTS = {
     "dataset.csv": "fd4f8d6ebbd9beb31a24a32a3001095786be89e2c13d9535a0182452fd7f9c4d",
     "report.csv": "a98fd40cf186c65c2d2fc1f3cba55d0fa58655b973099dfec03950459133cd3c",
@@ -269,6 +273,26 @@ def test_golden_output_digests(default_pipeline):
     for name, want in GOLDEN_DIGESTS.items():
         got = hashlib.sha256((default_pipeline["out_a"] / name).read_bytes()).hexdigest()
         assert got == want, name
+
+
+# SHA-256 of `dnsids sweep` (default widths 3..21, bundled config, seed 42)
+# on the bundled dataset, run with every BLAS library pinned to one thread.
+GOLDEN_SWEEP_DIGEST = "78f96106d419d169e3a56b36d9d36f48ff4115b15d497c76fa087c3a37f8da96"
+
+
+def test_golden_sweep_digest(default_pipeline, tmp_path):
+    """A one-thread width sweep on the bundled dataset hashes to the recorded value."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(dnsids.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnsids.cli", "sweep", "--dataset",
+         str(default_pipeline["out_a"] / "dataset.csv"), "--out", str(tmp_path)],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN_SWEEP_DIGEST
 
 
 # One SHA-256 over the bundled run's trace files, concatenated in sorted

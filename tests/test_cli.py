@@ -321,6 +321,18 @@ class TestCommandsAndExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
         assert f"line {second + 1}" in err["detail"]
+        assert str(traces / "bad.trace") in err["detail"]
+
+    def test_trace_without_header_is_parse_error_naming_file(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "headless.trace").write_text("0.000000,req,60,delivered,0\n")
+        rc = main(["features", "--traces", str(traces), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert str(traces / "headless.trace") in err["detail"]
+        assert "duration" in err["detail"]
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_evaluate_fewer_than_two_folds_is_config_error(self, tiny_run, tmp_path,
@@ -406,6 +418,44 @@ class TestInputFiles:
         assert "--widths" in err["detail"]
 
 
+class TestOutputFiles:
+    """An output directory that cannot be created fails as ConfigError naming it."""
+
+    @staticmethod
+    def command(name, cfg_path, out, dest):
+        cfg = ["--config", str(cfg_path), "--out", str(dest)]
+        dataset = ["--dataset", str(out / "dataset.csv")]
+        return {
+            "simulate": ["simulate", *cfg],
+            "features": ["features", *cfg, "--traces", str(out / "traces")],
+            "train": ["train", *cfg, *dataset, "--classifier", "rbf"],
+            "evaluate": ["evaluate", *cfg, *dataset, "--classifier", "rbf"],
+            "sweep": ["sweep", *cfg, *dataset, "--widths", "3"],
+            "pipeline": ["pipeline", *cfg],
+        }[name]
+
+    @pytest.mark.parametrize("name", ["simulate", "features", "train", "evaluate",
+                                      "sweep", "pipeline"])
+    def test_out_under_a_file_is_config_error(self, tiny_run, tmp_path, capsys, name):
+        cfg_path, out = tiny_run
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        dest = blocker / "x"
+        assert main(self.command(name, cfg_path, out, dest)) == 2
+        err = one_json_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert str(dest) in err["detail"]
+
+    def test_out_that_is_a_file_is_config_error(self, tiny_run, tmp_path, capsys):
+        cfg_path, out = tiny_run
+        dest = tmp_path / "F"
+        dest.write_text("not a directory\n")
+        assert main(self.command("sweep", cfg_path, out, dest)) == 2
+        err = one_json_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert str(dest) in err["detail"]
+
+
 def test_every_error_descends_from_exactly_one_root():
     roots = (errors.ConfigError, errors.ParseError, errors.TrainingError)
 
@@ -416,6 +466,6 @@ def test_every_error_descends_from_exactly_one_root():
 
     found = set(subclasses(errors.DnsIdsError))
     assert set(roots) < found
-    assert len(found) >= 16
+    assert len(found) >= 15
     for cls in found:
         assert sum(issubclass(cls, root) for root in roots) == 1, cls.__name__

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnsids.classifiers.mlp import (MlpModel, MlpTrainConfig, get_params, mlp_forward,
                                     mlp_init, mlp_jacobian, mlp_train_lm, set_params,
                                     train_lm_arrays)
 from dnsids.classifiers.recipes import MlpRecipe
-from dnsids.errors import Empty, InvalidWidth
-from dnsids.preproc import ClassLabel, FeatureVector, LabeledDataset
+from dnsids.errors import Empty, InvalidWidth, SingularUpdate
+from dnsids.preproc import TARGET_CODES, ClassLabel, FeatureVector, LabeledDataset
 
 
 def dataset_from_arrays(X, labels):
@@ -93,6 +95,173 @@ class TestJacobian:
             J_fd = self.finite_difference(model, X)
             denom = np.maximum(np.abs(J_fd), 1.0)
             assert np.max(np.abs(J - J_fd) / denom) < 1e-5
+
+
+def reference_jacobian(model, X):
+    """The Jacobian built from broadcasts and one concatenate, as it once was."""
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    n = X.shape[0]
+    h = model.hidden_size
+    z = X @ model.hidden_weights.T + model.hidden_bias
+    a = np.tanh(z)
+    d = 1.0 - a * a
+    g = model.output_weights[None, :, :] * d[:, None, :]
+    j_w1 = (g[:, :, :, None] * X[:, None, None, :]).reshape(n * 3, h * 3)
+    j_b1 = g.reshape(n * 3, h)
+    eye = np.eye(3)
+    j_w2 = (eye[None, :, :, None] * a[:, None, None, :]).reshape(n * 3, 3 * h)
+    j_b2 = np.tile(eye, (n, 1))
+    return np.concatenate([j_w1, j_b1, j_w2, j_b2], axis=1)
+
+
+def reference_train_lm(model, X, T, cfg):
+    """The LM loop that rebuilt the Jacobian and reran the forward pass each epoch.
+
+    Returns (params, mse_history, epochs_run, converged).
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    T = np.asarray(T, dtype=float).reshape(-1, 3)
+    current = model.copy()
+    params = get_params(current)
+    mse = float(np.mean((mlp_forward(current, X) - T) ** 2))
+    history = [mse]
+    lam = cfg.lm_lambda_init
+    epochs_run = 0
+    if mse <= cfg.target_mse:
+        return params, tuple(history), 0, True
+    identity = np.eye(params.size)
+    stalled = False
+    for _ in range(cfg.max_epochs):
+        J = reference_jacobian(current, X)
+        residual = (T - mlp_forward(current, X)).ravel()
+        jt_j = J.T @ J
+        jt_e = J.T @ residual
+        while True:
+            try:
+                delta = np.linalg.solve(jt_j + lam * identity, jt_e)
+            except np.linalg.LinAlgError:
+                lam *= cfg.lm_lambda_up
+                if lam > cfg.lm_lambda_max:
+                    raise SingularUpdate("reference: unsolvable") from None
+                continue
+            trial = set_params(current, params + delta)
+            trial_mse = float(np.mean((mlp_forward(trial, X) - T) ** 2))
+            if np.isfinite(trial_mse) and trial_mse < mse:
+                current = trial
+                params = params + delta
+                mse = trial_mse
+                lam *= cfg.lm_lambda_down
+                break
+            lam *= cfg.lm_lambda_up
+            if lam > cfg.lm_lambda_max:
+                stalled = True
+                break
+        if stalled:
+            break
+        epochs_run += 1
+        history.append(mse)
+        if mse <= cfg.target_mse:
+            break
+    return params, tuple(history), epochs_run, mse <= cfg.target_mse
+
+
+def standardized_problem(seed, n):
+    """Three noisy, overlapping classes, standardized as `MlpRecipe` does."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, n)
+    X = rng.normal(size=(n, 3)) + labels[:, None] * np.array([1.0, -0.5, 0.3])
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    codes = [TARGET_CODES[c] for c in (ClassLabel.NORMAL, ClassLabel.DIRECT_DOS,
+                                       ClassLabel.AMPLIFICATION)]
+    return X, np.array([codes[c] for c in labels], dtype=float)
+
+
+class CountingSolve:
+    """Stand-in for `np.linalg.solve` that counts calls and can fail the first few."""
+
+    def __init__(self, fail_first=0):
+        self.solve = np.linalg.solve
+        self.calls = 0
+        self.fail_first = fail_first
+
+    def __call__(self, a, b):
+        self.calls += 1
+        if self.calls <= self.fail_first:
+            raise np.linalg.LinAlgError("singular")
+        return self.solve(a, b)
+
+
+class TestAgainstReference:
+    """The in-place Jacobian and trainer reproduce the broadcast build bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hidden=st.integers(1, 64), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+           init_range=st.sampled_from([0.5, 3.0]))
+    def test_jacobian_equals_broadcast_build(self, hidden, n, seed, init_range):
+        rng = np.random.default_rng(seed)
+        magnitude = 10.0 ** rng.uniform(-3, 6, size=(n, 3))
+        X = magnitude * rng.choice([-1.0, 1.0], size=(n, 3))
+        model = mlp_init(hidden, seed, init_range)
+        J = mlp_jacobian(model, X)
+        assert J.shape == (3 * n, 7 * hidden + 3)
+        assert np.array_equal(J, reference_jacobian(model, X))
+
+    def test_jacobian_equals_broadcast_build_on_unsaturated_units(self):
+        rng = np.random.default_rng(3)
+        for hidden in (1, 2, 7, 21, 64):
+            model = mlp_init(hidden, hidden)
+            X = rng.normal(scale=0.5, size=(40, 3))
+            assert np.array_equal(mlp_jacobian(model, X), reference_jacobian(model, X))
+
+    def assert_same_fit(self, model, X, T, cfg):
+        params, history, epochs, converged = reference_train_lm(model, X, T, cfg)
+        trained, report = train_lm_arrays(model, X, T, cfg)
+        assert np.array_equal(get_params(trained), params)
+        assert report.mse_history == history
+        assert report.epochs_run == epochs
+        assert report.converged == converged
+        assert report.final_mse == history[-1]
+        return report
+
+    @pytest.mark.parametrize("hidden,seed", [(1, 0), (3, 1), (7, 2), (21, 3)])
+    def test_trainer_equals_reference_with_rejected_steps(self, monkeypatch, hidden, seed):
+        X, T = standardized_problem(seed, 90)
+        cfg = MlpTrainConfig(max_epochs=40, target_mse=1e-12)
+        counter = CountingSolve()
+        monkeypatch.setattr(np.linalg, "solve", counter)
+        report = self.assert_same_fit(mlp_init(hidden, seed), X, T, cfg)
+        calls_per_fit = counter.calls / 2
+        assert calls_per_fit > report.epochs_run        # some trial steps were rejected
+
+    def test_trainer_equals_reference_when_damping_stalls(self):
+        X, T = standardized_problem(5, 60)
+        cfg = MlpTrainConfig(max_epochs=500, target_mse=1e-12, lm_lambda_max=1.0)
+        report = self.assert_same_fit(mlp_init(5, 4), X, T, cfg)
+        assert not report.converged
+        assert report.epochs_run < cfg.max_epochs       # stopped by lambda_max
+
+    def test_trainer_equals_reference_when_target_met(self):
+        X, T = standardized_problem(6, 30)
+        cfg = MlpTrainConfig(max_epochs=200, target_mse=5e-2)
+        report = self.assert_same_fit(mlp_init(9, 6), X, T, cfg)
+        assert report.converged
+
+    def test_trainer_equals_reference_after_failed_solves(self, monkeypatch):
+        X, T = standardized_problem(7, 50)
+        cfg = MlpTrainConfig(max_epochs=15, target_mse=1e-12)
+        model = mlp_init(4, 7)
+        monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=2))
+        expected = reference_train_lm(model, X, T, cfg)
+        monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=2))
+        trained, report = train_lm_arrays(model, X, T, cfg)
+        assert np.array_equal(get_params(trained), expected[0])
+        assert report.mse_history == expected[1]
+
+    def test_unsolvable_at_maximum_damping_raises(self, monkeypatch):
+        X, T = standardized_problem(8, 20)
+        monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=10**6))
+        with pytest.raises(SingularUpdate):
+            train_lm_arrays(mlp_init(3, 8), X, T, MlpTrainConfig(target_mse=1e-12))
 
 
 class TestTraining:
