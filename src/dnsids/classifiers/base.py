@@ -6,12 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..preproc import TARGET_CODES, ClassLabel
+from ..preproc import CLASS_INDEX, TARGET_CODES, ClassLabel
 
 # Class preference on ties: an output equidistant from several codes, or
 # a map neuron with tied votes.
 _DECISION_ORDER = (ClassLabel.NORMAL, ClassLabel.AMPLIFICATION, ClassLabel.DIRECT_DOS)
 _CODES = np.array([TARGET_CODES[label] for label in _DECISION_ORDER])
+# Label code of each class in `_DECISION_ORDER`.
+_DECISION_LABEL_CODES = np.array([CLASS_INDEX[label] for label in _DECISION_ORDER],
+                                 dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -23,8 +26,8 @@ class TrainReport:
     mse_history: tuple[float, ...] = ()
 
 
-def nearest_code_labels(outputs) -> list[ClassLabel]:
-    """Map each row of an (n, 3) output array to the class with the nearest code.
+def nearest_code_labels(outputs) -> np.ndarray:
+    """Label code of the class whose target code is nearest each output row.
 
     Squared distances are summed in component order; ties break Normal,
     then Amplification, then DirectDoS.
@@ -33,4 +36,4 @@ def nearest_code_labels(outputs) -> list[ClassLabel]:
     diff = out[:, None, :] - _CODES[None, :, :]
     sq = diff * diff
     d2 = sq[..., 0] + sq[..., 1] + sq[..., 2]
-    return [_DECISION_ORDER[i] for i in d2.argmin(axis=1)]
+    return _DECISION_LABEL_CODES[d2.argmin(axis=1)]

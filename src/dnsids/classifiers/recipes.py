@@ -2,9 +2,10 @@
 
 A recipe bundles hyperparameters and knows how to train a fresh model on
 a dataset with a given seed (`train`) and how to label a batch of raw
-feature rows (`predict`). The feed-forward and radial-basis recipes also
-return their raw output codes for a batch (`predict_codes`), and their
-labels are the nearest target codes to those outputs. The map-based
+feature rows (`predict`, which returns an int8 array of label codes).
+The feed-forward and radial-basis recipes also return their raw output
+codes for a batch (`predict_codes`), and their labels are the classes
+whose target codes are nearest those outputs. The map-based
 classifier normalizes its inputs instead, and trains every
 cross-validation fold in one call (`train_folds`).
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..errors import Empty
-from ..preproc import ClassLabel, LabeledDataset, l2_normalize_rows
+from ..preproc import LabeledDataset, l2_normalize_rows
 from .base import TrainReport, nearest_code_labels
 from .mlp import MlpModel, MlpTrainConfig, mlp_forward, mlp_init, train_lm_arrays
 from .rbf import RbfModel, rbf_forward, rbf_train
@@ -54,7 +55,7 @@ class MlpRecipe:
     def predict_codes(self, model: MlpModel, X) -> np.ndarray:
         return mlp_forward(model, X)
 
-    def predict(self, model: MlpModel, X) -> list[ClassLabel]:
+    def predict(self, model: MlpModel, X) -> np.ndarray:
         return nearest_code_labels(self.predict_codes(model, X))
 
 
@@ -69,7 +70,7 @@ class RbfRecipe:
     def predict_codes(self, model: RbfModel, X) -> np.ndarray:
         return rbf_forward(model, X)
 
-    def predict(self, model: RbfModel, X) -> list[ClassLabel]:
+    def predict(self, model: RbfModel, X) -> np.ndarray:
         return nearest_code_labels(self.predict_codes(model, X))
 
 
@@ -91,7 +92,7 @@ class SomRecipe:
         Xs = [l2_normalize_rows(data.features()) for data in train_sets]
         maps = som_train_folds([som_init(seed) for seed in seeds], Xs,
                                self.train_config, seeds)
-        models = [som_label(m, X, data.labels())
+        models = [som_label(m, X, data.codes)
                   for m, X, data in zip(maps, Xs, train_sets)]
         qerrs = [quantization_error(m, X) for m, X in zip(models, Xs)]
         wall = (time.perf_counter() - start) / len(models)
@@ -99,6 +100,6 @@ class SomRecipe:
         return [(m, TrainReport(qe, self.train_config.epochs, wall, True, ()))
                 for m, qe in zip(models, qerrs)]
 
-    def predict(self, model: SomModel, X) -> list[ClassLabel]:
+    def predict(self, model: SomModel, X) -> np.ndarray:
         return som_classify(model, X)
 

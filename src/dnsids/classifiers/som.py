@@ -33,14 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EmptyData, Unlabeled
-from ..preproc import ClassLabel, l2_normalize_rows
-from .base import _DECISION_ORDER
+from ..preproc import CLASS_ORDER, l2_normalize_rows
+from .base import _DECISION_LABEL_CODES, _DECISION_ORDER
 
 GRID_ROWS = 5
 GRID_COLS = 5
 N_NEURONS = GRID_ROWS * GRID_COLS
 
-_LABEL_INDEX = {lbl: i for i, lbl in enumerate(_DECISION_ORDER)}
+# Position in `_DECISION_ORDER` of the class with each label code.
+_DECISION_RANK = np.array([_DECISION_ORDER.index(label) for label in CLASS_ORDER])
 
 # Lockstep training gathers the presented samples this many steps at a time.
 _CHUNK_STEPS = 128
@@ -89,10 +90,11 @@ def linkdist(a: int, b: int) -> int:
 class SomModel:
     codebook: np.ndarray                         # (25, 3)
     grid: np.ndarray                             # (25, 2)
-    neuron_labels: tuple[ClassLabel, ...] | None = None
+    neuron_labels: np.ndarray | None = None      # (25,) int8 label codes
 
     def copy(self) -> "SomModel":
-        return SomModel(self.codebook.copy(), self.grid.copy(), self.neuron_labels)
+        labels = None if self.neuron_labels is None else self.neuron_labels.copy()
+        return SomModel(self.codebook.copy(), self.grid.copy(), labels)
 
 
 @dataclass(frozen=True)
@@ -206,30 +208,31 @@ def quantization_error(model: SomModel, data) -> float:
     return float(np.sqrt((diff * diff).sum(axis=1)).mean())
 
 
-def _pick_label(votes: np.ndarray, global_counts: np.ndarray) -> ClassLabel:
-    """Majority label of one neuron's votes, both indexed in `_DECISION_ORDER`.
+def _pick_label(votes: np.ndarray, global_counts: np.ndarray) -> int:
+    """Majority class of one neuron's votes, all indexed in `_DECISION_ORDER`.
 
     Ties go to the globally most frequent tied class, then to the first
     in `_DECISION_ORDER`.
     """
     tied = votes == votes.max()
-    return _DECISION_ORDER[int(np.where(tied, global_counts, -1).argmax())]
+    return int(np.where(tied, global_counts, -1).argmax())
 
 
-def som_label(model: SomModel, vectors, labels) -> SomModel:
+def som_label(model: SomModel, vectors, codes) -> SomModel:
     """Label every neuron from the training samples it wins.
 
-    Majority vote per neuron; ties fall back to the globally most
-    frequent class, then Normal. Neurons winning no samples inherit the
-    label of the nearest labeled neuron by link distance, lowest index
-    first.
+    `codes` are the samples' label codes. Majority vote per neuron;
+    ties fall back to the globally most frequent class, then Normal.
+    Neurons winning no samples inherit the label of the nearest labeled
+    neuron by link distance, lowest index first. The labels are stored
+    as label codes.
     """
     X = np.asarray(vectors, dtype=float).reshape(-1, 3)
-    labels = list(labels)
-    if len(X) == 0 or len(labels) != len(X):
+    codes = np.asarray(codes, dtype=np.intp).reshape(-1)
+    if len(X) == 0 or len(codes) != len(X):
         raise EmptyData("neuron labeling needs matching non-empty samples")
 
-    classes = np.array([_LABEL_INDEX[lbl] for lbl in labels])
+    classes = _DECISION_RANK[codes]
     winners = best_matching_units(model.codebook, X)
     votes = np.bincount(winners * len(_DECISION_ORDER) + classes,
                         minlength=N_NEURONS * len(_DECISION_ORDER)).reshape(N_NEURONS, -1)
@@ -240,11 +243,11 @@ def som_label(model: SomModel, vectors, labels) -> SomModel:
         # argmin over the ascending `labeled` takes the lowest index on ties
         source = n if votes[n].any() else labeled[_LINKS[n, labeled].argmin()]
         result.append(_pick_label(votes[source], global_counts))
-    return SomModel(model.codebook.copy(), model.grid.copy(), tuple(result))
+    return SomModel(model.codebook.copy(), model.grid.copy(), _DECISION_LABEL_CODES[result])
 
 
-def som_classify(model: SomModel, X) -> list[ClassLabel]:
-    """Labels of the best-matching units for the rows of a raw (n, 3) input.
+def som_classify(model: SomModel, X) -> np.ndarray:
+    """Label codes of the best-matching units for the rows of a raw (n, 3) input.
 
     Rows are unit-normalized first, so classification is invariant under
     positive scaling; an all-zero row is matched as-is.
@@ -252,4 +255,4 @@ def som_classify(model: SomModel, X) -> list[ClassLabel]:
     if model.neuron_labels is None:
         raise Unlabeled("neuron labels missing; run som_label first")
     X = l2_normalize_rows(np.asarray(X, dtype=float).reshape(-1, 3))
-    return [model.neuron_labels[i] for i in best_matching_units(model.codebook, X)]
+    return model.neuron_labels[best_matching_units(model.codebook, X)]

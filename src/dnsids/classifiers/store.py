@@ -12,7 +12,7 @@ from dataclasses import asdict
 import numpy as np
 
 from ..errors import ParseError
-from ..preproc import ClassLabel
+from ..preproc import ClassLabel, class_labels, label_codes
 from .base import TrainReport
 from .mlp import MlpModel, MlpTrainConfig
 from .rbf import RbfModel
@@ -36,7 +36,7 @@ def _model_payload(model) -> tuple[str, dict]:
         }
     if isinstance(model, SomModel):
         labels = (None if model.neuron_labels is None
-                  else [lbl.value for lbl in model.neuron_labels])
+                  else [lbl.value for lbl in class_labels(model.neuron_labels)])
         return "som", {
             "codebook": model.codebook.tolist(),
             "grid": model.grid.tolist(),
@@ -91,7 +91,7 @@ def load_model(text: str):
                 codebook=np.array(payload["codebook"]),
                 grid=np.array(payload["grid"]),
                 neuron_labels=(None if labels is None
-                               else tuple(ClassLabel(v) for v in labels)),
+                               else label_codes(ClassLabel(v) for v in labels)),
             )
             config = (None if doc["config"] is None
                       else SomTrainConfig(**doc["config"]))

@@ -1,8 +1,9 @@
 """Confusion accounting, detection metrics, cross-validation, and reports.
 
 Cross-validation is classifier-agnostic: a recipe trains a model on a
-dataset and predicts the labels of a batch of feature rows, one batch
-per held-out fold.
+dataset and predicts the label codes of a batch of feature rows, one
+batch per held-out fold. Labels are carried as int8 codes, indices into
+`CLASS_ORDER`; confusion matrices are indexed the same way.
 
 The binarized view treats either attack class as the positive case: an
 attack window predicted as the wrong attack class still counts as a true
@@ -17,11 +18,11 @@ Metrics with a zero denominator are reported as absent, never as 0 or
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers.base import nearest_code_labels
 from .errors import (DnsIdsError, Empty, InvalidWidth, LengthMismatch, TooFewSamples,
                      UndefinedMetric)
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
@@ -73,28 +74,20 @@ class EvalReport:
 
 
 def confusion(predictions, truth) -> ConfusionCounts:
-    """Count per-class and binarized prediction outcomes."""
-    predictions = list(predictions)
-    truth = list(truth)
+    """Count per-class and binarized outcomes of label-code predictions."""
+    predictions = np.asarray(predictions, dtype=np.intp).reshape(-1)
+    truth = np.asarray(truth, dtype=np.intp).reshape(-1)
     if len(predictions) != len(truth):
         raise LengthMismatch(f"{len(predictions)} predictions vs {len(truth)} truths")
-    if not predictions:
+    if len(predictions) == 0:
         raise Empty("no samples to score")
-    matrix = [[0, 0, 0] for _ in range(3)]
-    tp = tn = fp = fn = 0
-    for t, p in zip(truth, predictions):
-        matrix[CLASS_INDEX[t]][CLASS_INDEX[p]] += 1
-        t_attack = t is not ClassLabel.NORMAL
-        p_attack = p is not ClassLabel.NORMAL
-        if t_attack and p_attack:
-            tp += 1
-        elif t_attack:
-            fn += 1
-        elif p_attack:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tuple(tuple(row) for row in matrix), tp, tn, fp, fn)
+    matrix = np.bincount(3 * truth + predictions, minlength=9).reshape(3, 3)
+    normal = CLASS_INDEX[ClassLabel.NORMAL]
+    tn = int(matrix[normal, normal])
+    fp = int(matrix[normal].sum()) - tn
+    fn = int(matrix[:, normal].sum()) - tn
+    tp = len(truth) - tn - fp - fn
+    return ConfusionCounts(tuple(tuple(row) for row in matrix.tolist()), tp, tn, fp, fn)
 
 
 def accuracy(c: ConfusionCounts) -> float:
@@ -165,29 +158,18 @@ def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
-    labels = data.labels()
-    by_class = {lbl: [i for i, l in enumerate(labels) if l is lbl]
-                for lbl in CLASS_ORDER if lbl in labels}
-    stratified = all(len(idx) * len(CLASS_ORDER) >= k for idx in by_class.values())
-
-    folds: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0
+    by_class = [np.flatnonzero(data.codes == code) for code in range(len(CLASS_ORDER))]
+    by_class = [idx for idx in by_class if len(idx)]
+    stratified = all(len(idx) * len(CLASS_ORDER) >= k for idx in by_class)
     if stratified:
-        for lbl in CLASS_ORDER:
-            if lbl not in by_class:
-                continue
-            indices = np.array(by_class[lbl])
-            rng.shuffle(indices)
-            for i in indices:
-                folds[cursor % k].append(int(i))
-                cursor += 1
+        for idx in by_class:
+            rng.shuffle(idx)
+        order = np.concatenate(by_class)
     else:
-        indices = np.arange(n)
-        rng.shuffle(indices)
-        for i in indices:
-            folds[cursor % k].append(int(i))
-            cursor += 1
-    return FoldPlan(tuple(tuple(sorted(f)) for f in folds), stratified)
+        order = np.arange(n)
+        rng.shuffle(order)
+    # Position p of the dealt order goes to fold p % k.
+    return FoldPlan(tuple(tuple(np.sort(order[f::k]).tolist()) for f in range(k)), stratified)
 
 
 def dataset_fingerprint(text: str) -> str:
@@ -205,6 +187,10 @@ def _train_fold(recipe, fold_idx: int, train_set: LabeledDataset, seed: int):
 def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> EvalEntry:
     """Train on k-1 folds, score the held-out fold, pool all predictions.
 
+    A recipe with `predict_codes` is scored on one forward pass per
+    held-out fold: its labels are the nearest target codes to those
+    outputs, as its `predict` would return.
+
     Fold membership derives from (seed, "kfold") and per-fold training
     seeds from (seed, recipe name, fold index), so repeated calls with
     the same arguments reproduce each other exactly. A recipe with
@@ -212,8 +198,8 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
     trained just before it is scored.
     """
     plan = kfold_split(data, k, derive_seed(seed, "kfold"))
-    all_preds: list[ClassLabel] = []
-    all_truth: list[ClassLabel] = []
+    held_outs = [np.array(held_out, dtype=np.intp) for held_out in plan.folds]
+    fold_preds = []
     fold_metrics = []
     train_time = 0.0
     train_mses = []
@@ -222,9 +208,10 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
     has_codes = hasattr(recipe, "predict_codes")
 
     train_sets = []
-    for held_out in plan.folds:
-        held_set = set(held_out)
-        train_sets.append(data.subset([i for i in range(len(data)) if i not in held_set]))
+    for held in held_outs:
+        keep = np.ones(len(data), dtype=bool)
+        keep[held] = False
+        train_sets.append(data.subset(keep))
     seeds = [derive_seed(seed, recipe.name, fold_idx) for fold_idx in range(len(plan.folds))]
     if hasattr(recipe, "train_folds"):
         trained = recipe.train_folds(train_sets, seeds)
@@ -232,24 +219,24 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
         trained = (_train_fold(recipe, fold_idx, train_set, fold_seed)
                    for fold_idx, (train_set, fold_seed) in enumerate(zip(train_sets, seeds)))
 
-    for held_out, (model, report) in zip(plan.folds, trained):
-        test_set = data.subset(held_out)
+    for held, (model, report) in zip(held_outs, trained):
+        test_set = data.subset(held)
         train_time += report.wall_time
         train_mses.append(report.final_mse)
 
         X = test_set.features()
-        preds = recipe.predict(model, X)
-        truth = test_set.labels()
-        all_preds.extend(preds)
-        all_truth.extend(truth)
-        fold_metrics.append(metrics_from_confusion(confusion(preds, truth)))
-
         if has_codes:
-            codes = recipe.predict_codes(model, X)
-            test_sse += float(np.sum((codes - test_set.targets()) ** 2))
-            test_points += codes.size
+            outputs = recipe.predict_codes(model, X)
+            preds = nearest_code_labels(outputs)
+            test_sse += float(np.sum((outputs - test_set.targets()) ** 2))
+            test_points += outputs.size
+        else:
+            preds = recipe.predict(model, X)
+        fold_preds.append(preds)
+        fold_metrics.append(metrics_from_confusion(confusion(preds, test_set.codes)))
 
-    pooled = confusion(all_preds, all_truth)
+    all_truth = data.codes[np.concatenate(held_outs)]
+    pooled = confusion(np.concatenate(fold_preds), all_truth)
     try:
         acc3 = accuracy_3class(pooled)
     except UndefinedMetric:

@@ -30,7 +30,7 @@ class ClassLabel(Enum):
     AMPLIFICATION = "amplification"
 
 
-# Row/column order of confusion matrices and one-hot-style target codes.
+# Row/column order of confusion matrices; a label code is an index into it.
 CLASS_ORDER: tuple[ClassLabel, ...] = (
     ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION)
 CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
@@ -63,41 +63,75 @@ class FeatureVector:
     mean_packet_size: float   # bytes; 0 only when nothing was received
     packet_loss: int          # packets dropped at the bottleneck queue
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.throughput, self.mean_packet_size,
-                         float(self.packet_loss)])
+
+# Row k is the target code of the class with label code k.
+_TARGET_TABLE = np.array([TARGET_CODES[label] for label in CLASS_ORDER])
 
 
-@dataclass(frozen=True)
+def label_codes(labels) -> np.ndarray:
+    """int8 label codes (indices into CLASS_ORDER) of a sequence of labels."""
+    return np.array([CLASS_INDEX[label] for label in labels], dtype=np.int8)
+
+
+def class_labels(codes) -> list[ClassLabel]:
+    """The labels named by a sequence of label codes."""
+    return [CLASS_ORDER[c] for c in np.asarray(codes).tolist()]
+
+
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    samples: tuple[tuple[FeatureVector, ClassLabel], ...]
+    """Feature rows and their label codes, held as columns.
+
+    `X` is (n, 3) float64 with one feature vector per row (throughput,
+    mean packet size, packet loss); `codes` is (n,) int8, each row's
+    class as an index into CLASS_ORDER. Both are read-only copies of
+    what the constructor was given.
+    """
+    X: np.ndarray
+    codes: np.ndarray
     provenance: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        X = np.array(self.X, dtype=np.float64).reshape(-1, 3)
+        codes = np.array(self.codes, dtype=np.int8).reshape(-1)
+        if len(X) != len(codes):
+            raise ValueError(f"{len(X)} feature rows vs {len(codes)} label codes")
+        X.flags.writeable = False
+        codes.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "codes", codes)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledDataset):
+            return NotImplemented
+        return (np.array_equal(self.X, other.X) and np.array_equal(self.codes, other.codes)
+                and self.provenance == other.provenance)
 
     def features(self) -> np.ndarray:
         """(n, 3) matrix of raw feature vectors."""
-        return np.array([fv.as_array() for fv, _ in self.samples]).reshape(-1, 3)
+        return self.X
 
     def targets(self) -> np.ndarray:
         """(n, 3) matrix of class target codes."""
-        return np.array([TARGET_CODES[lbl] for _, lbl in self.samples]).reshape(-1, 3)
+        return _TARGET_TABLE[self.codes]
 
-    def labels(self) -> list[ClassLabel]:
-        return [lbl for _, lbl in self.samples]
-
-    def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(tuple(self.samples[i] for i in indices), self.provenance)
+    def subset(self, index) -> "LabeledDataset":
+        """The rows selected by a sequence of row indices or a boolean mask."""
+        index = np.asarray(index)
+        if index.dtype != bool:
+            index = index.astype(np.intp)
+        return LabeledDataset(self.X[index], self.codes[index], self.provenance)
 
 
 def merge_datasets(parts: list[LabeledDataset]) -> LabeledDataset:
-    samples: list = []
-    provenance: list[str] = []
-    for part in parts:
-        samples.extend(part.samples)
-        provenance.extend(part.provenance)
-    return LabeledDataset(tuple(samples), tuple(provenance))
+    if not parts:
+        return LabeledDataset((), ())
+    return LabeledDataset(np.concatenate([part.X for part in parts]),
+                          np.concatenate([part.codes for part in parts]),
+                          tuple(name for part in parts for name in part.provenance))
 
 
 def window_trace(trace: PacketTrace, window_len: float) -> list[WindowStats]:
@@ -144,17 +178,21 @@ def label_windows(windows: list[WindowStats], truth: GroundTruth,
     A window gets the trace's attack class iff the attack interval covers
     strictly more than half of the window span; otherwise it is Normal.
     """
-    attack_label = _ATTACK_TO_LABEL[truth.attack_kind]
-    samples = []
+    attack_code = CLASS_INDEX[_ATTACK_TO_LABEL[truth.attack_kind]]
+    normal_code = CLASS_INDEX[ClassLabel.NORMAL]
+    rows = []
+    codes = []
     for w in windows:
-        label = ClassLabel.NORMAL
+        code = normal_code
         if truth.interval is not None:
             a_start, a_end = truth.interval
             overlap = min(a_end, w.start + window_len) - max(a_start, w.start)
             if overlap > window_len / 2:
-                label = attack_label
-        samples.append((extract_features(w, window_len), label))
-    return LabeledDataset(tuple(samples), provenance)
+                code = attack_code
+        fv = extract_features(w, window_len)
+        rows.append((fv.throughput, fv.mean_packet_size, fv.packet_loss))
+        codes.append(code)
+    return LabeledDataset(rows, codes, provenance)
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -178,7 +216,11 @@ def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
 # --- dataset serialization ---------------------------------------------------
 
 DATASET_HEADER = "throughput_bps,mean_packet_size_bytes,packet_loss,label"
-_LABEL_BY_NAME = {label.value: label for label in ClassLabel}
+_CODE_BY_NAME = {label.value: CLASS_INDEX[label] for label in ClassLabel}
+_NAME_BY_CODE = [label.value for label in CLASS_ORDER]
+# The largest packet loss the float64 feature column holds with every
+# smaller integer, so each accepted value is written back unchanged.
+MAX_PACKET_LOSS = 2 ** 53
 
 
 def write_dataset(dataset: LabeledDataset, comments: tuple[str, ...] = ()) -> str:
@@ -187,16 +229,16 @@ def write_dataset(dataset: LabeledDataset, comments: tuple[str, ...] = ()) -> st
     if dataset.provenance:
         lines.append("# provenance=" + ",".join(dataset.provenance))
     lines.append(DATASET_HEADER)
-    for fv, label in dataset.samples:
-        lines.append(f"{fv.throughput:.6f},{fv.mean_packet_size:.6f},"
-                     f"{fv.packet_loss},{label.value}")
+    for (thr, mps, loss), code in zip(dataset.X.tolist(), dataset.codes.tolist()):
+        lines.append(f"{thr:.6f},{mps:.6f},{int(loss)},{_NAME_BY_CODE[code]}")
     return "\n".join(lines) + "\n"
 
 
 def read_dataset(text: str) -> LabeledDataset:
     """Parse CSV text produced by `write_dataset`."""
     provenance: tuple[str, ...] = ()
-    samples = []
+    rows = []
+    codes = []
     saw_header = False
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -222,17 +264,17 @@ def read_dataset(text: str) -> LabeledDataset:
             loss = int(loss_s)
         except ValueError as exc:
             raise ParseError(f"bad numeric field: {exc}", line=line_no) from None
-        try:
-            float(loss)
-        except OverflowError:
-            raise ParseError("packet_loss too large for a float", line=line_no) from None
         if not (math.isfinite(thr) and math.isfinite(mps)):
             raise ParseError("non-finite feature value", line=line_no)
         if thr < 0 or mps < 0 or loss < 0:
             raise ParseError("negative feature value", line=line_no)
-        if label_s not in _LABEL_BY_NAME:
+        if loss > MAX_PACKET_LOSS:
+            raise ParseError("packet_loss above 2**53 is not exact as a float64",
+                             line=line_no, field="packet_loss")
+        if label_s not in _CODE_BY_NAME:
             raise ParseError(f"unknown label {label_s!r}", line=line_no, field="label")
-        samples.append((FeatureVector(thr, mps, loss), _LABEL_BY_NAME[label_s]))
+        rows.append((thr, mps, loss))
+        codes.append(_CODE_BY_NAME[label_s])
     if not saw_header:
         raise ParseError("missing dataset header row")
-    return LabeledDataset(tuple(samples), provenance)
+    return LabeledDataset(rows, codes, provenance)

@@ -26,7 +26,8 @@ from dnsids.cli import main
 from dnsids.config import DEFAULT_CONFIG, parse_pipeline_config
 from dnsids.evaluation import (confusion, cross_validate, parse_report_csv,
                                sweep_hidden_neurons)
-from dnsids.preproc import CLASS_ORDER, ClassLabel, l2_normalize_rows, read_dataset
+from dnsids.preproc import (CLASS_ORDER, ClassLabel, l2_normalize_rows, label_codes,
+                            read_dataset)
 from dnsids.simnet import AttackKind, Disposition, PacketKind, make_scenario, run
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
@@ -53,7 +54,7 @@ def test_c01_metric_oracle_equivalence():
         n = rng.randint(1, 500)
         truth = [CLASS_ORDER[rng.randrange(3)] for _ in range(n)]
         preds = [CLASS_ORDER[rng.randrange(3)] for _ in range(n)]
-        c = confusion(preds, truth)
+        c = confusion(label_codes(preds), label_codes(truth))
 
         tp = sum(1 for t, p in zip(truth, preds) if t is not N and p is not N)
         tn = sum(1 for t, p in zip(truth, preds) if t is N and p is N)
@@ -180,17 +181,16 @@ def test_c04_simulator_laws_over_fifty_scenarios():
 def test_c05_signature_separation(default_pipeline):
     """Attack patterns survive the pipeline into the bundled dataset."""
     dataset = default_pipeline["dataset"]
-    by_label = {lbl: [] for lbl in CLASS_ORDER}
-    for fv, lbl in dataset.samples:
-        by_label[lbl].append(fv)
+    # feature columns: throughput, mean packet size, packet loss
+    by_label = {lbl: dataset.X[dataset.codes == code] for code, lbl in enumerate(CLASS_ORDER)}
     assert all(len(v) >= 300 for v in by_label.values())
 
-    for fv in by_label[A]:
-        assert fv.mean_packet_size > 512.0
+    for mean_packet_size in by_label[A][:, 1]:
+        assert mean_packet_size > 512.0
 
-    max_normal_throughput = max(fv.throughput for fv in by_label[N])
-    for fv in by_label[D]:
-        assert fv.throughput > max_normal_throughput
+    max_normal_throughput = by_label[N][:, 0].max()
+    for throughput in by_label[D][:, 0]:
+        assert throughput > max_normal_throughput
     print(f"\nACCEPTANCE c05 signature-separation: amp mean size > 512 B, "
           f"direct throughput > {max_normal_throughput:.0f} bit/s everywhere")
 
@@ -322,7 +322,7 @@ def test_c10_som_properties(default_pipeline):
     base = recipe.predict(model, X)
     assert len(base) == 100
     for c in (0.1, 1.0, 1000.0):
-        assert recipe.predict(model, c * X) == base
+        assert np.array_equal(recipe.predict(model, c * X), base)
 
     X = l2_normalize_rows(dataset.features())
     initial = som_init(3)

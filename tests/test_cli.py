@@ -16,7 +16,7 @@ from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, config_digest, parse_pipeline_config,
                            validate_for_training)
 from dnsids.errors import ConfigError, ParseError
-from dnsids.preproc import ClassLabel, LabeledDataset, write_dataset
+from dnsids.preproc import CLASS_ORDER, ClassLabel, LabeledDataset, label_codes, write_dataset
 from dnsids.simnet import AttackKind
 
 TINY_CONFIG = """\
@@ -149,12 +149,10 @@ class TestModelStore:
     def test_rbf_round_trip_exact(self):
         recipe = RbfRecipe(centers=3)
         rng = np.random.default_rng(0)
-        from dnsids.preproc import FeatureVector
-        samples = tuple(
-            (FeatureVector(round(float(v[0]), 6), round(float(v[1]), 6), int(v[2])),
-             ClassLabel.NORMAL)
-            for v in np.abs(rng.normal(size=(8, 3)) * 10))
-        model, report = recipe.train(LabeledDataset(samples), seed=1)
+        rows = [(round(float(v[0]), 6), round(float(v[1]), 6), int(v[2]))
+                for v in np.abs(rng.normal(size=(8, 3)) * 10)]
+        model, report = recipe.train(
+            LabeledDataset(rows, label_codes([ClassLabel.NORMAL] * 8)), seed=1)
         loaded, _, rep = load_model(save_model(model, None, report))
         assert np.array_equal(loaded.centers, model.centers)
         assert loaded.width == model.width
@@ -163,11 +161,14 @@ class TestModelStore:
     def test_som_round_trip_with_labels(self):
         model = som_init(2)
         labeled = model.copy()
-        labeled.neuron_labels = tuple(ClassLabel.NORMAL for _ in range(25))
+        labeled.neuron_labels = label_codes(CLASS_ORDER[i % 3] for i in range(25))
         text = save_model(labeled, SomTrainConfig(), TrainReport(0.1, 5, 0.01, True))
+        assert json.loads(text)["model"]["neuron_labels"][:3] == [
+            "normal", "direct_dos", "amplification"]
         loaded, cfg, _ = load_model(text)
         assert np.array_equal(loaded.codebook, model.codebook)
-        assert loaded.neuron_labels == labeled.neuron_labels
+        assert np.array_equal(loaded.neuron_labels, labeled.neuron_labels)
+        assert loaded.neuron_labels.dtype == np.int8
         assert cfg == SomTrainConfig()
 
     def test_malformed_model_rejected(self):
@@ -283,7 +284,7 @@ class TestCommandsAndExitCodes:
 
     def test_empty_dataset_train_fails_with_empty(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
-        empty.write_text(write_dataset(LabeledDataset(())))
+        empty.write_text(write_dataset(LabeledDataset((), ())))
         rc = main(["train", "--dataset", str(empty), "--out", str(tmp_path / "o")])
         assert rc == 4
         err = capsys.readouterr().err.strip().splitlines()[-1]
@@ -386,7 +387,7 @@ class TestInputFiles:
 
     @pytest.mark.parametrize("kind", ["config", "dataset", "trace"])
     def test_non_utf8_file_is_parse_error_naming_it(self, tmp_path, capsys, kind):
-        valid = {"config": TINY_CONFIG, "dataset": write_dataset(LabeledDataset(())),
+        valid = {"config": TINY_CONFIG, "dataset": write_dataset(LabeledDataset((), ())),
                  "trace": ""}[kind]
         (tmp_path / "in").mkdir()
         path = tmp_path / "in" / f"latin1.{kind}"
@@ -409,7 +410,7 @@ class TestInputFiles:
     @pytest.mark.parametrize("widths", ["3,x", "3,,5"])
     def test_bad_sweep_widths_are_config_error(self, tmp_path, capsys, widths):
         path = tmp_path / "empty.csv"
-        path.write_text(write_dataset(LabeledDataset(())))
+        path.write_text(write_dataset(LabeledDataset((), ())))
         rc = main(["sweep", "--dataset", str(path), "--widths", widths,
                    "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -12,11 +12,12 @@ from dnsids.classifiers.som import SomTrainConfig
 from dnsids.errors import (Empty, EmptyData, InvalidWidth, LengthMismatch,
                            TooFewSamples, UndefinedMetric)
 from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, EvalReport,
-                               MetricSet, accuracy, accuracy_3class, confusion,
+                               FoldPlan, MetricSet, accuracy, accuracy_3class, confusion,
                                cross_validate, detection_rate, far, fold_metric_mean,
                                kfold_split, metrics_from_confusion, parse_report_csv,
                                render_report, render_sweep_csv, sweep_hidden_neurons)
-from dnsids.preproc import CLASS_ORDER, ClassLabel, FeatureVector, LabeledDataset
+from dnsids.preproc import (CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset, class_labels,
+                            label_codes)
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
 
@@ -38,15 +39,20 @@ def brute_force_counts(preds, truth):
     return matrix, tp, tn, fp, fn
 
 
+def labeled_confusion(preds, truth):
+    """`confusion` of two label sequences."""
+    return confusion(label_codes(preds), label_codes(truth))
+
+
 class TestConfusion:
     def test_perfect_split(self):
         preds = [N] * 10 + [D] * 10
         truth = [N] * 10 + [D] * 10
-        c = confusion(preds, truth)
+        c = labeled_confusion(preds, truth)
         assert (c.tp, c.tn, c.fp, c.fn) == (10, 10, 0, 0)
 
     def test_wrong_attack_type_is_binarized_hit_but_class_miss(self):
-        c = confusion([A], [D])
+        c = labeled_confusion([A], [D])
         assert c.tp == 1
         assert c.matrix[1][2] == 1  # true direct predicted amplification
         with pytest.raises(UndefinedMetric):
@@ -55,11 +61,11 @@ class TestConfusion:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            confusion([N], [N, D])
+            labeled_confusion([N], [N, D])
 
     def test_empty(self):
         with pytest.raises(Empty):
-            confusion([], [])
+            labeled_confusion([], [])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(CLASS_ORDER), st.sampled_from(CLASS_ORDER)),
@@ -67,7 +73,7 @@ class TestConfusion:
     def test_matches_brute_force_recount(self, pairs):
         truth = [t for t, _ in pairs]
         preds = [p for _, p in pairs]
-        c = confusion(preds, truth)
+        c = labeled_confusion(preds, truth)
         matrix, tp, tn, fp, fn = brute_force_counts(preds, truth)
         assert (c.tp, c.tn, c.fp, c.fn) == (tp, tn, fp, fn)
         for i, t in enumerate(CLASS_ORDER):
@@ -91,7 +97,7 @@ class TestMetricFormulas:
         assert far(self.counts(0, 95, 5, 0)) == pytest.approx(5.0)
 
     def test_undefined_metrics_absent_not_zero(self):
-        c = confusion([D, D], [D, D])  # no normals at all
+        c = labeled_confusion([D, D], [D, D])  # no normals at all
         with pytest.raises(UndefinedMetric):
             far(c)
         ms = metrics_from_confusion(c)
@@ -100,19 +106,24 @@ class TestMetricFormulas:
         assert ms.dr_amplification is None
 
     def test_three_class_accuracy(self):
-        c = confusion([N, D, A, D], [N, D, A, A])
+        c = labeled_confusion([N, D, A, D], [N, D, A, A])
         assert accuracy_3class(c) == pytest.approx(75.0)
         assert accuracy(c) == pytest.approx(100.0)  # wrong attack still flagged
 
 
+def dataset_of(rows, labels) -> LabeledDataset:
+    return LabeledDataset(rows, label_codes(labels))
+
+
 def tiny_dataset(n_per_class=12, seed=0):
     rng = np.random.default_rng(seed)
-    samples = []
+    rows, labels = [], []
     for lbl, center in ((N, (5, 5, 0)), (D, (50, 5, 5)), (A, (5, 50, 5))):
         for _ in range(n_per_class):
             x = np.abs(rng.normal(scale=0.5, size=3) + center)
-            samples.append((FeatureVector(round(x[0], 6), round(x[1], 6), int(x[2])), lbl))
-    return LabeledDataset(tuple(samples))
+            rows.append((round(x[0], 6), round(x[1], 6), int(x[2])))
+            labels.append(lbl)
+    return dataset_of(rows, labels)
 
 
 class TestKfold:
@@ -126,13 +137,10 @@ class TestKfold:
 
     def test_exact_stratification(self):
         # 50/30/20 mix in ten folds: every fold gets 5/3/2
-        samples = []
-        for lbl, count in ((N, 50), (D, 30), (A, 20)):
-            samples += [(FeatureVector(1.0, 1.0, 0), lbl)] * count
-        data = LabeledDataset(tuple(samples))
+        labels = [N] * 50 + [D] * 30 + [A] * 20
+        data = dataset_of([(1.0, 1.0, 0)] * 100, labels)
         plan = kfold_split(data, 10, seed=3)
         assert plan.stratified
-        labels = data.labels()
         for fold in plan.folds:
             from collections import Counter
             mix = Counter(labels[i] for i in fold)
@@ -147,11 +155,114 @@ class TestKfold:
             kfold_split(tiny_dataset(n_per_class=1), 10)
 
     def test_tiny_class_falls_back_unstratified(self):
-        samples = ([(FeatureVector(1.0, 1.0, 0), N)] * 30
-                   + [(FeatureVector(2.0, 2.0, 0), D)] * 2)
-        plan = kfold_split(LabeledDataset(tuple(samples)), 10, seed=0)
+        data = dataset_of([(1.0, 1.0, 0)] * 30 + [(2.0, 2.0, 0)] * 2, [N] * 30 + [D] * 2)
+        plan = kfold_split(data, 10, seed=0)
         assert not plan.stratified
         assert sorted(i for f in plan.folds for i in f) == list(range(32))
+
+
+def reference_kfold_split(labels, k, seed):
+    """The per-sample stratified split the columnar one replaced."""
+    n = len(labels)
+    if n < k:
+        raise TooFewSamples(f"need at least {k} samples, have {n}")
+    rng = np.random.default_rng(seed)
+    by_class = {lbl: [i for i, l in enumerate(labels) if l is lbl]
+                for lbl in CLASS_ORDER if lbl in labels}
+    stratified = all(len(idx) * len(CLASS_ORDER) >= k for idx in by_class.values())
+    folds = [[] for _ in range(k)]
+    cursor = 0
+    if stratified:
+        for lbl in CLASS_ORDER:
+            if lbl not in by_class:
+                continue
+            indices = np.array(by_class[lbl])
+            rng.shuffle(indices)
+            for i in indices:
+                folds[cursor % k].append(int(i))
+                cursor += 1
+    else:
+        indices = np.arange(n)
+        rng.shuffle(indices)
+        for i in indices:
+            folds[cursor % k].append(int(i))
+            cursor += 1
+    return FoldPlan(tuple(tuple(sorted(f)) for f in folds), stratified)
+
+
+def reference_confusion(predictions, truth):
+    """The per-sample counting loop the bincount replaced."""
+    predictions = list(predictions)
+    truth = list(truth)
+    if len(predictions) != len(truth):
+        raise LengthMismatch(f"{len(predictions)} predictions vs {len(truth)} truths")
+    if not predictions:
+        raise Empty("no samples to score")
+    matrix = [[0, 0, 0] for _ in range(3)]
+    tp = tn = fp = fn = 0
+    for t, p in zip(truth, predictions):
+        matrix[CLASS_INDEX[t]][CLASS_INDEX[p]] += 1
+        t_attack = t is not N
+        p_attack = p is not N
+        if t_attack and p_attack:
+            tp += 1
+        elif t_attack:
+            fn += 1
+        elif p_attack:
+            fp += 1
+        else:
+            tn += 1
+    return ConfusionCounts(tuple(tuple(row) for row in matrix), tp, tn, fp, fn)
+
+
+# Label mixes from one class to all three, with classes as small as one
+# sample, so that both the stratified deal and its fallback run.
+label_mixes = st.lists(st.sampled_from(CLASS_ORDER), min_size=1, max_size=4).flatmap(
+    lambda classes: st.lists(st.sampled_from(classes), min_size=2, max_size=150))
+
+
+class TestAgainstPerSampleReference:
+    @settings(max_examples=300, deadline=None)
+    @given(labels=label_mixes, k=st.integers(2, 12), seed=st.integers(0, 2**64 - 1))
+    def test_kfold_split_matches(self, labels, k, seed):
+        data = dataset_of([(1.0, 2.0, 3)] * len(labels), labels)
+        if len(labels) < k:
+            with pytest.raises(TooFewSamples):
+                kfold_split(data, k, seed)
+            return
+        plan = kfold_split(data, k, seed)
+        expected = reference_kfold_split(labels, k, seed)
+        assert plan == expected
+        assert plan.stratified == expected.stratified
+        assert all(type(i) is int for fold in plan.folds for i in fold)
+
+    def test_kfold_split_covers_both_branches(self):
+        assert kfold_split(tiny_dataset(), 10, 0).stratified
+        assert not kfold_split(dataset_of([(1.0, 1.0, 0)] * 40, [N] * 39 + [A]), 10, 0).stratified
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from(CLASS_ORDER),
+                                    st.sampled_from(CLASS_ORDER)), max_size=300))
+    def test_confusion_matches(self, pairs):
+        truth = [t for t, _ in pairs]
+        preds = [p for _, p in pairs]
+        if not pairs:
+            with pytest.raises(Empty):
+                labeled_confusion(preds, truth)
+            with pytest.raises(Empty):
+                reference_confusion(preds, truth)
+            return
+        assert labeled_confusion(preds, truth) == reference_confusion(preds, truth)
+
+    @given(preds=st.lists(st.sampled_from(CLASS_ORDER), max_size=20),
+           truth=st.lists(st.sampled_from(CLASS_ORDER), max_size=20))
+    def test_confusion_length_mismatch_raised(self, preds, truth):
+        if len(preds) == len(truth):
+            return
+        with pytest.raises(LengthMismatch):
+            labeled_confusion(preds, truth)
+        with pytest.raises(LengthMismatch):
+            reference_confusion(preds, truth)
 
 
 class ConstantNormal:
@@ -162,7 +273,7 @@ class ConstantNormal:
         return None, TrainReport(0.0, 0, 0.0, True)
 
     def predict(self, model, X):
-        return [N] * len(X)
+        return label_codes([N] * len(X))
 
 
 class TestCrossValidate:
@@ -191,13 +302,13 @@ class TestCrossValidate:
             name = "spy"
 
             def train(self, data, seed):
-                seen.append({tuple(fv.as_array()) for fv, _ in data.samples})
+                seen.append({tuple(x) for x in data.features().tolist()})
                 return None, TrainReport(0.0, 0, 0.0, True)
 
             def predict(self, model, X):
-                for x in X:
+                for x in X.tolist():
                     assert tuple(x) not in seen[-1]
-                return [N] * len(X)
+                return label_codes([N] * len(X))
 
         cross_validate(Spy(), tiny_dataset(), k=4, seed=5)
 
@@ -239,8 +350,9 @@ class TestCrossValidate:
 
             def predict(self, model, X):
                 labels = recipe.predict(model, X)
-                predictions[self.key].append(
-                    (model.codebook.tobytes(), model.neuron_labels, labels))
+                predictions[self.key].append((model.codebook.tobytes(),
+                                              class_labels(model.neuron_labels),
+                                              class_labels(labels)))
                 return labels
 
         class Batched(PerFold):

@@ -18,7 +18,7 @@ from dnsids.classifiers.mlp import MlpModel, mlp_init
 from dnsids.classifiers.rbf import RbfModel
 from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
 from dnsids.classifiers.som import N_NEURONS, SomModel, grid_positions, som_classify
-from dnsids.preproc import TARGET_CODES, ClassLabel
+from dnsids.preproc import CLASS_ORDER, TARGET_CODES, ClassLabel, class_labels, label_codes
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
 
@@ -59,7 +59,7 @@ def reference_som_classify(model, x):
         d2 = diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
         if d2 < best_d2:
             best, best_d2 = i, d2
-    return model.neuron_labels[best]
+    return CLASS_ORDER[model.neuron_labels[best]]
 
 
 def wide_inputs(rng, n):
@@ -91,16 +91,16 @@ class TestNearestCodeLabels:
     ])
     def test_ties_follow_the_decision_order(self, output, label):
         assert reference_nearest_code_label(output) is label
-        assert nearest_code_labels([output]) == [label]
+        assert class_labels(nearest_code_labels([output])) == [label]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_output_rows, min_size=1, max_size=30))
     def test_matches_per_sample_rule(self, rows):
-        assert nearest_code_labels(np.array(rows)) == [
+        assert class_labels(nearest_code_labels(np.array(rows))) == [
             reference_nearest_code_label(row) for row in rows]
 
     def test_empty_batch(self):
-        assert nearest_code_labels(np.zeros((0, 3))) == []
+        assert class_labels(nearest_code_labels(np.zeros((0, 3)))) == []
 
 
 class TestRecipePredict:
@@ -112,7 +112,7 @@ class TestRecipePredict:
         X = wide_inputs(np.random.default_rng(seed), n)
         expected = [reference_nearest_code_label(reference_mlp_forward(model, x))
                     for x in X]
-        assert MlpRecipe().predict(model, X) == expected
+        assert class_labels(MlpRecipe().predict(model, X)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12),
@@ -125,7 +125,7 @@ class TestRecipePredict:
         X = np.concatenate([wide_inputs(rng, n), model.centers])
         expected = [reference_nearest_code_label(reference_rbf_forward(model, x))
                     for x in X]
-        assert RbfRecipe().predict(model, X) == expected
+        assert class_labels(RbfRecipe().predict(model, X)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_output_rows, min_size=1, max_size=10))
@@ -139,8 +139,8 @@ class TestRecipePredict:
                            output_weights=np.zeros((3, 2)), output_bias=bias)
             label = reference_nearest_code_label(row)
             X = [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]
-            assert MlpRecipe().predict(mlp, X) == [label] * 2
-            assert RbfRecipe().predict(rbf, [[100.0, 100.0, 100.0]]) == [label]
+            assert class_labels(MlpRecipe().predict(mlp, X)) == [label] * 2
+            assert class_labels(RbfRecipe().predict(rbf, [[100.0, 100.0, 100.0]])) == [label]
 
 
 # Unit vectors whose rows, and inputs built from them, give exact
@@ -169,7 +169,7 @@ class TestSomPredict:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_per_sample_classify(self, codes, labels, shapes, scales, seed):
         model = SomModel(codebook=_POOL[codes], grid=grid_positions(),
-                         neuron_labels=tuple(labels))
+                         neuron_labels=label_codes(labels))
         rng = np.random.default_rng(seed)
         X = np.concatenate([
             _ROW_SHAPES[shapes] * np.resize(scales, (len(shapes), 1)),
@@ -178,19 +178,19 @@ class TestSomPredict:
             wide_inputs(rng, 10),
         ])
         expected = [reference_som_classify(model, x) for x in X]
-        assert som_classify(model, X) == expected
-        assert SomRecipe().predict(model, X) == expected
+        assert class_labels(som_classify(model, X)) == expected
+        assert class_labels(SomRecipe().predict(model, X)) == expected
 
     def test_duplicate_neurons_go_to_the_lowest_index(self):
         codebook = np.tile(_POOL[:1], (N_NEURONS, 1))
-        labels = (D,) + (A,) * (N_NEURONS - 1)
+        labels = label_codes((D,) + (A,) * (N_NEURONS - 1))
         model = SomModel(codebook=codebook, grid=grid_positions(), neuron_labels=labels)
-        assert som_classify(model, [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) == [D, D]
+        assert class_labels(som_classify(model, [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])) == [D, D]
 
     def test_midway_input_goes_to_the_lower_neuron(self):
         codebook = np.tile(_POOL[[1, 0]], (13, 1))[:N_NEURONS]
-        labels = (A, D) * 12 + (A,)
+        labels = label_codes((A, D) * 12 + (A,))
         model = SomModel(codebook=codebook, grid=grid_positions(), neuron_labels=labels)
         # (1, 1, 0) is equidistant from both axes; neuron 0 holds the y axis.
         assert reference_som_classify(model, [3.0, 3.0, 0.0]) is A
-        assert som_classify(model, [[3.0, 3.0, 0.0]]) == [A]
+        assert class_labels(som_classify(model, [[3.0, 3.0, 0.0]])) == [A]

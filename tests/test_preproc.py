@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from dnsids.errors import ParseError
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, FeatureVector, LabeledDataset,
-                            TARGET_CODES, WindowStats, extract_features,
-                            l2_normalize_rows, label_windows, merge_datasets,
-                            read_dataset, window_trace, write_dataset)
+                            TARGET_CODES, WindowStats, class_labels, extract_features,
+                            l2_normalize_rows, label_codes, label_windows,
+                            merge_datasets, read_dataset, window_trace, write_dataset)
 from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
                            PacketEvent, PacketKind, PacketTrace, ScenarioConfig,
                            make_scenario, run)
@@ -117,13 +117,13 @@ class TestLabeling:
     def test_no_attack_all_normal(self):
         windows = [WindowStats(i, i * 20.0, 0, 0, 0) for i in range(3)]
         ds = label_windows(windows, GroundTruth(AttackKind.NONE, None), 20.0)
-        assert all(lbl is ClassLabel.NORMAL for _, lbl in ds.samples)
+        assert all(lbl is ClassLabel.NORMAL for lbl in class_labels(ds.codes))
 
     def test_majority_overlap_rule(self):
         windows = [WindowStats(i, i * 20.0, 0, 0, 0) for i in range(10)]
         truth = GroundTruth(AttackKind.DIRECT_DOS, (20.0, 200.0))
         ds = label_windows(windows, truth, 20.0)
-        labels = [lbl for _, lbl in ds.samples]
+        labels = class_labels(ds.codes)
         assert labels[0] is ClassLabel.NORMAL
         assert all(lbl is ClassLabel.DIRECT_DOS for lbl in labels[1:])
 
@@ -131,13 +131,13 @@ class TestLabeling:
         windows = [WindowStats(0, 0.0, 0, 0, 0)]
         truth = GroundTruth(AttackKind.AMPLIFICATION, (10.0, 20.0))
         ds = label_windows(windows, truth, 20.0)
-        assert ds.samples[0][1] is ClassLabel.NORMAL
+        assert class_labels(ds.codes)[0] is ClassLabel.NORMAL
 
     def test_just_over_half_is_attack(self):
         windows = [WindowStats(0, 0.0, 0, 0, 0)]
         truth = GroundTruth(AttackKind.AMPLIFICATION, (9.99, 20.0))
         ds = label_windows(windows, truth, 20.0)
-        assert ds.samples[0][1] is ClassLabel.AMPLIFICATION
+        assert class_labels(ds.codes)[0] is ClassLabel.AMPLIFICATION
 
     def test_labeling_is_per_window_deterministic(self):
         windows = [WindowStats(i, i * 20.0, 10, 1, 0) for i in range(6)]
@@ -146,7 +146,8 @@ class TestLabeling:
         again = label_windows(windows, truth, 20.0)
         assert first == again
         reversed_ds = label_windows(list(reversed(windows)), truth, 20.0)
-        assert list(reversed(reversed_ds.labels())) == first.labels()
+        assert (list(reversed(class_labels(reversed_ds.codes)))
+                == class_labels(first.codes))
 
 
 class TestTargetCodes:
@@ -215,19 +216,19 @@ def quantized(value: float) -> float:
 
 class TestDatasetSerialization:
     def test_single_sample_round_trip(self):
-        ds = LabeledDataset(((FeatureVector(48.0, 60.0, 0), ClassLabel.NORMAL),),
+        ds = LabeledDataset([(48.0, 60.0, 0)], label_codes([ClassLabel.NORMAL]),
                             ("trace-a",))
         assert read_dataset(write_dataset(ds)) == ds
 
     def test_thousand_sample_round_trip(self):
         rng = np.random.default_rng(0)
-        samples = []
+        rows, labels = [], []
         for _ in range(1000):
-            fv = FeatureVector(quantized(rng.uniform(0, 1e6)),
-                               quantized(rng.uniform(0, 5000)),
-                               int(rng.integers(0, 500)))
-            samples.append((fv, CLASS_ORDER[int(rng.integers(0, 3))]))
-        ds = LabeledDataset(tuple(samples), ("a", "b"))
+            rows.append((quantized(rng.uniform(0, 1e6)),
+                         quantized(rng.uniform(0, 5000)),
+                         int(rng.integers(0, 500))))
+            labels.append(CLASS_ORDER[int(rng.integers(0, 3))])
+        ds = LabeledDataset(rows, label_codes(labels), ("a", "b"))
         assert read_dataset(write_dataset(ds)) == ds
 
     def test_unknown_label_rejected(self):
@@ -272,18 +273,91 @@ class TestDatasetSerialization:
             read_dataset("1.0,2.0,0,normal\n")
 
     def test_comments_ignored_and_provenance_restored(self):
-        ds = LabeledDataset(((FeatureVector(1.5, 2.5, 3), ClassLabel.DIRECT_DOS),),
+        ds = LabeledDataset([(1.5, 2.5, 3)], label_codes([ClassLabel.DIRECT_DOS]),
                             ("t1", "t2"))
         text = write_dataset(ds, comments=("master_seed=9",))
         assert text.startswith("# master_seed=9\n")
         assert read_dataset(text) == ds
 
     def test_merge_keeps_order_and_provenance(self):
-        a = LabeledDataset(((FeatureVector(1.0, 1.0, 0), ClassLabel.NORMAL),), ("a",))
-        b = LabeledDataset(((FeatureVector(2.0, 2.0, 0), ClassLabel.NORMAL),), ("b",))
+        a = LabeledDataset([(1.0, 1.0, 0)], label_codes([ClassLabel.NORMAL]), ("a",))
+        b = LabeledDataset([(2.0, 2.0, 0)], label_codes([ClassLabel.NORMAL]), ("b",))
         merged = merge_datasets([a, b])
         assert merged.provenance == ("a", "b")
         assert merged.features().shape == (2, 3)
+
+
+def reference_render(rows, provenance=(), comments=()):
+    """The per-sample dataset renderer the columnar one replaced."""
+    lines = [f"# {c}" for c in comments]
+    if provenance:
+        lines.append("# provenance=" + ",".join(provenance))
+    lines.append("throughput_bps,mean_packet_size_bytes,packet_loss,label")
+    for thr, mps, loss, label in rows:
+        lines.append(f"{thr:.6f},{mps:.6f},{loss},{label.value}")
+    return "\n".join(lines) + "\n"
+
+
+dataset_rows = st.lists(st.tuples(st.floats(0, 1e9).map(quantized),
+                                  st.floats(0, 1e5).map(quantized),
+                                  st.integers(0, 2**53),
+                                  st.sampled_from(CLASS_ORDER)), max_size=60)
+provenances = st.lists(st.from_regex(r"[a-z0-9._-]{1,12}", fullmatch=True), max_size=4)
+
+
+class TestColumnarDataset:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=dataset_rows, provenance=provenances)
+    def test_text_round_trip_matches_the_per_sample_renderer(self, rows, provenance):
+        text = reference_render(rows, tuple(provenance), ("master_seed=1",))
+        data = read_dataset(text)
+        assert write_dataset(data, ("master_seed=1",)) == text
+        assert class_labels(data.codes) == [row[3] for row in rows]
+        assert data.provenance == tuple(provenance)
+
+    @pytest.mark.parametrize("loss", [2**53 - 1, 2**53])
+    def test_largest_exact_losses_round_trip(self, loss):
+        text = reference_render([(1.0, 2.0, loss, ClassLabel.NORMAL)])
+        assert write_dataset(read_dataset(text)) == text
+
+    @pytest.mark.parametrize("loss", [2**53 + 1, 2**63 - 1, 2**63, 10**300])
+    def test_loss_beyond_float_precision_rejected(self, loss):
+        text = ("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
+                f"1.0,2.0,0,normal\n1.0,2.0,{loss},normal\n")
+        with pytest.raises(ParseError, match="packet_loss.*line 3") as info:
+            read_dataset(text)
+        assert (info.value.line, info.value.field) == (3, "packet_loss")
+
+    def test_columns_are_typed_read_only_copies(self):
+        rows = np.array([[1.0, 2.0, 3.0]])
+        ds = LabeledDataset(rows, [2])
+        rows[0, 0] = 9.0
+        assert ds.features()[0, 0] == 1.0
+        assert ds.X.dtype == np.float64 and ds.codes.dtype == np.int8
+        with pytest.raises(ValueError):
+            ds.X[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            ds.codes[0] = 0
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError):
+            LabeledDataset([(1.0, 2.0, 3)] * 2, [0])
+
+    def test_targets_are_the_class_target_codes(self):
+        ds = LabeledDataset([(1.0, 1.0, 0)] * 3, label_codes(CLASS_ORDER))
+        assert ds.targets().tolist() == [list(TARGET_CODES[lbl]) for lbl in CLASS_ORDER]
+
+    def test_subset_by_indices_and_by_mask(self):
+        ds = LabeledDataset([(float(i), 0.0, i) for i in range(5)], [0, 1, 2, 1, 0], ("p",))
+        picked = ds.subset((3, 1))
+        assert picked.X[:, 0].tolist() == [3.0, 1.0]
+        assert picked.codes.tolist() == [1, 1]
+        assert picked.provenance == ("p",)
+        assert ds.subset(np.array([True, False, True, False, False])) == ds.subset([0, 2])
+        assert len(ds.subset([])) == 0
+
+    def test_merge_of_nothing_is_empty(self):
+        assert merge_datasets([]) == LabeledDataset((), ())
 
 
 class TestPipelineSignatures:
