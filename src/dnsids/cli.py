@@ -7,6 +7,12 @@ codes: 0 success, 2 configuration error (including an input file that
 cannot be read or an output that cannot be written), 3 parse error
 (including an input file that is not UTF-8), 4 training error; each
 failure writes one JSON line to stderr.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is set. `sweep` runs one worker process per CPU, and
+multi-threaded BLAS in each of them would oversubscribe the cores. The
+least-squares steps also round differently with the BLAS thread count,
+so with the default `sweep.csv` does not depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -14,22 +20,27 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import errors
-from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
-from .classifiers.store import save_model
-from .config import (DEFAULT_CONFIG, PipelineConfig, config_digest,
+# Before the package imports below load numpy, which reads these once.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import errors  # noqa: E402
+from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe  # noqa: E402
+from .classifiers.store import save_model  # noqa: E402
+from .config import (DEFAULT_CONFIG, PipelineConfig, config_digest,  # noqa: E402
                      parse_pipeline_config, validate_for_training)
-from .evaluation import (EvalReport, cross_validate, dataset_fingerprint,
+from .evaluation import (EvalReport, cross_validate, dataset_fingerprint,  # noqa: E402
                          kfold_split, render_report, render_sweep_csv,
-                         sweep_hidden_neurons)
-from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,
+                         sweep_hidden_neurons, sweep_workers)
+from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,  # noqa: E402
                       window_trace, write_dataset)
-from .seeding import derive_seed
-from .simnet import PacketTrace, read_trace, run, write_trace
+from .seeding import derive_seed  # noqa: E402
+from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 
 log = logging.getLogger("dnsids")
 
@@ -224,6 +235,8 @@ def cmd_sweep(args) -> int:
         raise errors.ConfigError(
             f"--widths must be comma-separated integers, got {args.widths!r}") from None
     data = read_dataset(_read_input(args.dataset, "dataset"))
+    log.info("sweeping %d widths; worker processes: %d", len(widths),
+             sweep_workers(widths))
     rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,
                                 train_config=cfg.mlp.train)
     comment = f"# master_seed={cfg.seed} config_digest={digest}\n"

@@ -18,6 +18,7 @@ Metrics with a zero denominator are reported as absent, never as 0 or
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,24 +280,64 @@ class SweepRow:
     test_mse: float | None
 
 
+def sweep_workers(widths) -> int:
+    """Worker processes a sweep over `widths` runs on: one per usable CPU,
+    at most one per distinct width."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(set(widths)))
+
+
+def _sweep_row(width: int, data: LabeledDataset, seed: int, k: int, train_config) -> SweepRow:
+    from .classifiers.recipes import MlpRecipe
+
+    entry = cross_validate(MlpRecipe(hidden=width, train_config=train_config), data,
+                           k=k, seed=seed)
+    return SweepRow(width, entry.metrics, entry.accuracy_3class,
+                    entry.train_mse, entry.test_mse)
+
+
 def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10,
                          train_config=None) -> tuple[SweepRow, ...]:
-    """Cross-validate the feed-forward network at each hidden width."""
+    """Cross-validate the feed-forward network at each hidden width.
+
+    Each distinct width is cross-validated once, in one of
+    `sweep_workers(widths)` worker processes, and the rows come back in
+    the order of `widths`. A width's result depends only on its own
+    seeds, so the rows are the same for any worker count. The widest
+    width is submitted first, because it takes longest. When widths
+    fail, the error raised is that of the first failing one in
+    `widths`.
+
+    The workers are forked, so they skip re-importing the library; a
+    fork-context pool forks them all before it starts its own threads.
+    Each inherits the caller's BLAS thread count, so a caller whose BLAS
+    runs several threads oversubscribes the cores: run BLAS on one
+    thread, as the CLI does.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     from .classifiers.mlp import MlpTrainConfig
-    from .classifiers.recipes import MlpRecipe
 
     widths = list(widths)
     for w in widths:
         if not SWEEP_MIN_WIDTH <= w <= SWEEP_MAX_WIDTH:
             raise InvalidWidth(
                 f"sweep widths must be in {SWEEP_MIN_WIDTH}..{SWEEP_MAX_WIDTH}, got {w}")
+    if not widths:
+        return ()
     cfg = train_config or MlpTrainConfig()
-    rows = []
-    for w in widths:
-        entry = cross_validate(MlpRecipe(hidden=w, train_config=cfg), data, k=k, seed=seed)
-        rows.append(SweepRow(w, entry.metrics, entry.accuracy_3class,
-                             entry.train_mse, entry.test_mse))
-    return tuple(rows)
+    pool = ProcessPoolExecutor(sweep_workers(widths),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {w: pool.submit(_sweep_row, w, data, seed, k, cfg)
+                   for w in sorted(set(widths), reverse=True)}
+        return tuple(futures[w].result() for w in widths)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -1,6 +1,14 @@
 """Shared fixtures and the acceptance-suite summary hook."""
 
-import pytest
+import os
+
+# The suite runs BLAS on one thread, as the CLI does, before any test
+# module imports numpy: in-process width sweeps fork one worker per CPU,
+# and multi-threaded BLAS in each worker would oversubscribe the cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

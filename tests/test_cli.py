@@ -118,6 +118,12 @@ class TestConfigParsing:
         ("epochs = 6", "epochs = six", "[som] epochs"),
         ("centers = 6", "centers = 6.5", "[rbf] centers"),
         ("window_len = 20", "window_len = twenty", "[pipeline] window_len"),
+        ("max_epochs = 120", "lm_lambda_init = 0", "[mlp] lm_lambda_init"),
+        ("max_epochs = 120", "lm_lambda_init = -1", "[mlp] lm_lambda_init"),
+        ("max_epochs = 120", "lm_lambda_init = nan", "[mlp] lm_lambda_init"),
+        ("max_epochs = 120", "weight_init_range = -1", "[mlp] weight_init_range"),
+        ("max_epochs = 120", "weight_init_range = nan", "[mlp] weight_init_range"),
+        ("max_epochs = 120", "weight_init_range = inf", "[mlp] weight_init_range"),
     ])
     def test_bad_value_is_config_error_naming_section_and_key(self, tmp_path, capsys,
                                                               old, new, where):
@@ -281,6 +287,22 @@ class TestCommandsAndExitCodes:
         lines = (dest / "sweep.csv").read_text().splitlines()
         assert lines[1] == "width,dr_direct,dr_amp,accuracy,far,train_mse,test_mse"
         assert len(lines) == 4
+
+    def test_sweep_worker_error_reaches_the_cli(self, tiny_run, tmp_path, capsys,
+                                                 monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        # The sweep's workers are forked, so they inherit the patch.
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        cfg_path, out = tiny_run
+        rc = main(["sweep", "--config", str(cfg_path), "--dataset",
+                   str(out / "dataset.csv"), "--widths", "3,5",
+                   "--out", str(tmp_path / "sweep")])
+        assert rc == 4
+        err = one_json_error(capsys)
+        assert err["error"] == "SingularUpdate"
+        assert err["detail"].startswith("fold 0: ")
 
     def test_empty_dataset_train_fails_with_empty(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

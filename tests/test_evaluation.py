@@ -367,13 +367,18 @@ class TestCrossValidate:
 
 class TestSweep:
     def test_single_width_matches_standalone_cross_validate(self):
+        """Each row, in the caller's order, is that width's serial cross-validation."""
         data = tiny_dataset()
         cfg = MlpTrainConfig(max_epochs=100)
-        (row,) = sweep_hidden_neurons(data, [7], seed=2, k=4, train_config=cfg)
-        entry = cross_validate(MlpRecipe(hidden=7, train_config=cfg), data, k=4, seed=2)
-        assert row.metrics == entry.metrics
-        assert row.train_mse == entry.train_mse
-        assert row.test_mse == entry.test_mse
+        rows = sweep_hidden_neurons(data, [9, 3, 9], seed=2, k=4, train_config=cfg)
+        assert [row.width for row in rows] == [9, 3, 9]
+        for row in rows:
+            entry = cross_validate(MlpRecipe(hidden=row.width, train_config=cfg), data,
+                                   k=4, seed=2)
+            assert row.metrics == entry.metrics
+            assert row.accuracy_3class == entry.accuracy_3class
+            assert row.train_mse == entry.train_mse
+            assert row.test_mse == entry.test_mse
 
     def test_out_of_range_width_rejected(self):
         with pytest.raises(InvalidWidth):
