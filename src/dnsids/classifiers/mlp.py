@@ -165,8 +165,10 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
         raise ValueError("target_mse must be > 0")
     if cfg.lm_lambda_up <= 1 or not 0 < cfg.lm_lambda_down < 1:
         raise ValueError("damping factors must satisfy up > 1 and 0 < down < 1")
-    if not (math.isfinite(cfg.lm_lambda_init) and cfg.lm_lambda_init > 0):
-        raise ValueError("lm_lambda_init must be finite and > 0")
+    for name in ("lm_lambda_init", "lm_lambda_max"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0")
 
     start = time.perf_counter()
     X = np.asarray(X, dtype=float).reshape(-1, 3)

@@ -44,6 +44,8 @@ from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 
 log = logging.getLogger("dnsids")
 
+WRITE_CHUNK = 1 << 20   # characters encoded per write, so no file is encoded whole
+
 
 def _read_input(path, what: str) -> str:
     """Text of an input file.
@@ -60,15 +62,19 @@ def _read_input(path, what: str) -> str:
             f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def _write_output(path: Path, text: str) -> Path:
-    """Write an output file, creating its directory first.
+def _write_output(path: Path, *texts: str) -> Path:
+    """Write the texts, one after another, to an output file, creating its
+    directory first.
 
     A directory that cannot be created or a file that cannot be written
     fails as a ConfigError naming the path.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as file:
+            for text in texts:
+                for i in range(0, len(text), WRITE_CHUNK):
+                    file.write(text[i:i + WRITE_CHUNK])
     except OSError as exc:
         raise errors.ConfigError(f"cannot write output {path}: {exc.strerror}") from None
     return path
@@ -102,24 +108,33 @@ def _build_recipes(cfg: PipelineConfig, names) -> list:
 
 # --- stages (shared by the individual commands and `pipeline`) ---------------
 
-def _simulated(cfg: PipelineConfig, out: Path, digest: str):
-    """Run every scenario; write each trace file, then yield (path, trace)."""
+def _simulated(cfg: PipelineConfig, out: Path, digest: str, each) -> list:
+    """Run every scenario, write each trace file, and return `each(path, trace)`
+    for every run in order.
+
+    One trace is alive at a time: a trace and its text are released
+    before the next run starts, so peak memory follows the largest trace,
+    not the number of runs.
+    """
     if not cfg.scenarios:
         raise errors.ConfigError("no [scenario.*] sections to simulate")
     trace_dir = out / "traces"
+    stamp = f"#master_seed={cfg.seed}\n#config_digest={digest}\n"
+    results = []
     for block in cfg.scenarios:
         for r in range(block.runs):
-            seed = derive_seed(cfg.seed, "simulate", block.name, r)
-            trace = run(block.config, seed)
-            text = write_trace(trace)
-            stamped = (f"#master_seed={cfg.seed}\n#config_digest={digest}\n" + text)
-            path = _write_output(trace_dir / f"{block.name}-{r:03d}.trace", stamped)
-            log.info("simulated %s: %d events, %d dropped", path.name, len(trace), trace.drops)
-            yield path, trace
+            trace = run(block.config, derive_seed(cfg.seed, "simulate", block.name, r))
+            path = _write_output(trace_dir / f"{block.name}-{r:03d}.trace", stamp,
+                                 write_trace(trace))
+            log.info("simulated %s: %d events, %d dropped, max queue occupancy %d",
+                     path.name, len(trace), trace.drops, trace.max_queue_occupancy)
+            results.append(each(path, trace))
+            del trace
+    return results
 
 
 def do_simulate(cfg: PipelineConfig, out: Path, digest: str) -> list[Path]:
-    return [path for path, _ in _simulated(cfg, out, digest)]
+    return _simulated(cfg, out, digest, lambda path, trace: path)
 
 
 def _labeled(trace: PacketTrace, path: Path) -> LabeledDataset:
@@ -175,8 +190,8 @@ def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
     _, csv_stable = render_report(report, stable_times=True)
     comment = (f"# master_seed={cfg.seed} config_digest={digest} "
                f"dataset={report.dataset_fingerprint} folds={cfg.cv_folds}\n")
-    csv_path = _write_output(out / "report.csv", comment + csv_stable)
-    txt_path = _write_output(out / "report.txt", comment + text)
+    csv_path = _write_output(out / "report.csv", comment, csv_stable)
+    txt_path = _write_output(out / "report.txt", comment, text)
     sys.stdout.write(text)
     return csv_path, txt_path
 
@@ -240,7 +255,7 @@ def cmd_sweep(args) -> int:
     rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,
                                 train_config=cfg.mlp.train)
     comment = f"# master_seed={cfg.seed} config_digest={digest}\n"
-    path = _write_output(Path(args.out) / "sweep.csv", comment + render_sweep_csv(rows))
+    path = _write_output(Path(args.out) / "sweep.csv", comment, render_sweep_csv(rows))
     log.info("wrote %s (%d widths)", path, len(rows))
     return 0
 
@@ -250,7 +265,7 @@ def cmd_pipeline(args) -> int:
     validate_for_training(cfg)
     out = Path(args.out)
     # Each trace is windowed as soon as its file is written, not read back.
-    parts = [(path, _labeled(trace, path)) for path, trace in _simulated(cfg, out, digest)]
+    parts = _simulated(cfg, out, digest, lambda path, trace: (path, _labeled(trace, path)))
     dataset_path = _write_features(parts, out, cfg.seed, digest)
     do_evaluate(dataset_path, cfg, cfg.classifier_names, out, digest)
     return 0

@@ -159,7 +159,7 @@ def _parse_mlp(section) -> MlpSettings:
     _require(train.lm_lambda_up > 1, "mlp", "lm_lambda_up", "> 1", train.lm_lambda_up)
     _require(0 < train.lm_lambda_down < 1, "mlp", "lm_lambda_down", "in (0, 1)",
              train.lm_lambda_down)
-    for key in ("lm_lambda_init", "weight_init_range"):
+    for key in ("lm_lambda_init", "lm_lambda_max", "weight_init_range"):
         value = getattr(train, key)
         _require(math.isfinite(value) and value > 0, "mlp", key, "finite and > 0", value)
     return MlpSettings(hidden=hidden, train=train)

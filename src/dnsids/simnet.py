@@ -41,6 +41,7 @@ microsecond resolution so the text form round-trips exactly.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cmp_to_key
@@ -75,6 +76,10 @@ REQUEST, RESPONSE, ATTACK = (KINDS.index(k) for k in PacketKind)
 TO_SERVER, DROPPED, TO_CLIENT = (DISPOSITIONS.index(d) for d in Disposition)
 ATTACK_FLOW = -1  # `flow` entry of the attack stream, written as "atk"
 
+
+# Attack arrivals enter the queue loop this many at a time, so the loop
+# holds one block of them as Python floats rather than all of them.
+ARRIVAL_BLOCK = 8192
 
 # Ratio of offered attack load to bottleneck capacity when no explicit
 # attack_rate is configured.
@@ -456,17 +461,25 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
 
     head, head_t = ("Q", 0), 0.0
     n_attack = int(np.count_nonzero(attack_arrive <= horizon))
-    for i, a in enumerate(attack_arrive[:n_attack].tolist()):
-        while head_t < a or head_t == a and before(head, ("A", i)):
-            head, head_t = handle_next()
-        arrive(i, a, attack_tx)
+    for lo in range(0, n_attack, ARRIVAL_BLOCK):
+        block = attack_arrive[lo:min(lo + ARRIVAL_BLOCK, n_attack)].tolist()
+        for i, a in enumerate(block, lo):
+            while head_t < a or head_t == a and before(head, ("A", i)):
+                head, head_t = handle_next()
+            arrive(i, a, attack_tx)
     while head is not None:
         head, head_t = handle_next()
+    # Lists append fastest in the loop above; the tie sorting below still
+    # reads the records, so from here on hold them compactly. One at a
+    # time, so that each list is freed before the next is copied.
+    source = array("q", source)
+    own_start = array("b", own_start)
+    depart = array("d", depart)
 
     # Rows: drops at their arrival, deliveries to the server, responses.
-    source_ids = np.array(source, dtype=np.int64)
+    source_ids = np.frombuffer(source, dtype=np.int64)
     drop_ids = np.array(dropped, dtype=np.int64)
-    deliver_t = np.array(depart) + link_delay
+    deliver_t = np.frombuffer(depart) + link_delay
     delivered = np.flatnonzero(deliver_t <= horizon)
     requests = delivered[source_ids[delivered] < 0]
     generated += len(requests)                  # one response per delivered request
@@ -474,6 +487,9 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
 
     legit_times = np.array(sent_t) + request_edge
     legit_flows = np.array(sent_flow, dtype=np.int32)
+    # Packet sizes in the trace's int32 column type.
+    request_bytes, response_bytes, attack_bytes = np.array(
+        [cfg.request_size, cfg.normal_response_size, attack_size]).astype(np.int32)
 
     def packets(ids: np.ndarray):
         """Time, kind, size and flow of the arrivals `ids`."""
@@ -483,22 +499,22 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         t[~legit] = attack_arrive[ids[~legit]]
         flow = np.full(len(ids), ATTACK_FLOW, dtype=np.int32)
         flow[legit] = legit_flows[~ids[legit]]
-        return (t, np.where(legit, REQUEST, ATTACK),
-                np.where(legit, cfg.request_size, attack_size), flow)
+        return (t, np.where(legit, np.int8(REQUEST), np.int8(ATTACK)),
+                np.where(legit, request_bytes, attack_bytes), flow)
 
     drop_t, drop_kind, drop_size, drop_flow = packets(drop_ids)
     _, del_kind, del_size, del_flow = packets(source_ids[delivered])
     n_answered = len(answered)
     times = np.concatenate([drop_t, deliver_t[delivered], deliver_t[answered] + reverse])
-    kind = np.concatenate([drop_kind, del_kind, np.full(n_answered, RESPONSE)])
-    size = np.concatenate([drop_size, del_size,
-                           np.full(n_answered, cfg.normal_response_size)])
-    disposition = np.repeat([DROPPED, TO_SERVER, TO_CLIENT],
+    kind = np.concatenate([drop_kind, del_kind, np.full(n_answered, RESPONSE, np.int8)])
+    size = np.concatenate([drop_size, del_size, np.full(n_answered, response_bytes)])
+    disposition = np.repeat(np.array([DROPPED, TO_SERVER, TO_CLIENT], np.int8),
                             [len(drop_ids), len(delivered), n_answered])
     flow = np.concatenate([drop_flow, del_flow, packets(source_ids[answered])[3]])
 
     order = np.argsort(times, kind="stable")
-    ties = np.flatnonzero(times[order][1:] == times[order][:-1])
+    times = times[order]    # the tie sorts below permute only equal times
+    ties = np.flatnonzero(times[1:] == times[:-1])
     if ties.size:
         n_drop, n_del = len(drop_ids), len(delivered)
 
@@ -517,7 +533,7 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     return PacketTrace(
         config=cfg,
         seed=seed,
-        t=_round6(times[order]),
+        t=_round6(times),
         kind=kind[order],
         size=size[order],
         disposition=disposition[order],
@@ -538,6 +554,7 @@ _COUNTERS = ("seed", "packets_generated", "in_flight_at_end", "max_queue_occupan
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _DISPOSITION_CODES = {disp.value: code for code, disp in enumerate(DISPOSITIONS)}
 _INT32_MAX = 2**31 - 1
+RENDER_BLOCK = 8192     # trace rows rendered to text per block
 
 
 def _digits(values: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -557,19 +574,16 @@ def _digits(values: np.ndarray, width: int | None = None) -> np.ndarray:
     return out
 
 
-def _render_rows(trace: PacketTrace) -> str:
-    """The event rows, each ending in a newline, rendered column-wise."""
-    n = len(trace)
-    if n == 0:
-        return ""
-    if not trace.t.min() >= 0:
-        raise ValueError("trace timestamps must be >= 0")
-    micros = np.rint(trace.t * 1e6).astype(np.int64)
+def _render_block(trace: PacketTrace, lo: int, hi: int) -> str:
+    """Rows lo..hi-1, each ending in a newline, rendered column-wise."""
+    kind, size = trace.kind[lo:hi], trace.size[lo:hi]
+    disposition, flow = trace.disposition[lo:hi], trace.flow[lo:hi]
+    micros = np.rint(trace.t[lo:hi] * 1e6).astype(np.int64)
     # ",kind,size,disposition,flow\n" takes few distinct values: render each once.
-    sizes, size_idx = np.unique(trace.size, return_inverse=True)
-    flows, flow_idx = np.unique(trace.flow, return_inverse=True)
-    code = (((size_idx * len(flows) + flow_idx) * len(KINDS) + trace.kind)
-            * len(DISPOSITIONS) + trace.disposition)
+    sizes, size_idx = np.unique(size, return_inverse=True)
+    flows, flow_idx = np.unique(flow, return_inverse=True)
+    code = (((size_idx * len(flows) + flow_idx) * len(KINDS) + kind)
+            * len(DISPOSITIONS) + disposition)
     codes, row_code = np.unique(code, return_inverse=True)
     tails = []
     for c in codes.tolist():
@@ -583,11 +597,24 @@ def _render_rows(trace: PacketTrace) -> str:
         row[:len(tail)] = np.frombuffer(tail, dtype=np.uint8)
 
     def byte(ch: str) -> np.ndarray:
-        return np.full((n, 1), ord(ch), dtype=np.uint8)
+        return np.full((hi - lo, 1), ord(ch), dtype=np.uint8)
 
-    text = np.hstack([_digits(np.arange(n)), byte(","), _digits(micros // 10**6),
+    text = np.hstack([_digits(np.arange(lo, hi)), byte(","), _digits(micros // 10**6),
                       byte("."), _digits(micros % 10**6, 6), table[row_code]])
     return text[text != 0].tobytes().decode("ascii")
+
+
+def _render_rows(trace: PacketTrace) -> str:
+    """The event rows, each ending in a newline.
+
+    Rows are rendered RENDER_BLOCK at a time, so the digit and byte
+    matrices stay the size of one block whatever the trace's length.
+    """
+    n = len(trace)
+    if n and not trace.t.min() >= 0:
+        raise ValueError("trace timestamps must be >= 0")
+    return "".join([_render_block(trace, lo, min(lo + RENDER_BLOCK, n))
+                    for lo in range(0, n, RENDER_BLOCK)])
 
 
 def write_trace(trace: PacketTrace) -> str:

@@ -1,6 +1,8 @@
 """Config parsing, model files, CLI commands, composition, determinism."""
 
 import json
+import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from dnsids.config import (DEFAULT_CONFIG, config_digest, parse_pipeline_config,
                            validate_for_training)
 from dnsids.errors import ConfigError, ParseError
 from dnsids.preproc import CLASS_ORDER, ClassLabel, LabeledDataset, label_codes, write_dataset
-from dnsids.simnet import AttackKind
+from dnsids.simnet import AttackKind, read_trace
 
 TINY_CONFIG = """\
 [pipeline]
@@ -121,6 +123,9 @@ class TestConfigParsing:
         ("max_epochs = 120", "lm_lambda_init = 0", "[mlp] lm_lambda_init"),
         ("max_epochs = 120", "lm_lambda_init = -1", "[mlp] lm_lambda_init"),
         ("max_epochs = 120", "lm_lambda_init = nan", "[mlp] lm_lambda_init"),
+        ("max_epochs = 120", "lm_lambda_max = inf", "[mlp] lm_lambda_max"),
+        ("max_epochs = 120", "lm_lambda_max = nan", "[mlp] lm_lambda_max"),
+        ("max_epochs = 120", "lm_lambda_max = 0", "[mlp] lm_lambda_max"),
         ("max_epochs = 120", "weight_init_range = -1", "[mlp] weight_init_range"),
         ("max_epochs = 120", "weight_init_range = nan", "[mlp] weight_init_range"),
         ("max_epochs = 120", "weight_init_range = inf", "[mlp] weight_init_range"),
@@ -477,6 +482,64 @@ class TestOutputFiles:
         err = one_json_error(capsys)
         assert err["error"] == "ConfigError"
         assert str(dest) in err["detail"]
+
+
+class TestSimulateStage:
+    # A 1 Mbit/s link at 1.2x overload with a fixed attack start, so every
+    # run of the block simulates the same ~17k-event trace.
+    OVERLOADED = """\
+[pipeline]
+seed = 3
+
+[scenario.flood]
+runs = {runs}
+duration = 60
+bottleneck_rate = 1000000
+attack_kind = direct_dos
+attack_start_jitter = 0,0
+"""
+
+    def simulate_peak(self, tmp_path, runs: int) -> int:
+        cfg = parse_pipeline_config(self.OVERLOADED.format(runs=runs))
+        tracemalloc.start()
+        try:
+            cli.do_simulate(cfg, tmp_path / f"runs{runs}", "digest")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_one_trace_in_memory_at_a_time(self, tmp_path):
+        cli.do_simulate(parse_pipeline_config(self.OVERLOADED.format(runs=1)),
+                        tmp_path / "warm", "digest")
+        one, two = self.simulate_peak(tmp_path, 1), self.simulate_peak(tmp_path, 2)
+        first, second = (read_trace(path.read_text())
+                         for path in sorted((tmp_path / "runs2" / "traces").glob("*.trace")))
+        columns = ("t", "kind", "size", "disposition", "flow")
+        # The same rows; only the seeds differ.
+        assert all(np.array_equal(getattr(first, c), getattr(second, c)) for c in columns)
+        assert len(first) > 15_000
+        # Holding the first trace while the second run executes would raise
+        # the peak by at least its column memory; holding its text, which is
+        # about three times as large, by more.
+        assert two - one < sum(getattr(first, c).nbytes for c in columns)
+
+    def test_log_reports_each_trace_and_its_queue(self, tmp_path, caplog):
+        cfg = parse_pipeline_config(TINY_CONFIG)
+        with caplog.at_level(logging.INFO, logger="dnsids"):
+            paths = cli.do_simulate(cfg, tmp_path, "digest")
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("simulated")]
+        assert len(lines) == len(paths) == 6
+        for path, line in zip(paths, lines):
+            header = dict(row[1:].split("=", 1) for row in path.read_text().splitlines()
+                          if row.startswith("#"))
+            assert line.startswith(f"simulated {path.name}: ")
+            assert line.endswith(f"max queue occupancy {header['max_queue_occupancy']}")
+
+    def test_output_pieces_are_written_in_order_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "WRITE_CHUNK", 3)
+        pieces = ("#a=1\n", "", "0,1.5,x\n1,2.25,\u00e9\n", "z")
+        path = cli._write_output(tmp_path / "sub" / "f.txt", *pieces)
+        assert path.read_bytes() == "".join(pieces).encode("utf-8")
 
 
 def test_every_error_descends_from_exactly_one_root():

@@ -278,13 +278,15 @@ class TestTraining:
         with pytest.raises(Empty):
             mlp_train_lm(zero_model(), LabeledDataset((), ()))
 
+    @pytest.mark.parametrize("key", ["lm_lambda_init", "lm_lambda_max"])
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_initial_damping_rejected(self, lam):
+    def test_bad_initial_damping_rejected(self, key, lam):
         # With lm_lambda_init = 0 a rejected step never raises the damping,
-        # so the trainer would loop forever instead of stalling.
+        # and with lm_lambda_max = inf or nan it never exceeds the cap, so
+        # the trainer would loop forever instead of stalling.
         X, T = self.xor_data()
-        with pytest.raises(ValueError, match="lm_lambda_init"):
-            train_lm_arrays(mlp_init(2, 0), X, T, MlpTrainConfig(lm_lambda_init=lam))
+        with pytest.raises(ValueError, match=key):
+            train_lm_arrays(mlp_init(2, 0), X, T, MlpTrainConfig(**{key: lam}))
 
     def test_accepted_mse_history_non_increasing(self):
         rng = np.random.default_rng(5)

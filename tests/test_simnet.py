@@ -3,12 +3,15 @@
 import heapq
 import random
 from collections import deque
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnsids import simnet
 from dnsids.errors import InvalidConfig, ParseError
 from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
                            PacketKind, ScenarioConfig, _round6, make_scenario, read_trace,
@@ -561,13 +564,86 @@ class TestReferenceEquivalence:
         assert_matches_reference(make_scenario(**params), seed=42)
 
 
+@pytest.mark.parametrize("block", [simnet.RENDER_BLOCK, 7])
 @settings(max_examples=60, deadline=None)
 @given(cfg=scenarios(), seed=st.integers(0, 2**32 - 1))
-def test_text_round_trip_is_exact(cfg, seed):
+def test_text_round_trip_is_exact(block, cfg, seed):
     trace = run(cfg, seed)
-    back = read_trace(write_trace(trace))
+    with patch.object(simnet, "RENDER_BLOCK", block):
+        back = read_trace(write_trace(trace))
     for name in COLUMNS:
         got, want = getattr(back, name), getattr(trace, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert (back.config, back.seed, back.truth) == (trace.config, trace.seed, trace.truth)
     assert back == trace
+
+
+# --- block rendering ------------------------------------------------------------
+
+def reference_render_rows(trace) -> str:
+    """`_render_rows` as it was before it rendered in blocks: the whole
+    trace in one set of digit and byte matrices."""
+    n = len(trace)
+    if n == 0:
+        return ""
+    if not trace.t.min() >= 0:
+        raise ValueError("trace timestamps must be >= 0")
+    micros = np.rint(trace.t * 1e6).astype(np.int64)
+    sizes, size_idx = np.unique(trace.size, return_inverse=True)
+    flows, flow_idx = np.unique(trace.flow, return_inverse=True)
+    code = (((size_idx * len(flows) + flow_idx) * len(KINDS) + trace.kind)
+            * len(DISPOSITIONS) + trace.disposition)
+    codes, row_code = np.unique(code, return_inverse=True)
+    tails = []
+    for c in codes.tolist():
+        c, d = divmod(c, len(DISPOSITIONS))
+        c, k = divmod(c, len(KINDS))
+        s, f = divmod(c, len(flows))
+        tails.append(f",{KINDS[k].value},{sizes[s]},{DISPOSITIONS[d].value},"
+                     f"{simnet.flow_name(int(flows[f]))}\n".encode())
+    table = np.zeros((len(tails), max(map(len, tails))), dtype=np.uint8)
+    for row, tail in zip(table, tails):
+        row[:len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+
+    def byte(ch: str) -> np.ndarray:
+        return np.full((n, 1), ord(ch), dtype=np.uint8)
+
+    text = np.hstack([simnet._digits(np.arange(n)), byte(","),
+                      simnet._digits(micros // 10**6), byte("."),
+                      simnet._digits(micros % 10**6, 6), table[row_code]])
+    return text[text != 0].tobytes().decode("ascii")
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """About 3k rows of every kind and disposition, with timestamps up to 120 s."""
+    return run(make_scenario(attack_kind="direct_dos", duration=120,
+                             bottleneck_rate=100_000, attack_start_jitter=(0.0, 9.5)),
+               seed=42)
+
+
+class TestBlockRendering:
+    @staticmethod
+    def first_rows(trace, n: int, **columns):
+        return replace(trace, **{name: getattr(trace, name)[:n] for name in COLUMNS} | columns)
+
+    # With 10-row blocks the row number and (in the trace with whole-second
+    # steps) the seconds gain a digit at a block boundary; with 7-row
+    # blocks they gain it inside a block.
+    @pytest.mark.parametrize("block", [7, 10])
+    def test_blocks_render_the_bytes_of_one_pass(self, long_trace, block, monkeypatch):
+        monkeypatch.setattr(simnet, "RENDER_BLOCK", block)
+        lengths = {0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, len(long_trace)}
+        lengths |= {k * block + d for k in (1, 2, 3, 15) for d in (-1, 0, 1)}
+        assert max(lengths) == len(long_trace)
+        for n in sorted(lengths):
+            for trace in (self.first_rows(long_trace, n),
+                          self.first_rows(long_trace, n, t=np.arange(n) + 0.25)):
+                assert simnet._render_rows(trace) == reference_render_rows(trace), n
+
+    def test_negative_timestamp_in_a_later_block_rejected(self, long_trace, monkeypatch):
+        monkeypatch.setattr(simnet, "RENDER_BLOCK", 7)
+        t = long_trace.t.copy()
+        t[20] = -1.0
+        with pytest.raises(ValueError, match=">= 0"):
+            simnet._render_rows(replace(long_trace, t=t))
