@@ -151,6 +151,10 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
         raise ValueError("learning rates must be in (0, 1]")
     if cfg.ordering_steps < 1:
         raise ValueError("ordering_steps must be >= 1")
+    if cfg.epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if cfg.tuning_neighbor_dist < 0:
+        raise ValueError("tuning_neighbor_dist must be >= 0")
 
     # Maps run in descending order of presentation count, so the maps
     # still training at any step are a prefix of the stack.

@@ -138,11 +138,14 @@ def _parse_scenario(section_name: str, section, window_len: float) -> ScenarioBl
             raise ConfigError(f"unknown scenario key {key!r} in [{section_name}]")
         if key == "attack_kind":
             params[key] = raw.strip()
-        elif key == "attack_start_jitter":
-            params[key] = _convert(section_name, key, raw, _pair)
+        elif key in _INT_SCENARIO:
+            params[key] = _convert(section_name, key, raw, int)
         else:
-            params[key] = _convert(section_name, key, raw,
-                                   int if key in _INT_SCENARIO else float)
+            jitter = key == "attack_start_jitter"
+            value = _convert(section_name, key, raw, _pair if jitter else float)
+            _require(all(map(math.isfinite, value if jitter else (value,))),
+                     section_name, key, "finite", value)
+            params[key] = value
     _require(runs >= 1, section_name, "runs", ">= 1", runs)
     name = section_name.split(".", 1)[1]
     return ScenarioBlock(name=name, runs=runs, config=make_scenario(**params))
@@ -172,6 +175,9 @@ def _parse_som(section) -> SomTrainConfig:
     for key in ("ordering_lr", "tuning_lr"):
         _require(0 < getattr(cfg, key) <= 1, "som", key, "in (0, 1]", getattr(cfg, key))
     _require(cfg.ordering_steps >= 1, "som", "ordering_steps", ">= 1", cfg.ordering_steps)
+    _require(cfg.epochs >= 1, "som", "epochs", ">= 1", cfg.epochs)
+    _require(cfg.tuning_neighbor_dist >= 0, "som", "tuning_neighbor_dist", ">= 0",
+             cfg.tuning_neighbor_dist)
     return cfg
 
 
@@ -193,6 +199,8 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
         raise ConfigError("[pipeline] must set a master seed")
     seed = _convert("pipeline", "seed", pipe["seed"], int)
     window_len = _convert("pipeline", "window_len", pipe.get("window_len", "20"), float)
+    _require(math.isfinite(window_len) and window_len > 0, "pipeline", "window_len",
+             "finite and > 0", window_len)
     cv_folds = _convert("pipeline", "cv_folds", pipe.get("cv_folds", "10"), int)
     _require(cv_folds >= 2, "pipeline", "cv_folds", ">= 2", cv_folds)
     names = tuple(n.strip() for n in pipe.get("classifiers", "mlp,rbf,som").split(","))

@@ -26,6 +26,15 @@ link. Rows come out in the order a calendar that breaks time ties by
 insertion order would process them; where times tie exactly, that order
 is recovered from the events' causes (see `run`).
 
+While the link is busy, the k-th newly admitted packet leaves at the
+last departure plus k services. So a long run of attack arrivals between
+two legitimate events, met by a busy link, is decided in numpy by
+`_settle_full_queue`, which sums those services one at a time as the
+per-packet loop does and gives bit-identical departure times. Legitimate
+arrivals, attack arrivals at an idle link, runs of at most
+2 * (queue_capacity + 1) arrivals and runs in which an arrival ties a
+departure exactly go through the per-packet `arrive` in `run`.
+
 A trace is held as columns with one entry per recorded event: `t`
 (float64 seconds, rounded to 6 places), `kind` and `disposition` (int8
 indices into KINDS and DISPOSITIONS), `size` (int32 bytes) and `flow`
@@ -77,8 +86,9 @@ TO_SERVER, DROPPED, TO_CLIENT = (DISPOSITIONS.index(d) for d in Disposition)
 ATTACK_FLOW = -1  # `flow` entry of the attack stream, written as "atk"
 
 
-# Attack arrivals enter the queue loop this many at a time, so the loop
-# holds one block of them as Python floats rather than all of them.
+# Attack arrivals enter the queue at most this many at a time, whether
+# `_settle_full_queue` decides them as arrays or the per-packet `arrive`
+# takes them as Python floats, so neither holds more than one block.
 ARRIVAL_BLOCK = 8192
 
 # Ratio of offered attack load to bottleneck capacity when no explicit
@@ -192,8 +202,14 @@ def _check(cond: bool, constraint: str) -> None:
         raise InvalidConfig(constraint)
 
 
+# Fields holding one float or a pair of them.
+_FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if "float" in f.type]
+
+
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every configuration invariant; name the first violated one."""
+    for name in _FLOAT_FIELDS:
+        _check(bool(np.isfinite(getattr(cfg, name)).all()), f"{name} must be finite")
     _check(cfg.duration > 0, "duration must be > 0")
     _check(cfg.window_len > 0, "window_len must be > 0")
     _check(cfg.legit_interarrival > 0, "legit_interarrival must be > 0")
@@ -274,6 +290,60 @@ def _round6(x: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(inexact).tolist():
         out[i] = round(float(x[i]), 6)
     return out
+
+
+def _settle_full_queue(tail: np.ndarray, arrivals: np.ndarray, service: float,
+                       capacity: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    """Decide a run of arrivals at a busy drop-tail link in array operations.
+
+    `tail` holds, in order, the departure times of the admitted packets
+    that may not have left yet, at most `capacity + 1` of them; every
+    earlier packet has left, and `tail[-1]` lies after `arrivals[0]`.
+    `arrivals` are the sorted times of packets of one service time, with
+    no other arrival among them. Returns `(settled, admitted, departs,
+    max_ahead, left)`: of the first `settled` arrivals, those at the
+    indices `admitted` enter the queue and leave at `departs`, and the
+    rest are dropped; `max_ahead` is the most packets an admitted one
+    found ahead of it, and `left` counts the packets of `tail` and
+    `admitted` that have left by the last settled arrival.
+
+    While the link stays busy, admission j leaves at `tail[-1]` plus j + 1
+    services, added one at a time as `run`'s loop adds them. An arrival
+    is admitted iff at most `capacity` packets are ahead of it, that is,
+    iff the packet `capacity + 1` places ahead of it has left. Settling
+    stops before the first admission at an idle link, whose departure
+    starts a new chain. Nothing is settled when an arrival ties a
+    departure exactly: the order of the two then depends on their causes.
+    """
+    n = len(arrivals)
+    chain = np.full(n + 1, service)
+    chain[0] = tail[-1]
+    departures = np.concatenate([tail, np.add.accumulate(chain)[1:]])
+    before = np.searchsorted(departures, arrivals, "left")
+    if not np.array_equal(before, np.searchsorted(departures, arrivals, "right")):
+        return 0, np.empty(0, np.intp), np.empty(0), 0, 0
+    # Admission j is the first arrival after admission j - 1 at which
+    # len(tail) + j - before <= capacity. `before` never decreases, so
+    # with first[j] the earliest arrival meeting that bound, admission j
+    # is arrival j + max(first[:j + 1] - arange(j + 1)). Room for n more
+    # packets admits every arrival, so the bound is clipped there and a
+    # huge capacity costs nothing.
+    j = np.arange(n)
+    room = min(capacity - len(tail), n)
+    first = np.searchsorted(before, j - room, "left")
+    admitted = j + np.maximum.accumulate(first - j)
+    admitted = admitted[:np.searchsorted(admitted, n)]
+    ahead = len(tail) + np.arange(len(admitted)) - before[admitted]
+    idle = np.flatnonzero(ahead < 1)
+    if idle.size:
+        settled = int(admitted[idle[0]])
+        admitted, ahead = admitted[:idle[0]], ahead[:idle[0]]
+    else:
+        settled = n
+    k = len(admitted)
+    left = min(int(before[settled - 1]), len(tail) + k) if settled else 0
+    return (settled, admitted, departures[len(tail):len(tail) + k],
+            int(ahead.max(initial=0)), left)
 
 
 def run(config: ScenarioConfig, seed: int) -> PacketTrace:
@@ -461,12 +531,35 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
 
     head, head_t = ("Q", 0), 0.0
     n_attack = int(np.count_nonzero(attack_arrive <= horizon))
-    for lo in range(0, n_attack, ARRIVAL_BLOCK):
-        block = attack_arrive[lo:min(lo + ARRIVAL_BLOCK, n_attack)].tolist()
-        for i, a in enumerate(block, lo):
-            while head_t < a or head_t == a and before(head, ("A", i)):
-                head, head_t = handle_next()
-            arrive(i, a, attack_tx)
+    i = 0
+    while i < n_attack:
+        a = float(attack_arrive[i])
+        while head_t < a or head_t == a and before(head, ("A", i)):
+            head, head_t = handle_next()
+        # Attack arrivals i..end-1 are due before the next legitimate event.
+        end = min(max(int(attack_arrive.searchsorted(head_t)), i + 1), n_attack)
+        while i < end:
+            stop = min(end, i + ARRIVAL_BLOCK)
+            long_run = end - i > 2 * (capacity + 1)
+            if long_run and depart and depart[-1] > attack_arrive[i]:
+                settled, entered, departs, ahead, left = _settle_full_queue(
+                    np.array(depart[done:]), attack_arrive[i:stop], attack_tx, capacity)
+                done += left
+                if settled:
+                    drops = np.ones(settled, dtype=bool)
+                    drops[entered] = False
+                    dropped.extend((np.flatnonzero(drops) + i).tolist())
+                    depart.extend(departs.tolist())
+                    source.extend((entered + i).tolist())
+                    own_start.extend([False] * len(entered))
+                    max_occupancy = max(max_occupancy, ahead)
+                    i += settled
+                    continue
+            if long_run:    # the queue may fill after capacity + 1 of them
+                stop = min(stop, i + capacity + 1)
+            for x, a in enumerate(attack_arrive[i:stop].tolist(), i):
+                arrive(x, a, attack_tx)
+            i = stop
     while head is not None:
         head, head_t = handle_next()
     # Lists append fastest in the loop above; the tie sorting below still
@@ -565,13 +658,17 @@ def _digits(values: np.ndarray, width: int | None = None) -> np.ndarray:
     for the caller to strip.
     """
     w = width or len(str(int(values.max(initial=0))))
-    powers = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
-    out = (values[:, None] // powers % 10 + ord("0")).astype(np.uint8)
-    if width is None:
-        lead = values[:, None] < powers
-        lead[:, -1] = False
-        out[lead] = 0
-    return out
+    out = np.empty((w, len(values)), dtype=np.uint8)    # one row per digit place
+    q = values
+    for place in range(w - 1, -1, -1):
+        # Without a width, a place above the number's leading digit is blank.
+        blank = q == 0 if width is None and place < w - 1 else None
+        q, digit = np.divmod(q, 10)
+        out[place] = digit
+        out[place] += ord("0")
+        if blank is not None:
+            out[place][blank] = 0
+    return out.T
 
 
 def _render_block(trace: PacketTrace, lo: int, hi: int) -> str:

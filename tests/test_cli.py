@@ -129,6 +129,21 @@ class TestConfigParsing:
         ("max_epochs = 120", "weight_init_range = -1", "[mlp] weight_init_range"),
         ("max_epochs = 120", "weight_init_range = nan", "[mlp] weight_init_range"),
         ("max_epochs = 120", "weight_init_range = inf", "[mlp] weight_init_range"),
+        ("attack_duration = 200\n\n[scenario.amp", "attack_rate = inf\n\n[scenario.amp",
+         "[scenario.direct_dos] attack_rate"),
+        ("runs = 2\nduration = 200", "runs = 2\nduration = inf", "[scenario.normal] duration"),
+        ("runs = 2\nduration = 200", "runs = 2\nduration = nan", "[scenario.normal] duration"),
+        ("attack_start_jitter = 0,9.5", "attack_start_jitter = 0,inf",
+         "[scenario.direct_dos] attack_start_jitter"),
+        ("attack_duration = 200", "attack_duration = -inf",
+         "[scenario.direct_dos] attack_duration"),
+        ("window_len = 20", "window_len = inf", "[pipeline] window_len"),
+        ("window_len = 20", "window_len = nan", "[pipeline] window_len"),
+        ("window_len = 20", "window_len = 0", "[pipeline] window_len"),
+        ("window_len = 20", "window_len = -20", "[pipeline] window_len"),
+        ("epochs = 6", "epochs = 0", "[som] epochs"),
+        ("epochs = 6", "epochs = -1", "[som] epochs"),
+        ("epochs = 6", "tuning_neighbor_dist = -1", "[som] tuning_neighbor_dist"),
     ])
     def test_bad_value_is_config_error_naming_section_and_key(self, tmp_path, capsys,
                                                               old, new, where):

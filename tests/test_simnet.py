@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from unittest.mock import patch
@@ -75,6 +76,16 @@ class TestMakeScenario:
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidConfig):
             make_scenario(not_a_field=1)
+
+    # An infinite duration would keep `run` appending request emissions
+    # forever, so a direct caller must be stopped before the loop.
+    @pytest.mark.parametrize("name", simnet._FLOAT_FIELDS)
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_float_field_rejected(self, name, bad):
+        cfg = make_scenario(attack_kind="direct_dos")
+        value = (0.0, bad) if name == "attack_start_jitter" else bad
+        with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+            run(replace(cfg, **{name: value}), seed=1)
 
 
 class TestNoAttackRun:
@@ -563,6 +574,153 @@ class TestReferenceEquivalence:
             params.update(attack_start_jitter=(0.0, 9.5), attack_duration=120)
         assert_matches_reference(make_scenario(**params), seed=42)
 
+    def test_settled_runs_match_reference(self, monkeypatch):
+        settled = count_settled(monkeypatch)
+
+        @settings(max_examples=100, deadline=None)
+        @given(cfg=busy_scenarios(), seed=st.integers(0, 2**32 - 1))
+        def check(cfg, seed):
+            assert_matches_reference(cfg, seed)
+
+        check()
+        assert sum(settled) > 0     # the array path was taken, not only the loop
+
+
+def count_settled(monkeypatch) -> list[int]:
+    """Wrap `_settle_full_queue`; the list gets how many arrivals each call settled."""
+    settled = []
+    settle = simnet._settle_full_queue
+
+    def counting(*args):
+        result = settle(*args)
+        settled.append(result[0])
+        return result
+
+    monkeypatch.setattr(simnet, "_settle_full_queue", counting)
+    return settled
+
+
+@st.composite
+def busy_scenarios(draw):
+    """Attacks that keep queues of 1 to 120 packets busy, so runs of more
+    than 2 * (capacity + 1) attack arrivals meet a busy link; at 1.0x load
+    from t = 0 arrivals land exactly on departures."""
+    kind = draw(st.sampled_from(["direct_dos", "amplification"]))
+    rate = draw(st.sampled_from([50_000.0, 100_000.0, 200_000.0]))
+    size = draw(st.sampled_from([60, 512]))
+    wire = 4000 if kind == "amplification" else size
+    load = draw(st.sampled_from([0.9, 1.0, 1.01, 1.2, 3.0]))
+    duration = draw(st.sampled_from([6.0, 20.0, 60.0]))
+    return make_scenario(
+        attack_kind=kind, bottleneck_rate=rate, duration=duration,
+        queue_capacity=draw(st.integers(1, 120)),
+        legit_interarrival=draw(st.sampled_from([10.0, 5.0, 2.5])),
+        retransmit_max=draw(st.integers(0, 3)),
+        attack_packet_size=size, attack_rate=load * rate / (8 * wire),
+        attack_start_jitter=draw(st.sampled_from([(0.0, 0.0), (0.0, 2.0)])),
+        attack_duration=draw(st.sampled_from([duration, duration / 2])))
+
+
+def settle_one_at_a_time(tail, arrivals, service, capacity):
+    """`_settle_full_queue` as `run`'s per-packet loop decides it."""
+    depart, done, left = list(tail), 0, 0
+    admitted, ahead_max = [], 0
+    for m, a in enumerate(arrivals.tolist()):
+        while done < len(depart) and depart[done] < a:
+            done += 1
+        ahead = len(depart) - done
+        if ahead == 0:
+            return m, admitted, depart[len(tail):], ahead_max, left
+        left = done
+        if ahead <= capacity:
+            admitted.append(m)
+            ahead_max = max(ahead_max, ahead)
+            depart.append(depart[-1] + service)
+    return len(arrivals), admitted, depart[len(tail):], ahead_max, left
+
+
+class TestSettleFullQueue:
+    @staticmethod
+    def settle(tail, arrivals, service, capacity):
+        return simnet._settle_full_queue(np.array(tail, dtype=float),
+                                         np.array(arrivals, dtype=float), service, capacity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 6), ahead=st.integers(1, 7),
+           gaps=st.lists(st.integers(1, 40), min_size=1, max_size=60),
+           service=st.sampled_from([0.5, 1.0, 1.25, 3.0]))
+    def test_matches_one_at_a_time(self, capacity, ahead, gaps, service):
+        # Departures on a 1/4 grid and arrivals at odd multiples of 1/128:
+        # exact sums and no ties. The first arrival finds the link busy.
+        ahead = min(ahead, capacity + 1)
+        tail = [10.0 + service * (k + 1) for k in range(ahead)]
+        arrivals = 10.0 + (np.cumsum(gaps) - gaps[0]) / 64 + 1 / 128
+        got = self.settle(tail, arrivals, service, capacity)
+        settled, admitted, departs, ahead_max, done = settle_one_at_a_time(
+            np.array(tail), arrivals, service, capacity)
+        assert got[0] == settled > 0
+        assert got[1].tolist() == admitted
+        assert got[2].tolist() == departs
+        assert got[3] == ahead_max
+        assert got[4] == done
+
+    def test_departures_add_one_service_at_a_time(self):
+        tail, service = [0.1], 0.1
+        arrivals = np.linspace(0.0, 0.05, 50)
+        _, admitted, departs, _, _ = self.settle(tail, arrivals, service, 10**6)
+        assert len(admitted) == 50
+        want = [0.1]
+        for _ in arrivals:
+            want.append(want[-1] + service)
+        assert departs.tolist() == want[1:]      # not 0.1 * k, which rounds differently
+
+    def test_exact_tie_settles_nothing(self):
+        # The fourth arrival lands exactly on the second packet's departure.
+        got = self.settle([1.0, 2.0], [0.5, 0.7, 0.9, 2.0, 2.5, 2.7], 1.0, 1)
+        assert got[0] == 0 and len(got[1]) == 0 and got[4] == 0
+
+    def test_stops_before_an_admission_at_an_idle_link(self):
+        # Two packets join the one on the link and the third is dropped;
+        # by 5.5 all three have left, so the arrival there starts the
+        # link again and is left to the per-packet loop.
+        settled, admitted, departs, ahead_max, left = self.settle(
+            [1.0], [0.2, 0.4, 0.6, 5.5, 5.7], 1.0, 2)
+        assert settled == 3
+        assert admitted.tolist() == [0, 1]
+        assert departs.tolist() == [2.0, 3.0]
+        assert ahead_max == 2
+        assert left == 0
+
+    def test_huge_capacity_allocates_nothing_in_proportion(self):
+        arrivals = np.arange(1000) / 1000
+        tracemalloc.start()
+        try:
+            settled, admitted, _, ahead_max, _ = self.settle([5.0], arrivals, 0.5, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert settled == len(admitted) == 1000
+        assert ahead_max == 1000
+        assert peak < 1_000_000
+
+    def test_huge_capacity_simulates_without_drops(self):
+        cfg = make_scenario(attack_kind="direct_dos", duration=60, bottleneck_rate=100_000,
+                            queue_capacity=10**12)
+        trace = run(cfg, seed=1)
+        assert trace.drops == 0
+        assert trace.max_queue_occupancy > 100
+
+    def test_array_path_equals_per_packet_loop_at_scale(self, monkeypatch):
+        cfg = make_scenario(attack_kind="direct_dos", duration=120, bottleneck_rate=1_000_000,
+                            attack_start_jitter=(0.0, 9.5))
+        settled = count_settled(monkeypatch)
+        fast = run(cfg, seed=42)
+        assert sum(settled) > 0.8 * np.count_nonzero(fast.kind == simnet.ATTACK)
+        monkeypatch.setattr(simnet, "_settle_full_queue",
+                            lambda tail, arrivals, service, capacity:
+                            (0, np.empty(0, np.intp), np.empty(0), 0, 0))
+        assert run(cfg, seed=42) == fast
+
 
 @pytest.mark.parametrize("block", [simnet.RENDER_BLOCK, 7])
 @settings(max_examples=60, deadline=None)
@@ -608,10 +766,55 @@ def reference_render_rows(trace) -> str:
     def byte(ch: str) -> np.ndarray:
         return np.full((n, 1), ord(ch), dtype=np.uint8)
 
-    text = np.hstack([simnet._digits(np.arange(n)), byte(","),
-                      simnet._digits(micros // 10**6), byte("."),
-                      simnet._digits(micros % 10**6, 6), table[row_code]])
+    text = np.hstack([reference_digits(np.arange(n)), byte(","),
+                      reference_digits(micros // 10**6), byte("."),
+                      reference_digits(micros % 10**6, 6), table[row_code]])
     return text[text != 0].tobytes().decode("ascii")
+
+
+def reference_digits(values: np.ndarray, width: int | None = None) -> np.ndarray:
+    """`_digits` as it was before it divided place by place: every place
+    at once, broadcast against the powers of ten."""
+    w = width or len(str(int(values.max(initial=0))))
+    powers = 10 ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    out = (values[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    if width is None:
+        lead = values[:, None] < powers
+        lead[:, -1] = False
+        out[lead] = 0
+    return out
+
+
+class TestDigits:
+    # No trace reaches these magnitudes, so the golden digests cannot
+    # catch a fault here: 0, both sides of every power of ten up to
+    # 10**18 - 1, the int64 maximum and random values.
+    EDGES = np.array([0] + [10**k + d for k in range(1, 19) for d in (-1, 0)
+                            if 10**k + d < 10**18] + [2**63 - 1], dtype=np.int64)
+
+    # 19 places hold every int64; the broadcast reference's powers of ten
+    # overflow beyond that.
+    @pytest.mark.parametrize("width", [None, 19])
+    def test_edges_match_broadcast_digits(self, width):
+        for values in (self.EDGES, self.EDGES[::-1], self.EDGES[:1], self.EDGES[:0]):
+            got = simnet._digits(values, width)
+            assert np.array_equal(got, reference_digits(values, width))
+        rows = simnet._digits(self.EDGES, width)
+        assert [bytes(r[r != 0]).decode().lstrip("0") or "0" for r in rows] == [
+            str(v) for v in self.EDGES.tolist()]
+
+    @pytest.mark.parametrize("width", [None, 6])
+    def test_small_values_match_broadcast_digits(self, width):
+        values = np.array([0, 9, 10, 99, 100, 99_999, 100_000, 999_999], dtype=np.int64)
+        assert np.array_equal(simnet._digits(values, width), reference_digits(values, width))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+           high=st.sampled_from([10, 10**6, 10**12, 2**63 - 1]),
+           width=st.sampled_from([None, 19]))
+    def test_random_values_match_broadcast_digits(self, seed, n, high, width):
+        values = np.random.default_rng(seed).integers(0, high, n, dtype=np.int64)
+        assert np.array_equal(simnet._digits(values, width), reference_digits(values, width))
 
 
 @pytest.fixture(scope="module")

@@ -97,11 +97,14 @@ class TestTraining:
             return set(d2.argmin(axis=1).tolist())
         assert bmus(a).isdisjoint(bmus(b))
 
-    def test_zero_epochs_is_noop(self):
-        model = som_init(5)
+    # Fewer than one epoch trains no map, and a negative tuning radius
+    # updates no neuron: both are rejected rather than run silently.
+    @pytest.mark.parametrize("bad", [dict(epochs=0), dict(epochs=-1),
+                                     dict(tuning_neighbor_dist=-1)])
+    def test_schedule_that_trains_nothing_rejected(self, bad):
         data = np.array([[1.0, 0.0, 0.0]])
-        trained = som_train(model, data, SomTrainConfig(epochs=0, seed=0))
-        assert np.array_equal(trained.codebook, model.codebook)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            som_train(som_init(5), data, SomTrainConfig(seed=0, **bad))
 
     def test_empty_data_rejected(self):
         with pytest.raises(EmptyData):
@@ -153,7 +156,7 @@ class TestLockstep:
     @given(st.data())
     def test_each_fold_matches_training_it_alone(self, data):
         sizes = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5), "sizes")
-        epochs = data.draw(st.integers(0, 3), "epochs")
+        epochs = data.draw(st.integers(1, 3), "epochs")     # 0 is rejected
         # below the longest fold's presentation count, so both phases run
         ordering_steps = data.draw(st.integers(1, max(1, epochs * max(sizes) - 1)),
                                    "ordering_steps")
