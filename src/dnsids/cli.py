@@ -18,6 +18,7 @@ so with the default `sweep.csv` does not depend on the number of cores.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -45,6 +46,25 @@ from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 log = logging.getLogger("dnsids")
 
 WRITE_CHUNK = 1 << 20   # characters encoded per write, so no file is encoded whole
+
+
+# glibc's malloc_trim; None where the C library has none (musl, macOS, Windows).
+_malloc_trim = (getattr(ctypes.CDLL(None), "malloc_trim", None)
+                if sys.platform.startswith("linux") else None)
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the operating system.
+
+    A run frees tens of MB of lists and arrays. glibc keeps most of that
+    resident, in holes below blocks that are still live, and whether the
+    next large text fits into those holes or needs fresh pages depends
+    on the heap's exact layout. Trimming makes the resident set follow
+    the live data, so peak memory no longer changes by the size of a
+    trace text with the environment or the output path.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _read_input(path, what: str) -> str:
@@ -114,7 +134,9 @@ def _simulated(cfg: PipelineConfig, out: Path, digest: str, each) -> list:
 
     One trace is alive at a time: a trace and its text are released
     before the next run starts, so peak memory follows the largest trace,
-    not the number of runs.
+    not the number of runs. The heap is trimmed before each run and before
+    its text is rendered, so neither stacks on memory that was already
+    freed.
     """
     if not cfg.scenarios:
         raise errors.ConfigError("no [scenario.*] sections to simulate")
@@ -123,7 +145,9 @@ def _simulated(cfg: PipelineConfig, out: Path, digest: str, each) -> list:
     results = []
     for block in cfg.scenarios:
         for r in range(block.runs):
+            _release_free_heap()
             trace = run(block.config, derive_seed(cfg.seed, "simulate", block.name, r))
+            _release_free_heap()
             path = _write_output(trace_dir / f"{block.name}-{r:03d}.trace", stamp,
                                  write_trace(trace))
             log.info("simulated %s: %d events, %d dropped, max queue occupancy %d",

@@ -701,17 +701,17 @@ def _render_block(trace: PacketTrace, lo: int, hi: int) -> str:
     return text[text != 0].tobytes().decode("ascii")
 
 
-def _render_rows(trace: PacketTrace) -> str:
-    """The event rows, each ending in a newline.
+def _row_blocks(trace: PacketTrace) -> list[str]:
+    """The event rows, each ending in a newline, in blocks of RENDER_BLOCK.
 
-    Rows are rendered RENDER_BLOCK at a time, so the digit and byte
-    matrices stay the size of one block whatever the trace's length.
+    Rows are rendered a block at a time, so the digit and byte matrices
+    stay the size of one block whatever the trace's length.
     """
     n = len(trace)
     if n and not trace.t.min() >= 0:
         raise ValueError("trace timestamps must be >= 0")
-    return "".join([_render_block(trace, lo, min(lo + RENDER_BLOCK, n))
-                    for lo in range(0, n, RENDER_BLOCK)])
+    return [_render_block(trace, lo, min(lo + RENDER_BLOCK, n))
+            for lo in range(0, n, RENDER_BLOCK)]
 
 
 def write_trace(trace: PacketTrace) -> str:
@@ -735,7 +735,9 @@ def write_trace(trace: PacketTrace) -> str:
     lines.append(f"#packets_generated={trace.packets_generated}")
     lines.append(f"#in_flight_at_end={trace.in_flight_at_end}")
     lines.append(f"#max_queue_occupancy={trace.max_queue_occupancy}")
-    return "\n".join(lines) + "\n" + _render_rows(trace)
+    # One join of header and row blocks: the text is built once, so at most
+    # the blocks and the text are held, never a second copy of the rows.
+    return "".join(["\n".join(lines) + "\n", *_row_blocks(trace)])
 
 
 def _parse_header_value(key: str, raw: str, line_no: int):

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -555,6 +556,25 @@ attack_start_jitter = 0,0
         pieces = ("#a=1\n", "", "0,1.5,x\n1,2.25,\u00e9\n", "z")
         path = cli._write_output(tmp_path / "sub" / "f.txt", *pieces)
         assert path.read_bytes() == "".join(pieces).encode("utf-8")
+
+    def test_heap_is_trimmed_before_each_run_and_before_its_text(self, tmp_path, monkeypatch):
+        calls = []
+
+        def logged(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_release_free_heap", "run", "write_trace"):
+            monkeypatch.setattr(cli, name, logged(name, getattr(cli, name)))
+        cli.do_simulate(parse_pipeline_config(TINY_CONFIG), tmp_path, "digest")
+        assert calls == ["_release_free_heap", "run", "_release_free_heap", "write_trace"] * 6
+
+    def test_heap_release_is_a_no_op_without_malloc_trim(self, monkeypatch):
+        assert cli._malloc_trim is not None or not sys.platform.startswith("linux")
+        monkeypatch.setattr(cli, "_malloc_trim", None)
+        cli._release_free_heap()
 
 
 def test_every_error_descends_from_exactly_one_root():

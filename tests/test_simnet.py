@@ -739,8 +739,8 @@ def test_text_round_trip_is_exact(block, cfg, seed):
 # --- block rendering ------------------------------------------------------------
 
 def reference_render_rows(trace) -> str:
-    """`_render_rows` as it was before it rendered in blocks: the whole
-    trace in one set of digit and byte matrices."""
+    """The trace's rows as rendered before `_row_blocks` split them into
+    blocks: the whole trace in one set of digit and byte matrices."""
     n = len(trace)
     if n == 0:
         return ""
@@ -842,11 +842,11 @@ class TestBlockRendering:
         for n in sorted(lengths):
             for trace in (self.first_rows(long_trace, n),
                           self.first_rows(long_trace, n, t=np.arange(n) + 0.25)):
-                assert simnet._render_rows(trace) == reference_render_rows(trace), n
+                assert "".join(simnet._row_blocks(trace)) == reference_render_rows(trace), n
 
     def test_negative_timestamp_in_a_later_block_rejected(self, long_trace, monkeypatch):
         monkeypatch.setattr(simnet, "RENDER_BLOCK", 7)
         t = long_trace.t.copy()
         t[20] = -1.0
         with pytest.raises(ValueError, match=">= 0"):
-            simnet._render_rows(replace(long_trace, t=t))
+            simnet._row_blocks(replace(long_trace, t=t))
