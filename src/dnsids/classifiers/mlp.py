@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import Empty, InvalidWidth, SingularUpdate
-from ..preproc import LabeledDataset
+from ..errors import InvalidWidth, SingularUpdate
 from .base import TrainReport
 
 MAX_HIDDEN = 64
@@ -142,23 +141,15 @@ def _mse(outputs: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((outputs - targets) ** 2))
 
 
-def mlp_train_lm(model: MlpModel, data: LabeledDataset,
-                 cfg: MlpTrainConfig = MlpTrainConfig()) -> tuple[MlpModel, TrainReport]:
-    """Train a copy of `model` on the dataset's target codes.
+def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
+                    cfg: MlpTrainConfig = MlpTrainConfig()) -> tuple[MlpModel, TrainReport]:
+    """Train a copy of `model` on features X (n, 3) and targets T (n, 3).
 
     One epoch is one accepted damped Gauss-Newton step (rejected trial
     steps only raise lambda). Stops when the MSE target is met, the epoch
     budget runs out, or no step improves even at maximum damping. The
     accepted-step MSE sequence is non-increasing by construction.
     """
-    if len(data) == 0:
-        raise Empty("cannot train on an empty dataset")
-    return train_lm_arrays(model, data.features(), data.targets(), cfg)
-
-
-def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
-                    cfg: MlpTrainConfig = MlpTrainConfig()) -> tuple[MlpModel, TrainReport]:
-    """Array-level core of `mlp_train_lm`; X is (n, 3), T is (n, 3)."""
     if cfg.max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     if cfg.target_mse <= 0:

@@ -81,11 +81,6 @@ _LINKS = _link_matrix()
 GRID_DIAMETER = int(_LINKS.max())
 
 
-def linkdist(a: int, b: int) -> int:
-    """Hop count between two neurons on the hexagonal neighbor graph."""
-    return int(_LINKS[a, b])
-
-
 @dataclass
 class SomModel:
     codebook: np.ndarray                         # (25, 3)

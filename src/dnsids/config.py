@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 from .classifiers.mlp import MAX_HIDDEN, MlpTrainConfig
 from .classifiers.som import SomTrainConfig
-from .errors import ConfigError
+from .errors import ConfigError, InvalidConfig
 from .simnet import AttackKind, ScenarioConfig, make_scenario
 
 # The bundled experiment: a balanced three-class dataset at desk scale.
@@ -147,8 +147,11 @@ def _parse_scenario(section_name: str, section, window_len: float) -> ScenarioBl
                      section_name, key, "finite", value)
             params[key] = value
     _require(runs >= 1, section_name, "runs", ">= 1", runs)
-    name = section_name.split(".", 1)[1]
-    return ScenarioBlock(name=name, runs=runs, config=make_scenario(**params))
+    try:
+        config = make_scenario(**params)
+    except InvalidConfig as exc:
+        raise ConfigError(f"[{section_name}] {exc}") from None
+    return ScenarioBlock(name=section_name.split(".", 1)[1], runs=runs, config=config)
 
 
 def _parse_mlp(section) -> MlpSettings:

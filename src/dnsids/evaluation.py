@@ -254,17 +254,6 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
     )
 
 
-def fold_metric_mean(entry: EvalEntry) -> MetricSet:
-    """Mean of each metric over the folds where it was defined."""
-    def mean_of(name: str) -> float | None:
-        values = [getattr(m, name) for m in entry.fold_metrics
-                  if getattr(m, name) is not None]
-        return float(np.mean(values)) if values else None
-
-    return MetricSet(mean_of("accuracy"), mean_of("dr_direct"),
-                     mean_of("dr_amplification"), mean_of("far"))
-
-
 # --- hidden-width sweep ------------------------------------------------------
 
 SWEEP_MIN_WIDTH = 3

@@ -27,13 +27,17 @@ insertion order would process them; where times tie exactly, that order
 is recovered from the events' causes (see `run`).
 
 While the link is busy, the k-th newly admitted packet leaves at the
-last departure plus k services. So a long run of attack arrivals between
-two legitimate events, met by a busy link, is decided in numpy by
-`_settle_full_queue`, which sums those services one at a time as the
-per-packet loop does and gives bit-identical departure times. Legitimate
-arrivals, attack arrivals at an idle link, runs of at most
-2 * (queue_capacity + 1) arrivals and runs in which an arrival ties a
-departure exactly go through the per-packet `arrive` in `run`.
+last departure plus k services. So a run of more than
+`queue_capacity + 1` attack arrivals between two legitimate events, met
+by a busy link, is decided in numpy by `_settle_full_queue`, which sums
+those services one at a time as the per-packet loop does and gives
+bit-identical departure times. It settles the run up to the first
+arrival at an idle link or the first arrival that ties a departure
+exactly. Legitimate arrivals, shorter runs and the arrivals where the
+helper stopped go through the per-packet `arrive` in `run`. The
+per-packet records (departure time, arrival, whether the arrival started
+the link, drops) are typed `array` buffers, filled in bulk from the
+helper's arrays and read back as numpy views once the loop ends.
 
 A trace is held as columns with one entry per recorded event: `t`
 (float64 seconds, rounded to 6 places), `kind` and `disposition` (int8
@@ -88,12 +92,21 @@ ATTACK_FLOW = -1  # `flow` entry of the attack stream, written as "atk"
 
 # Attack arrivals enter the queue at most this many at a time, whether
 # `_settle_full_queue` decides them as arrays or the per-packet `arrive`
-# takes them as Python floats, so neither holds more than one block.
+# takes them as Python floats, so neither holds more than one block. The
+# helper takes a run once it is longer than queue_capacity + 1 and the
+# link is busy; what it settles goes into the typed record buffers in
+# one piece per call.
 ARRIVAL_BLOCK = 8192
 
 # Ratio of offered attack load to bottleneck capacity when no explicit
 # attack_rate is configured.
 DEFAULT_OVERLOAD = 1.2
+
+# Emissions of each source one run may ask for: attack_rate times the
+# attack's length, and duration / legit_interarrival. A run holds a few
+# numbers per emission, and a trace of this many rows is about 600 MB of
+# text, so a config asking for more is refused before anything is built.
+MAX_EMISSIONS = 10**7
 
 # All rates in bits/second, sizes in bytes, times in seconds.
 
@@ -227,10 +240,16 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     lo, hi = cfg.attack_start_jitter
     _check(0.0 <= lo <= hi < cfg.duration,
            "attack_start_jitter must lie within [0, duration)")
+    requests = cfg.duration / cfg.legit_interarrival
+    _check(requests <= MAX_EMISSIONS, f"duration / legit_interarrival must be <= "
+           f"{MAX_EMISSIONS} request emissions per run, got {requests:g}")
     if cfg.attack_kind is not AttackKind.NONE:
         _check(cfg.attack_rate > 0, "attack_rate must be > 0 for attack scenarios")
         _check(cfg.attack_packet_size >= 1, "attack_packet_size must be >= 1")
         _check(cfg.attack_duration > 0, "attack_duration must be > 0")
+        attacks = cfg.attack_rate * min(cfg.attack_duration, cfg.duration)
+        _check(attacks <= MAX_EMISSIONS, f"attack_rate * min(attack_duration, duration) "
+               f"must be <= {MAX_EMISSIONS} attack emissions per run, got {attacks:g}")
     return cfg
 
 
@@ -312,16 +331,18 @@ def _settle_full_queue(tail: np.ndarray, arrivals: np.ndarray, service: float,
     is admitted iff at most `capacity` packets are ahead of it, that is,
     iff the packet `capacity + 1` places ahead of it has left. Settling
     stops before the first admission at an idle link, whose departure
-    starts a new chain. Nothing is settled when an arrival ties a
-    departure exactly: the order of the two then depends on their causes.
+    starts a new chain, and before the first arrival that ties a departure
+    exactly: the order of the two then depends on their causes. No
+    decision depends on a later arrival, so the arrivals before either
+    stop are settled exactly.
     """
-    n = len(arrivals)
-    chain = np.full(n + 1, service)
+    chain = np.full(len(arrivals) + 1, service)
     chain[0] = tail[-1]
     departures = np.concatenate([tail, np.add.accumulate(chain)[1:]])
     before = np.searchsorted(departures, arrivals, "left")
-    if not np.array_equal(before, np.searchsorted(departures, arrivals, "right")):
-        return 0, np.empty(0, np.intp), np.empty(0), 0, 0
+    tied = np.flatnonzero(before != np.searchsorted(departures, arrivals, "right"))
+    n = int(tied[0]) if tied.size else len(arrivals)
+    before = before[:n]
     # Admission j is the first arrival after admission j - 1 at which
     # len(tail) + j - before <= capacity. `before` never decreases, so
     # with first[j] the earliest arrival meeting that bound, admission j
@@ -410,10 +431,10 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     sent_flow: list[int] = []          # and its timeout ("O", s)
     tries: list[int] = []              # flow n: request transmissions so far
     admitted: list[list[int]] = []     # flow n: its admitted packets k
-    depart: list[float] = []           # admitted packet k: end of transmission,
-    source: list[int] = []             # its arrival (attack i, or ~s), and
-    own_start: list[bool] = []         # whether its arrival started the link
-    dropped: list[int] = []            # dropped arrivals, encoded as `source`
+    depart = array("d")                # admitted packet k: end of transmission,
+    source = array("q")                # its arrival (attack i, or ~s), and
+    own_start = array("b")             # whether its arrival started the link
+    dropped = array("q")               # dropped arrivals, encoded as `source`
 
     def arrival(x: int) -> tuple:
         return ("A", x) if x >= 0 else ("L", ~x)
@@ -523,11 +544,14 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
             admitted[sent_flow[i]].append(len(depart) - 1)
         if not agenda:
             return None, np.inf
-        first = agenda[0]
-        for other in agenda[1:]:
-            if before(other, first):
+        # Only events at the earliest time need the calendar's tie order.
+        due = [when(ev) for ev in agenda]
+        t = min(due)
+        first = None
+        for other, t_other in zip(agenda, due):
+            if t_other == t and (first is None or before(other, first)):
                 first = other
-        return first, when(first)
+        return first, t
 
     head, head_t = ("Q", 0), 0.0
     n_attack = int(np.count_nonzero(attack_arrive <= horizon))
@@ -540,18 +564,18 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         end = min(max(int(attack_arrive.searchsorted(head_t)), i + 1), n_attack)
         while i < end:
             stop = min(end, i + ARRIVAL_BLOCK)
-            long_run = end - i > 2 * (capacity + 1)
+            long_run = end - i > capacity + 1
             if long_run and depart and depart[-1] > attack_arrive[i]:
                 settled, entered, departs, ahead, left = _settle_full_queue(
-                    np.array(depart[done:]), attack_arrive[i:stop], attack_tx, capacity)
+                    np.frombuffer(depart[done:]), attack_arrive[i:stop], attack_tx, capacity)
                 done += left
                 if settled:
                     drops = np.ones(settled, dtype=bool)
                     drops[entered] = False
-                    dropped.extend((np.flatnonzero(drops) + i).tolist())
-                    depart.extend(departs.tolist())
-                    source.extend((entered + i).tolist())
-                    own_start.extend([False] * len(entered))
+                    dropped.frombytes((np.flatnonzero(drops) + i).tobytes())
+                    depart.frombytes(departs.tobytes())
+                    source.frombytes((entered + i).tobytes())
+                    own_start.frombytes(bytes(len(entered)))
                     max_occupancy = max(max_occupancy, ahead)
                     i += settled
                     continue
@@ -562,55 +586,27 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
             i = stop
     while head is not None:
         head, head_t = handle_next()
-    # Lists append fastest in the loop above; the tie sorting below still
-    # reads the records, so from here on hold them compactly. One at a
-    # time, so that each list is freed before the next is copied.
-    source = array("q", source)
-    own_start = array("b", own_start)
-    depart = array("d", depart)
 
     # Rows: drops at their arrival, deliveries to the server, responses.
+    # The views below fix the buffers' size: nothing is appended from here.
     source_ids = np.frombuffer(source, dtype=np.int64)
-    drop_ids = np.array(dropped, dtype=np.int64)
+    drop_ids = np.frombuffer(dropped, dtype=np.int64)
     deliver_t = np.frombuffer(depart) + link_delay
     delivered = np.flatnonzero(deliver_t <= horizon)
     requests = delivered[source_ids[delivered] < 0]
     generated += len(requests)                  # one response per delivered request
     answered = requests[deliver_t[requests] + reverse <= horizon]
 
-    legit_times = np.array(sent_t) + request_edge
-    legit_flows = np.array(sent_flow, dtype=np.int32)
-    # Packet sizes in the trace's int32 column type.
-    request_bytes, response_bytes, attack_bytes = np.array(
-        [cfg.request_size, cfg.normal_response_size, attack_size]).astype(np.int32)
-
-    def packets(ids: np.ndarray):
-        """Time, kind, size and flow of the arrivals `ids`."""
-        legit = ids < 0
-        t = np.empty(len(ids))
-        t[legit] = legit_times[~ids[legit]]
-        t[~legit] = attack_arrive[ids[~legit]]
-        flow = np.full(len(ids), ATTACK_FLOW, dtype=np.int32)
-        flow[legit] = legit_flows[~ids[legit]]
-        return (t, np.where(legit, np.int8(REQUEST), np.int8(ATTACK)),
-                np.where(legit, request_bytes, attack_bytes), flow)
-
-    drop_t, drop_kind, drop_size, drop_flow = packets(drop_ids)
-    _, del_kind, del_size, del_flow = packets(source_ids[delivered])
-    n_answered = len(answered)
+    n_drop, n_del, n_answered = len(drop_ids), len(delivered), len(answered)
+    legit_drop = drop_ids < 0
+    drop_t = np.empty(n_drop)
+    drop_t[legit_drop] = np.array(sent_t)[~drop_ids[legit_drop]] + request_edge
+    drop_t[~legit_drop] = attack_arrive[drop_ids[~legit_drop]]
     times = np.concatenate([drop_t, deliver_t[delivered], deliver_t[answered] + reverse])
-    kind = np.concatenate([drop_kind, del_kind, np.full(n_answered, RESPONSE, np.int8)])
-    size = np.concatenate([drop_size, del_size, np.full(n_answered, response_bytes)])
-    disposition = np.repeat(np.array([DROPPED, TO_SERVER, TO_CLIENT], np.int8),
-                            [len(drop_ids), len(delivered), n_answered])
-    flow = np.concatenate([drop_flow, del_flow, packets(source_ids[answered])[3]])
-
     order = np.argsort(times, kind="stable")
     times = times[order]    # the tie sorts below permute only equal times
     ties = np.flatnonzero(times[1:] == times[:-1])
     if ties.size:
-        n_drop, n_del = len(drop_ids), len(delivered)
-
         def row_event(r: int) -> tuple:
             if r < n_drop:
                 return arrival(int(drop_ids[r]))
@@ -622,18 +618,36 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         for group in np.split(ties, np.flatnonzero(np.diff(ties) > 1) + 1):
             lo, hi = group[0], group[-1] + 2
             order[lo:hi] = sorted(order[lo:hi].tolist(), key=calendar)
+    times = _round6(times)
 
+    # In row order: the arrival that carried each row's packet (a response
+    # carries its request's), and the row's disposition.
+    ids = np.concatenate([drop_ids, source_ids[delivered], source_ids[answered]])[order]
+    disposition = np.repeat(np.array([DROPPED, TO_SERVER, TO_CLIENT], np.int8),
+                            [n_drop, n_del, n_answered])[order]
+    legit, response = ids < 0, disposition == TO_CLIENT
+    kind = np.full(len(ids), ATTACK, np.int8)
+    kind[legit] = REQUEST
+    kind[response] = RESPONSE
+    # Packet sizes in the trace's int32 column type.
+    request_bytes, response_bytes, attack_bytes = np.array(
+        [cfg.request_size, cfg.normal_response_size, attack_size]).astype(np.int32)
+    size = np.full(len(ids), attack_bytes)
+    size[legit] = request_bytes
+    size[response] = response_bytes
+    flow = np.full(len(ids), ATTACK_FLOW, np.int32)
+    flow[legit] = np.array(sent_flow, dtype=np.int32)[~ids[legit]]
     return PacketTrace(
         config=cfg,
         seed=seed,
-        t=_round6(times),
-        kind=kind[order],
-        size=size[order],
-        disposition=disposition[order],
-        flow=flow[order],
+        t=times,
+        kind=kind,
+        size=size,
+        disposition=disposition,
+        flow=flow,
         truth=truth,
         packets_generated=generated,
-        in_flight_at_end=generated - len(delivered) - n_answered - len(drop_ids),
+        in_flight_at_end=generated - n_del - n_answered - n_drop,
         max_queue_occupancy=max_occupancy,
     )
 

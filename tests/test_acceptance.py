@@ -316,6 +316,24 @@ def test_golden_trace_digest(default_pipeline):
     assert digest.hexdigest() == GOLDEN_TRACE_DIGEST
 
 
+# The same digest over the traces of the `flood` bench workload at its
+# seed, 42 (6 files, 24,643,173 bytes). There the queue sits at its cap,
+# so most attack arrivals are decided by `simnet._settle_full_queue`.
+FLOOD_CONFIG = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads" / "flood.cfg"
+GOLDEN_FLOOD_TRACE_DIGEST = "a4c297b0ece5180defe997ed9d56cdaff18b71c2857cb344c40566e5b58edbe2"
+
+
+def test_golden_flood_trace_digest(tmp_path):
+    """The `flood` workload's trace files hash to the recorded value."""
+    assert main(["simulate", "--config", str(FLOOD_CONFIG), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256()
+    paths = sorted((tmp_path / "traces").glob("*.trace"))
+    for path in paths:
+        digest.update(path.read_bytes())
+    assert len(paths) == 6
+    assert digest.hexdigest() == GOLDEN_FLOOD_TRACE_DIGEST
+
+
 def test_c10_som_properties(default_pipeline):
     """Scale-invariant decisions; ordering phase does not raise quantization error."""
     dataset = default_pipeline["dataset"]

@@ -145,6 +145,17 @@ class TestConfigParsing:
         ("epochs = 6", "epochs = 0", "[som] epochs"),
         ("epochs = 6", "epochs = -1", "[som] epochs"),
         ("epochs = 6", "tuning_neighbor_dist = -1", "[som] tuning_neighbor_dist"),
+        # Bounded emissions per run: each is refused before anything is built.
+        ("attack_duration = 200\n\n[scenario.amp", "attack_rate = 1e300\n\n[scenario.amp",
+         "[scenario.direct_dos] attack_rate"),
+        ("attack_duration = 200\n\n[scenario.amp", "attack_rate = 1e9\n\n[scenario.amp",
+         "[scenario.direct_dos] attack_rate"),
+        ("runs = 2\nduration = 200", "runs = 2\nduration = 1e300", "[scenario.normal] duration"),
+        ("runs = 2\nduration = 200", "runs = 2\nduration = 200\nlegit_interarrival = 1e-6",
+         "[scenario.normal] duration"),
+        # A simulator rule outside the emission bound names its section too.
+        ("runs = 2\nduration = 200", "runs = 2\nduration = 200\nlegit_interarrival = 0",
+         "[scenario.normal] legit_interarrival"),
     ])
     def test_bad_value_is_config_error_naming_section_and_key(self, tmp_path, capsys,
                                                               old, new, where):

@@ -13,13 +13,24 @@ from dnsids.errors import (Empty, EmptyData, InvalidWidth, LengthMismatch,
                            TooFewSamples, UndefinedMetric)
 from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, EvalReport,
                                FoldPlan, MetricSet, accuracy, accuracy_3class, confusion,
-                               cross_validate, detection_rate, far, fold_metric_mean,
+                               cross_validate, detection_rate, far,
                                kfold_split, metrics_from_confusion, parse_report_csv,
                                render_report, render_sweep_csv, sweep_hidden_neurons)
 from dnsids.preproc import (CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset, class_labels,
                             label_codes)
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
+
+
+def fold_metric_mean(entry: EvalEntry) -> MetricSet:
+    """Mean of each metric over the folds where it was defined."""
+    def mean_of(name: str) -> float | None:
+        values = [getattr(m, name) for m in entry.fold_metrics
+                  if getattr(m, name) is not None]
+        return float(np.mean(values)) if values else None
+
+    return MetricSet(mean_of("accuracy"), mean_of("dr_direct"),
+                     mean_of("dr_amplification"), mean_of("far"))
 
 
 def brute_force_counts(preds, truth):

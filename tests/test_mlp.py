@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnsids.classifiers.mlp import (MlpModel, MlpTrainConfig, get_params, mlp_forward,
-                                    mlp_init, mlp_jacobian, mlp_train_lm, set_params,
+                                    mlp_init, mlp_jacobian, set_params,
                                     train_lm_arrays)
 from dnsids.classifiers.recipes import MlpRecipe
 from dnsids.errors import Empty, InvalidWidth, SingularUpdate
@@ -20,6 +20,14 @@ def dataset_from_arrays(X, labels):
     X = np.array(X, dtype=float).reshape(-1, 3)
     X[:, 2] = np.trunc(X[:, 2])   # packet loss is a whole count
     return LabeledDataset(X, label_codes(labels))
+
+
+def mlp_train_lm(model: MlpModel, data: LabeledDataset,
+                 cfg: MlpTrainConfig = MlpTrainConfig()):
+    """`train_lm_arrays` on a dataset's features and target codes."""
+    if len(data) == 0:
+        raise Empty("cannot train on an empty dataset")
+    return train_lm_arrays(model, data.features(), data.targets(), cfg)
 
 
 def zero_model(hidden=7):

@@ -87,6 +87,24 @@ class TestMakeScenario:
         with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
             run(replace(cfg, **{name: value}), seed=1)
 
+    @pytest.mark.parametrize("params, key", [
+        (dict(attack_kind="direct_dos", attack_rate=1e9), "attack_rate"),
+        (dict(attack_kind="direct_dos", attack_rate=1e300), "attack_rate"),
+        (dict(attack_kind="amplification", bottleneck_rate=1e300), "attack_rate"),
+        (dict(duration=1e300), "duration"),
+        (dict(legit_interarrival=1e-6), "duration"),
+    ])
+    def test_emissions_per_run_bounded(self, params, key):
+        # Validation only: none of these scenarios is run.
+        with pytest.raises(InvalidConfig, match=f"^{key} .* per run"):
+            make_scenario(**params)
+
+    def test_emissions_at_the_bound_accepted(self):
+        bound = simnet.MAX_EMISSIONS
+        cfg = make_scenario(attack_kind="direct_dos", duration=100.0,
+                            legit_interarrival=100.0 / bound, attack_rate=bound / 100.0)
+        assert cfg.attack_rate * cfg.duration == bound
+
 
 class TestNoAttackRun:
     # Offered legitimate load is 60 B / 10 s = 48 bit/s, far below the
@@ -575,7 +593,7 @@ class TestReferenceEquivalence:
         assert_matches_reference(make_scenario(**params), seed=42)
 
     def test_settled_runs_match_reference(self, monkeypatch):
-        settled = count_settled(monkeypatch)
+        calls = record_settles(monkeypatch)
 
         @settings(max_examples=100, deadline=None)
         @given(cfg=busy_scenarios(), seed=st.integers(0, 2**32 - 1))
@@ -583,28 +601,43 @@ class TestReferenceEquivalence:
             assert_matches_reference(cfg, seed)
 
         check()
-        assert sum(settled) > 0     # the array path was taken, not only the loop
+        assert sum(n for _, n in calls) > 0     # the array path was taken, not only the loop
+
+    def test_runs_up_to_twice_the_queue_are_settled_in_arrays(self, monkeypatch):
+        calls = record_settles(monkeypatch)
+
+        @settings(max_examples=60, deadline=None)
+        @given(cfg=gate_scenarios(), seed=st.integers(0, 2**32 - 1))
+        def check(cfg, seed):
+            first = len(calls)
+            assert_matches_reference(cfg, seed)
+            assert all(offered <= 2 * (cfg.queue_capacity + 1)
+                       for offered, _ in calls[first:])
+
+        check()
+        assert sum(n for _, n in calls) > 0
 
 
-def count_settled(monkeypatch) -> list[int]:
-    """Wrap `_settle_full_queue`; the list gets how many arrivals each call settled."""
-    settled = []
+def record_settles(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap `_settle_full_queue`; the list gets (arrivals offered, arrivals
+    settled) for each call."""
+    calls = []
     settle = simnet._settle_full_queue
 
-    def counting(*args):
-        result = settle(*args)
-        settled.append(result[0])
+    def recording(tail, arrivals, service, capacity):
+        result = settle(tail, arrivals, service, capacity)
+        calls.append((len(arrivals), result[0]))
         return result
 
-    monkeypatch.setattr(simnet, "_settle_full_queue", counting)
-    return settled
+    monkeypatch.setattr(simnet, "_settle_full_queue", recording)
+    return calls
 
 
 @st.composite
 def busy_scenarios(draw):
-    """Attacks that keep queues of 1 to 120 packets busy, so runs of more
-    than 2 * (capacity + 1) attack arrivals meet a busy link; at 1.0x load
-    from t = 0 arrivals land exactly on departures."""
+    """Attacks that keep queues of 1 to 120 packets busy, so long runs of
+    attack arrivals meet a busy link; at 1.0x load from t = 0 arrivals
+    land exactly on departures."""
     kind = draw(st.sampled_from(["direct_dos", "amplification"]))
     rate = draw(st.sampled_from([50_000.0, 100_000.0, 200_000.0]))
     size = draw(st.sampled_from([60, 512]))
@@ -619,6 +652,32 @@ def busy_scenarios(draw):
         attack_packet_size=size, attack_rate=load * rate / (8 * wire),
         attack_start_jitter=draw(st.sampled_from([(0.0, 0.0), (0.0, 2.0)])),
         attack_duration=draw(st.sampled_from([duration, duration / 2])))
+
+
+@st.composite
+def gate_scenarios(draw):
+    """Attacks on a busy link whose runs between legitimate events are
+    capacity + 2 to 2 * (capacity + 1) arrivals long.
+
+    The timeout is half the request interval, so a legitimate event comes
+    every half interval, and one edge latency after some of them; the
+    attack rate puts 1.5 * (capacity + 1) arrivals in each half interval.
+    """
+    kind = draw(st.sampled_from(["direct_dos", "amplification"]))
+    capacity = draw(st.integers(10, 60))
+    interval = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    size = draw(st.sampled_from([60, 512]))
+    wire = 4000 if kind == "amplification" else size
+    load = draw(st.sampled_from([1.1, 1.5, 3.0]))
+    attack_rate = 3 * (capacity + 1) / interval
+    duration = interval * draw(st.integers(2, 5))
+    return make_scenario(
+        attack_kind=kind, bottleneck_rate=8 * wire * attack_rate / load, duration=duration,
+        queue_capacity=capacity, legit_interarrival=interval,
+        retransmit_timeout=interval / 2, retransmit_max=draw(st.integers(0, 3)),
+        attack_packet_size=size, attack_rate=attack_rate,
+        attack_start_jitter=draw(st.sampled_from([(0.0, 0.0), (0.0, 0.5)])),
+        attack_duration=duration)
 
 
 def settle_one_at_a_time(tail, arrivals, service, capacity):
@@ -656,13 +715,9 @@ class TestSettleFullQueue:
         tail = [10.0 + service * (k + 1) for k in range(ahead)]
         arrivals = 10.0 + (np.cumsum(gaps) - gaps[0]) / 64 + 1 / 128
         got = self.settle(tail, arrivals, service, capacity)
-        settled, admitted, departs, ahead_max, done = settle_one_at_a_time(
-            np.array(tail), arrivals, service, capacity)
-        assert got[0] == settled > 0
-        assert got[1].tolist() == admitted
-        assert got[2].tolist() == departs
-        assert got[3] == ahead_max
-        assert got[4] == done
+        want = settle_one_at_a_time(np.array(tail), arrivals, service, capacity)
+        assert want[0] > 0
+        self.assert_settles_like_the_loop(got, want)
 
     def test_departures_add_one_service_at_a_time(self):
         tail, service = [0.1], 0.1
@@ -674,10 +729,43 @@ class TestSettleFullQueue:
             want.append(want[-1] + service)
         assert departs.tolist() == want[1:]      # not 0.1 * k, which rounds differently
 
-    def test_exact_tie_settles_nothing(self):
-        # The fourth arrival lands exactly on the second packet's departure.
-        got = self.settle([1.0, 2.0], [0.5, 0.7, 0.9, 2.0, 2.5, 2.7], 1.0, 1)
-        assert got[0] == 0 and len(got[1]) == 0 and got[4] == 0
+    @staticmethod
+    def assert_settles_like_the_loop(got, want):
+        settled, admitted, departs, ahead_max, left = want
+        assert got[0] == settled
+        assert got[1].tolist() == admitted
+        assert got[2].tolist() == departs
+        assert got[3] == ahead_max
+        assert got[4] == left
+
+    def test_exact_tie_settles_the_arrivals_before_it(self):
+        # The fourth arrival lands exactly on the second packet's departure,
+        # so only the three before it are settled; all three are dropped.
+        tail, arrivals = [1.0, 2.0], np.array([0.5, 0.7, 0.9, 2.0, 2.5, 2.7])
+        got = self.settle(tail, arrivals, 1.0, 1)
+        assert got[0] == 3
+        self.assert_settles_like_the_loop(
+            got, settle_one_at_a_time(np.array(tail), arrivals[:3], 1.0, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 6), ahead=st.integers(1, 7),
+           gaps=st.lists(st.integers(0, 12), min_size=1, max_size=60),
+           service=st.sampled_from([0.25, 0.5, 1.0, 1.25]))
+    def test_ties_settle_the_prefix_before_the_first(self, capacity, ahead, gaps, service):
+        # Departures and arrivals on a 1/4 grid, so arrivals often land
+        # exactly on a departure of the tail or of the chain that follows.
+        ahead = min(ahead, capacity + 1)
+        tail = [10.0 + service * (k + 1) for k in range(ahead)]
+        arrivals = 10.0 + np.cumsum(gaps) / 4
+        chain = [tail[-1]]
+        for _ in arrivals:
+            chain.append(chain[-1] + service)
+        departures = set(tail) | set(chain[1:])
+        first_tie = next((m for m, a in enumerate(arrivals.tolist()) if a in departures),
+                         len(arrivals))
+        self.assert_settles_like_the_loop(
+            self.settle(tail, arrivals, service, capacity),
+            settle_one_at_a_time(np.array(tail), arrivals[:first_tie], service, capacity))
 
     def test_stops_before_an_admission_at_an_idle_link(self):
         # Two packets join the one on the link and the third is dropped;
@@ -713,13 +801,30 @@ class TestSettleFullQueue:
     def test_array_path_equals_per_packet_loop_at_scale(self, monkeypatch):
         cfg = make_scenario(attack_kind="direct_dos", duration=120, bottleneck_rate=1_000_000,
                             attack_start_jitter=(0.0, 9.5))
-        settled = count_settled(monkeypatch)
+        calls = record_settles(monkeypatch)
         fast = run(cfg, seed=42)
-        assert sum(settled) > 0.8 * np.count_nonzero(fast.kind == simnet.ATTACK)
+        assert sum(n for _, n in calls) > 0.8 * np.count_nonzero(fast.kind == simnet.ATTACK)
         monkeypatch.setattr(simnet, "_settle_full_queue",
                             lambda tail, arrivals, service, capacity:
                             (0, np.empty(0, np.intp), np.empty(0), 0, 0))
         assert run(cfg, seed=42) == fast
+
+
+def test_run_peak_memory_is_a_small_multiple_of_its_columns():
+    # A shortened `flood` direct_dos run: 120 s at 1 Mbit/s, about 33k rows.
+    # Typed record buffers and rows built from one column of arrival ids
+    # keep the peak near 5.7 times the columns. Per-packet Python lists,
+    # or columns built group by group and then gathered, take it to 7.0-7.4.
+    cfg = make_scenario(attack_kind="direct_dos", duration=120, bottleneck_rate=1_000_000,
+                        attack_start_jitter=(0.0, 9.5))
+    tracemalloc.start()
+    try:
+        trace = run(cfg, seed=42)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 30_000
+    assert peak < 6.5 * sum(getattr(trace, name).nbytes for name in COLUMNS)
 
 
 @pytest.mark.parametrize("block", [simnet.RENDER_BLOCK, 7])

@@ -9,12 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnsids.classifiers import som
 from dnsids.classifiers.som import (GRID_DIAMETER, N_NEURONS, SomModel, SomTrainConfig,
-                                    best_matching_units, grid_positions, linkdist,
-                                    quantization_error, som_classify, som_init, som_label,
-                                    som_train, som_train_folds)
+                                    best_matching_units, grid_positions, quantization_error,
+                                    som_classify, som_init, som_label, som_train,
+                                    som_train_folds)
 from dnsids.errors import EmptyData, Unlabeled
 from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_codes
+
+
+def linkdist(a: int, b: int) -> int:
+    """Hop count between two neurons on the map's hexagonal neighbor graph."""
+    return int(som._LINKS[a, b])
 
 
 def bfs_hops(adjacency, src):
