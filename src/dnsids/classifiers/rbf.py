@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateDesign, NeedTwoCenters, TooFewPoints
+from ..errors import DegenerateDesign, NeedTwoCenters, TooFewSamples
 from ..preproc import LabeledDataset
 from .base import TrainReport
 
@@ -41,7 +41,7 @@ def _lloyd_steps(points: np.ndarray, k: int, seed: int, max_iter: int):
     n = len(points)
     distinct = np.unique(points, axis=0)
     if n < k or len(distinct) < k:
-        raise TooFewPoints(f"need at least {k} distinct points, have {len(distinct)}")
+        raise TooFewSamples(f"need at least {k} distinct points, have {len(distinct)}")
     rng = np.random.default_rng(seed)
     centers = distinct[rng.choice(len(distinct), size=k, replace=False)].copy()
 
@@ -97,7 +97,7 @@ def rbf_train(data: LabeledDataset, k: int, seed: int,
     if k < 2:
         raise NeedTwoCenters("rbf training needs k >= 2")
     start = time.perf_counter()
-    X = data.features()
+    X = data.X
     T = data.targets()
     centers = kmeans(X, k, seed)
     width = rbf_width(centers)

@@ -41,7 +41,7 @@ class MlpRecipe:
         # five orders of magnitude, so train in per-fold standardized
         # coordinates and fold the affine map back into the first layer;
         # the returned model consumes raw features.
-        X = data.features()
+        X = data.X
         mu = X.mean(axis=0)
         sd = X.std(axis=0)
         sd = np.where(sd == 0.0, 1.0, sd)
@@ -89,7 +89,7 @@ class SomRecipe:
         shares add up to its total.
         """
         start = time.perf_counter()
-        Xs = [l2_normalize_rows(data.features()) for data in train_sets]
+        Xs = [l2_normalize_rows(data.X) for data in train_sets]
         maps = som_train_folds([som_init(seed) for seed in seeds], Xs,
                                self.train_config, seeds)
         models = [som_label(m, X, data.codes)

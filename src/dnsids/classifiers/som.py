@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyData, Unlabeled
+from ..errors import Empty, Unlabeled
 from ..preproc import CLASS_ORDER, l2_normalize_rows
 from .base import _DECISION_LABEL_CODES, _DECISION_ORDER
 
@@ -141,7 +141,7 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
         raise ValueError("need one model and one seed per dataset")
     for fold, X in enumerate(Xs):
         if len(X) == 0:
-            raise EmptyData(f"fold {fold}: som training needs at least one sample")
+            raise Empty(f"fold {fold}: som training needs at least one sample")
     if not 0 < cfg.ordering_lr <= 1 or not 0 < cfg.tuning_lr <= 1:
         raise ValueError("learning rates must be in (0, 1]")
     if cfg.ordering_steps < 1:
@@ -202,7 +202,7 @@ def quantization_error(model: SomModel, data) -> float:
     """Mean distance from each sample to its best-matching unit."""
     X = np.asarray(data, dtype=float).reshape(-1, 3)
     if len(X) == 0:
-        raise EmptyData("quantization error needs at least one sample")
+        raise Empty("quantization error needs at least one sample")
     diff = X - model.codebook[best_matching_units(model.codebook, X)]
     return float(np.sqrt((diff * diff).sum(axis=1)).mean())
 
@@ -229,7 +229,7 @@ def som_label(model: SomModel, vectors, codes) -> SomModel:
     X = np.asarray(vectors, dtype=float).reshape(-1, 3)
     codes = np.asarray(codes, dtype=np.intp).reshape(-1)
     if len(X) == 0 or len(codes) != len(X):
-        raise EmptyData("neuron labeling needs matching non-empty samples")
+        raise Empty("neuron labeling needs matching non-empty samples")
 
     classes = _DECISION_RANK[codes]
     winners = best_matching_units(model.codebook, X)

@@ -33,14 +33,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from . import errors  # noqa: E402
 from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe  # noqa: E402
 from .classifiers.store import save_model  # noqa: E402
-from .config import (DEFAULT_CONFIG, PipelineConfig, config_digest,  # noqa: E402
-                     parse_pipeline_config, validate_for_training)
-from .evaluation import (EvalReport, cross_validate, dataset_fingerprint,  # noqa: E402
-                         kfold_split, render_report, render_sweep_csv,
-                         sweep_hidden_neurons, sweep_workers)
+from .config import (DEFAULT_CONFIG, PipelineConfig, parse_pipeline_config,  # noqa: E402
+                     validate_for_training)
+from .evaluation import (EvalReport, cross_validate, kfold_split, render_report,  # noqa: E402
+                         render_sweep_csv, sweep_hidden_neurons, sweep_workers)
 from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,  # noqa: E402
                       window_trace, write_dataset)
-from .seeding import derive_seed  # noqa: E402
+from .seeding import derive_seed, text_digest  # noqa: E402
 from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 
 log = logging.getLogger("dnsids")
@@ -105,7 +104,7 @@ def _load_config(path: str | None, seed_override: int | None) -> tuple[PipelineC
     cfg = parse_pipeline_config(text)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
-    return cfg, config_digest(text)
+    return cfg, text_digest(text)
 
 
 def _stamp(seed: int, digest: str) -> tuple[str, ...]:
@@ -205,7 +204,7 @@ def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
         entries.append(cross_validate(recipe, data, k=cfg.cv_folds, seed=cfg.seed))
     report = EvalReport(
         entries=tuple(entries),
-        dataset_fingerprint=dataset_fingerprint(write_dataset(data)),
+        dataset_fingerprint=text_digest(write_dataset(data)),
         seed=cfg.seed,
         folds=cfg.cv_folds,
         stratified=plan.stratified,

@@ -46,20 +46,12 @@ class SingularUpdate(TrainingError):
     """Damped normal equations unsolvable even at maximum damping."""
 
 
-class TooFewPoints(TrainingError):
-    """Not enough (distinct) points for the requested cluster count."""
-
-
 class NeedTwoCenters(TrainingError):
     """The width rule needs at least two centers."""
 
 
 class DegenerateDesign(TrainingError):
     """Regularized least-squares system unsolvable."""
-
-
-class EmptyData(TrainingError):
-    """An operation received an empty training set."""
 
 
 class Unlabeled(TrainingError):
@@ -79,4 +71,5 @@ class UndefinedMetric(TrainingError):
 
 
 class TooFewSamples(TrainingError):
-    """Fewer samples than cross-validation folds."""
+    """Fewer samples than cross-validation folds, or fewer distinct points
+    than cluster centers."""

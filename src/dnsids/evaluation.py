@@ -17,7 +17,6 @@ Metrics with a zero denominator are reported as absent, never as 0 or
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 
@@ -173,11 +172,6 @@ def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
     return FoldPlan(tuple(tuple(np.sort(order[f::k]).tolist()) for f in range(k)), stratified)
 
 
-def dataset_fingerprint(text: str) -> str:
-    """Short digest identifying the dataset a report was computed from."""
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
 def _train_fold(recipe, fold_idx: int, train_set: LabeledDataset, seed: int):
     try:
         return recipe.train(train_set, seed)
@@ -225,7 +219,7 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
         train_time += report.wall_time
         train_mses.append(report.final_mse)
 
-        X = test_set.features()
+        X = test_set.X
         if has_codes:
             outputs = recipe.predict_codes(model, X)
             preds = nearest_code_labels(outputs)

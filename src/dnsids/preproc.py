@@ -1,7 +1,7 @@
 """Windowed traffic statistics and labeled feature datasets.
 
 A packet trace is cut into fixed-length tumbling windows aligned to t=0.
-Each window yields one three-component feature vector: throughput of
+Each window yields one row of an (n, 3) feature matrix: throughput of
 traffic received by the server (bits/second), mean received packet size
 (bytes), and the count of packets dropped at the bottleneck queue. Both
 legitimate requests and inbound attack packets (including oversized
@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParseError
-from .simnet import DROPPED, TO_SERVER, AttackKind, GroundTruth, PacketTrace
+from .simnet import DROPPED, TO_SERVER, AttackKind, GroundTruth, PacketTrace, round6
 
 
 class ClassLabel(Enum):
@@ -46,22 +46,6 @@ _ATTACK_TO_LABEL = {
     AttackKind.DIRECT_DOS: ClassLabel.DIRECT_DOS,
     AttackKind.AMPLIFICATION: ClassLabel.AMPLIFICATION,
 }
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    window_index: int
-    start: float
-    bits_received: int
-    packets_received: int
-    packets_lost: int
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    throughput: float         # bits/second received by the server
-    mean_packet_size: float   # bytes; 0 only when nothing was received
-    packet_loss: int          # packets dropped at the bottleneck queue
 
 
 # Row k is the target code of the class with label code k.
@@ -110,10 +94,6 @@ class LabeledDataset:
         return (np.array_equal(self.X, other.X) and np.array_equal(self.codes, other.codes)
                 and self.provenance == other.provenance)
 
-    def features(self) -> np.ndarray:
-        """(n, 3) matrix of raw feature vectors."""
-        return self.X
-
     def targets(self) -> np.ndarray:
         """(n, 3) matrix of class target codes."""
         return _TARGET_TABLE[self.codes]
@@ -134,13 +114,17 @@ def merge_datasets(parts: list[LabeledDataset]) -> LabeledDataset:
                           tuple(name for part in parts for name in part.provenance))
 
 
-def window_trace(trace: PacketTrace, window_len: float) -> list[WindowStats]:
-    """Aggregate a trace into ceil(duration / window_len) tumbling windows.
+def window_trace(trace: PacketTrace, window_len: float) -> np.ndarray:
+    """Feature rows of ceil(duration / window_len) tumbling windows.
 
-    Server deliveries count toward bits/packets received; queue drops
-    count toward packets lost; deliveries back to the client are not
-    server-received traffic. An event timestamped exactly at the trace
-    end lands in the last window.
+    Row i covers [i * window_len, (i + 1) * window_len) and holds the
+    throughput received by the server (bits per second), the mean
+    received packet size (bytes, 0 for a window that received nothing)
+    and the packets dropped at the bottleneck queue. Server deliveries
+    count as received; deliveries back to the client do not. An event
+    timestamped exactly at the trace end lands in the last window.
+    Throughput and mean size are rounded to the storage precision of the
+    dataset format.
     """
     if window_len <= 0:
         raise ValueError("window_len must be > 0")
@@ -150,49 +134,25 @@ def window_trace(trace: PacketTrace, window_len: float) -> list[WindowStats]:
     bits = np.bincount(index[received], weights=trace.size[received] * 8.0, minlength=n)
     packets = np.bincount(index[received], minlength=n)
     lost = np.bincount(index[trace.disposition == DROPPED], minlength=n)
-    return [WindowStats(i, i * window_len, int(bits[i]), int(packets[i]), int(lost[i]))
-            for i in range(n)]
+    mean_size = np.divide(bits / 8, packets, out=np.zeros(n), where=packets > 0)
+    return np.column_stack([round6(bits / window_len), round6(mean_size), lost])
 
 
-def extract_features(w: WindowStats, window_len: float) -> FeatureVector:
-    """Turn one window's counters into the three-feature vector.
-
-    Throughput is per second (window-length invariant); mean packet size
-    is bytes per received packet, 0 for an empty window. Values are
-    rounded to the storage precision of the dataset format.
-    """
-    if window_len <= 0:
-        raise ValueError("window_len must be > 0")
-    throughput = round(w.bits_received / window_len, 6)
-    if w.packets_received > 0:
-        mean_size = round((w.bits_received / 8) / w.packets_received, 6)
-    else:
-        mean_size = 0.0
-    return FeatureVector(throughput, mean_size, w.packets_lost)
-
-
-def label_windows(windows: list[WindowStats], truth: GroundTruth,
-                  window_len: float, provenance: tuple[str, ...] = ()) -> LabeledDataset:
-    """Label each window and pair it with its feature vector.
+def label_windows(features: np.ndarray, truth: GroundTruth, window_len: float,
+                  provenance: tuple[str, ...] = ()) -> LabeledDataset:
+    """Label the feature rows of one trace's windows, row i starting at
+    i * window_len.
 
     A window gets the trace's attack class iff the attack interval covers
     strictly more than half of the window span; otherwise it is Normal.
     """
-    attack_code = CLASS_INDEX[_ATTACK_TO_LABEL[truth.attack_kind]]
-    normal_code = CLASS_INDEX[ClassLabel.NORMAL]
-    rows = []
-    codes = []
-    for w in windows:
-        code = normal_code
-        if truth.interval is not None:
-            a_start, a_end = truth.interval
-            overlap = min(a_end, w.start + window_len) - max(a_start, w.start)
-            if overlap > window_len / 2:
-                code = attack_code
-        fv = extract_features(w, window_len)
-        rows.append((fv.throughput, fv.mean_packet_size, fv.packet_loss))
-        codes.append(code)
-    return LabeledDataset(rows, codes, provenance)
+    codes = np.full(len(features), CLASS_INDEX[ClassLabel.NORMAL], dtype=np.int8)
+    if truth.interval is not None:
+        a_start, a_end = truth.interval
+        start = np.arange(len(features)) * window_len
+        overlap = np.minimum(a_end, start + window_len) - np.maximum(a_start, start)
+        codes[overlap > window_len / 2] = CLASS_INDEX[_ATTACK_TO_LABEL[truth.attack_kind]]
+    return LabeledDataset(features, codes, provenance)
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation for independent sub-streams."""
+"""Deterministic seed derivation for independent sub-streams, and text digests."""
 
 import hashlib
 
@@ -11,3 +11,9 @@ def derive_seed(master: int, *tags) -> int:
     """
     key = repr((int(master),) + tags).encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
+
+
+def text_digest(text: str) -> str:
+    """Short digest identifying a text, such as a config or a dataset:
+    the first 12 hex digits of its SHA-256."""
+    return hashlib.sha256(text.encode()).hexdigest()[:12]

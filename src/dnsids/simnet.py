@@ -53,6 +53,7 @@ microsecond resolution so the text form round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass, fields, replace
@@ -103,9 +104,10 @@ ARRIVAL_BLOCK = 8192
 DEFAULT_OVERLOAD = 1.2
 
 # Emissions of each source one run may ask for: attack_rate times the
-# attack's length, and duration / legit_interarrival. A run holds a few
-# numbers per emission, and a trace of this many rows is about 600 MB of
-# text, so a config asking for more is refused before anything is built.
+# attack's length, and duration / legit_interarrival; also the request
+# transmissions, retransmissions included. A run holds a few numbers per
+# emission, and a trace of this many rows is about 600 MB of text, so a
+# config asking for more is refused before anything is built.
 MAX_EMISSIONS = 10**7
 
 # All rates in bits/second, sizes in bytes, times in seconds.
@@ -215,8 +217,9 @@ def _check(cond: bool, constraint: str) -> None:
         raise InvalidConfig(constraint)
 
 
-# Fields holding one float or a pair of them.
+# Fields holding one float or a pair of them, and fields holding an int.
 _FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if "float" in f.type]
+INT_FIELDS = {f.name for f in fields(ScenarioConfig) if f.type == "int"}
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -243,6 +246,15 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     requests = cfg.duration / cfg.legit_interarrival
     _check(requests <= MAX_EMISSIONS, f"duration / legit_interarrival must be <= "
            f"{MAX_EMISSIONS} request emissions per run, got {requests:g}")
+    # A request is sent once and retransmitted at most retransmit_max
+    # times, one timeout apart within the run. The 1e300 keeps an integer
+    # retransmit_max beyond float range printable; it is refused anyway.
+    retries = min(cfg.retransmit_max, cfg.duration / cfg.retransmit_timeout, 1e300)
+    transmissions = math.ceil(requests) * (1 + retries)
+    _check(transmissions <= MAX_EMISSIONS, f"retransmit_max must keep the request "
+           f"transmissions per run, ceil(duration / legit_interarrival) * (1 + min("
+           f"retransmit_max, duration / retransmit_timeout)), <= {MAX_EMISSIONS}, "
+           f"got {transmissions:g}")
     if cfg.attack_kind is not AttackKind.NONE:
         _check(cfg.attack_rate > 0, "attack_rate must be > 0 for attack scenarios")
         _check(cfg.attack_packet_size >= 1, "attack_packet_size must be >= 1")
@@ -295,7 +307,7 @@ def _attack_emissions(start: float, end: float, rate: float) -> np.ndarray:
     return emit[emit < end]
 
 
-def _round6(x: np.ndarray) -> np.ndarray:
+def round6(x: np.ndarray) -> np.ndarray:
     """Python's round(v, 6) of every element.
 
     Multiplication rounds monotonically, so rint(v * 1e6) is v rounded to
@@ -430,7 +442,7 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     sent_cause: list[tuple] = []       # for which flow; its arrival is ("L", s)
     sent_flow: list[int] = []          # and its timeout ("O", s)
     tries: list[int] = []              # flow n: request transmissions so far
-    admitted: list[list[int]] = []     # flow n: its admitted packets k
+    first_admitted: list[int] = []     # flow n: its first admitted packet k, or -1
     depart = array("d")                # admitted packet k: end of transmission,
     source = array("q")                # its arrival (attack i, or ~s), and
     own_start = array("b")             # whether its arrival started the link
@@ -529,19 +541,22 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         if tag == "Q":
             generated += 1
             tries.append(1)
-            admitted.append([])
+            first_admitted.append(-1)
             send(i, ev, request_emit[i])
             if i + 1 < len(request_emit):
                 agenda.append(("Q", i + 1))
         elif tag == "O":
+            # Departures, and so responses, come in the order of k, and
+            # equal-time responses are processed in that order too: the
+            # flow is answered by now iff its first admitted packet is.
             flow = sent_flow[i]
-            if (tries[flow] <= cfg.retransmit_max
-                    and not any(before(("R", k), ev) for k in admitted[flow])):
+            k = first_admitted[flow]
+            if tries[flow] <= cfg.retransmit_max and not (k >= 0 and before(("R", k), ev)):
                 tries[flow] += 1
                 generated += 1
                 send(flow, ev, when(ev))
-        elif arrive(~i, when(ev), request_tx):
-            admitted[sent_flow[i]].append(len(depart) - 1)
+        elif arrive(~i, when(ev), request_tx) and first_admitted[sent_flow[i]] < 0:
+            first_admitted[sent_flow[i]] = len(depart) - 1
         if not agenda:
             return None, np.inf
         # Only events at the earliest time need the calendar's tie order.
@@ -618,7 +633,7 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         for group in np.split(ties, np.flatnonzero(np.diff(ties) > 1) + 1):
             lo, hi = group[0], group[-1] + 2
             order[lo:hi] = sorted(order[lo:hi].tolist(), key=calendar)
-    times = _round6(times)
+    times = round6(times)
 
     # In row order: the arrival that carried each row's packet (a response
     # carries its request's), and the row's disposition.
@@ -655,8 +670,6 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
 # --- trace serialization ---------------------------------------------------
 
 _CONFIG_FIELDS = [f.name for f in fields(ScenarioConfig)]
-_INT_CONFIG_FIELDS = {"request_size", "normal_response_size", "amp_response_size",
-                      "retransmit_max", "queue_capacity", "attack_packet_size"}
 _COUNTERS = ("seed", "packets_generated", "in_flight_at_end", "max_queue_occupancy")
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _DISPOSITION_CODES = {disp.value: code for code, disp in enumerate(DISPOSITIONS)}
@@ -761,7 +774,7 @@ def _parse_header_value(key: str, raw: str, line_no: int):
         if key == "attack_start_jitter":
             lo, hi = raw.split(",")
             return (float(lo), float(hi))
-        if key in _INT_CONFIG_FIELDS or key in _COUNTERS:
+        if key in INT_FIELDS or key in _COUNTERS:
             return int(raw)
         return float(raw)
     except (ValueError, TypeError):

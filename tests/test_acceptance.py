@@ -348,7 +348,7 @@ def test_c10_som_properties(default_pipeline):
     for c in (0.1, 1.0, 1000.0):
         assert np.array_equal(recipe.predict(model, c * X), base)
 
-    X = l2_normalize_rows(dataset.features())
+    X = l2_normalize_rows(dataset.X)
     initial = som_init(3)
     qe_before = quantization_error(initial, X)
     epochs = 2

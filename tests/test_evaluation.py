@@ -9,8 +9,8 @@ from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig
 from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
 from dnsids.classifiers.som import SomTrainConfig
-from dnsids.errors import (Empty, EmptyData, InvalidWidth, LengthMismatch,
-                           TooFewSamples, UndefinedMetric)
+from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, TooFewSamples,
+                           UndefinedMetric)
 from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, EvalReport,
                                FoldPlan, MetricSet, accuracy, accuracy_3class, confusion,
                                cross_validate, detection_rate, far,
@@ -313,7 +313,7 @@ class TestCrossValidate:
             name = "spy"
 
             def train(self, data, seed):
-                seen.append({tuple(x) for x in data.features().tolist()})
+                seen.append({tuple(x) for x in data.X.tolist()})
                 return None, TrainReport(0.0, 0, 0.0, True)
 
             def predict(self, model, X):
@@ -342,7 +342,7 @@ class TestCrossValidate:
 
     def test_batched_training_failures_name_the_fold(self):
         # one fold leaves nothing to train on
-        with pytest.raises(EmptyData, match="fold 0"):
+        with pytest.raises(Empty, match="fold 0"):
             cross_validate(SomRecipe(SomTrainConfig(epochs=1)), tiny_dataset(), k=1)
 
     def test_fold_batched_training_matches_per_fold_training(self):

@@ -27,7 +27,7 @@ def mlp_train_lm(model: MlpModel, data: LabeledDataset,
     """`train_lm_arrays` on a dataset's features and target codes."""
     if len(data) == 0:
         raise Empty("cannot train on an empty dataset")
-    return train_lm_arrays(model, data.features(), data.targets(), cfg)
+    return train_lm_arrays(model, data.X, data.targets(), cfg)
 
 
 def zero_model(hidden=7):
@@ -362,7 +362,7 @@ class TestTraining:
         data = dataset_from_arrays(X, labels)
         recipe = MlpRecipe(hidden=7)
         model, report = recipe.train(data, seed=3)
-        preds = recipe.predict(model, data.features())
+        preds = recipe.predict(model, data.X)
         assert class_labels(preds) == labels
 
 
@@ -411,5 +411,5 @@ class TestRecipeStandardization:
         recipe = MlpRecipe()
         model, report = recipe.train(data, seed=1)
         assert report.converged
-        preds = recipe.predict(model, data.features())
+        preds = recipe.predict(model, data.X)
         assert class_labels(preds) == labels

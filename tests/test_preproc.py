@@ -9,145 +9,177 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnsids.errors import ParseError
-from dnsids.preproc import (CLASS_ORDER, ClassLabel, FeatureVector, LabeledDataset,
-                            TARGET_CODES, WindowStats, class_labels, extract_features,
-                            l2_normalize_rows, label_codes, label_windows,
+from dnsids.preproc import (CLASS_ORDER, TARGET_CODES, ClassLabel, LabeledDataset,
+                            class_labels, l2_normalize_rows, label_codes, label_windows,
                             merge_datasets, read_dataset, window_trace, write_dataset)
-from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
-                           PacketEvent, PacketKind, PacketTrace, ScenarioConfig,
+from dnsids.simnet import (ATTACK, ATTACK_FLOW, DROPPED, RESPONSE, TO_CLIENT, TO_SERVER,
+                           AttackKind, GroundTruth, PacketTrace, ScenarioConfig,
                            make_scenario, run)
 
 
-def _trace(cfg, events):
-    """A trace whose columns hold the given `PacketEvent` rows."""
-    return PacketTrace(config=cfg, seed=0,
-                       t=[e.timestamp for e in events],
-                       kind=[KINDS.index(e.kind) for e in events],
-                       size=[e.size for e in events],
-                       disposition=[DISPOSITIONS.index(e.disposition) for e in events],
-                       flow=[-1 if e.flow_id == "atk" else int(e.flow_id[1:])
-                             for e in events],
+def _trace(duration, rows):
+    """A trace of (time, disposition code, size) rows in time order; only
+    these columns matter to windowing."""
+    disposition = [d for _, d, _ in rows]
+    return PacketTrace(config=ScenarioConfig(duration=duration), seed=0,
+                       t=[t for t, _, _ in rows],
+                       kind=[RESPONSE if d == TO_CLIENT else ATTACK for d in disposition],
+                       size=[size for _, _, size in rows], disposition=disposition,
+                       flow=[ATTACK_FLOW] * len(rows),
                        truth=GroundTruth(AttackKind.NONE, None),
-                       packets_generated=len(events), in_flight_at_end=0,
+                       packets_generated=len(rows), in_flight_at_end=0,
                        max_queue_occupancy=0)
+
+
+def reference_features(trace, window_len):
+    """The per-window arithmetic `window_trace` replaced, one window at a
+    time: integer counters, throughput round(bits / window_len, 6), and a
+    mean size of 0 for a window that received nothing. Also returns the
+    packets each window received."""
+    n = math.ceil(trace.config.duration / window_len)
+    bits, packets, lost = [0] * n, [0] * n, [0] * n
+    for t, size, disposition in zip(trace.t.tolist(), trace.size.tolist(),
+                                    trace.disposition.tolist()):
+        i = min(int(t // window_len), n - 1)
+        if disposition == TO_SERVER:
+            bits[i] += size * 8
+            packets[i] += 1
+        elif disposition == DROPPED:
+            lost[i] += 1
+    rows = []
+    for b, p, lost_i in zip(bits, packets, lost):
+        throughput = round(b / window_len, 6)
+        mean_size = round((b / 8) / p, 6) if p > 0 else 0.0
+        rows.append((throughput, mean_size, lost_i))
+    return np.array(rows, dtype=float).reshape(-1, 3), packets
+
+
+@st.composite
+def generated_traces(draw):
+    """Traces of up to 60 rows at any times in [0, duration], with window
+    lengths that do and do not divide the duration."""
+    duration = draw(st.sampled_from([0.5, 20.0, 60.0, 61.0, 640.0, 2e4]))
+    rows = draw(st.lists(st.tuples(st.floats(0, duration),
+                                   st.sampled_from([TO_SERVER, DROPPED, TO_CLIENT]),
+                                   st.integers(1, 70_000)), max_size=60))
+    # At most 2000 windows, so the reference stays fast.
+    window_len = draw(st.sampled_from([20.0, 0.1, 3.0, 7.3]).filter(
+        lambda w: duration / w <= 2000) | st.floats(duration / 2000, 2 * duration))
+    return _trace(duration, sorted(rows)), window_len
 
 
 class TestWindowing:
     def test_empty_trace_gives_zero_windows(self):
-        trace = _trace(ScenarioConfig(duration=60), [])
-        windows = window_trace(trace, 20.0)
-        assert len(windows) == 3
-        assert all(w.bits_received == 0 and w.packets_received == 0
-                   and w.packets_lost == 0 for w in windows)
-        assert [w.start for w in windows] == [0.0, 20.0, 40.0]
+        trace = _trace(60.0, [])
+        X = window_trace(trace, 20.0)
+        assert X.shape == (3, 3) and X.dtype == np.float64
+        assert not X.any()
 
     def test_single_delivery_lands_in_its_window(self):
-        ev = PacketEvent(0, 25.0, PacketKind.LEGIT_REQUEST, 512,
-                         Disposition.DELIVERED_TO_SERVER, "q0")
-        trace = _trace(ScenarioConfig(duration=60), [ev])
-        windows = window_trace(trace, 20.0)
-        assert windows[1].bits_received == 4096
-        assert windows[1].packets_received == 1
-        assert windows[0].bits_received == 0
-        assert windows[2].bits_received == 0
+        trace = _trace(60.0, [(25.0, TO_SERVER, 512)])
+        X = window_trace(trace, 20.0)
+        assert X[1].tolist() == [4096 / 20, 512.0, 0.0]    # 4096 bits in one packet
+        assert X[0, 0] == 0.0
+        assert X[2, 0] == 0.0
 
     def test_drop_counts_as_lost_not_received(self):
-        ev = PacketEvent(0, 5.0, PacketKind.ATTACK, 512,
-                         Disposition.DROPPED_AT_QUEUE, "atk")
-        trace = _trace(ScenarioConfig(duration=20), [ev])
-        (w,) = window_trace(trace, 20.0)
-        assert w.packets_lost == 1
-        assert w.packets_received == 0
+        trace = _trace(20.0, [(5.0, DROPPED, 512)])
+        (row,) = window_trace(trace, 20.0)
+        assert row[2] == 1
+        assert row[0] == 0.0 and row[1] == 0.0
 
     def test_response_to_client_not_counted(self):
-        ev = PacketEvent(0, 5.0, PacketKind.LEGIT_RESPONSE, 512,
-                         Disposition.DELIVERED_TO_CLIENT, "q0")
-        trace = _trace(ScenarioConfig(duration=20), [ev])
-        (w,) = window_trace(trace, 20.0)
-        assert w.packets_received == 0 and w.bits_received == 0
+        trace = _trace(20.0, [(5.0, TO_CLIENT, 512)])
+        (row,) = window_trace(trace, 20.0)
+        assert row[0] == 0.0 and row[1] == 0.0
 
     def test_no_attack_run_two_requests_per_window(self):
         trace = run(make_scenario(duration=200), seed=1)
-        windows = window_trace(trace, 20.0)
-        assert len(windows) == 10
-        for w in windows:
-            assert w.packets_received == 2
-            assert w.bits_received == 2 * 480
-            assert w.packets_lost == 0
+        X = window_trace(trace, 20.0)
+        assert len(X) == 10
+        # 2 packets of 60 bytes, 960 bits, per window
+        assert X.tolist() == [[960 / 20, 60.0, 0.0]] * 10
 
     def test_partition_property(self):
         cfg = make_scenario(attack_kind="direct_dos", duration=90,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 10.0), attack_duration=90)
         trace = run(cfg, seed=33)
-        windows = window_trace(trace, 20.0)
-        delivered = sum(1 for e in trace.events
-                        if e.disposition is Disposition.DELIVERED_TO_SERVER)
-        dropped = sum(1 for e in trace.events
-                      if e.disposition is Disposition.DROPPED_AT_QUEUE)
-        assert sum(w.packets_received for w in windows) == delivered
-        assert sum(w.packets_lost for w in windows) == dropped
+        X = window_trace(trace, 20.0)
+        _, packets = reference_features(trace, 20.0)
+        assert sum(packets) == np.count_nonzero(trace.disposition == TO_SERVER)
+        assert X[:, 2].sum() == trace.drops
+
+    @settings(max_examples=300, deadline=None)
+    @given(generated_traces())
+    def test_matches_the_per_window_arithmetic(self, case):
+        trace, window_len = case
+        X = window_trace(trace, window_len)
+        want, packets = reference_features(trace, window_len)
+        assert np.array_equal(X, want)
+        assert (X >= 0).all()
+        assert (X[np.array(packets) == 0, 1] == 0.0).all()
 
 
 class TestFeatures:
+    def _window(self, size, packets, lost=0):
+        """Feature row of one 20 s window receiving `packets` of `size`
+        bytes and dropping `lost`."""
+        rows = [(1.0, TO_SERVER, size)] * packets + [(2.0, DROPPED, 512)] * lost
+        (row,) = window_trace(_trace(20.0, rows), 20.0)
+        return row.tolist()
+
     def test_normal_window_arithmetic(self):
-        fv = extract_features(WindowStats(0, 0.0, 960, 2, 0), 20.0)
-        assert fv == FeatureVector(48.0, 60.0, 0)
+        assert self._window(60, 2) == [48.0, 60.0, 0]       # 960 bits
 
     def test_zero_window(self):
-        fv = extract_features(WindowStats(0, 0.0, 0, 0, 0), 20.0)
-        assert fv == FeatureVector(0.0, 0.0, 0)
+        assert self._window(60, 0) == [0.0, 0.0, 0]
 
     def test_amplification_scale_mean_size(self):
-        fv = extract_features(WindowStats(0, 0.0, 65536, 2, 0), 20.0)
-        assert fv.mean_packet_size == 4096.0
+        assert self._window(4096, 2)[1] == 4096.0           # 65536 bits
 
-    @given(bits=st.integers(0, 10**9), packets=st.integers(0, 10**5),
-           lost=st.integers(0, 10**5))
-    def test_non_negative_everywhere(self, bits, packets, lost):
-        fv = extract_features(WindowStats(0, 0.0, bits, packets, lost), 20.0)
-        assert fv.throughput >= 0
-        assert fv.mean_packet_size >= 0
-        assert fv.packet_loss >= 0
+    @given(size=st.integers(1, 10**5), packets=st.integers(0, 40),
+           lost=st.integers(0, 40))
+    def test_non_negative_everywhere(self, size, packets, lost):
+        throughput, mean_size, packet_loss = self._window(size, packets, lost)
+        assert throughput >= 0
+        assert mean_size >= 0
+        assert packet_loss == lost >= 0
         if packets == 0:
-            assert fv.mean_packet_size == 0.0
+            assert mean_size == 0.0
 
 
 class TestLabeling:
     def test_no_attack_all_normal(self):
-        windows = [WindowStats(i, i * 20.0, 0, 0, 0) for i in range(3)]
-        ds = label_windows(windows, GroundTruth(AttackKind.NONE, None), 20.0)
+        ds = label_windows(np.zeros((3, 3)), GroundTruth(AttackKind.NONE, None), 20.0)
         assert all(lbl is ClassLabel.NORMAL for lbl in class_labels(ds.codes))
 
     def test_majority_overlap_rule(self):
-        windows = [WindowStats(i, i * 20.0, 0, 0, 0) for i in range(10)]
         truth = GroundTruth(AttackKind.DIRECT_DOS, (20.0, 200.0))
-        ds = label_windows(windows, truth, 20.0)
+        ds = label_windows(np.zeros((10, 3)), truth, 20.0)
         labels = class_labels(ds.codes)
         assert labels[0] is ClassLabel.NORMAL
         assert all(lbl is ClassLabel.DIRECT_DOS for lbl in labels[1:])
 
     def test_exactly_half_overlap_is_normal(self):
-        windows = [WindowStats(0, 0.0, 0, 0, 0)]
         truth = GroundTruth(AttackKind.AMPLIFICATION, (10.0, 20.0))
-        ds = label_windows(windows, truth, 20.0)
+        ds = label_windows(np.zeros((1, 3)), truth, 20.0)
         assert class_labels(ds.codes)[0] is ClassLabel.NORMAL
 
     def test_just_over_half_is_attack(self):
-        windows = [WindowStats(0, 0.0, 0, 0, 0)]
         truth = GroundTruth(AttackKind.AMPLIFICATION, (9.99, 20.0))
-        ds = label_windows(windows, truth, 20.0)
+        ds = label_windows(np.zeros((1, 3)), truth, 20.0)
         assert class_labels(ds.codes)[0] is ClassLabel.AMPLIFICATION
 
-    def test_labeling_is_per_window_deterministic(self):
-        windows = [WindowStats(i, i * 20.0, 10, 1, 0) for i in range(6)]
+    def test_labeling_is_deterministic_and_keeps_the_rows(self):
+        features = np.tile([400.0, 10.0, 0.0], (6, 1))
         truth = GroundTruth(AttackKind.DIRECT_DOS, (35.0, 90.0))
-        first = label_windows(windows, truth, 20.0)
-        again = label_windows(windows, truth, 20.0)
+        first = label_windows(features, truth, 20.0, ("t",))
+        again = label_windows(features, truth, 20.0, ("t",))
         assert first == again
-        reversed_ds = label_windows(list(reversed(windows)), truth, 20.0)
-        assert (list(reversed(class_labels(reversed_ds.codes)))
-                == class_labels(first.codes))
+        assert np.array_equal(first.X, features) and first.provenance == ("t",)
+        # windows starting at 40 and 60 are more than half covered
+        assert first.codes.tolist() == [0, 0, 1, 1, 0, 0]
 
 
 class TestTargetCodes:
@@ -265,7 +297,7 @@ class TestDatasetSerialization:
     def test_extreme_rows_accepted_by_the_reader_reach_the_map_normalized(self):
         text = ("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
                 "1e200,1e198,0,normal\n1e-170,3e-171,0,normal\n")
-        out = l2_normalize_rows(read_dataset(text).features())
+        out = l2_normalize_rows(read_dataset(text).X)
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_missing_header_rejected(self):
@@ -284,7 +316,7 @@ class TestDatasetSerialization:
         b = LabeledDataset([(2.0, 2.0, 0)], label_codes([ClassLabel.NORMAL]), ("b",))
         merged = merge_datasets([a, b])
         assert merged.provenance == ("a", "b")
-        assert merged.features().shape == (2, 3)
+        assert merged.X.shape == (2, 3)
 
 
 def reference_render(rows, provenance=(), comments=()):
@@ -332,7 +364,7 @@ class TestColumnarDataset:
         rows = np.array([[1.0, 2.0, 3.0]])
         ds = LabeledDataset(rows, [2])
         rows[0, 0] = 9.0
-        assert ds.features()[0, 0] == 1.0
+        assert ds.X[0, 0] == 1.0
         assert ds.X.dtype == np.float64 and ds.codes.dtype == np.int8
         with pytest.raises(ValueError):
             ds.X[0, 0] = 9.0

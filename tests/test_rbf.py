@@ -8,7 +8,7 @@ import pytest
 from dnsids.classifiers.rbf import (RbfModel, _activations, _lloyd_steps, kmeans,
                                     rbf_forward, rbf_train, rbf_width)
 from dnsids.classifiers.recipes import RbfRecipe
-from dnsids.errors import NeedTwoCenters, TooFewPoints
+from dnsids.errors import NeedTwoCenters, TooFewSamples
 from dnsids.preproc import ClassLabel, LabeledDataset, class_labels, label_codes
 
 
@@ -53,11 +53,11 @@ class TestKmeans:
 
     def test_duplicates_below_k_distinct_rejected(self):
         pts = np.array([[1.0, 1.0, 1.0]] * 6 + [[2.0, 2.0, 2.0]] * 6)
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewSamples):
             kmeans(pts, 3, seed=0)
 
     def test_fewer_points_than_k_rejected(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewSamples):
             kmeans(np.zeros((2, 3)), 5, seed=0)
 
     def test_deterministic_per_seed(self):
@@ -109,7 +109,7 @@ class TestTraining:
 
         # independent check: an unregularized least-squares solve of the
         # same design reaches an (essentially) exact interpolant too
-        phi = _activations(model.centers, model.width, data.features())
+        phi = _activations(model.centers, model.width, data.X)
         design = np.concatenate([phi, np.ones((12, 1))], axis=1)
         coeffs, *_ = np.linalg.lstsq(design, data.targets(), rcond=None)
         residual = design @ coeffs - data.targets()
@@ -129,7 +129,7 @@ class TestTraining:
         assert min(gaps) > 8 * 0.5  # margin dwarfs blob spread
         data = dataset_from_arrays(np.array(X), labels)
         model, _ = rbf_train(data, k=6, seed=1)
-        preds = RbfRecipe().predict(model, data.features())
+        preds = RbfRecipe().predict(model, data.X)
         assert class_labels(preds) == labels
 
     def test_k_below_two_rejected(self):
@@ -140,7 +140,7 @@ class TestTraining:
     def test_duplicate_heavy_dataset_rejected(self):
         X = np.array([[1.0, 1.0, 0.0]] * 10)
         data = dataset_from_arrays(X, [ClassLabel.NORMAL] * 10)
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(TooFewSamples):
             rbf_train(data, k=3, seed=0)
 
     def test_deterministic(self):

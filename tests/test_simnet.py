@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dnsids import simnet
 from dnsids.errors import InvalidConfig, ParseError
 from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
-                           PacketKind, ScenarioConfig, _round6, make_scenario, read_trace,
+                           PacketKind, ScenarioConfig, make_scenario, read_trace, round6,
                            run, validate_config, write_trace)
 
 COLUMNS = ("t", "kind", "size", "disposition", "flow")
@@ -93,15 +93,26 @@ class TestMakeScenario:
         (dict(attack_kind="amplification", bottleneck_rate=1e300), "attack_rate"),
         (dict(duration=1e300), "duration"),
         (dict(legit_interarrival=1e-6), "duration"),
+        (dict(duration=640, retransmit_max=10**9, retransmit_timeout=1e-5), "retransmit_max"),
+        (dict(retransmit_max=10**7, retransmit_timeout=1e-6), "retransmit_max"),
+        (dict(duration=1e300, legit_interarrival=1e300, retransmit_max=10**400,
+              retransmit_timeout=5e-324), "retransmit_max"),
     ])
     def test_emissions_per_run_bounded(self, params, key):
         # Validation only: none of these scenarios is run.
         with pytest.raises(InvalidConfig, match=f"^{key} .* per run"):
             make_scenario(**params)
 
+    def test_transmissions_at_the_bound_accepted(self):
+        # 10 requests, each sent once and retransmitted at most 10**6 - 1 times
+        bound = simnet.MAX_EMISSIONS
+        cfg = make_scenario(duration=100.0, retransmit_max=bound // 10 - 1,
+                            retransmit_timeout=1e-9)
+        assert 10 * (1 + cfg.retransmit_max) == bound
+
     def test_emissions_at_the_bound_accepted(self):
         bound = simnet.MAX_EMISSIONS
-        cfg = make_scenario(attack_kind="direct_dos", duration=100.0,
+        cfg = make_scenario(attack_kind="direct_dos", duration=100.0, retransmit_max=0,
                             legit_interarrival=100.0 / bound, attack_rate=bound / 100.0)
         assert cfg.attack_rate * cfg.duration == bound
 
@@ -314,7 +325,7 @@ def test_vector_rounding_equals_python_round():
         np.round(rng.uniform(0.0, 1e3, 20_000), 7),
         rng.uniform(1e9, 1e13, 2_000),
     ])
-    assert _round6(values).tolist() == [round(v, 6) for v in values.tolist()]
+    assert round6(values).tolist() == [round(v, 6) for v in values.tolist()]
 
 
 def _rows(text: str) -> tuple[list[str], list[str]]:
@@ -584,6 +595,23 @@ class TestReferenceEquivalence:
                            queue_capacity=1, attack_start_jitter=(0.0, 0.0),
                            attack_duration=30), **params)
         assert assert_matches_reference(make_scenario(**params), seed=1)["same_time_pops"] > 0
+
+    # Every time is a multiple of 1/8 s: each retransmission reaches the
+    # link as the one ahead of it leaves, and timeouts land on responses,
+    # several of one flow's packets admitted before the first is answered.
+    @pytest.mark.parametrize("timeout", [0.125, 0.25, 0.5, 2.0])
+    def test_exact_ties_of_timeouts_and_responses(self, timeout):
+        cfg = make_scenario(duration=16, legit_interarrival=8, request_size=64,
+                            normal_response_size=64, edge_rate=2048, edge_delay=0.25,
+                            bottleneck_rate=2048, bottleneck_delay=0.25,
+                            retransmit_timeout=timeout, retransmit_max=20)
+        assert assert_matches_reference(cfg, seed=1)["same_time_pops"] > 0
+
+    def test_many_retransmissions_match_reference(self):
+        # The response needs about 3000 timeouts of 1e-5 s to come back, so
+        # each flow has thousands of packets admitted when it is answered.
+        cfg = make_scenario(duration=20, retransmit_max=10**9, retransmit_timeout=1e-5)
+        assert assert_matches_reference(cfg, seed=1)["packets_generated"] == 9990
 
     @pytest.mark.parametrize("kind", ["none", "direct_dos", "amplification"])
     def test_bundled_scale_matches_reference(self, kind):

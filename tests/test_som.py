@@ -14,7 +14,7 @@ from dnsids.classifiers.som import (GRID_DIAMETER, N_NEURONS, SomModel, SomTrain
                                     best_matching_units, grid_positions, quantization_error,
                                     som_classify, som_init, som_label, som_train,
                                     som_train_folds)
-from dnsids.errors import EmptyData, Unlabeled
+from dnsids.errors import Empty, Unlabeled
 from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_codes
 
 
@@ -113,7 +113,7 @@ class TestTraining:
             som_train(som_init(5), data, SomTrainConfig(seed=0, **bad))
 
     def test_empty_data_rejected(self):
-        with pytest.raises(EmptyData):
+        with pytest.raises(Empty):
             som_train(som_init(0), np.zeros((0, 3)), SomTrainConfig(epochs=1))
 
     def test_deterministic(self):
@@ -193,7 +193,7 @@ class TestLockstep:
 
     def test_empty_fold_is_named(self):
         X = np.ones((4, 3)) / math.sqrt(3)
-        with pytest.raises(EmptyData, match="fold 1"):
+        with pytest.raises(Empty, match="fold 1"):
             som_train_folds([som_init(0), som_init(1)], [X, X[:0]],
                             SomTrainConfig(epochs=1), [0, 1])
 
@@ -274,7 +274,7 @@ class TestLabeling:
         assert neuron_labels[0] is ClassLabel.NORMAL
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyData):
+        with pytest.raises(Empty):
             som_label(self.crafted_model(), np.zeros((0, 3)), [])
 
 
