@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidWidth, SingularUpdate
+from ..errors import InvalidWidth, SingularUpdate, require
 from .base import TrainReport
 
 MAX_HIDDEN = 64
@@ -48,6 +48,19 @@ class MlpTrainConfig:
     lm_lambda_max: float = 1e10
     weight_init_range: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        require(self.max_epochs >= 1, "max_epochs", ">= 1", self.max_epochs)
+        require(self.target_mse > 0, "target_mse", "> 0", self.target_mse)
+        require(self.lm_lambda_up > 1, "lm_lambda_up", "> 1", self.lm_lambda_up)
+        require(0 < self.lm_lambda_down < 1, "lm_lambda_down", "in (0, 1)",
+                self.lm_lambda_down)
+        # A zero initial damping never grows, and an infinite or nan cap is
+        # never passed: either way a fit that stops improving never stalls.
+        # An infinite weight range cannot be drawn from.
+        for key in ("lm_lambda_init", "lm_lambda_max", "weight_init_range"):
+            value = getattr(self, key)
+            require(math.isfinite(value) and value > 0, key, "finite and > 0", value)
 
 
 def mlp_init(hidden: int, seed: int, init_range: float = 0.5) -> MlpModel:
@@ -150,17 +163,6 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
     budget runs out, or no step improves even at maximum damping. The
     accepted-step MSE sequence is non-increasing by construction.
     """
-    if cfg.max_epochs < 1:
-        raise ValueError("max_epochs must be >= 1")
-    if cfg.target_mse <= 0:
-        raise ValueError("target_mse must be > 0")
-    if cfg.lm_lambda_up <= 1 or not 0 < cfg.lm_lambda_down < 1:
-        raise ValueError("damping factors must satisfy up > 1 and 0 < down < 1")
-    for name in ("lm_lambda_init", "lm_lambda_max"):
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0")
-
     start = time.perf_counter()
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     T = np.asarray(T, dtype=float).reshape(-1, 3)

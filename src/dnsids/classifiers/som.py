@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import Empty, Unlabeled
+from ..errors import Empty, Unlabeled, require
 from ..preproc import CLASS_ORDER, l2_normalize_rows
 from .base import _DECISION_LABEL_CODES, _DECISION_ORDER
 
@@ -101,6 +101,15 @@ class SomTrainConfig:
     tuning_neighbor_dist: int = 1
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("ordering_lr", "tuning_lr"):
+            require(0 < getattr(self, key) <= 1, key, "in (0, 1]", getattr(self, key))
+        require(self.ordering_steps >= 1, "ordering_steps", ">= 1", self.ordering_steps)
+        # Fewer epochs train no map, and a negative radius updates no neuron.
+        require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
+        require(self.tuning_neighbor_dist >= 0, "tuning_neighbor_dist", ">= 0",
+                self.tuning_neighbor_dist)
+
 
 def som_init(seed: int) -> SomModel:
     """Codebook drawn uniformly from the unit cube, deterministic per seed."""
@@ -142,14 +151,6 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
     for fold, X in enumerate(Xs):
         if len(X) == 0:
             raise Empty(f"fold {fold}: som training needs at least one sample")
-    if not 0 < cfg.ordering_lr <= 1 or not 0 < cfg.tuning_lr <= 1:
-        raise ValueError("learning rates must be in (0, 1]")
-    if cfg.ordering_steps < 1:
-        raise ValueError("ordering_steps must be >= 1")
-    if cfg.epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    if cfg.tuning_neighbor_dist < 0:
-        raise ValueError("tuning_neighbor_dist must be >= 0")
 
     # Maps run in descending order of presentation count, so the maps
     # still training at any step are a prefix of the stack.

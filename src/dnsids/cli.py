@@ -31,10 +31,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from . import errors  # noqa: E402
-from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe  # noqa: E402
 from .classifiers.store import save_model  # noqa: E402
-from .config import (DEFAULT_CONFIG, PipelineConfig, parse_pipeline_config,  # noqa: E402
-                     validate_for_training)
+from .config import (CLASSIFIERS, DEFAULT_CONFIG, RECIPES, PipelineConfig,  # noqa: E402
+                     parse_pipeline_config, validate_for_training)
 from .evaluation import (EvalReport, cross_validate, kfold_split, render_report,  # noqa: E402
                          render_sweep_csv, sweep_hidden_neurons, sweep_workers)
 from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,  # noqa: E402
@@ -111,20 +110,6 @@ def _stamp(seed: int, digest: str) -> tuple[str, ...]:
     return (f"master_seed={seed}", f"config_digest={digest}")
 
 
-def _build_recipes(cfg: PipelineConfig, names) -> list:
-    recipes = []
-    for name in names:
-        if name == "mlp":
-            recipes.append(MlpRecipe(hidden=cfg.mlp.hidden, train_config=cfg.mlp.train))
-        elif name == "rbf":
-            recipes.append(RbfRecipe(centers=cfg.rbf_centers))
-        elif name == "som":
-            recipes.append(SomRecipe(train_config=cfg.som))
-        else:
-            raise errors.ConfigError(f"unknown classifier {name!r}")
-    return recipes
-
-
 # --- stages (shared by the individual commands and `pipeline`) ---------------
 
 def _simulated(cfg: PipelineConfig, out: Path, digest: str, each) -> list:
@@ -199,7 +184,7 @@ def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
         raise errors.Empty("dataset has no samples")
     plan = kfold_split(data, cfg.cv_folds, derive_seed(cfg.seed, "kfold"))
     entries = []
-    for recipe in _build_recipes(cfg, names):
+    for recipe in (RECIPES[name](cfg) for name in names):
         log.info("cross-validating %s (%d folds)", recipe.name, cfg.cv_folds)
         entries.append(cross_validate(recipe, data, k=cfg.cv_folds, seed=cfg.seed))
     report = EvalReport(
@@ -209,11 +194,10 @@ def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
         folds=cfg.cv_folds,
         stratified=plan.stratified,
     )
-    text, _ = render_report(report, stable_times=False)
-    _, csv_stable = render_report(report, stable_times=True)
+    text, csv = render_report(report)
     comment = (f"# master_seed={cfg.seed} config_digest={digest} "
                f"dataset={report.dataset_fingerprint} folds={cfg.cv_folds}\n")
-    csv_path = _write_output(out / "report.csv", comment, csv_stable)
+    csv_path = _write_output(out / "report.csv", comment, csv)
     txt_path = _write_output(out / "report.txt", comment, text)
     sys.stdout.write(text)
     return csv_path, txt_path
@@ -242,11 +226,11 @@ def cmd_train(args) -> int:
     data = read_dataset(_read_input(args.dataset, "dataset"))
     if len(data) == 0:
         raise errors.Empty("dataset has no samples")
-    recipe = _build_recipes(cfg, [args.classifier])[0]
+    recipe = RECIPES[args.classifier](cfg)
     model, report = recipe.train(data, derive_seed(cfg.seed, recipe.name, "train"))
-    train_cfg = {"mlp": cfg.mlp.train, "som": cfg.som, "rbf": None}[args.classifier]
+    # The RBF recipe has no training config.
     _write_output(Path(args.out) / f"model_{args.classifier}.json",
-                  save_model(model, train_cfg, report,
+                  save_model(model, getattr(recipe, "train_config", None), report,
                              extra={"master_seed": cfg.seed, "config_digest": digest}))
     log.info("trained %s: mse=%.6g epochs=%d wall=%.2fs converged=%s",
              args.classifier, report.final_mse, report.epochs_run,
@@ -318,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one classifier on a dataset")
     common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--classifier", choices=("mlp", "rbf", "som"), default="mlp")
+    p.add_argument("--classifier", choices=CLASSIFIERS, default="mlp")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="cross-validate classifiers, write the report")
     common(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--classifier", choices=("mlp", "rbf", "som", "all"), default="all")
+    p.add_argument("--classifier", choices=(*CLASSIFIERS, "all"), default="all")
     p.add_argument("--k", type=int, help="cross-validation folds")
     p.set_defaults(func=cmd_evaluate)
 

@@ -9,19 +9,25 @@ Grammar (see README for the full key list):
 Every scenario inherits the pipeline window_len unless it sets its own.
 A master seed is mandatory; nothing in the pipeline touches the wall
 clock except training-time measurement.
+
+The keys of [scenario.*], [mlp] and [som] are the fields of the
+dataclasses they set, and each value parses by its field's annotation.
+Those dataclasses check their own rules when built; a broken rule or a
+bad value is a ConfigError that starts with `[section] key`.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .classifiers.mlp import MAX_HIDDEN, MlpTrainConfig
+from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
 from .classifiers.som import SomTrainConfig
-from .errors import ConfigError, InvalidConfig
-from .simnet import INT_FIELDS, AttackKind, ScenarioConfig, make_scenario
+from .errors import ConfigError, InvalidConfig, require
+from .simnet import PARSERS, AttackKind, ScenarioConfig, make_scenario
 
 # The bundled experiment, shipped as package data: a balanced three-class
 # dataset at desk scale. The contested link is scaled down from the
@@ -38,11 +44,26 @@ class ScenarioBlock:
     runs: int
     config: ScenarioConfig
 
+    def __post_init__(self):
+        require(self.runs >= 1, "runs", ">= 1", self.runs)
+
 
 @dataclass(frozen=True)
 class MlpSettings:
     hidden: int = 7
     train: MlpTrainConfig = field(default_factory=MlpTrainConfig)
+
+    def __post_init__(self):
+        require(1 <= self.hidden <= MAX_HIDDEN, "hidden", f"in 1..{MAX_HIDDEN}", self.hidden)
+
+
+# Each classifier's config name, and its recipe with a config's settings.
+RECIPES = {
+    "mlp": lambda cfg: MlpRecipe(hidden=cfg.mlp.hidden, train_config=cfg.mlp.train),
+    "rbf": lambda cfg: RbfRecipe(centers=cfg.rbf_centers),
+    "som": lambda cfg: SomRecipe(train_config=cfg.som),
+}
+CLASSIFIERS = tuple(RECIPES)
 
 
 @dataclass(frozen=True)
@@ -50,96 +71,59 @@ class PipelineConfig:
     seed: int
     window_len: float = 20.0
     cv_folds: int = 10
-    classifier_names: tuple[str, ...] = ("mlp", "rbf", "som")
+    classifier_names: tuple[str, ...] = CLASSIFIERS
     scenarios: tuple[ScenarioBlock, ...] = ()
     mlp: MlpSettings = field(default_factory=MlpSettings)
     rbf_centers: int = 10
     som: SomTrainConfig = field(default_factory=SomTrainConfig)
 
 
-_SCENARIO_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
-_MLP_KEYS = {"hidden", "max_epochs", "target_mse", "lm_lambda_init", "lm_lambda_up",
-             "lm_lambda_down", "lm_lambda_max", "weight_init_range"}
-_SOM_KEYS = {"epochs", "ordering_lr", "ordering_steps", "tuning_lr",
-             "tuning_neighbor_dist"}
-_VALID_CLASSIFIERS = ("mlp", "rbf", "som")
+def _field_parsers(*classes) -> dict:
+    """Parser of each key that sets a plain-valued field of `classes`.
+
+    `seed` fields are not keys: each trainer's seed derives from the
+    master seed.
+    """
+    return {f.name: PARSERS[f.type] for cls in classes for f in fields(cls)
+            if f.type in PARSERS and f.name != "seed"}
 
 
-def _convert(section_name: str, key: str, raw: str, convert):
-    """`convert(raw)`, failing as a ConfigError that names the section and key."""
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in raw.split(","))
+
+
+# The keys each section accepts, with the parser of each one's value;
+# "scenario.*" stands for every [scenario.<name>].
+SECTION_PARSERS = {
+    "pipeline": {"seed": int, "window_len": float, "cv_folds": int, "classifiers": _names},
+    "scenario.*": _field_parsers(ScenarioBlock, ScenarioConfig),
+    "mlp": _field_parsers(MlpSettings, MlpTrainConfig),
+    "rbf": {"centers": int},
+    "som": _field_parsers(SomTrainConfig),
+}
+
+
+@contextmanager
+def _section(name: str):
+    """Report a broken rule inside the block as a ConfigError naming section `name`."""
     try:
-        return convert(raw)
-    except ValueError:
-        raise ConfigError(f"[{section_name}] {key}: bad value {raw!r}") from None
-
-
-def _pair(raw: str) -> tuple[float, float]:
-    lo, comma, hi = raw.partition(",")
-    if not comma:
-        raise ValueError("expected two comma-separated numbers")
-    return float(lo), float(hi)
-
-
-def _require(ok: bool, section_name: str, key: str, rule: str, value) -> None:
-    if not ok:
-        raise ConfigError(f"[{section_name}] {key} must be {rule}, got {value}")
-
-
-def _parse_scenario(section_name: str, section, window_len: float) -> ScenarioBlock:
-    runs = 1
-    params: dict = {"window_len": window_len}
-    for key, raw in section.items():
-        if key == "runs":
-            runs = _convert(section_name, key, raw, int)
-            continue
-        if key not in _SCENARIO_FIELD_TYPES:
-            raise ConfigError(f"unknown scenario key {key!r} in [{section_name}]")
-        if key == "attack_kind":
-            params[key] = raw.strip()
-        elif key in INT_FIELDS:
-            params[key] = _convert(section_name, key, raw, int)
-        else:
-            jitter = key == "attack_start_jitter"
-            value = _convert(section_name, key, raw, _pair if jitter else float)
-            _require(all(map(math.isfinite, value if jitter else (value,))),
-                     section_name, key, "finite", value)
-            params[key] = value
-    _require(runs >= 1, section_name, "runs", ">= 1", runs)
-    try:
-        config = make_scenario(**params)
+        yield
     except InvalidConfig as exc:
-        raise ConfigError(f"[{section_name}] {exc}") from None
-    return ScenarioBlock(name=section_name.split(".", 1)[1], runs=runs, config=config)
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
-def _parse_mlp(section) -> MlpSettings:
-    values = {key: _convert("mlp", key, raw, int if key in ("hidden", "max_epochs") else float)
-              for key, raw in section.items()}
-    hidden = values.pop("hidden", MlpSettings.hidden)
-    _require(1 <= hidden <= MAX_HIDDEN, "mlp", "hidden", f"in 1..{MAX_HIDDEN}", hidden)
-    train = MlpTrainConfig(**values)
-    _require(train.max_epochs >= 1, "mlp", "max_epochs", ">= 1", train.max_epochs)
-    _require(train.target_mse > 0, "mlp", "target_mse", "> 0", train.target_mse)
-    _require(train.lm_lambda_up > 1, "mlp", "lm_lambda_up", "> 1", train.lm_lambda_up)
-    _require(0 < train.lm_lambda_down < 1, "mlp", "lm_lambda_down", "in (0, 1)",
-             train.lm_lambda_down)
-    for key in ("lm_lambda_init", "lm_lambda_max", "weight_init_range"):
-        value = getattr(train, key)
-        _require(math.isfinite(value) and value > 0, "mlp", key, "finite and > 0", value)
-    return MlpSettings(hidden=hidden, train=train)
-
-
-def _parse_som(section) -> SomTrainConfig:
-    cfg = SomTrainConfig(**{
-        key: _convert("som", key, raw, float if key in ("ordering_lr", "tuning_lr") else int)
-        for key, raw in section.items()})
-    for key in ("ordering_lr", "tuning_lr"):
-        _require(0 < getattr(cfg, key) <= 1, "som", key, "in (0, 1]", getattr(cfg, key))
-    _require(cfg.ordering_steps >= 1, "som", "ordering_steps", ">= 1", cfg.ordering_steps)
-    _require(cfg.epochs >= 1, "som", "epochs", ">= 1", cfg.epochs)
-    _require(cfg.tuning_neighbor_dist >= 0, "som", "tuning_neighbor_dist", ">= 0",
-             cfg.tuning_neighbor_dist)
-    return cfg
+def _read(section, kind: str) -> dict:
+    """Parse a section's values by the parsers `SECTION_PARSERS[kind]` lists."""
+    parsers = SECTION_PARSERS[kind]
+    values = {}
+    for key, raw in section.items():
+        if key not in parsers:
+            raise InvalidConfig(f"unknown key {key!r}")
+        try:
+            values[key] = parsers[key](raw)
+        except ValueError:
+            raise InvalidConfig(f"{key}: bad value {raw!r}") from None
+    return values
 
 
 def parse_pipeline_config(text: str) -> PipelineConfig:
@@ -151,55 +135,47 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
 
     if "pipeline" not in parser:
         raise ConfigError("missing [pipeline] section")
-    pipe = parser["pipeline"]
-    known_pipe = {"seed", "window_len", "cv_folds", "classifiers"}
-    unknown = set(pipe) - known_pipe
-    if unknown:
-        raise ConfigError(f"unknown pipeline key {sorted(unknown)[0]!r}")
-    if "seed" not in pipe:
-        raise ConfigError("[pipeline] must set a master seed")
-    seed = _convert("pipeline", "seed", pipe["seed"], int)
-    window_len = _convert("pipeline", "window_len", pipe.get("window_len", "20"), float)
-    _require(math.isfinite(window_len) and window_len > 0, "pipeline", "window_len",
-             "finite and > 0", window_len)
-    cv_folds = _convert("pipeline", "cv_folds", pipe.get("cv_folds", "10"), int)
-    _require(cv_folds >= 2, "pipeline", "cv_folds", ">= 2", cv_folds)
-    names = tuple(n.strip() for n in pipe.get("classifiers", "mlp,rbf,som").split(","))
-    for n in names:
-        if n not in _VALID_CLASSIFIERS:
-            raise ConfigError(f"unknown classifier {n!r}")
+    with _section("pipeline"):
+        pipe = _read(parser["pipeline"], "pipeline")
+        if "seed" not in pipe:
+            raise InvalidConfig("seed must be set: it is the master seed")
+        window_len = pipe.get("window_len", PipelineConfig.window_len)
+        # It is every scenario's default, so it obeys the scenario rules.
+        ScenarioConfig(window_len=window_len)
+        cv_folds = pipe.get("cv_folds", PipelineConfig.cv_folds)
+        require(cv_folds >= 2, "cv_folds", ">= 2", cv_folds)
+        names = pipe.get("classifiers", CLASSIFIERS)
+        for name in names:
+            require(name in CLASSIFIERS, "classifiers", f"names from {', '.join(CLASSIFIERS)}",
+                    repr(name))
 
     scenarios = []
     mlp_settings = MlpSettings()
-    rbf_centers = 10
+    rbf_centers = PipelineConfig.rbf_centers
     som_settings = SomTrainConfig()
     for section_name in parser.sections():
         if section_name == "pipeline":
             continue
-        section = parser[section_name]
-        if section_name.startswith("scenario."):
-            scenarios.append(_parse_scenario(section_name, section, window_len))
-        elif section_name == "mlp":
-            unknown = set(section) - _MLP_KEYS
-            if unknown:
-                raise ConfigError(f"unknown mlp key {sorted(unknown)[0]!r}")
-            mlp_settings = _parse_mlp(section)
-        elif section_name == "rbf":
-            unknown = set(section) - {"centers"}
-            if unknown:
-                raise ConfigError(f"unknown rbf key {sorted(unknown)[0]!r}")
-            rbf_centers = _convert("rbf", "centers", section.get("centers", "10"), int)
-            _require(rbf_centers >= 2, "rbf", "centers", ">= 2", rbf_centers)
-        elif section_name == "som":
-            unknown = set(section) - _SOM_KEYS
-            if unknown:
-                raise ConfigError(f"unknown som key {sorted(unknown)[0]!r}")
-            som_settings = _parse_som(section)
-        else:
+        kind = "scenario.*" if section_name.startswith("scenario.") else section_name
+        if kind not in SECTION_PARSERS:
             raise ConfigError(f"unknown section [{section_name}]")
+        with _section(section_name):
+            values = _read(parser[section_name], kind)
+            if kind == "scenario.*":
+                runs = values.pop("runs", 1)
+                config = make_scenario(**{"window_len": window_len} | values)
+                scenarios.append(ScenarioBlock(section_name.split(".", 1)[1], runs, config))
+            elif kind == "mlp":
+                hidden = values.pop("hidden", MlpSettings.hidden)
+                mlp_settings = MlpSettings(hidden, MlpTrainConfig(**values))
+            elif kind == "rbf":
+                rbf_centers = values.get("centers", rbf_centers)
+                require(rbf_centers >= 2, "centers", ">= 2", rbf_centers)
+            else:
+                som_settings = SomTrainConfig(**values)
 
     return PipelineConfig(
-        seed=seed, window_len=window_len, cv_folds=cv_folds,
+        seed=pipe["seed"], window_len=window_len, cv_folds=cv_folds,
         classifier_names=names, scenarios=tuple(scenarios),
         mlp=mlp_settings, rbf_centers=rbf_centers, som=som_settings)
 

@@ -34,8 +34,18 @@ class TrainingError(DnsIdsError):
     """Classifier training or scoring failed."""
 
 
-class InvalidConfig(ConfigError):
-    """A scenario configuration violates a constraint."""
+class InvalidConfig(ConfigError, ValueError):
+    """A configuration object violates one of its rules.
+
+    Raised while the object is built, whoever builds it; the message
+    starts with the key that breaks the rule.
+    """
+
+
+def require(ok: bool, key: str, rule: str, value) -> None:
+    """Raise InvalidConfig "<key> must be <rule>, got <value>" unless `ok`."""
+    if not ok:
+        raise InvalidConfig(f"{key} must be {rule}, got {value}")
 
 
 class InvalidWidth(TrainingError):

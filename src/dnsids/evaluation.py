@@ -334,12 +334,11 @@ def _fmt(value: float | None, spec: str) -> str:
     return ABSENT if value is None else format(value, spec)
 
 
-def render_report(report: EvalReport, stable_times: bool = False) -> tuple[str, str]:
+def render_report(report: EvalReport) -> tuple[str, str]:
     """Render the comparison as (text table, CSV).
 
-    With stable_times=True the CSV's time column is blanked so that the
-    file is a pure function of config and seed; measured times then live
-    only in the text table.
+    The CSV's time column is blank, so that the file is a pure function
+    of config and seed; measured times live only in the text table.
     """
     headers = ("classifier", "training_time_sec", "dr_direct_dos",
                "dr_amplification", "accuracy", "far")
@@ -365,10 +364,9 @@ def render_report(report: EvalReport, stable_times: bool = False) -> tuple[str, 
 
     csv_lines = [REPORT_CSV_HEADER]
     for e in report.entries:
-        time_cell = ABSENT if stable_times else _fmt(e.train_time, ".2f")
         csv_lines.append(",".join([
             e.classifier,
-            time_cell,
+            ABSENT,
             _fmt(e.metrics.dr_direct, ".6f"),
             _fmt(e.metrics.dr_amplification, ".6f"),
             _fmt(e.metrics.accuracy, ".6f"),

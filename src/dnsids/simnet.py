@@ -53,16 +53,18 @@ microsecond resolution so the text form round-trips exactly.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cmp_to_key
 
 import numpy as np
 
-from .errors import InvalidConfig, ParseError
+from .errors import InvalidConfig, ParseError, require
 
 
 class AttackKind(Enum):
@@ -133,6 +135,9 @@ class ScenarioConfig:
     attack_packet_size: int = 512
     attack_start_jitter: tuple[float, float] = (0.0, 0.0)
     attack_duration: float = 200.0
+
+    def __post_init__(self):
+        validate_config(self)
 
 
 @dataclass(frozen=True)
@@ -212,90 +217,82 @@ class PacketTrace:
                 self.disposition.tolist(), self.flow.tolist())))
 
 
-def _check(cond: bool, constraint: str) -> None:
-    if not cond:
-        raise InvalidConfig(constraint)
-
-
-# Fields holding one float or a pair of them, and fields holding an int.
+# Fields holding one float or a pair of them.
 _FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if "float" in f.type]
-INT_FIELDS = {f.name for f in fields(ScenarioConfig) if f.type == "int"}
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every configuration invariant; name the first violated one."""
+    """Check every rule of a scenario; the error names the first key that
+    breaks one. `ScenarioConfig` runs this whenever one is built."""
     for name in _FLOAT_FIELDS:
-        _check(bool(np.isfinite(getattr(cfg, name)).all()), f"{name} must be finite")
-    _check(cfg.duration > 0, "duration must be > 0")
-    _check(cfg.window_len > 0, "window_len must be > 0")
-    _check(cfg.legit_interarrival > 0, "legit_interarrival must be > 0")
-    _check(cfg.request_size >= 1, "request_size must be >= 1")
-    _check(cfg.normal_response_size >= 1, "normal_response_size must be >= 1")
-    _check(cfg.amp_response_size > 512,
-           "amp_response_size must exceed the 512-byte standard response")
-    _check(cfg.retransmit_max >= 0, "retransmit_max must be >= 0")
-    _check(cfg.retransmit_timeout > 0, "retransmit_timeout must be > 0")
-    _check(cfg.bottleneck_rate > 0, "bottleneck_rate must be > 0")
-    _check(cfg.bottleneck_delay > 0, "bottleneck_delay must be > 0")
-    _check(cfg.edge_rate > 0, "edge_rate must be > 0")
-    _check(cfg.edge_delay > 0, "edge_delay must be > 0")
-    _check(cfg.queue_capacity >= 1, "queue_capacity must be >= 1")
+        value = getattr(cfg, name)
+        require(bool(np.isfinite(value).all()), name, "finite", value)
+    for name in ("duration", "window_len", "legit_interarrival", "retransmit_timeout",
+                 "bottleneck_rate", "bottleneck_delay", "edge_rate", "edge_delay"):
+        require(getattr(cfg, name) > 0, name, "> 0", getattr(cfg, name))
+    for name in ("request_size", "normal_response_size", "queue_capacity"):
+        require(getattr(cfg, name) >= 1, name, ">= 1", getattr(cfg, name))
+    require(cfg.amp_response_size > 512, "amp_response_size",
+            "> 512, the standard response size", cfg.amp_response_size)
+    require(cfg.retransmit_max >= 0, "retransmit_max", ">= 0", cfg.retransmit_max)
     lo, hi = cfg.attack_start_jitter
-    _check(0.0 <= lo <= hi < cfg.duration,
-           "attack_start_jitter must lie within [0, duration)")
+    require(0.0 <= lo <= hi < cfg.duration, "attack_start_jitter",
+            "a range within [0, duration)", cfg.attack_start_jitter)
     requests = cfg.duration / cfg.legit_interarrival
-    _check(requests <= MAX_EMISSIONS, f"duration / legit_interarrival must be <= "
-           f"{MAX_EMISSIONS} request emissions per run, got {requests:g}")
+    require(requests <= MAX_EMISSIONS, "duration", f"<= {MAX_EMISSIONS} * "
+            f"legit_interarrival, {MAX_EMISSIONS} request emissions per run", cfg.duration)
     # A request is sent once and retransmitted at most retransmit_max
     # times, one timeout apart within the run. The 1e300 keeps an integer
     # retransmit_max beyond float range printable; it is refused anyway.
     retries = min(cfg.retransmit_max, cfg.duration / cfg.retransmit_timeout, 1e300)
     transmissions = math.ceil(requests) * (1 + retries)
-    _check(transmissions <= MAX_EMISSIONS, f"retransmit_max must keep the request "
-           f"transmissions per run, ceil(duration / legit_interarrival) * (1 + min("
-           f"retransmit_max, duration / retransmit_timeout)), <= {MAX_EMISSIONS}, "
-           f"got {transmissions:g}")
+    require(transmissions <= MAX_EMISSIONS, "retransmit_max", f"small enough that "
+            f"ceil(duration / legit_interarrival) * (1 + min(retransmit_max, duration / "
+            f"retransmit_timeout)) request transmissions per run are <= {MAX_EMISSIONS}",
+            f"{transmissions:g} transmissions")
     if cfg.attack_kind is not AttackKind.NONE:
-        _check(cfg.attack_rate > 0, "attack_rate must be > 0 for attack scenarios")
-        _check(cfg.attack_packet_size >= 1, "attack_packet_size must be >= 1")
-        _check(cfg.attack_duration > 0, "attack_duration must be > 0")
+        require(cfg.attack_packet_size >= 1, "attack_packet_size", ">= 1",
+                cfg.attack_packet_size)
+        require(cfg.attack_rate > 0, "attack_rate", "> 0 for attack scenarios",
+                cfg.attack_rate)
+        require(cfg.attack_duration > 0, "attack_duration", "> 0", cfg.attack_duration)
         attacks = cfg.attack_rate * min(cfg.attack_duration, cfg.duration)
-        _check(attacks <= MAX_EMISSIONS, f"attack_rate * min(attack_duration, duration) "
-               f"must be <= {MAX_EMISSIONS} attack emissions per run, got {attacks:g}")
+        require(attacks <= MAX_EMISSIONS, "attack_rate", f"<= {MAX_EMISSIONS} / "
+                f"min(attack_duration, duration), {MAX_EMISSIONS} attack emissions per run",
+                cfg.attack_rate)
     return cfg
 
 
 def make_scenario(**params) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from partial parameters.
+    """Build a ScenarioConfig from partial parameters.
 
-    Unset fields take the defaults above. For attack scenarios with no
-    explicit rate, the constant-bit-rate source is sized to offer
-    DEFAULT_OVERLOAD times the bottleneck capacity: a direct flood of
-    standard-size packets, or an amplification flood of oversized
-    reflected responses.
+    Unset fields take the defaults above, and `attack_duration` that of
+    `duration`. For attack scenarios with no explicit rate, the
+    constant-bit-rate source is sized to offer DEFAULT_OVERLOAD times the
+    bottleneck capacity: a direct flood of standard-size packets, or an
+    amplification flood of oversized reflected responses.
     """
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = set(params) - known
+    given = {f.name: f.default for f in fields(ScenarioConfig)}
+    unknown = set(params) - set(given)
     if unknown:
-        raise InvalidConfig(f"unknown field {sorted(unknown)[0]!r}")
-
-    if "attack_kind" in params and isinstance(params["attack_kind"], str):
-        try:
-            params["attack_kind"] = AttackKind(params["attack_kind"])
-        except ValueError:
-            raise InvalidConfig(f"unknown attack_kind {params['attack_kind']!r}") from None
+        raise InvalidConfig(f"{sorted(unknown)[0]} is not a scenario field")
+    given.update(params)
+    try:
+        kind = params["attack_kind"] = AttackKind(given["attack_kind"])
+    except ValueError:
+        raise InvalidConfig(f"attack_kind must be one of "
+                            f"{', '.join(k.value for k in AttackKind)}, "
+                            f"got {given['attack_kind']!r}") from None
     if "attack_start_jitter" in params:
         lo, hi = params["attack_start_jitter"]
         params["attack_start_jitter"] = (float(lo), float(hi))
-
-    cfg = ScenarioConfig(**params)
-    if "attack_duration" not in params:
-        cfg = replace(cfg, attack_duration=cfg.duration)
-    if cfg.attack_kind is not AttackKind.NONE and "attack_rate" not in params:
-        size = (cfg.amp_response_size if cfg.attack_kind is AttackKind.AMPLIFICATION
-                else cfg.attack_packet_size)
-        cfg = replace(cfg, attack_rate=DEFAULT_OVERLOAD * cfg.bottleneck_rate / (8 * size))
-    return validate_config(cfg)
+    params.setdefault("attack_duration", given["duration"])
+    size = (given["amp_response_size"] if kind is AttackKind.AMPLIFICATION
+            else given["attack_packet_size"])
+    # A size below 1 breaks its own rule, which the config then reports.
+    if kind is not AttackKind.NONE and "attack_rate" not in params and size >= 1:
+        params["attack_rate"] = DEFAULT_OVERLOAD * given["bottleneck_rate"] / (8 * size)
+    return ScenarioConfig(**params)
 
 
 def _attack_emissions(start: float, end: float, rate: float) -> np.ndarray:
@@ -392,7 +389,6 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     emission are inserted before anything else, in that order. Exact ties
     are rare, so this order is worked out only where two times are equal.
     """
-    validate_config(config)
     cfg = config
     rng = random.Random(seed)
 
@@ -520,9 +516,17 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         own_start.append(not ahead)
         return True
 
-    # Pending legitimate events: request emissions, arrivals and timeouts.
-    agenda: list[tuple] = [("Q", 0)]
+    # Pending legitimate events (request emissions, arrivals and timeouts)
+    # as a heap of (time, insertion count, event). Each is inserted while
+    # its cause, another of them, is processed, so at equal times the
+    # insertion count is the calendar's order.
+    agenda: list[tuple] = [(0.0, 0, ("Q", 0))]
+    inserted = itertools.count(1)
     generated = len(emit)
+
+    def schedule(ev: tuple, t: float) -> None:
+        if t <= horizon:
+            heapq.heappush(agenda, (t, next(inserted), ev))
 
     def send(flow: int, sender: tuple, t: float) -> None:
         """One request of `flow` sent at t: its arrival, then its timeout."""
@@ -530,21 +534,21 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         sent_cause.append(sender)
         sent_flow.append(flow)
         s = len(sent_t) - 1
-        agenda.extend(ev for ev in (("L", s), ("O", s)) if when(ev) <= horizon)
+        schedule(("L", s), t + request_edge)
+        schedule(("O", s), t + cfg.retransmit_timeout)
 
-    def handle_next() -> tuple[tuple | None, float]:
-        """Process the earliest agenda event; return the next one and its time."""
+    def handle_next() -> None:
+        """Process the earliest agenda event."""
         nonlocal generated
-        ev = head
-        agenda.remove(ev)
+        t, _, ev = heapq.heappop(agenda)
         tag, i = ev
         if tag == "Q":
             generated += 1
             tries.append(1)
             first_admitted.append(-1)
-            send(i, ev, request_emit[i])
+            send(i, ev, t)
             if i + 1 < len(request_emit):
-                agenda.append(("Q", i + 1))
+                schedule(("Q", i + 1), request_emit[i + 1])
         elif tag == "O":
             # Departures, and so responses, come in the order of k, and
             # equal-time responses are processed in that order too: the
@@ -554,28 +558,19 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
             if tries[flow] <= cfg.retransmit_max and not (k >= 0 and before(("R", k), ev)):
                 tries[flow] += 1
                 generated += 1
-                send(flow, ev, when(ev))
-        elif arrive(~i, when(ev), request_tx) and first_admitted[sent_flow[i]] < 0:
+                send(flow, ev, t)
+        elif arrive(~i, t, request_tx) and first_admitted[sent_flow[i]] < 0:
             first_admitted[sent_flow[i]] = len(depart) - 1
-        if not agenda:
-            return None, np.inf
-        # Only events at the earliest time need the calendar's tie order.
-        due = [when(ev) for ev in agenda]
-        t = min(due)
-        first = None
-        for other, t_other in zip(agenda, due):
-            if t_other == t and (first is None or before(other, first)):
-                first = other
-        return first, t
 
-    head, head_t = ("Q", 0), 0.0
     n_attack = int(np.count_nonzero(attack_arrive <= horizon))
     i = 0
     while i < n_attack:
         a = float(attack_arrive[i])
-        while head_t < a or head_t == a and before(head, ("A", i)):
-            head, head_t = handle_next()
+        while agenda and (agenda[0][0] < a
+                          or agenda[0][0] == a and before(agenda[0][2], ("A", i))):
+            handle_next()
         # Attack arrivals i..end-1 are due before the next legitimate event.
+        head_t = agenda[0][0] if agenda else np.inf
         end = min(max(int(attack_arrive.searchsorted(head_t)), i + 1), n_attack)
         while i < end:
             stop = min(end, i + ARRIVAL_BLOCK)
@@ -599,8 +594,8 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
             for x, a in enumerate(attack_arrive[i:stop].tolist(), i):
                 arrive(x, a, attack_tx)
             i = stop
-    while head is not None:
-        head, head_t = handle_next()
+    while agenda:
+        handle_next()
 
     # Rows: drops at their arrival, deliveries to the server, responses.
     # The views below fix the buffers' size: nothing is appended from here.
@@ -767,17 +762,24 @@ def write_trace(trace: PacketTrace) -> str:
     return "".join(["\n".join(lines) + "\n", *_row_blocks(trace)])
 
 
+def parse_pair(raw: str) -> tuple[float, float]:
+    """The "lo,hi" text form of a pair of floats."""
+    lo, hi = raw.split(",")
+    return float(lo), float(hi)
+
+
+# How the text form of a value parses, by the annotation of the field it
+# sets; each parser raises ValueError on text it cannot read.
+PARSERS = {"int": int, "float": float, "tuple[float, float]": parse_pair,
+           "AttackKind": AttackKind}
+_HEADER_TYPES = ({f.name: f.type for f in fields(ScenarioConfig)}
+                 | dict.fromkeys(_COUNTERS, "int"))
+
+
 def _parse_header_value(key: str, raw: str, line_no: int):
     try:
-        if key == "attack_kind":
-            return AttackKind(raw)
-        if key == "attack_start_jitter":
-            lo, hi = raw.split(",")
-            return (float(lo), float(hi))
-        if key in INT_FIELDS or key in _COUNTERS:
-            return int(raw)
-        return float(raw)
-    except (ValueError, TypeError):
+        return PARSERS[_HEADER_TYPES[key]](raw)
+    except ValueError:
         raise ParseError(f"bad value {raw!r}", line=line_no, field=key) from None
 
 
@@ -815,10 +817,11 @@ def read_trace(text: str) -> PacketTrace:
     """Parse the text form produced by `write_trace`.
 
     Unknown header keys are ignored so writers may annotate traces; all
-    config fields, the seed, and the bookkeeping counters are required.
-    Header lines come first; blank lines are skipped. Event rows must be numbered from 0 without gaps, carry timestamps
-    that never decrease and lie within [0, duration], and name a flow as
-    `atk` or `q<n>`.
+    config fields, the seed, and the bookkeeping counters are required,
+    and the config fields must obey the scenario rules. Header lines come
+    first; blank lines are skipped. Event rows must be numbered from 0
+    without gaps, carry timestamps that never decrease and lie within
+    [0, duration], and name a flow as `atk` or `q<n>`.
     """
     lines = text.splitlines()
     n_header = 0
@@ -847,13 +850,20 @@ def read_trace(text: str) -> PacketTrace:
     if attack_start_raw is None or attack_end_raw is None:
         raise ParseError("missing header key", field="attack_start/attack_end")
 
-    cfg = ScenarioConfig(**{name: header[name] for name in _CONFIG_FIELDS})
+    try:
+        cfg = ScenarioConfig(**{name: header[name] for name in _CONFIG_FIELDS})
+    except InvalidConfig as exc:
+        raise ParseError(f"bad header: {exc}") from None
     if cfg.attack_kind is AttackKind.NONE:
         truth = GroundTruth(AttackKind.NONE, None)
     else:
         if not attack_start_raw or not attack_end_raw:
             raise ParseError("attack scenario without interval", field="attack_start")
-        truth = GroundTruth(cfg.attack_kind, (float(attack_start_raw), float(attack_end_raw)))
+        try:
+            interval = (float(attack_start_raw), float(attack_end_raw))
+        except ValueError:
+            raise ParseError("bad attack interval", field="attack_start/attack_end") from None
+        truth = GroundTruth(cfg.attack_kind, interval)
 
     rows = lines[n_header:]
     line_nos = list(range(n_header + 1, len(lines) + 1))

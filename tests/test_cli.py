@@ -2,11 +2,15 @@
 
 import json
 import logging
+import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
@@ -15,8 +19,9 @@ from dnsids.classifiers.som import SomTrainConfig, som_init
 from dnsids.classifiers.store import load_model, save_model
 from dnsids import cli, errors
 from dnsids.cli import main
-from dnsids.config import DEFAULT_CONFIG, parse_pipeline_config, validate_for_training
-from dnsids.errors import ConfigError, ParseError
+from dnsids.config import (DEFAULT_CONFIG, SECTION_PARSERS, parse_pipeline_config,
+                           validate_for_training)
+from dnsids.errors import ConfigError, InvalidConfig, ParseError
 from dnsids.preproc import CLASS_ORDER, ClassLabel, LabeledDataset, label_codes, write_dataset
 from dnsids.seeding import text_digest
 from dnsids.simnet import AttackKind, read_trace
@@ -82,10 +87,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_pipeline_config(bad)
 
-    def test_unknown_key_rejected(self):
-        bad = TINY_CONFIG.replace("[mlp]\nhidden = 5", "[mlp]\nhiden = 5")
-        with pytest.raises(ConfigError):
+    # A trainer's seed derives from the master seed, so `seed` is no key.
+    @pytest.mark.parametrize("old, new, message", [
+        ("[mlp]\nhidden = 5", "[mlp]\nhiden = 5", "[mlp] unknown key 'hiden'"),
+        ("[som]\nepochs = 6", "[som]\nepochs = 6\nseed = 3", "[som] unknown key 'seed'"),
+    ])
+    def test_unknown_key_rejected(self, old, new, message):
+        bad = TINY_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError) as info:
             parse_pipeline_config(bad)
+        assert str(info.value) == message
 
     def test_unknown_classifier_rejected(self):
         bad = TINY_CONFIG.replace("mlp,rbf,som", "mlp,svm")
@@ -169,6 +180,121 @@ class TestConfigParsing:
     def test_digest_stability(self):
         assert text_digest(TINY_CONFIG) == text_digest(TINY_CONFIG)
         assert text_digest(TINY_CONFIG) != text_digest(DEFAULT_CONFIG)
+
+
+def _section_lines(text: str) -> dict[str, list[str]]:
+    """The lines of each INI section, by section name."""
+    sections, lines = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            lines = sections.setdefault(line.split("]")[0][1:], [])
+        elif lines is not None:
+            lines.append(line)
+    return sections
+
+
+# Values a config line may be set to: numbers of every kind, the names a
+# key may take, words, pairs and nothing at all.
+config_values = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1e-320", "0", "0.0", "-1",
+                     "", "none", "direct_dos", "amplification", "mlp", "mlp,som", "svm",
+                     "0,9.5", "9.5,0", "1,2,3", ",", "10" * 30]),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10),
+    st.tuples(st.floats(), st.floats()).map(lambda p: f"{p[0]!r},{p[1]!r}"),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """TINY_CONFIG with one key of one section set to a drawn value: an
+    existing line replaced, or a line added for another key the section
+    accepts. Returns (text, section name)."""
+    names = list(_section_lines(TINY_CONFIG))
+    name = draw(st.sampled_from(names))
+    kind = "scenario.*" if name.startswith("scenario.") else name
+    key = draw(st.sampled_from(sorted(SECTION_PARSERS[kind])))
+    value = draw(config_values)
+    lines = TINY_CONFIG.splitlines()
+    start = lines.index(f"[{name}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+               len(lines))
+    at = next((i for i in range(start + 1, end) if lines[i].split(" = ")[0] == key), None)
+    if at is None:
+        lines.insert(start + 1, f"{key} = {value}")
+    else:
+        lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", name
+
+
+class TestConfigContract:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_configs())
+    def test_any_value_parses_or_is_config_error(self, case, tmp_path, capsys):
+        text, name = case
+        try:
+            parse_pipeline_config(text)
+        except ConfigError as exc:
+            if name != "pipeline":
+                kind = "scenario.*" if name.startswith("scenario.") else name
+                prefix = f"[{name}] "
+                assert str(exc).startswith(prefix), str(exc)
+                key = re.match(r"\w+", str(exc)[len(prefix):])
+                assert key and key.group() in SECTION_PARSERS[kind], str(exc)
+        # Through the CLI: nothing is simulated, and whether the config or
+        # the missing dataset stops it, the failure is one JSON line.
+        cfg_path = tmp_path / "fuzz.cfg"
+        cfg_path.write_text(text)
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(cfg_path), "--dataset",
+                   str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert one_json_error(capsys)["error"] == "ConfigError"
+
+    def test_readme_grammar_names_exactly_the_accepted_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration grammar", 1)[1].split("```ini\n", 1)[1]
+        documented = {}
+        for section, lines in _section_lines(block.split("```", 1)[0]).items():
+            keys = documented.setdefault(section.replace("<name>", "*"), set())
+            for line in lines:
+                if re.match(r"\w+ =", line):
+                    keys.add(line.split(" =")[0])
+                elif line.startswith(";"):
+                    listed = line[1:].split(":")[-1]
+                    keys.update(k.strip() for k in listed.split(",") if k.strip())
+        assert documented == {kind: set(keys) for kind, keys in SECTION_PARSERS.items()}
+
+    # The attack rate derives from the packet size, so a zero size must be
+    # refused as itself, not divided by.
+    @pytest.mark.parametrize("kind, key", [("direct_dos", "attack_packet_size"),
+                                           ("amplification", "amp_response_size")])
+    def test_zero_attack_size_is_config_error(self, kind, key):
+        bad = TINY_CONFIG.replace(f"attack_kind = {kind}\n", f"attack_kind = {kind}\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=rf"^\[scenario\.{kind}\] {key} must be"):
+            parse_pipeline_config(bad)
+
+    # Every rule holds for library callers too, when the object is built.
+    @pytest.mark.parametrize("build, key", [
+        (lambda: MlpTrainConfig(weight_init_range=float("inf")), "weight_init_range"),
+        (lambda: MlpTrainConfig(lm_lambda_down=1.0), "lm_lambda_down"),
+        (lambda: SomTrainConfig(tuning_lr=0.0), "tuning_lr"),
+        (lambda: SomTrainConfig(ordering_steps=0), "ordering_steps"),
+    ])
+    def test_trainer_rules_checked_when_built(self, build, key):
+        with pytest.raises(InvalidConfig, match=f"^{key} must be") as info:
+            build()
+        assert isinstance(info.value, ValueError)
+
+    def test_model_file_with_a_broken_training_config_is_parse_error(self):
+        model = mlp_init(3, 0)
+        report = TrainReport(0.1, 1, 0.0, False, (0.2, 0.1))
+        doc = json.loads(save_model(model, MlpTrainConfig(), report))
+        doc["config"]["max_epochs"] = 0
+        with pytest.raises(ParseError, match="max_epochs"):
+            load_model(json.dumps(doc))
 
 
 class TestModelStore:
@@ -308,6 +434,14 @@ class TestCommandsAndExitCodes:
         assert doc["master_seed"] == 7
         assert doc["config_digest"] == text_digest(cfg_path.read_text())
 
+    def test_trained_model_carries_its_training_config(self, tiny_run, tmp_path):
+        cfg_path, out = tiny_run
+        rc = main(["train", "--config", str(cfg_path), "--dataset",
+                   str(out / "dataset.csv"), "--classifier", "som", "--out", str(tmp_path)])
+        assert rc == 0
+        _, config, _ = load_model((tmp_path / "model_som.json").read_text())
+        assert config == parse_pipeline_config(TINY_CONFIG).som
+
     def test_sweep_writes_csv(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run
         dest = tmp_path / "sweep"
@@ -386,6 +520,22 @@ class TestCommandsAndExitCodes:
         assert err["error"] == "ParseError"
         assert str(traces / "headless.trace") in err["detail"]
         assert "duration" in err["detail"]
+
+    @pytest.mark.parametrize("value", ["0.0", "nan"])
+    def test_trace_header_breaking_a_scenario_rule_is_parse_error(self, tiny_run, tmp_path,
+                                                                 capsys, value):
+        _, out = tiny_run
+        text = sorted((out / "traces").glob("*.trace"))[0].read_text()
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "bad.trace").write_text(text.replace("#window_len=20.0\n",
+                                                       f"#window_len={value}\n", 1))
+        rc = main(["features", "--traces", str(traces), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert str(traces / "bad.trace") in err["detail"]
+        assert "window_len must be" in err["detail"]
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_evaluate_fewer_than_two_folds_is_config_error(self, tiny_run, tmp_path,

@@ -456,12 +456,12 @@ class TestRendering:
 
     def test_stable_times_blank_the_time_column(self):
         report = report_with([entry("bp", 123.456, 1.0, 2.0, 3.0, 4.0)])
-        _, csv_live = render_report(report, stable_times=False)
-        _, csv_stable = render_report(report, stable_times=True)
-        assert "123.46" in csv_live
-        assert "123.46" not in csv_stable
-        (row,) = parse_report_csv(csv_stable)
+        text, csv = render_report(report)
+        assert "123.46" in text
+        assert "123.46" not in csv
+        (row,) = parse_report_csv(csv)
         assert row["training_time_sec"] is None
+        assert row["dr_direct"] == pytest.approx(1.0)
 
     def test_rendering_is_pure(self):
         report = report_with([entry("bp", 1.5, 10.0, 20.0, 30.0, 40.0)])

@@ -613,6 +613,13 @@ class TestReferenceEquivalence:
         cfg = make_scenario(duration=20, retransmit_max=10**9, retransmit_timeout=1e-5)
         assert assert_matches_reference(cfg, seed=1)["packets_generated"] == 9990
 
+    def test_many_pending_timeouts_match_reference(self):
+        # Each request is sent again every 1e-4 s until it is answered, so
+        # about a hundred arrivals and timeouts are pending at once.
+        cfg = make_scenario(duration=20, retransmit_max=10**9, retransmit_timeout=1e-4)
+        want = assert_matches_reference(cfg, seed=1)
+        assert len(want["columns"][0]) == 1624
+
     @pytest.mark.parametrize("kind", ["none", "direct_dos", "amplification"])
     def test_bundled_scale_matches_reference(self, kind):
         params = dict(attack_kind=kind, duration=120, bottleneck_rate=100_000)
