@@ -47,7 +47,6 @@ class MlpTrainConfig:
     lm_lambda_down: float = 0.1
     lm_lambda_max: float = 1e10
     weight_init_range: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         require(self.max_epochs >= 1, "max_epochs", ">= 1", self.max_epochs)

@@ -1,23 +1,27 @@
-"""Uniform train/predict adapters so evaluation stays classifier-agnostic.
+"""One train/score protocol, so evaluation treats every classifier alike.
 
-A recipe bundles hyperparameters and knows how to train a fresh model on
-a dataset with a given seed (`train`) and how to label a batch of raw
-feature rows (`predict`, which returns an int8 array of label codes).
-The feed-forward and radial-basis recipes also return their raw output
-codes for a batch (`predict_codes`), and their labels are the classes
-whose target codes are nearest those outputs. The map-based
-classifier normalizes its inputs instead, and trains every
-cross-validation fold in one call (`train_folds`).
+Every recipe bundles hyperparameters behind three members: `name`, a
+class constant that names the classifier in reports and keys its fold
+seeds; `train_folds(train_sets, seeds)`, which trains one fresh model per
+(dataset, seed) pair and returns a `(model, TrainReport)` pair for each;
+and `score(model, X)`, which scores a batch of raw feature rows as
+`(labels, outputs)`: int8 label codes, and the raw output codes. The two
+networks train pair by pair (`train_each`) and label each row with the
+class whose target code is nearest its output. The map trains all pairs
+in one lockstep run, normalizes its inputs instead, and has no outputs:
+its `score` returns None in their place. An error that training one pair
+raises carries that pair's index as `fold`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from ..errors import Empty
+from ..errors import DnsIdsError, Empty
 from ..preproc import LabeledDataset, l2_normalize_rows
 from .base import TrainReport, nearest_code_labels
 from .mlp import MlpModel, MlpTrainConfig, mlp_forward, mlp_init, train_lm_arrays
@@ -26,17 +30,31 @@ from .som import (SomModel, SomTrainConfig, quantization_error, som_classify,
                   som_init, som_label, som_train_folds)
 
 
+def train_each(train, train_sets, seeds) -> list:
+    """`train(data, seed)` on each pair in turn; pair i's error leaves with `fold` i."""
+    results = []
+    for fold, (data, seed) in enumerate(zip(train_sets, seeds)):
+        try:
+            results.append(train(data, seed))
+        except DnsIdsError as exc:
+            exc.fold = fold
+            raise
+    return results
+
+
 @dataclass(frozen=True)
 class MlpRecipe:
+    name: ClassVar[str] = "bp"
     hidden: int = 7
     train_config: MlpTrainConfig = field(default_factory=MlpTrainConfig)
-    name: str = "bp"
 
-    def train(self, data: LabeledDataset, seed: int) -> tuple[MlpModel, TrainReport]:
+    def train_folds(self, train_sets, seeds) -> list[tuple[MlpModel, TrainReport]]:
+        return train_each(self._train, train_sets, seeds)
+
+    def _train(self, data: LabeledDataset, seed: int) -> tuple[MlpModel, TrainReport]:
         if len(data) == 0:
             raise Empty("cannot train on an empty dataset")
-        cfg = replace(self.train_config, seed=seed)
-        model = mlp_init(self.hidden, seed, cfg.weight_init_range)
+        model = mlp_init(self.hidden, seed, self.train_config.weight_init_range)
         # Damped Gauss-Newton is brittle when the feature columns span
         # five orders of magnitude, so train in per-fold standardized
         # coordinates and fold the affine map back into the first layer;
@@ -45,42 +63,39 @@ class MlpRecipe:
         mu = X.mean(axis=0)
         sd = X.std(axis=0)
         sd = np.where(sd == 0.0, 1.0, sd)
-        trained, report = train_lm_arrays(model, (X - mu) / sd, data.targets(), cfg)
+        trained, report = train_lm_arrays(model, (X - mu) / sd, data.targets(),
+                                          self.train_config)
         w1 = trained.hidden_weights / sd
         b1 = trained.hidden_bias - trained.hidden_weights @ (mu / sd)
         raw_model = MlpModel(w1, b1, trained.output_weights.copy(),
                              trained.output_bias.copy())
         return raw_model, report
 
-    def predict_codes(self, model: MlpModel, X) -> np.ndarray:
-        return mlp_forward(model, X)
-
-    def predict(self, model: MlpModel, X) -> np.ndarray:
-        return nearest_code_labels(self.predict_codes(model, X))
+    def score(self, model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
+        outputs = mlp_forward(model, X)
+        return nearest_code_labels(outputs), outputs
 
 
 @dataclass(frozen=True)
 class RbfRecipe:
+    name: ClassVar[str] = "rbf"
+    # Training has no settings beyond `centers`; model files store none.
+    train_config: ClassVar[None] = None
     centers: int = 10
-    name: str = "rbf"
 
-    def train(self, data: LabeledDataset, seed: int) -> tuple[RbfModel, TrainReport]:
-        return rbf_train(data, self.centers, seed)
+    def train_folds(self, train_sets, seeds) -> list[tuple[RbfModel, TrainReport]]:
+        return train_each(lambda data, seed: rbf_train(data, self.centers, seed),
+                          train_sets, seeds)
 
-    def predict_codes(self, model: RbfModel, X) -> np.ndarray:
-        return rbf_forward(model, X)
-
-    def predict(self, model: RbfModel, X) -> np.ndarray:
-        return nearest_code_labels(self.predict_codes(model, X))
+    def score(self, model: RbfModel, X) -> tuple[np.ndarray, np.ndarray]:
+        outputs = rbf_forward(model, X)
+        return nearest_code_labels(outputs), outputs
 
 
 @dataclass(frozen=True)
 class SomRecipe:
+    name: ClassVar[str] = "som"
     train_config: SomTrainConfig = field(default_factory=SomTrainConfig)
-    name: str = "som"
-
-    def train(self, data: LabeledDataset, seed: int) -> tuple[SomModel, TrainReport]:
-        return self.train_folds([data], [seed])[0]
 
     def train_folds(self, train_sets, seeds) -> list[tuple[SomModel, TrainReport]]:
         """Train one map per (dataset, seed) pair in a single lockstep run.
@@ -100,6 +115,5 @@ class SomRecipe:
         return [(m, TrainReport(qe, self.train_config.epochs, wall, True, ()))
                 for m, qe in zip(models, qerrs)]
 
-    def predict(self, model: SomModel, X) -> np.ndarray:
-        return som_classify(model, X)
-
+    def score(self, model: SomModel, X) -> tuple[np.ndarray, None]:
+        return som_classify(model, X), None

@@ -99,7 +99,6 @@ class SomTrainConfig:
     ordering_steps: int = 1000
     tuning_lr: float = 0.02
     tuning_neighbor_dist: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         for key in ("ordering_lr", "tuning_lr"):
@@ -128,29 +127,32 @@ def best_matching_units(codebook: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (sq[..., 0] + sq[..., 1] + sq[..., 2]).argmin(axis=1)
 
 
-def som_train(model: SomModel, data, cfg: SomTrainConfig = SomTrainConfig()) -> SomModel:
+def som_train(model: SomModel, data, cfg: SomTrainConfig = SomTrainConfig(),
+              seed: int = 0) -> SomModel:
     """Run the two-phase competitive schedule; returns a new model.
 
     Presentation order is re-shuffled each epoch from the generator
-    seeded with `cfg.seed`; one epoch presents every sample once. The
-    first `ordering_steps` presentations form the ordering phase.
+    seeded with `seed`; one epoch presents every sample once. The first
+    `ordering_steps` presentations form the ordering phase.
     """
-    return som_train_folds([model], [data], cfg, [cfg.seed])[0]
+    return som_train_folds([model], [data], cfg, [seed])[0]
 
 
 def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomModel]:
     """Train one map per (model, dataset, seed) in lockstep; returns new models.
 
-    Map i follows `som_train(models[i], datasets[i], cfg)` with seed
-    `seeds[i]` exactly; `cfg.seed` is not used. Datasets may differ in
-    size. An empty dataset fails with an error naming its fold index.
+    Map i follows `som_train(models[i], datasets[i], cfg, seeds[i])`
+    exactly. Datasets may differ in size. An empty dataset i fails with
+    an error whose `fold` is i.
     """
     Xs = [np.asarray(d, dtype=float).reshape(-1, 3) for d in datasets]
     if not len(models) == len(Xs) == len(seeds):
         raise ValueError("need one model and one seed per dataset")
     for fold, X in enumerate(Xs):
         if len(X) == 0:
-            raise Empty(f"fold {fold}: som training needs at least one sample")
+            exc = Empty("som training needs at least one sample")
+            exc.fold = fold
+            raise exc
 
     # Maps run in descending order of presentation count, so the maps
     # still training at any step are a prefix of the stack.

@@ -68,6 +68,9 @@ def load_model(text: str):
     try:
         kind = doc["type"]
         payload = doc["model"]
+        settings = doc["config"]
+        if isinstance(settings, dict):
+            settings.pop("seed", None)   # no trainer reads it; older files carry it
         if kind == "mlp":
             model = MlpModel(
                 hidden_weights=np.array(payload["hidden_weights"]),
@@ -75,8 +78,7 @@ def load_model(text: str):
                 output_weights=np.array(payload["output_weights"]),
                 output_bias=np.array(payload["output_bias"]),
             )
-            config = (None if doc["config"] is None
-                      else MlpTrainConfig(**doc["config"]))
+            config = None if settings is None else MlpTrainConfig(**settings)
         elif kind == "rbf":
             model = RbfModel(
                 centers=np.array(payload["centers"]),
@@ -84,7 +86,7 @@ def load_model(text: str):
                 output_weights=np.array(payload["output_weights"]),
                 output_bias=np.array(payload["output_bias"]),
             )
-            config = doc["config"]
+            config = settings
         elif kind == "som":
             labels = payload["neuron_labels"]
             model = SomModel(
@@ -93,8 +95,7 @@ def load_model(text: str):
                 neuron_labels=(None if labels is None
                                else label_codes(ClassLabel(v) for v in labels)),
             )
-            config = (None if doc["config"] is None
-                      else SomTrainConfig(**doc["config"]))
+            config = None if settings is None else SomTrainConfig(**settings)
         else:
             raise ParseError(f"unknown model type {kind!r}", field="type")
         rep = doc["report"]

@@ -227,10 +227,9 @@ def cmd_train(args) -> int:
     if len(data) == 0:
         raise errors.Empty("dataset has no samples")
     recipe = RECIPES[args.classifier](cfg)
-    model, report = recipe.train(data, derive_seed(cfg.seed, recipe.name, "train"))
-    # The RBF recipe has no training config.
+    model, report = recipe.train_folds([data], [derive_seed(cfg.seed, recipe.name, "train")])[0]
     _write_output(Path(args.out) / f"model_{args.classifier}.json",
-                  save_model(model, getattr(recipe, "train_config", None), report,
+                  save_model(model, recipe.train_config, report,
                              extra={"master_seed": cfg.seed, "config_digest": digest}))
     log.info("trained %s: mse=%.6g epochs=%d wall=%.2fs converged=%s",
              args.classifier, report.final_mse, report.epochs_run,

@@ -79,13 +79,9 @@ class PipelineConfig:
 
 
 def _field_parsers(*classes) -> dict:
-    """Parser of each key that sets a plain-valued field of `classes`.
-
-    `seed` fields are not keys: each trainer's seed derives from the
-    master seed.
-    """
+    """Parser of each key that sets a plain-valued field of `classes`."""
     return {f.name: PARSERS[f.type] for cls in classes for f in fields(cls)
-            if f.type in PARSERS and f.name != "seed"}
+            if f.type in PARSERS}
 
 
 def _names(raw: str) -> tuple[str, ...]:

@@ -9,6 +9,8 @@ to its exit codes: `ConfigError` (2), `ParseError` (3) and
 class DnsIdsError(Exception):
     """Base class for every package-specific error."""
 
+    fold: int | None = None   # the failing dataset, when one call trains several
+
 
 class ConfigError(DnsIdsError):
     """Pipeline configuration invalid, or an input file missing or unreadable."""

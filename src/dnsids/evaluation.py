@@ -1,9 +1,10 @@
 """Confusion accounting, detection metrics, cross-validation, and reports.
 
-Cross-validation is classifier-agnostic: a recipe trains a model on a
-dataset and predicts the label codes of a batch of feature rows, one
-batch per held-out fold. Labels are carried as int8 codes, indices into
-`CLASS_ORDER`; confusion matrices are indexed the same way.
+Cross-validation is classifier-agnostic: a recipe (see
+`classifiers.recipes`) trains one model per fold in one call and scores
+each held-out fold as one batch of feature rows. Labels are carried as
+int8 codes, indices into `CLASS_ORDER`; confusion matrices are indexed
+the same way.
 
 The binarized view treats either attack class as the positive case: an
 attack window predicted as the wrong attack class still counts as a true
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers.base import nearest_code_labels
 from .errors import (DnsIdsError, Empty, InvalidWidth, LengthMismatch, TooFewSamples,
                      UndefinedMetric)
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
@@ -172,61 +172,39 @@ def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
     return FoldPlan(tuple(tuple(np.sort(order[f::k]).tolist()) for f in range(k)), stratified)
 
 
-def _train_fold(recipe, fold_idx: int, train_set: LabeledDataset, seed: int):
-    try:
-        return recipe.train(train_set, seed)
-    except DnsIdsError as exc:
-        raise type(exc)(f"fold {fold_idx}: {exc}") from exc
-
-
 def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> EvalEntry:
     """Train on k-1 folds, score the held-out fold, pool all predictions.
 
-    A recipe with `predict_codes` is scored on one forward pass per
-    held-out fold: its labels are the nearest target codes to those
-    outputs, as its `predict` would return.
+    The recipe trains a model for every fold in one `train_folds` call,
+    then scores each held-out fold in one `score` call. When the recipe
+    returns raw outputs, the entry also carries the mean training MSE and
+    the held-out MSE of those outputs against the target codes. A
+    training error that names the fold it came from is raised with a
+    `fold <i>: ` prefix.
 
     Fold membership derives from (seed, "kfold") and per-fold training
     seeds from (seed, recipe name, fold index), so repeated calls with
-    the same arguments reproduce each other exactly. A recipe with
-    `train_folds` trains all folds in one call; otherwise each fold is
-    trained just before it is scored.
+    the same arguments reproduce each other exactly.
     """
     plan = kfold_split(data, k, derive_seed(seed, "kfold"))
     held_outs = [np.array(held_out, dtype=np.intp) for held_out in plan.folds]
-    fold_preds = []
-    fold_metrics = []
-    train_time = 0.0
-    train_mses = []
-    test_sse = 0.0
-    test_points = 0
-    has_codes = hasattr(recipe, "predict_codes")
-
-    train_sets = []
-    for held in held_outs:
-        keep = np.ones(len(data), dtype=bool)
-        keep[held] = False
-        train_sets.append(data.subset(keep))
-    seeds = [derive_seed(seed, recipe.name, fold_idx) for fold_idx in range(len(plan.folds))]
-    if hasattr(recipe, "train_folds"):
+    train_sets = [data.subset(np.delete(np.arange(len(data)), held)) for held in held_outs]
+    seeds = [derive_seed(seed, recipe.name, fold_idx) for fold_idx in range(len(held_outs))]
+    try:
         trained = recipe.train_folds(train_sets, seeds)
-    else:
-        trained = (_train_fold(recipe, fold_idx, train_set, fold_seed)
-                   for fold_idx, (train_set, fold_seed) in enumerate(zip(train_sets, seeds)))
+    except DnsIdsError as exc:
+        if exc.fold is None:
+            raise
+        raise type(exc)(f"fold {exc.fold}: {exc}") from exc
 
-    for held, (model, report) in zip(held_outs, trained):
+    fold_preds, fold_metrics = [], []
+    test_sse, test_points = 0.0, 0
+    for held, (model, _) in zip(held_outs, trained):
         test_set = data.subset(held)
-        train_time += report.wall_time
-        train_mses.append(report.final_mse)
-
-        X = test_set.X
-        if has_codes:
-            outputs = recipe.predict_codes(model, X)
-            preds = nearest_code_labels(outputs)
+        preds, outputs = recipe.score(model, test_set.X)
+        if outputs is not None:
             test_sse += float(np.sum((outputs - test_set.targets()) ** 2))
             test_points += outputs.size
-        else:
-            preds = recipe.predict(model, X)
         fold_preds.append(preds)
         fold_metrics.append(metrics_from_confusion(confusion(preds, test_set.codes)))
 
@@ -236,15 +214,18 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
         acc3 = accuracy_3class(pooled)
     except UndefinedMetric:
         acc3 = None
+    reports = [report for _, report in trained]
+    # Every held-out fold has a sample, so only a recipe without outputs
+    # leaves `test_points` at 0.
     return EvalEntry(
         classifier=recipe.name,
         metrics=metrics_from_confusion(pooled),
         accuracy_3class=acc3,
         confusion=pooled,
         fold_metrics=tuple(fold_metrics),
-        train_time=train_time,
-        train_mse=float(np.mean(train_mses)) if has_codes else None,
-        test_mse=test_sse / test_points if has_codes and test_points else None,
+        train_time=sum(report.wall_time for report in reports),
+        train_mse=float(np.mean([r.final_mse for r in reports])) if test_points else None,
+        test_mse=test_sse / test_points if test_points else None,
     )
 
 

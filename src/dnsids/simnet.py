@@ -112,6 +112,11 @@ DEFAULT_OVERLOAD = 1.2
 # config asking for more is refused before anything is built.
 MAX_EMISSIONS = 10**7
 
+# Windows one run may be cut into: duration / window_len. Each window is
+# one feature row, about 40 bytes of dataset text, so a config asking for
+# more is refused before anything is built.
+MAX_WINDOWS = 10**6
+
 # All rates in bits/second, sizes in bytes, times in seconds.
 
 
@@ -260,6 +265,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         require(attacks <= MAX_EMISSIONS, "attack_rate", f"<= {MAX_EMISSIONS} / "
                 f"min(attack_duration, duration), {MAX_EMISSIONS} attack emissions per run",
                 cfg.attack_rate)
+    # The quotient is compared as it is: a tiny window_len makes it inf.
+    require(cfg.duration / cfg.window_len <= MAX_WINDOWS, "window_len",
+            f">= duration / {MAX_WINDOWS}, {MAX_WINDOWS} windows per run", cfg.window_len)
     return cfg
 
 

@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
 from dnsids.classifiers.recipes import RbfRecipe, SomRecipe
-from dnsids.classifiers.som import SomTrainConfig, som_init
+from dnsids.classifiers.som import SomTrainConfig, grid_positions, som_init
 from dnsids.classifiers.store import load_model, save_model
 from dnsids import cli, errors
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, SECTION_PARSERS, parse_pipeline_config,
                            validate_for_training)
 from dnsids.errors import ConfigError, InvalidConfig, ParseError
-from dnsids.preproc import CLASS_ORDER, ClassLabel, LabeledDataset, label_codes, write_dataset
+from dnsids.preproc import (CLASS_ORDER, ClassLabel, LabeledDataset, class_labels, label_codes,
+                            write_dataset)
 from dnsids.seeding import text_digest
 from dnsids.simnet import AttackKind, read_trace
 
@@ -162,6 +163,10 @@ class TestConfigParsing:
          "\nretransmit_timeout = 1e-5", "[scenario.normal] retransmit_max"),
         ("runs = 2\nduration = 200", "runs = 2\nduration = 200\nretransmit_timeout = 1e-300"
          f"\nretransmit_max = {10 ** 400}", "[scenario.normal] retransmit_max"),
+        # So are more than 10**6 windows per run; 200 / 1e-320 is inf.
+        ("window_len = 20", "window_len = 1e-320", "[pipeline] window_len"),
+        ("runs = 2\nduration = 200", "runs = 2\nduration = 200\nwindow_len = 1e-320",
+         "[scenario.normal] window_len"),
         # A simulator rule outside the emission bound names its section too.
         ("runs = 2\nduration = 200", "runs = 2\nduration = 200\nlegit_interarrival = 0",
          "[scenario.normal] legit_interarrival"),
@@ -297,6 +302,42 @@ class TestConfigContract:
             load_model(json.dumps(doc))
 
 
+# Model files as `save_model` wrote them while `MlpTrainConfig` and
+# `SomTrainConfig` still had a `seed` field, which no trainer read.
+OLD_MLP_FILE = (
+    '{"type": "mlp", "model": {"hidden_weights": [[0.5, -0.25, 0.125]], "hidden_bias": '
+    '[0.75], "output_weights": [[1.0], [-1.0], [0.5]], "output_bias": [0.0, 0.25, -0.5]},'
+    ' "config": {"max_epochs": 120, "target_mse": 1e-05, "lm_lambda_init": 0.001, '
+    '"lm_lambda_up": 10.0, "lm_lambda_down": 0.1, "lm_lambda_max": 10000000000.0, '
+    '"weight_init_range": 0.5, "seed": 0}, "report": {"final_mse": 0.0625, "epochs_run": '
+    '12, "wall_time": 0.5, "converged": false, "mse_history": [0.5, 0.0625]}, '
+    '"master_seed": 7, "config_digest": "abc"}')
+OLD_SOM_FILE = (
+    '{"type": "som", "model": {"codebook": [[0.0, 0.01, 0.02], [0.03, 0.04, 0.05], [0.06,'
+    ' 0.07, 0.08], [0.09, 0.1, 0.11], [0.12, 0.13, 0.14], [0.15, 0.16, 0.17], [0.18, '
+    '0.19, 0.2], [0.21, 0.22, 0.23], [0.24, 0.25, 0.26], [0.27, 0.28, 0.29], [0.3, 0.31, '
+    '0.32], [0.33, 0.34, 0.35], [0.36, 0.37, 0.38], [0.39, 0.4, 0.41], [0.42, 0.43, '
+    '0.44], [0.45, 0.46, 0.47], [0.48, 0.49, 0.5], [0.51, 0.52, 0.53], [0.54, 0.55, '
+    '0.56], [0.57, 0.58, 0.59], [0.6, 0.61, 0.62], [0.63, 0.64, 0.65], [0.66, 0.67, '
+    '0.68], [0.69, 0.7, 0.71], [0.72, 0.73, 0.74]], "grid": [[0.0, 0.0], [1.0, 0.0], '
+    '[2.0, 0.0], [3.0, 0.0], [4.0, 0.0], [0.5, 0.8660254037844386], [1.5, '
+    '0.8660254037844386], [2.5, 0.8660254037844386], [3.5, 0.8660254037844386], [4.5, '
+    '0.8660254037844386], [0.0, 1.7320508075688772], [1.0, 1.7320508075688772], [2.0, '
+    '1.7320508075688772], [3.0, 1.7320508075688772], [4.0, 1.7320508075688772], [0.5, '
+    '2.598076211353316], [1.5, 2.598076211353316], [2.5, 2.598076211353316], [3.5, '
+    '2.598076211353316], [4.5, 2.598076211353316], [0.0, 3.4641016151377544], [1.0, '
+    '3.4641016151377544], [2.0, 3.4641016151377544], [3.0, 3.4641016151377544], [4.0, '
+    '3.4641016151377544]], "neuron_labels": ["normal", "direct_dos", "amplification", '
+    '"normal", "direct_dos", "amplification", "normal", "direct_dos", "amplification", '
+    '"normal", "direct_dos", "amplification", "normal", "direct_dos", "amplification", '
+    '"normal", "direct_dos", "amplification", "normal", "direct_dos", "amplification", '
+    '"normal", "direct_dos", "amplification", "normal"]}, "config": {"epochs": 6, '
+    '"ordering_lr": 0.9, "ordering_steps": 1000, "tuning_lr": 0.02, '
+    '"tuning_neighbor_dist": 1, "seed": 0}, "report": {"final_mse": 0.125, "epochs_run": '
+    '6, "wall_time": 0.25, "converged": true, "mse_history": []}, "master_seed": 7, '
+    '"config_digest": "abc"}')
+
+
 class TestModelStore:
     def test_mlp_round_trip_exact(self):
         model = mlp_init(7, 3)
@@ -313,8 +354,8 @@ class TestModelStore:
         rng = np.random.default_rng(0)
         rows = [(round(float(v[0]), 6), round(float(v[1]), 6), int(v[2]))
                 for v in np.abs(rng.normal(size=(8, 3)) * 10)]
-        model, report = recipe.train(
-            LabeledDataset(rows, label_codes([ClassLabel.NORMAL] * 8)), seed=1)
+        ((model, report),) = recipe.train_folds(
+            [LabeledDataset(rows, label_codes([ClassLabel.NORMAL] * 8))], [1])
         loaded, _, rep = load_model(save_model(model, None, report))
         assert np.array_equal(loaded.centers, model.centers)
         assert loaded.width == model.width
@@ -332,6 +373,23 @@ class TestModelStore:
         assert np.array_equal(loaded.neuron_labels, labeled.neuron_labels)
         assert loaded.neuron_labels.dtype == np.int8
         assert cfg == SomTrainConfig()
+
+    def test_model_files_with_a_seed_key_still_load(self):
+        model, cfg, report = load_model(OLD_MLP_FILE)
+        assert model.hidden_weights.tolist() == [[0.5, -0.25, 0.125]]
+        assert model.output_bias.tolist() == [0.0, 0.25, -0.5]
+        assert cfg == MlpTrainConfig(max_epochs=120)
+        assert report == TrainReport(0.0625, 12, 0.5, False, (0.5, 0.0625))
+
+        model, cfg, report = load_model(OLD_SOM_FILE)
+        assert np.array_equal(model.codebook, np.arange(75).reshape(25, 3) / 100)
+        assert np.array_equal(model.grid, grid_positions())
+        assert class_labels(model.neuron_labels) == [CLASS_ORDER[i % 3] for i in range(25)]
+        assert cfg == SomTrainConfig(epochs=6)
+        assert report == TrainReport(0.125, 6, 0.25, True, ())
+
+        # What is written now has no seed key.
+        assert "seed" not in json.loads(save_model(model, cfg, report))["config"]
 
     def test_malformed_model_rejected(self):
         with pytest.raises(ParseError):
@@ -468,6 +526,23 @@ class TestCommandsAndExitCodes:
         assert err["error"] == "SingularUpdate"
         assert err["detail"].startswith("fold 0: ")
 
+    # One dataset is trained outside cross-validation, so no fold is named.
+    @pytest.mark.parametrize("classifier, error", [("mlp", "SingularUpdate"),
+                                                   ("rbf", "DegenerateDesign")])
+    def test_train_error_names_no_fold(self, tiny_run, tmp_path, capsys, monkeypatch,
+                                       classifier, error):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        cfg_path, out = tiny_run
+        rc = main(["train", "--config", str(cfg_path), "--dataset", str(out / "dataset.csv"),
+                   "--classifier", classifier, "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = one_json_error(capsys)
+        assert err["error"] == error
+        assert "fold" not in err["detail"]
+
     def test_empty_dataset_train_fails_with_empty(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(write_dataset(LabeledDataset((), ())))
@@ -521,7 +596,7 @@ class TestCommandsAndExitCodes:
         assert str(traces / "headless.trace") in err["detail"]
         assert "duration" in err["detail"]
 
-    @pytest.mark.parametrize("value", ["0.0", "nan"])
+    @pytest.mark.parametrize("value", ["0.0", "nan", "1e-320"])
     def test_trace_header_breaking_a_scenario_rule_is_parse_error(self, tiny_run, tmp_path,
                                                                  capsys, value):
         _, out = tiny_run

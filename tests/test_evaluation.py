@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig
-from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
+from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe, train_each
 from dnsids.classifiers.som import SomTrainConfig
 from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, TooFewSamples,
-                           UndefinedMetric)
+                           TrainingError, UndefinedMetric)
 from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, EvalReport,
                                FoldPlan, MetricSet, accuracy, accuracy_3class, confusion,
                                cross_validate, detection_rate, far,
@@ -280,11 +280,27 @@ class ConstantNormal:
     """Degenerate recipe predicting Normal for everything."""
     name = "constant"
 
-    def train(self, data, seed):
-        return None, TrainReport(0.0, 0, 0.0, True)
+    def train_folds(self, train_sets, seeds):
+        return [(None, TrainReport(0.0, 0, 0.0, True)) for _ in train_sets]
 
-    def predict(self, model, X):
-        return label_codes([N] * len(X))
+    def score(self, model, X):
+        return label_codes([N] * len(X)), None
+
+
+class EmptyThirdFold:
+    """A recipe whose third training set reaches the wrapped recipe empty."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def train_folds(self, train_sets, seeds):
+        sets = list(train_sets)
+        sets[2] = sets[2].subset(np.zeros(len(sets[2]), dtype=bool))
+        return self.inner.train_folds(sets, seeds)
+
+    def score(self, model, X):
+        return self.inner.score(model, X)
 
 
 class TestCrossValidate:
@@ -307,21 +323,25 @@ class TestCrossValidate:
         assert min(fold_acc) <= mean.accuracy <= max(fold_acc)
 
     def test_folds_never_leak_into_training(self):
-        seen = []
+        scored = []
 
         class Spy(ConstantNormal):
             name = "spy"
 
-            def train(self, data, seed):
-                seen.append({tuple(x) for x in data.X.tolist()})
-                return None, TrainReport(0.0, 0, 0.0, True)
+            def train_folds(self, train_sets, seeds):
+                # Each model is the set of rows it was trained on.
+                return [({tuple(x) for x in data.X.tolist()}, TrainReport(0.0, 0, 0.0, True))
+                        for data in train_sets]
 
-            def predict(self, model, X):
+            def score(self, model, X):
                 for x in X.tolist():
-                    assert tuple(x) not in seen[-1]
-                return label_codes([N] * len(X))
+                    assert tuple(x) not in model
+                scored.append(len(X))
+                return label_codes([N] * len(X)), None
 
-        cross_validate(Spy(), tiny_dataset(), k=4, seed=5)
+        data = tiny_dataset()
+        cross_validate(Spy(), data, k=4, seed=5)
+        assert len(scored) == 4 and sum(scored) == len(data)
 
     def test_deterministic_repeat(self):
         a = cross_validate(MlpRecipe(hidden=4), tiny_dataset(), k=4, seed=8)
@@ -334,44 +354,75 @@ class TestCrossValidate:
         class Exploding(ConstantNormal):
             name = "boom"
 
-            def train(self, data, seed):
-                raise Empty("nothing to see")
+            def train_folds(self, train_sets, seeds):
+                folds = iter(range(len(seeds)))
 
-        with pytest.raises(Empty, match="fold 0"):
+                def train(data, seed):
+                    if next(folds) == 2:
+                        raise Empty("nothing to see")
+                    return None, TrainReport(0.0, 0, 0.0, True)
+
+                return train_each(train, train_sets, seeds)
+
+        with pytest.raises(Empty) as info:
             cross_validate(Exploding(), tiny_dataset(), k=4, seed=0)
+        assert str(info.value) == "fold 2: nothing to see"
+
+    # Fold 2 of each real recipe trains on nothing; its error names that
+    # fold, and no other, exactly once.
+    @pytest.mark.parametrize("recipe", [MlpRecipe(hidden=3), RbfRecipe(centers=2),
+                                        SomRecipe(SomTrainConfig(epochs=1))],
+                             ids=["per_fold_mlp", "per_fold_rbf", "lockstep_som"])
+    def test_a_failing_fold_is_named_once(self, recipe):
+        with pytest.raises(TrainingError) as info:
+            cross_validate(EmptyThirdFold(recipe), tiny_dataset(), k=4, seed=0)
+        message = str(info.value)
+        assert message.startswith("fold 2: ")
+        assert message.count("fold") == 1
 
     def test_batched_training_failures_name_the_fold(self):
         # one fold leaves nothing to train on
-        with pytest.raises(Empty, match="fold 0"):
+        with pytest.raises(Empty, match="^fold 0: "):
             cross_validate(SomRecipe(SomTrainConfig(epochs=1)), tiny_dataset(), k=1)
 
+    def test_errors_not_tied_to_a_fold_pass_unchanged(self):
+        class Misconfigured(ConstantNormal):
+            def train_folds(self, train_sets, seeds):
+                raise InvalidWidth("hidden width must be in 1..64, got 0")
+
+        with pytest.raises(InvalidWidth, match="^hidden width"):
+            cross_validate(Misconfigured(), tiny_dataset(), k=4, seed=0)
+
     def test_fold_batched_training_matches_per_fold_training(self):
+        # k maps trained in lockstep must equal k maps trained one set each.
         recipe = SomRecipe(SomTrainConfig(epochs=3, ordering_steps=40))
         predictions = {}
 
-        class PerFold:
+        class Batched:
             name = recipe.name
 
             def __init__(self, key):
                 self.key = key
                 predictions[key] = []
 
-            def train(self, data, seed):
-                return recipe.train(data, seed)
-
-            def predict(self, model, X):
-                labels = recipe.predict(model, X)
-                predictions[self.key].append((model.codebook.tobytes(),
-                                              class_labels(model.neuron_labels),
-                                              class_labels(labels)))
-                return labels
-
-        class Batched(PerFold):
             def train_folds(self, train_sets, seeds):
                 return recipe.train_folds(train_sets, seeds)
 
+            def score(self, model, X):
+                labels, outputs = recipe.score(model, X)
+                predictions[self.key].append((model.codebook.tobytes(),
+                                              class_labels(model.neuron_labels),
+                                              class_labels(labels)))
+                return labels, outputs
+
+        class PerFold(Batched):
+            def train_folds(self, train_sets, seeds):
+                return [recipe.train_folds([data], [seed])[0]
+                        for data, seed in zip(train_sets, seeds)]
+
         a = cross_validate(PerFold("per_fold"), tiny_dataset(), k=5, seed=3)
         b = cross_validate(Batched("batched"), tiny_dataset(), k=5, seed=3)
+        assert len(predictions["per_fold"]) == 5
         assert predictions["per_fold"] == predictions["batched"]
         assert (a.metrics, a.fold_metrics) == (b.metrics, b.fold_metrics)
 

@@ -361,14 +361,14 @@ class TestTraining:
 
         data = dataset_from_arrays(X, labels)
         recipe = MlpRecipe(hidden=7)
-        model, report = recipe.train(data, seed=3)
-        preds = recipe.predict(model, data.X)
+        ((model, report),) = recipe.train_folds([data], [3])
+        preds = recipe.score(model, data.X)[0]
         assert class_labels(preds) == labels
 
 
 class TestClassify:
     def predict_one(self, model, x):
-        (label,) = class_labels(MlpRecipe().predict(model, [x]))
+        (label,) = class_labels(MlpRecipe().score(model, [x])[0])
         return label
 
     def test_nearest_code_examples(self):
@@ -390,7 +390,7 @@ class TestClassify:
         rng = np.random.default_rng(0)
         X = np.array([rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
                       for _ in range(50)])
-        labels = class_labels(MlpRecipe().predict(m, X))
+        labels = class_labels(MlpRecipe().score(m, X)[0])
         assert len(labels) == 50
         assert set(labels) <= set(ClassLabel)
 
@@ -409,7 +409,7 @@ class TestRecipeStandardization:
             labels.extend([lbl] * 30)
         data = dataset_from_arrays(np.array(X), labels)
         recipe = MlpRecipe()
-        model, report = recipe.train(data, seed=1)
+        ((model, report),) = recipe.train_folds([data], [1])
         assert report.converged
-        preds = recipe.predict(model, data.X)
+        preds = recipe.score(model, data.X)[0]
         assert class_labels(preds) == labels

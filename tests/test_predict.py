@@ -112,7 +112,7 @@ class TestRecipePredict:
         X = wide_inputs(np.random.default_rng(seed), n)
         expected = [reference_nearest_code_label(reference_mlp_forward(model, x))
                     for x in X]
-        assert class_labels(MlpRecipe().predict(model, X)) == expected
+        assert class_labels(MlpRecipe().score(model, X)[0]) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 12),
@@ -125,7 +125,7 @@ class TestRecipePredict:
         X = np.concatenate([wide_inputs(rng, n), model.centers])
         expected = [reference_nearest_code_label(reference_rbf_forward(model, x))
                     for x in X]
-        assert class_labels(RbfRecipe().predict(model, X)) == expected
+        assert class_labels(RbfRecipe().score(model, X)[0]) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_output_rows, min_size=1, max_size=10))
@@ -139,8 +139,8 @@ class TestRecipePredict:
                            output_weights=np.zeros((3, 2)), output_bias=bias)
             label = reference_nearest_code_label(row)
             X = [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]
-            assert class_labels(MlpRecipe().predict(mlp, X)) == [label] * 2
-            assert class_labels(RbfRecipe().predict(rbf, [[100.0, 100.0, 100.0]])) == [label]
+            assert class_labels(MlpRecipe().score(mlp, X)[0]) == [label] * 2
+            assert class_labels(RbfRecipe().score(rbf, [[100.0, 100.0, 100.0]])[0]) == [label]
 
 
 # Unit vectors whose rows, and inputs built from them, give exact
@@ -179,7 +179,9 @@ class TestSomPredict:
         ])
         expected = [reference_som_classify(model, x) for x in X]
         assert class_labels(som_classify(model, X)) == expected
-        assert class_labels(SomRecipe().predict(model, X)) == expected
+        labels, outputs = SomRecipe().score(model, X)
+        assert class_labels(labels) == expected
+        assert outputs is None
 
     def test_duplicate_neurons_go_to_the_lowest_index(self):
         codebook = np.tile(_POOL[:1], (N_NEURONS, 1))

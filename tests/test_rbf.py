@@ -129,7 +129,7 @@ class TestTraining:
         assert min(gaps) > 8 * 0.5  # margin dwarfs blob spread
         data = dataset_from_arrays(np.array(X), labels)
         model, _ = rbf_train(data, k=6, seed=1)
-        preds = RbfRecipe().predict(model, data.X)
+        preds = RbfRecipe().score(model, data.X)[0]
         assert class_labels(preds) == labels
 
     def test_k_below_two_rejected(self):
@@ -162,7 +162,7 @@ class TestClassify:
                         output_bias=np.array(bias, dtype=float))
 
     def predict(self, bias, X):
-        return class_labels(RbfRecipe().predict(self.crafted_model(bias), X))
+        return class_labels(RbfRecipe().score(self.crafted_model(bias), X)[0])
 
     def test_nearest_code_examples(self):
         far_x = [[100.0, 100.0, 100.0]]  # activations vanish, bias decides
@@ -185,6 +185,6 @@ class TestClassify:
         model, _ = rbf_train(dataset_from_arrays(X, labels), k=4, seed=0)
         X = np.array([rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
                       for _ in range(50)])
-        labels = class_labels(RbfRecipe().predict(model, X))
+        labels = class_labels(RbfRecipe().score(model, X)[0])
         assert len(labels) == 50
         assert set(labels) <= set(ClassLabel)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from dnsids import simnet
 from dnsids.errors import InvalidConfig, ParseError
-from dnsids.simnet import (DISPOSITIONS, KINDS, AttackKind, Disposition, GroundTruth,
+from dnsids.simnet import (ATTACK, DISPOSITIONS, DROPPED, KINDS, REQUEST, RESPONSE,
+                           TO_CLIENT, TO_SERVER, AttackKind, Disposition, GroundTruth,
                            PacketKind, ScenarioConfig, make_scenario, read_trace, round6,
                            run, validate_config, write_trace)
 
@@ -22,11 +23,19 @@ COLUMNS = ("t", "kind", "size", "disposition", "flow")
 
 
 def drops(trace):
-    return [e for e in trace.events if e.disposition is Disposition.DROPPED_AT_QUEUE]
+    """Row indices of the packets dropped at the bottleneck queue."""
+    return np.flatnonzero(trace.disposition == DROPPED)
 
 
 def server_deliveries(trace):
-    return [e for e in trace.events if e.disposition is Disposition.DELIVERED_TO_SERVER]
+    """Row indices of the packets delivered to the server."""
+    return np.flatnonzero(trace.disposition == TO_SERVER)
+
+
+def requests_per_flow(trace):
+    """Transmissions of each legitimate request, retransmissions included,
+    indexed by flow."""
+    return np.bincount(trace.flow[trace.kind == REQUEST])
 
 
 class TestMakeScenario:
@@ -97,6 +106,10 @@ class TestMakeScenario:
         (dict(retransmit_max=10**7, retransmit_timeout=1e-6), "retransmit_max"),
         (dict(duration=1e300, legit_interarrival=1e300, retransmit_max=10**400,
               retransmit_timeout=5e-324), "retransmit_max"),
+        # 10**6 windows per run; 1 / 1e-320 is inf, which `math.ceil` cannot
+        # turn into a window count.
+        (dict(duration=200.0, window_len=200.0 / (10**6 + 1)), "window_len"),
+        (dict(duration=1.0, window_len=1e-320), "window_len"),
     ])
     def test_emissions_per_run_bounded(self, params, key):
         # Validation only: none of these scenarios is run.
@@ -116,17 +129,20 @@ class TestMakeScenario:
                             legit_interarrival=100.0 / bound, attack_rate=bound / 100.0)
         assert cfg.attack_rate * cfg.duration == bound
 
+    def test_windows_at_the_bound_accepted(self):
+        bound = simnet.MAX_WINDOWS
+        cfg = make_scenario(duration=200.0, window_len=200.0 / bound)
+        assert cfg.duration / cfg.window_len == bound
+
 
 class TestNoAttackRun:
     # Offered legitimate load is 60 B / 10 s = 48 bit/s, far below the
     # 10 Mbit/s bottleneck, so nothing can ever queue up.
     def test_zero_drops_and_full_delivery(self):
         trace = run(make_scenario(duration=200), seed=1)
-        assert drops(trace) == []
-        requests = [e for e in server_deliveries(trace)
-                    if e.kind is PacketKind.LEGIT_REQUEST]
-        responses = [e for e in trace.events
-                     if e.disposition is Disposition.DELIVERED_TO_CLIENT]
+        assert drops(trace).size == 0
+        requests = [i for i in server_deliveries(trace) if trace.kind[i] == REQUEST]
+        responses = np.flatnonzero(trace.disposition == TO_CLIENT)
         # 20 emissions at t = 0, 10, ..., 190; each answered once
         assert len(requests) == 20
         assert len(responses) == 20
@@ -135,17 +151,13 @@ class TestNoAttackRun:
 
     def test_no_attack_purity(self):
         trace = run(make_scenario(duration=200), seed=5)
-        assert all(e.kind is not PacketKind.ATTACK for e in trace.events)
+        assert (trace.kind != ATTACK).all()
         assert trace.truth.attack_kind is AttackKind.NONE
         assert trace.truth.interval is None
 
     def test_single_flow_emission_without_loss(self):
         trace = run(make_scenario(duration=200), seed=2)
-        per_flow = {}
-        for e in trace.events:
-            if e.kind is PacketKind.LEGIT_REQUEST:
-                per_flow[e.flow_id] = per_flow.get(e.flow_id, 0) + 1
-        assert set(per_flow.values()) == {1}
+        assert set(requests_per_flow(trace).tolist()) == {1}
 
 
 class TestOverloadRun:
@@ -155,10 +167,10 @@ class TestOverloadRun:
         cfg = make_scenario(attack_kind="direct_dos", duration=40,
                             attack_start_jitter=(0.0, 0.0), attack_duration=30)
         trace = run(cfg, seed=3)
-        dropped = drops(trace)
-        assert dropped
+        dropped = trace.t[drops(trace)]
+        assert dropped.size
         start, end = trace.truth.interval
-        assert all(start <= e.timestamp <= end + 1.0 for e in dropped)
+        assert ((start <= dropped) & (dropped <= end + 1.0)).all()
 
     def test_queue_never_exceeds_capacity(self):
         cfg = make_scenario(attack_kind="direct_dos", duration=40,
@@ -171,22 +183,18 @@ class TestOverloadRun:
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 0.0), attack_duration=120)
         trace = run(cfg, seed=9)
-        per_flow = {}
-        for e in trace.events:
-            if e.kind is PacketKind.LEGIT_REQUEST:
-                per_flow.setdefault(e.flow_id, 0)
-                per_flow[e.flow_id] += 1
-        assert per_flow
-        assert max(per_flow.values()) <= 1 + cfg.retransmit_max
+        per_flow = requests_per_flow(trace)
+        assert per_flow.size
+        assert per_flow.max() <= 1 + cfg.retransmit_max
 
     def test_amplification_delivers_oversized_packets_inbound(self):
         cfg = make_scenario(attack_kind="amplification", duration=60,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 0.0), attack_duration=60)
         trace = run(cfg, seed=4)
-        amp = [e for e in server_deliveries(trace) if e.kind is PacketKind.ATTACK]
+        amp = [i for i in server_deliveries(trace) if trace.kind[i] == ATTACK]
         assert amp
-        assert all(e.size == cfg.amp_response_size for e in amp)
+        assert (trace.size[amp] == cfg.amp_response_size).all()
 
 
 class TestTraceLaws:
@@ -209,23 +217,21 @@ class TestTraceLaws:
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 5.0), attack_duration=60)
         trace = run(cfg, seed=21)
-        assert trace.packets_generated == len(trace.events) + trace.in_flight_at_end
+        assert trace.packets_generated == len(trace) + trace.in_flight_at_end
 
     def test_causality_response_follows_delivered_request(self):
         trace = run(make_scenario(duration=200), seed=6)
-        delivered_requests = set()
-        for e in trace.events:
-            if (e.kind is PacketKind.LEGIT_REQUEST
-                    and e.disposition is Disposition.DELIVERED_TO_SERVER):
-                delivered_requests.add(e.flow_id)
-            elif e.kind is PacketKind.LEGIT_RESPONSE:
-                assert e.flow_id in delivered_requests
+        delivered = np.flatnonzero((trace.kind == REQUEST) & (trace.disposition == TO_SERVER))
+        first_delivery = np.full(trace.flow.max(initial=-1) + 1, len(trace))
+        np.minimum.at(first_delivery, trace.flow[delivered], delivered)
+        responses = np.flatnonzero(trace.kind == RESPONSE)
+        assert (first_delivery[trace.flow[responses]] < responses).all()
 
     def test_events_sorted_with_stable_ties(self):
         trace = run(make_scenario(attack_kind="direct_dos", duration=30,
                                   attack_start_jitter=(0.0, 0.0),
                                   attack_duration=20), seed=8)
-        stamps = [(e.timestamp, e.seq) for e in trace.events]
+        stamps = list(zip(trace.t.tolist(), range(len(trace))))
         assert stamps == sorted(stamps)
 
     def test_in_flight_packets_counted(self):
@@ -233,7 +239,7 @@ class TestTraceLaws:
         cfg = make_scenario(duration=10.005)
         trace = run(cfg, seed=1)
         assert trace.in_flight_at_end >= 1
-        assert trace.packets_generated == len(trace.events) + trace.in_flight_at_end
+        assert trace.packets_generated == len(trace) + trace.in_flight_at_end
 
 
 @settings(max_examples=25, deadline=None)
@@ -251,18 +257,18 @@ def test_core_laws_hold_everywhere(seed, kind, duration, queue):
                       attack_duration=duration)
     cfg = make_scenario(**params)
     trace = run(cfg, seed)
-    assert trace.packets_generated == len(trace.events) + trace.in_flight_at_end
+    assert trace.packets_generated == len(trace) + trace.in_flight_at_end
     assert trace.max_queue_occupancy <= cfg.queue_capacity
-    assert all(0 <= e.timestamp <= cfg.duration for e in trace.events)
+    assert ((0 <= trace.t) & (trace.t <= cfg.duration)).all()
     if kind == "none":
-        assert not drops(trace)
+        assert not drops(trace).size
 
 
 class TestTraceSerialization:
     def test_empty_trace_round_trips_header_only(self):
         # Duration shorter than the first router hop: no event can land.
         trace = run(make_scenario(duration=0.005), seed=7)
-        assert trace.events == ()
+        assert len(trace) == 0
         text = write_trace(trace)
         assert all(line.startswith("#") for line in text.splitlines())
         assert read_trace(text) == trace
@@ -300,8 +306,8 @@ class TestTraceSerialization:
 
     def test_timestamps_have_microsecond_resolution(self):
         trace = run(make_scenario(duration=200), seed=1)
-        for e in trace.events:
-            assert e.timestamp == round(e.timestamp, 6)
+        for t in trace.t.tolist():
+            assert t == round(t, 6)
 
     def test_events_view_matches_columns(self):
         trace = run(make_scenario(attack_kind="direct_dos", duration=20,
@@ -311,7 +317,7 @@ class TestTraceSerialization:
         assert [e.seq for e in rows] == list(range(len(trace)))
         assert [e.timestamp for e in rows] == trace.t.tolist()
         assert {e.flow_id for e in rows if e.kind is PacketKind.ATTACK} == {"atk"}
-        assert trace.drops == len(drops(trace))
+        assert trace.drops == sum(e.disposition is Disposition.DROPPED_AT_QUEUE for e in rows)
         with pytest.raises(ValueError):
             trace.t[0] = 1.0
 
