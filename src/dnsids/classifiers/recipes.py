@@ -10,7 +10,8 @@ networks train pair by pair (`train_each`) and label each row with the
 class whose target code is nearest its output. The map trains all pairs
 in one lockstep run, normalizes its inputs instead, and has no outputs:
 its `score` returns None in their place. An error that training one pair
-raises carries that pair's index as `fold`.
+raises carries that pair's index as `fold`. A recipe checks its settings
+when built, as the training configs do.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import DnsIdsError, Empty
+from ..errors import DnsIdsError, Empty, require
 from ..preproc import LabeledDataset, l2_normalize_rows
 from .base import TrainReport, nearest_code_labels
-from .mlp import MlpModel, MlpTrainConfig, mlp_forward, mlp_init, train_lm_arrays
+from .mlp import MAX_HIDDEN, MlpModel, MlpTrainConfig, mlp_forward, mlp_init, train_lm_arrays
 from .rbf import RbfModel, rbf_forward, rbf_train
 from .som import (SomModel, SomTrainConfig, quantization_error, som_classify,
                   som_init, som_label, som_train_folds)
@@ -47,6 +48,9 @@ class MlpRecipe:
     name: ClassVar[str] = "bp"
     hidden: int = 7
     train_config: MlpTrainConfig = field(default_factory=MlpTrainConfig)
+
+    def __post_init__(self):
+        require(1 <= self.hidden <= MAX_HIDDEN, "hidden", f"in 1..{MAX_HIDDEN}", self.hidden)
 
     def train_folds(self, train_sets, seeds) -> list[tuple[MlpModel, TrainReport]]:
         return train_each(self._train, train_sets, seeds)
@@ -82,6 +86,9 @@ class RbfRecipe:
     # Training has no settings beyond `centers`; model files store none.
     train_config: ClassVar[None] = None
     centers: int = 10
+
+    def __post_init__(self):
+        require(self.centers >= 2, "centers", ">= 2", self.centers)
 
     def train_folds(self, train_sets, seeds) -> list[tuple[RbfModel, TrainReport]]:
         return train_each(lambda data, seed: rbf_train(data, self.centers, seed),

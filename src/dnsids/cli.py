@@ -2,11 +2,15 @@
 
 Subcommands: simulate, features, train, evaluate, sweep, pipeline. Every
 output is a pure function of the config file and master seed; outputs
-embed both in a header comment. Logs go to stderr, data to files. Exit
-codes: 0 success, 2 configuration error (including an input file that
-cannot be read or an output that cannot be written), 3 parse error
-(including an input file that is not UTF-8), 4 training error; each
-failure writes one JSON line to stderr.
+embed both in a header comment. `pipeline` hands each stage's result to
+the next in memory: it windows each trace as soon as its file is
+written and cross-validates the dataset it wrote, reading neither back.
+The other commands read their inputs from files; a malformed trace or
+dataset file fails naming the file. Logs go to stderr, data to files.
+Exit codes: 0 success, 2 configuration error (including an input file
+that cannot be read or an output that cannot be written), 3 parse error
+(including an input file that is not UTF-8), 4 training error (including
+a dataset with no samples); each failure writes one JSON line to stderr.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS is set. `sweep` runs one worker process per CPU, and
@@ -32,10 +36,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from . import errors  # noqa: E402
 from .classifiers.store import save_model  # noqa: E402
-from .config import (CLASSIFIERS, DEFAULT_CONFIG, RECIPES, PipelineConfig,  # noqa: E402
+from .config import (CLASSIFIERS, DEFAULT_CONFIG, PipelineConfig,  # noqa: E402
                      parse_pipeline_config, validate_for_training)
-from .evaluation import (EvalReport, cross_validate, kfold_split, render_report,  # noqa: E402
-                         render_sweep_csv, sweep_hidden_neurons, sweep_workers)
+from .evaluation import (cross_validate, render_report, render_sweep_csv,  # noqa: E402
+                         sweep_hidden_neurons, sweep_workers)
+# Unused here; benchmarks/traced.py wraps it by this name until ROADMAP item 5 retires that.
+from .evaluation import kfold_split  # noqa: E402, F401
 from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,  # noqa: E402
                       window_trace, write_dataset)
 from .seeding import derive_seed, text_digest  # noqa: E402
@@ -106,10 +112,6 @@ def _load_config(path: str | None, seed_override: int | None) -> tuple[PipelineC
     return cfg, text_digest(text)
 
 
-def _stamp(seed: int, digest: str) -> tuple[str, ...]:
-    return (f"master_seed={seed}", f"config_digest={digest}")
-
-
 # --- stages (shared by the individual commands and `pipeline`) ---------------
 
 def _simulated(cfg: PipelineConfig, out: Path, digest: str, each) -> list:
@@ -152,20 +154,25 @@ def _labeled(trace: PacketTrace, path: Path) -> LabeledDataset:
 
 
 def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: int,
-                    digest: str) -> Path:
-    """Merge per-trace datasets in trace file name order and write dataset.csv."""
+                    digest: str) -> tuple[LabeledDataset, str]:
+    """Merge per-trace datasets in trace file name order and write dataset.csv.
+
+    Returns the merged dataset and its fingerprint, the digest of the
+    dataset text below the seed and config stamp.
+    """
     dataset = merge_datasets([part for _, part in sorted(parts, key=lambda p: p[0])])
+    text = write_dataset(dataset)
     path = _write_output(out / "dataset.csv",
-                         write_dataset(dataset, comments=_stamp(seed, digest)))
+                         f"# master_seed={seed}\n# config_digest={digest}\n", text)
     log.info("wrote %s: %d windows from %d traces", path, len(dataset), len(parts))
-    return path
+    return dataset, text_digest(text)
 
 
-def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> Path:
+def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> None:
     if not trace_paths:
         raise errors.ConfigError("no trace files given")
     parts = [(path, _labeled(_read_trace_file(path), path)) for path in trace_paths]
-    return _write_features(parts, out, seed, digest)
+    _write_features(parts, out, seed, digest)
 
 
 def _read_trace_file(path: Path) -> PacketTrace:
@@ -177,26 +184,32 @@ def _read_trace_file(path: Path) -> PacketTrace:
         raise errors.ParseError(f"trace file {path}: {exc}") from None
 
 
-def do_evaluate(dataset_path: Path, cfg: PipelineConfig, names, out: Path,
-                digest: str) -> tuple[Path, Path]:
-    data = read_dataset(_read_input(dataset_path, "dataset"))
+def _read_dataset_file(path) -> LabeledDataset:
+    """Parse one dataset file; a malformed dataset's ParseError names the
+    file, and a dataset with no samples fails as Empty."""
+    text = _read_input(path, "dataset")
+    try:
+        data = read_dataset(text)
+    except errors.ParseError as exc:
+        raise errors.ParseError(f"dataset {path}: {exc}") from None
     if len(data) == 0:
-        raise errors.Empty("dataset has no samples")
-    plan = kfold_split(data, cfg.cv_folds, derive_seed(cfg.seed, "kfold"))
+        raise errors.Empty(f"dataset {path} has no samples")
+    return data
+
+
+def do_evaluate(data: LabeledDataset, fingerprint: str, cfg: PipelineConfig, names,
+                out: Path, digest: str) -> tuple[Path, Path]:
+    """Cross-validate the named classifiers on `data` and write the report.
+
+    `fingerprint` identifies the dataset in the report's header comment.
+    """
     entries = []
-    for recipe in (RECIPES[name](cfg) for name in names):
+    for recipe in (getattr(cfg, name) for name in names):
         log.info("cross-validating %s (%d folds)", recipe.name, cfg.cv_folds)
         entries.append(cross_validate(recipe, data, k=cfg.cv_folds, seed=cfg.seed))
-    report = EvalReport(
-        entries=tuple(entries),
-        dataset_fingerprint=text_digest(write_dataset(data)),
-        seed=cfg.seed,
-        folds=cfg.cv_folds,
-        stratified=plan.stratified,
-    )
-    text, csv = render_report(report)
+    text, csv = render_report(entries, cfg.cv_folds)
     comment = (f"# master_seed={cfg.seed} config_digest={digest} "
-               f"dataset={report.dataset_fingerprint} folds={cfg.cv_folds}\n")
+               f"dataset={fingerprint} folds={cfg.cv_folds}\n")
     csv_path = _write_output(out / "report.csv", comment, csv)
     txt_path = _write_output(out / "report.txt", comment, text)
     sys.stdout.write(text)
@@ -223,10 +236,8 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
-    data = read_dataset(_read_input(args.dataset, "dataset"))
-    if len(data) == 0:
-        raise errors.Empty("dataset has no samples")
-    recipe = RECIPES[args.classifier](cfg)
+    data = _read_dataset_file(args.dataset)
+    recipe = getattr(cfg, args.classifier)
     model, report = recipe.train_folds([data], [derive_seed(cfg.seed, recipe.name, "train")])[0]
     _write_output(Path(args.out) / f"model_{args.classifier}.json",
                   save_model(model, recipe.train_config, report,
@@ -244,7 +255,8 @@ def cmd_evaluate(args) -> int:
         if args.k < 2:
             raise errors.ConfigError(f"--k must be >= 2, got {args.k}")
         cfg = replace(cfg, cv_folds=args.k)
-    do_evaluate(Path(args.dataset), cfg, names, Path(args.out), digest)
+    data = _read_dataset_file(args.dataset)
+    do_evaluate(data, text_digest(write_dataset(data)), cfg, names, Path(args.out), digest)
     return 0
 
 
@@ -255,11 +267,11 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise errors.ConfigError(
             f"--widths must be comma-separated integers, got {args.widths!r}") from None
-    data = read_dataset(_read_input(args.dataset, "dataset"))
+    data = _read_dataset_file(args.dataset)
     log.info("sweeping %d widths; worker processes: %d", len(widths),
              sweep_workers(widths))
     rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,
-                                train_config=cfg.mlp.train)
+                                train_config=cfg.mlp.train_config)
     comment = f"# master_seed={cfg.seed} config_digest={digest}\n"
     path = _write_output(Path(args.out) / "sweep.csv", comment, render_sweep_csv(rows))
     log.info("wrote %s (%d widths)", path, len(rows))
@@ -272,8 +284,8 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out)
     # Each trace is windowed as soon as its file is written, not read back.
     parts = _simulated(cfg, out, digest, lambda path, trace: (path, _labeled(trace, path)))
-    dataset_path = _write_features(parts, out, cfg.seed, digest)
-    do_evaluate(dataset_path, cfg, cfg.classifier_names, out, digest)
+    dataset, fingerprint = _write_features(parts, out, cfg.seed, digest)
+    do_evaluate(dataset, fingerprint, cfg, cfg.classifier_names, out, digest)
     return 0
 
 

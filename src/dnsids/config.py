@@ -4,13 +4,14 @@ Grammar (see README for the full key list):
 
     [pipeline]            seed, window_len, cv_folds, classifiers
     [scenario.<name>]     runs + any scenario field (attack_kind, rates, ...)
-    [mlp] [rbf] [som]     classifier hyperparameters
+    [mlp] [rbf] [som]     classifier hyperparameters, each section building
+                          the classifier's recipe
 
 Every scenario inherits the pipeline window_len unless it sets its own.
 A master seed is mandatory; nothing in the pipeline touches the wall
 clock except training-time measurement.
 
-The keys of [scenario.*], [mlp] and [som] are the fields of the
+The keys of [scenario.*], [mlp], [rbf] and [som] are the fields of the
 dataclasses they set, and each value parses by its field's annotation.
 Those dataclasses check their own rules when built; a broken rule or a
 bad value is a ConfigError that starts with `[section] key`.
@@ -23,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .classifiers.mlp import MAX_HIDDEN, MlpTrainConfig
+from .classifiers.mlp import MlpTrainConfig
 from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
 from .classifiers.som import SomTrainConfig
 from .errors import ConfigError, InvalidConfig, require
@@ -48,22 +49,9 @@ class ScenarioBlock:
         require(self.runs >= 1, "runs", ">= 1", self.runs)
 
 
-@dataclass(frozen=True)
-class MlpSettings:
-    hidden: int = 7
-    train: MlpTrainConfig = field(default_factory=MlpTrainConfig)
-
-    def __post_init__(self):
-        require(1 <= self.hidden <= MAX_HIDDEN, "hidden", f"in 1..{MAX_HIDDEN}", self.hidden)
-
-
-# Each classifier's config name, and its recipe with a config's settings.
-RECIPES = {
-    "mlp": lambda cfg: MlpRecipe(hidden=cfg.mlp.hidden, train_config=cfg.mlp.train),
-    "rbf": lambda cfg: RbfRecipe(centers=cfg.rbf_centers),
-    "som": lambda cfg: SomRecipe(train_config=cfg.som),
-}
-CLASSIFIERS = tuple(RECIPES)
+# Each classifier's config name: its section, and the PipelineConfig
+# field holding its recipe.
+CLASSIFIERS = ("mlp", "rbf", "som")
 
 
 @dataclass(frozen=True)
@@ -73,9 +61,9 @@ class PipelineConfig:
     cv_folds: int = 10
     classifier_names: tuple[str, ...] = CLASSIFIERS
     scenarios: tuple[ScenarioBlock, ...] = ()
-    mlp: MlpSettings = field(default_factory=MlpSettings)
-    rbf_centers: int = 10
-    som: SomTrainConfig = field(default_factory=SomTrainConfig)
+    mlp: MlpRecipe = field(default_factory=MlpRecipe)
+    rbf: RbfRecipe = field(default_factory=RbfRecipe)
+    som: SomRecipe = field(default_factory=SomRecipe)
 
 
 def _field_parsers(*classes) -> dict:
@@ -93,8 +81,8 @@ def _names(raw: str) -> tuple[str, ...]:
 SECTION_PARSERS = {
     "pipeline": {"seed": int, "window_len": float, "cv_folds": int, "classifiers": _names},
     "scenario.*": _field_parsers(ScenarioBlock, ScenarioConfig),
-    "mlp": _field_parsers(MlpSettings, MlpTrainConfig),
-    "rbf": {"centers": int},
+    "mlp": _field_parsers(MlpRecipe, MlpTrainConfig),
+    "rbf": _field_parsers(RbfRecipe),
     "som": _field_parsers(SomTrainConfig),
 }
 
@@ -146,9 +134,7 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
                     repr(name))
 
     scenarios = []
-    mlp_settings = MlpSettings()
-    rbf_centers = PipelineConfig.rbf_centers
-    som_settings = SomTrainConfig()
+    recipes = {}
     for section_name in parser.sections():
         if section_name == "pipeline":
             continue
@@ -162,18 +148,16 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
                 config = make_scenario(**{"window_len": window_len} | values)
                 scenarios.append(ScenarioBlock(section_name.split(".", 1)[1], runs, config))
             elif kind == "mlp":
-                hidden = values.pop("hidden", MlpSettings.hidden)
-                mlp_settings = MlpSettings(hidden, MlpTrainConfig(**values))
+                hidden = values.pop("hidden", MlpRecipe.hidden)
+                recipes["mlp"] = MlpRecipe(hidden, MlpTrainConfig(**values))
             elif kind == "rbf":
-                rbf_centers = values.get("centers", rbf_centers)
-                require(rbf_centers >= 2, "centers", ">= 2", rbf_centers)
+                recipes["rbf"] = RbfRecipe(**values)
             else:
-                som_settings = SomTrainConfig(**values)
+                recipes["som"] = SomRecipe(SomTrainConfig(**values))
 
     return PipelineConfig(
         seed=pipe["seed"], window_len=window_len, cv_folds=cv_folds,
-        classifier_names=names, scenarios=tuple(scenarios),
-        mlp=mlp_settings, rbf_centers=rbf_centers, som=som_settings)
+        classifier_names=names, scenarios=tuple(scenarios), **recipes)
 
 
 def validate_for_training(cfg: PipelineConfig) -> None:

@@ -78,10 +78,6 @@ class Empty(TrainingError):
     """An operation received no samples."""
 
 
-class UndefinedMetric(TrainingError):
-    """A metric denominator is zero; the value is absent, not 0 or 100."""
-
-
 class TooFewSamples(TrainingError):
     """Fewer samples than cross-validation folds, or fewer distinct points
     than cluster centers."""

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DnsIdsError, Empty, InvalidWidth, LengthMismatch, TooFewSamples,
-                     UndefinedMetric)
+from .errors import DnsIdsError, Empty, InvalidWidth, LengthMismatch, TooFewSamples
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
 from .seeding import derive_seed
 
@@ -50,27 +49,18 @@ class MetricSet:
     dr_direct: float | None
     dr_amplification: float | None
     far: float | None
+    accuracy_3class: float | None
 
 
 @dataclass(frozen=True)
 class EvalEntry:
     classifier: str
     metrics: MetricSet                    # pooled over all held-out folds
-    accuracy_3class: float | None
     confusion: ConfusionCounts
     fold_metrics: tuple[MetricSet, ...]
     train_time: float                     # wall seconds summed over folds
     train_mse: float | None = None
     test_mse: float | None = None
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    entries: tuple[EvalEntry, ...]
-    dataset_fingerprint: str
-    seed: int
-    folds: int
-    stratified: bool
 
 
 def confusion(predictions, truth) -> ConfusionCounts:
@@ -90,50 +80,26 @@ def confusion(predictions, truth) -> ConfusionCounts:
     return ConfusionCounts(tuple(tuple(row) for row in matrix.tolist()), tp, tn, fp, fn)
 
 
-def accuracy(c: ConfusionCounts) -> float:
-    """Binarized accuracy percentage: (TP + TN) / all."""
-    if c.total == 0:
-        raise UndefinedMetric("no samples")
-    return (c.tp + c.tn) / c.total * 100.0
-
-
-def accuracy_3class(c: ConfusionCounts) -> float:
-    total = sum(sum(row) for row in c.matrix)
-    if total == 0:
-        raise UndefinedMetric("no samples")
-    correct = sum(c.matrix[i][i] for i in range(3))
-    return correct / total * 100.0
-
-
-def detection_rate(c: ConfusionCounts, label: ClassLabel) -> float:
-    """Per-class recall percentage from that class's confusion row."""
-    row = c.matrix[CLASS_INDEX[label]]
-    row_total = sum(row)
-    if row_total == 0:
-        raise UndefinedMetric(f"no samples of class {label.value}")
-    return row[CLASS_INDEX[label]] / row_total * 100.0
-
-
-def far(c: ConfusionCounts) -> float:
-    """False alarm rate percentage: FP / (FP + TN)."""
-    if c.fp + c.tn == 0:
-        raise UndefinedMetric("no normal samples")
-    return c.fp / (c.fp + c.tn) * 100.0
+def _percent(num: int, den: int) -> float | None:
+    return num / den * 100.0 if den else None
 
 
 def metrics_from_confusion(c: ConfusionCounts) -> MetricSet:
-    """Compute all metrics, mapping undefined ones to None."""
-    def optional(fn, *args):
-        try:
-            return fn(*args)
-        except UndefinedMetric:
-            return None
+    """Every rate in percent, None where its denominator is 0.
 
+    Accuracy is (TP + TN) / all, a detection rate is its class's recall
+    from the confusion row, the false alarm rate is FP / (FP + TN), and
+    the three-class accuracy is the confusion matrix's trace over all.
+    """
+    m = c.matrix
+    direct = CLASS_INDEX[ClassLabel.DIRECT_DOS]
+    amp = CLASS_INDEX[ClassLabel.AMPLIFICATION]
     return MetricSet(
-        accuracy=optional(accuracy, c),
-        dr_direct=optional(detection_rate, c, ClassLabel.DIRECT_DOS),
-        dr_amplification=optional(detection_rate, c, ClassLabel.AMPLIFICATION),
-        far=optional(far, c),
+        accuracy=_percent(c.tp + c.tn, c.total),
+        dr_direct=_percent(m[direct][direct], sum(m[direct])),
+        dr_amplification=_percent(m[amp][amp], sum(m[amp])),
+        far=_percent(c.fp, c.fp + c.tn),
+        accuracy_3class=_percent(sum(m[i][i] for i in range(3)), sum(map(sum, m))),
     )
 
 
@@ -210,17 +176,12 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
 
     all_truth = data.codes[np.concatenate(held_outs)]
     pooled = confusion(np.concatenate(fold_preds), all_truth)
-    try:
-        acc3 = accuracy_3class(pooled)
-    except UndefinedMetric:
-        acc3 = None
     reports = [report for _, report in trained]
     # Every held-out fold has a sample, so only a recipe without outputs
     # leaves `test_points` at 0.
     return EvalEntry(
         classifier=recipe.name,
         metrics=metrics_from_confusion(pooled),
-        accuracy_3class=acc3,
         confusion=pooled,
         fold_metrics=tuple(fold_metrics),
         train_time=sum(report.wall_time for report in reports),
@@ -239,7 +200,6 @@ SWEEP_MAX_WIDTH = 21
 class SweepRow:
     width: int
     metrics: MetricSet
-    accuracy_3class: float | None
     train_mse: float | None
     test_mse: float | None
 
@@ -259,8 +219,7 @@ def _sweep_row(width: int, data: LabeledDataset, seed: int, k: int, train_config
 
     entry = cross_validate(MlpRecipe(hidden=width, train_config=train_config), data,
                            k=k, seed=seed)
-    return SweepRow(width, entry.metrics, entry.accuracy_3class,
-                    entry.train_mse, entry.test_mse)
+    return SweepRow(width, entry.metrics, entry.train_mse, entry.test_mse)
 
 
 def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10,
@@ -315,8 +274,8 @@ def _fmt(value: float | None, spec: str) -> str:
     return ABSENT if value is None else format(value, spec)
 
 
-def render_report(report: EvalReport) -> tuple[str, str]:
-    """Render the comparison as (text table, CSV).
+def render_report(entries, folds: int) -> tuple[str, str]:
+    """Render the comparison of cross-validated `entries` as (text table, CSV).
 
     The CSV's time column is blank, so that the file is a pure function
     of config and seed; measured times live only in the text table.
@@ -324,7 +283,7 @@ def render_report(report: EvalReport) -> tuple[str, str]:
     headers = ("classifier", "training_time_sec", "dr_direct_dos",
                "dr_amplification", "accuracy", "far")
     text_rows = [headers]
-    for e in report.entries:
+    for e in entries:
         text_rows.append((
             e.classifier,
             _fmt(e.train_time, ".2f"),
@@ -344,7 +303,7 @@ def render_report(report: EvalReport) -> tuple[str, str]:
     text = "\n".join(lines) + "\n"
 
     csv_lines = [REPORT_CSV_HEADER]
-    for e in report.entries:
+    for e in entries:
         csv_lines.append(",".join([
             e.classifier,
             ABSENT,
@@ -352,8 +311,8 @@ def render_report(report: EvalReport) -> tuple[str, str]:
             _fmt(e.metrics.dr_amplification, ".6f"),
             _fmt(e.metrics.accuracy, ".6f"),
             _fmt(e.metrics.far, ".6f"),
-            _fmt(e.accuracy_3class, ".6f"),
-            str(report.folds),
+            _fmt(e.metrics.accuracy_3class, ".6f"),
+            str(folds),
         ]))
     return text, "\n".join(csv_lines) + "\n"
 

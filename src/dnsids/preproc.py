@@ -183,9 +183,9 @@ _NAME_BY_CODE = [label.value for label in CLASS_ORDER]
 MAX_PACKET_LOSS = 2 ** 53
 
 
-def write_dataset(dataset: LabeledDataset, comments: tuple[str, ...] = ()) -> str:
+def write_dataset(dataset: LabeledDataset) -> str:
     """Render a dataset as CSV text; floats carry 6 decimal places."""
-    lines = [f"# {c}" for c in comments]
+    lines = []
     if dataset.provenance:
         lines.append("# provenance=" + ",".join(dataset.provenance))
     lines.append(DATASET_HEADER)

@@ -24,8 +24,8 @@ from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
 from dnsids.classifiers.som import SomTrainConfig, quantization_error, som_init, som_train
 from dnsids.cli import main
 from dnsids.config import DEFAULT_CONFIG, parse_pipeline_config
-from dnsids.evaluation import (confusion, cross_validate, parse_report_csv,
-                               sweep_hidden_neurons)
+from dnsids.evaluation import (confusion, cross_validate, metrics_from_confusion,
+                               parse_report_csv, sweep_hidden_neurons)
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, l2_normalize_rows, label_codes,
                             read_dataset)
 from dnsids.simnet import ATTACK, DROPPED, REQUEST, RESPONSE, TO_SERVER, make_scenario, run
@@ -46,35 +46,47 @@ def default_pipeline(tmp_path_factory):
     return {"out_a": out_a, "out_b": out_b, "seconds": elapsed, "dataset": dataset}
 
 
+def _oracle_rate(num: int, den: int) -> float | None:
+    return None if den == 0 else num / den * 100.0
+
+
 def test_c01_metric_oracle_equivalence():
-    """Accuracy/DR/FAR agree exactly with a brute-force recount, 1000 trials."""
+    """Every rate agrees exactly with a brute-force recount, 1000 trials;
+    a rate is absent exactly when the recount's denominator is 0."""
     rng = random.Random(1234)
     started = time.perf_counter()
+    absent = 0
     for _ in range(1000):
         n = rng.randint(1, 500)
         truth = [CLASS_ORDER[rng.randrange(3)] for _ in range(n)]
         preds = [CLASS_ORDER[rng.randrange(3)] for _ in range(n)]
         c = confusion(label_codes(preds), label_codes(truth))
+        ms = metrics_from_confusion(c)
 
         tp = sum(1 for t, p in zip(truth, preds) if t is not N and p is not N)
         tn = sum(1 for t, p in zip(truth, preds) if t is N and p is N)
         fp = sum(1 for t, p in zip(truth, preds) if t is N and p is not N)
         fn = sum(1 for t, p in zip(truth, preds) if t is not N and p is N)
         assert (c.tp, c.tn, c.fp, c.fn) == (tp, tn, fp, fn)
-        assert (c.tp + c.tn) / n * 100.0 == pytest.approx(
-            (tp + tn) / n * 100.0, abs=0)
+        detection = {}
         for cls in (D, A):
             hits = sum(1 for t, p in zip(truth, preds) if t is cls and p is cls)
             total = sum(1 for t in truth if t is cls)
             row = c.matrix[CLASS_ORDER.index(cls)]
             assert row[CLASS_ORDER.index(cls)] == hits
             assert sum(row) == total
-        if fp + tn:
-            from dnsids.evaluation import far
-            assert far(c) == fp / (fp + tn) * 100.0
+            detection[cls] = _oracle_rate(hits, total)
+        correct = sum(1 for t, p in zip(truth, preds) if t is p)
+        expected = (_oracle_rate(tp + tn, n), detection[D], detection[A],
+                    _oracle_rate(fp, fp + tn), _oracle_rate(correct, n))
+        assert (ms.accuracy, ms.dr_direct, ms.dr_amplification, ms.far,
+                ms.accuracy_3class) == expected
+        absent += None in expected
     elapsed = time.perf_counter() - started
+    assert absent > 0
     assert elapsed < 10.0
-    print(f"\nACCEPTANCE c01 metric-oracle-equivalence: 1000 trials in {elapsed:.1f}s")
+    print(f"\nACCEPTANCE c01 metric-oracle-equivalence: 1000 trials ({absent} with an "
+          f"absent rate) in {elapsed:.1f}s")
 
 
 def test_c02_width_and_normalization_exactness():
@@ -228,7 +240,7 @@ def test_c08_sweep_sanity(default_pipeline):
     cfg = parse_pipeline_config(DEFAULT_CONFIG)
     widths = list(range(3, 22, 2))
     rows = sweep_hidden_neurons(dataset, widths, seed=cfg.seed, k=cfg.cv_folds,
-                                train_config=cfg.mlp.train)
+                                train_config=cfg.mlp.train_config)
     assert [r.width for r in rows] == widths
     for r in rows:
         for value in (r.metrics.accuracy, r.metrics.dr_direct,
@@ -236,7 +248,7 @@ def test_c08_sweep_sanity(default_pipeline):
             assert value is None or 0.0 <= value <= 100.0
 
     width7 = next(r for r in rows if r.width == 7)
-    entry = cross_validate(MlpRecipe(hidden=7, train_config=cfg.mlp.train),
+    entry = cross_validate(MlpRecipe(hidden=7, train_config=cfg.mlp.train_config),
                            dataset, k=cfg.cv_folds, seed=cfg.seed)
     for got, want in ((width7.metrics.accuracy, entry.metrics.accuracy),
                       (width7.metrics.dr_direct, entry.metrics.dr_direct),
@@ -336,7 +348,7 @@ def test_c10_som_properties(default_pipeline):
     """Scale-invariant decisions; ordering phase does not raise quantization error."""
     dataset = default_pipeline["dataset"]
     cfg = parse_pipeline_config(DEFAULT_CONFIG)
-    recipe = SomRecipe(train_config=cfg.som)
+    recipe = cfg.som
     ((model, _),) = recipe.train_folds([dataset], [5])
 
     rng = np.random.default_rng(17)

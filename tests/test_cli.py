@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
-from dnsids.classifiers.recipes import RbfRecipe, SomRecipe
+from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
 from dnsids.classifiers.som import SomTrainConfig, grid_positions, som_init
 from dnsids.classifiers.store import load_model, save_model
 from dnsids import cli, errors
@@ -75,8 +75,8 @@ class TestConfigParsing:
         assert cfg.cv_folds == 10
         assert len(cfg.scenarios) == 3
         assert cfg.mlp.hidden == 7
-        assert cfg.rbf_centers == 10
-        assert cfg.som.epochs == 20
+        assert cfg.rbf.centers == 10
+        assert cfg.som.train_config.epochs == 20
         validate_for_training(cfg)
 
     def test_scenarios_inherit_window_len(self):
@@ -287,6 +287,8 @@ class TestConfigContract:
         (lambda: MlpTrainConfig(lm_lambda_down=1.0), "lm_lambda_down"),
         (lambda: SomTrainConfig(tuning_lr=0.0), "tuning_lr"),
         (lambda: SomTrainConfig(ordering_steps=0), "ordering_steps"),
+        (lambda: MlpRecipe(hidden=65), "hidden"),
+        (lambda: RbfRecipe(centers=1), "centers"),
     ])
     def test_trainer_rules_checked_when_built(self, build, key):
         with pytest.raises(InvalidConfig, match=f"^{key} must be") as info:
@@ -450,15 +452,29 @@ class TestPipelineCommand:
 
     def test_pipeline_windows_traces_without_reading_them_back(self, tiny_run, tmp_path,
                                                                monkeypatch):
+        """`pipeline` parses no file it wrote, and renders its dataset once."""
         cfg_path, out = tiny_run
 
-        def refuse(text):
-            raise AssertionError("pipeline parsed a trace file")
+        def refuse(what):
+            def parse(text):
+                raise AssertionError(f"pipeline parsed a {what} file")
+            return parse
 
-        monkeypatch.setattr(cli, "read_trace", refuse)
+        rendered = []
+
+        def write_dataset(*args, **kwargs):
+            rendered.append(args)
+            return real_write_dataset(*args, **kwargs)
+
+        real_write_dataset = cli.write_dataset
+        monkeypatch.setattr(cli, "read_trace", refuse("trace"))
+        monkeypatch.setattr(cli, "read_dataset", refuse("dataset"))
+        monkeypatch.setattr(cli, "write_dataset", write_dataset)
         dest = tmp_path / "in_memory"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(dest)]) == 0
+        assert len(rendered) == 1
         assert (dest / "dataset.csv").read_bytes() == (out / "dataset.csv").read_bytes()
+        assert (dest / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
         assert sorted(p.name for p in (dest / "traces").glob("*.trace")) == sorted(
             p.name for p in (out / "traces").glob("*.trace"))
 
@@ -498,7 +514,7 @@ class TestCommandsAndExitCodes:
                    str(out / "dataset.csv"), "--classifier", "som", "--out", str(tmp_path)])
         assert rc == 0
         _, config, _ = load_model((tmp_path / "model_som.json").read_text())
-        assert config == parse_pipeline_config(TINY_CONFIG).som
+        assert config == parse_pipeline_config(TINY_CONFIG).som.train_config
 
     def test_sweep_writes_csv(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run
@@ -543,13 +559,14 @@ class TestCommandsAndExitCodes:
         assert err["error"] == error
         assert "fold" not in err["detail"]
 
-    def test_empty_dataset_train_fails_with_empty(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_empty_dataset_train_fails_with_empty(self, tmp_path, capsys, command):
         empty = tmp_path / "empty.csv"
         empty.write_text(write_dataset(LabeledDataset((), ())))
-        rc = main(["train", "--dataset", str(empty), "--out", str(tmp_path / "o")])
+        rc = main([command, "--dataset", str(empty), "--out", str(tmp_path / "o")])
         assert rc == 4
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(err)["error"] == "Empty"
+        err = one_json_error(capsys)
+        assert err == {"error": "Empty", "detail": f"dataset {empty} has no samples"}
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
@@ -558,14 +575,17 @@ class TestCommandsAndExitCodes:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "ConfigError"
 
-    def test_bad_dataset_is_parse_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_bad_dataset_is_parse_error(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
         bad.write_text("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
                        "1.0,2.0,0,weird\n")
-        rc = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        rc = main([command, "--dataset", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 3
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(err)["error"] == "ParseError"
+        err = one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert err["detail"] == (f"dataset {bad}: unknown label 'weird' "
+                                 "(line 2, field 'label')")
 
     def test_out_of_order_trace_is_parse_error_naming_line(self, tiny_run, tmp_path,
                                                             capsys):

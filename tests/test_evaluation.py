@@ -9,13 +9,11 @@ from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig
 from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe, train_each
 from dnsids.classifiers.som import SomTrainConfig
-from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, TooFewSamples,
-                           TrainingError, UndefinedMetric)
-from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, EvalReport,
-                               FoldPlan, MetricSet, accuracy, accuracy_3class, confusion,
-                               cross_validate, detection_rate, far,
-                               kfold_split, metrics_from_confusion, parse_report_csv,
-                               render_report, render_sweep_csv, sweep_hidden_neurons)
+from dnsids.errors import Empty, InvalidWidth, LengthMismatch, TooFewSamples, TrainingError
+from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, FoldPlan, MetricSet,
+                               confusion, cross_validate, kfold_split, metrics_from_confusion,
+                               parse_report_csv, render_report, render_sweep_csv,
+                               sweep_hidden_neurons)
 from dnsids.preproc import (CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset, class_labels,
                             label_codes)
 
@@ -30,7 +28,7 @@ def fold_metric_mean(entry: EvalEntry) -> MetricSet:
         return float(np.mean(values)) if values else None
 
     return MetricSet(mean_of("accuracy"), mean_of("dr_direct"),
-                     mean_of("dr_amplification"), mean_of("far"))
+                     mean_of("dr_amplification"), mean_of("far"), mean_of("accuracy_3class"))
 
 
 def brute_force_counts(preds, truth):
@@ -66,9 +64,9 @@ class TestConfusion:
         c = labeled_confusion([A], [D])
         assert c.tp == 1
         assert c.matrix[1][2] == 1  # true direct predicted amplification
-        with pytest.raises(UndefinedMetric):
-            detection_rate(c, A)   # no true amplification rows
-        assert detection_rate(c, D) == 0.0
+        ms = metrics_from_confusion(c)
+        assert ms.dr_amplification is None   # no true amplification rows
+        assert ms.dr_direct == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -98,28 +96,30 @@ class TestMetricFormulas:
         return ConfusionCounts(matrix, tp, tn, fp, fn)
 
     def test_accuracy_direct_formula(self):
-        assert accuracy(self.counts(50, 45, 3, 2)) == pytest.approx(95.0)
+        assert metrics_from_confusion(self.counts(50, 45, 3, 2)).accuracy == pytest.approx(95.0)
 
     def test_detection_rate_formula(self):
         c = ConfusionCounts(((0, 0, 0), (10, 90, 0), (0, 0, 0)), 90, 0, 0, 10)
-        assert detection_rate(c, D) == pytest.approx(90.0)
+        assert metrics_from_confusion(c).dr_direct == pytest.approx(90.0)
 
     def test_far_formula(self):
-        assert far(self.counts(0, 95, 5, 0)) == pytest.approx(5.0)
+        assert metrics_from_confusion(self.counts(0, 95, 5, 0)).far == pytest.approx(5.0)
 
     def test_undefined_metrics_absent_not_zero(self):
         c = labeled_confusion([D, D], [D, D])  # no normals at all
-        with pytest.raises(UndefinedMetric):
-            far(c)
         ms = metrics_from_confusion(c)
         assert ms.far is None
         assert ms.dr_direct == pytest.approx(100.0)
         assert ms.dr_amplification is None
 
+    def test_no_samples_leaves_every_rate_absent(self):
+        ms = metrics_from_confusion(ConfusionCounts(((0,) * 3,) * 3, 0, 0, 0, 0))
+        assert ms == MetricSet(None, None, None, None, None)
+
     def test_three_class_accuracy(self):
-        c = labeled_confusion([N, D, A, D], [N, D, A, A])
-        assert accuracy_3class(c) == pytest.approx(75.0)
-        assert accuracy(c) == pytest.approx(100.0)  # wrong attack still flagged
+        ms = metrics_from_confusion(labeled_confusion([N, D, A, D], [N, D, A, A]))
+        assert ms.accuracy_3class == pytest.approx(75.0)
+        assert ms.accuracy == pytest.approx(100.0)  # wrong attack still flagged
 
 
 def dataset_of(rows, labels) -> LabeledDataset:
@@ -438,7 +438,6 @@ class TestSweep:
             entry = cross_validate(MlpRecipe(hidden=row.width, train_config=cfg), data,
                                    k=4, seed=2)
             assert row.metrics == entry.metrics
-            assert row.accuracy_3class == entry.accuracy_3class
             assert row.train_mse == entry.train_mse
             assert row.test_mse == entry.test_mse
 
@@ -458,27 +457,20 @@ class TestSweep:
         assert len(lines) == 3
 
 
-def report_with(entries):
-    return EvalReport(entries=tuple(entries), dataset_fingerprint="cafe01234567",
-                      seed=42, folds=10, stratified=True)
-
-
 def entry(name, time_s, drd, dra, acc, far_v, acc3=None):
     c = ConfusionCounts(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 1, 0, 0)
     return EvalEntry(classifier=name,
-                     metrics=MetricSet(acc, drd, dra, far_v),
-                     accuracy_3class=acc3, confusion=c, fold_metrics=(),
-                     train_time=time_s)
+                     metrics=MetricSet(acc, drd, dra, far_v, acc3),
+                     confusion=c, fold_metrics=(), train_time=time_s)
 
 
 class TestRendering:
     def test_published_comparison_rows(self):
-        report = report_with([
+        text, csv = render_report([
             entry("BP", 11.03, 99.55, 97.82, 99.0, 0.28),
             entry("RBF", 2.89, 99.62, 89.48, 95.9, 0.23),
             entry("SOM", 3011.87, 54.24, 65.28, 74.40, 6.83),
-        ])
-        text, csv = render_report(report)
+        ], folds=10)
         assert "BP" in text and "11.03" in text and "99.55" in text
         assert "97.82" in text and "99.00" in text and "0.28" in text
         assert "3011.87" in text and "54.24" in text and "65.28" in text
@@ -488,8 +480,7 @@ class TestRendering:
                           "accuracy,far,accuracy_3class,folds")
 
     def test_absent_metrics_render_as_dash(self):
-        report = report_with([entry("bp", 1.0, None, 50.0, 75.0, None)])
-        text, csv = render_report(report)
+        text, csv = render_report([entry("bp", 1.0, None, 50.0, 75.0, None)], folds=10)
         assert ABSENT in text
         rows = parse_report_csv(csv)
         assert rows[0]["dr_direct"] is None
@@ -497,8 +488,8 @@ class TestRendering:
         assert rows[0]["dr_amplification"] == pytest.approx(50.0)
 
     def test_csv_round_trip_to_printed_precision(self):
-        report = report_with([entry("bp", 11.03, 99.549999, 97.82, 99.0, 0.28, 98.75)])
-        _, csv = render_report(report)
+        _, csv = render_report([entry("bp", 11.03, 99.549999, 97.82, 99.0, 0.28, 98.75)],
+                               folds=10)
         (row,) = parse_report_csv(csv)
         assert row["classifier"] == "bp"
         assert row["dr_direct"] == pytest.approx(99.549999, abs=1e-6)
@@ -506,8 +497,7 @@ class TestRendering:
         assert row["folds"] == 10
 
     def test_stable_times_blank_the_time_column(self):
-        report = report_with([entry("bp", 123.456, 1.0, 2.0, 3.0, 4.0)])
-        text, csv = render_report(report)
+        text, csv = render_report([entry("bp", 123.456, 1.0, 2.0, 3.0, 4.0)], folds=10)
         assert "123.46" in text
         assert "123.46" not in csv
         (row,) = parse_report_csv(csv)
@@ -515,5 +505,5 @@ class TestRendering:
         assert row["dr_direct"] == pytest.approx(1.0)
 
     def test_rendering_is_pure(self):
-        report = report_with([entry("bp", 1.5, 10.0, 20.0, 30.0, 40.0)])
-        assert render_report(report) == render_report(report)
+        entries = [entry("bp", 1.5, 10.0, 20.0, 30.0, 40.0)]
+        assert render_report(entries, folds=10) == render_report(entries, folds=10)
