@@ -13,8 +13,8 @@ that cannot be read or an output that cannot be written), 3 parse error
 a dataset with no samples); each failure writes one JSON line to stderr.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS is set. `sweep` runs one worker process per CPU, and
-multi-threaded BLAS in each of them would oversubscribe the cores. The
+MKL_NUM_THREADS is set. `sweep` runs one worker process per that many
+CPUs, so its workers' BLAS threads do not oversubscribe the cores. The
 least-squares steps also round differently with the BLAS thread count,
 so with the default `sweep.csv` does not depend on the number of cores.
 """
@@ -22,19 +22,21 @@ so with the default `sweep.csv` does not depend on the number of cores.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import logging
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
+from . import BLAS_THREAD_VARS
+
 # Before the package imports below load numpy, which reads these once.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
-from . import errors  # noqa: E402
+from . import errors, simnet  # noqa: E402
 from .classifiers.store import save_model  # noqa: E402
 from .config import (CLASSIFIERS, DEFAULT_CONFIG, PipelineConfig,  # noqa: E402
                      parse_pipeline_config, validate_for_training)
@@ -52,25 +54,6 @@ log = logging.getLogger("dnsids")
 WRITE_CHUNK = 1 << 20   # characters encoded per write, so no file is encoded whole
 
 
-# glibc's malloc_trim; None where the C library has none (musl, macOS, Windows).
-_malloc_trim = (getattr(ctypes.CDLL(None), "malloc_trim", None)
-                if sys.platform.startswith("linux") else None)
-
-
-def _release_free_heap() -> None:
-    """Return the C heap's free pages to the operating system.
-
-    A run frees tens of MB of lists and arrays. glibc keeps most of that
-    resident, in holes below blocks that are still live, and whether the
-    next large text fits into those holes or needs fresh pages depends
-    on the heap's exact layout. Trimming makes the resident set follow
-    the live data, so peak memory no longer changes by the size of a
-    trace text with the environment or the output path.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
-
 def _read_input(path, what: str) -> str:
     """Text of an input file.
 
@@ -86,9 +69,12 @@ def _read_input(path, what: str) -> str:
             f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def _write_output(path: Path, *texts: str) -> Path:
-    """Write the texts, one after another, to an output file, creating its
-    directory first.
+def _write_output(path: Path, pieces: Iterable[str]) -> Path:
+    """Write the pieces of text, one after another, to an output file,
+    creating its directory first.
+
+    Each piece is taken from `pieces` only when the one before it is
+    written, so a generator can hand over a long text one piece at a time.
 
     A directory that cannot be created or a file that cannot be written
     fails as a ConfigError naming the path.
@@ -96,7 +82,7 @@ def _write_output(path: Path, *texts: str) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as file:
-            for text in texts:
+            for text in pieces:
                 for i in range(0, len(text), WRITE_CHUNK):
                     file.write(text[i:i + WRITE_CHUNK])
     except OSError as exc:
@@ -118,11 +104,10 @@ def _simulated(cfg: PipelineConfig, out: Path, digest: str, each) -> list:
     """Run every scenario, write each trace file, and return `each(path, trace)`
     for every run in order.
 
-    One trace is alive at a time: a trace and its text are released
-    before the next run starts, so peak memory follows the largest trace,
-    not the number of runs. The heap is trimmed before each run and before
-    its text is rendered, so neither stacks on memory that was already
-    freed.
+    One trace is alive at a time, and released before the next run
+    starts, so peak memory follows the largest trace, not the number of
+    runs. Its text is rendered and written one block of rows at a time,
+    so at most one block of it is held, never the whole text.
     """
     if not cfg.scenarios:
         raise errors.ConfigError("no [scenario.*] sections to simulate")
@@ -131,16 +116,24 @@ def _simulated(cfg: PipelineConfig, out: Path, digest: str, each) -> list:
     results = []
     for block in cfg.scenarios:
         for r in range(block.runs):
-            _release_free_heap()
             trace = run(block.config, derive_seed(cfg.seed, "simulate", block.name, r))
-            _release_free_heap()
-            path = _write_output(trace_dir / f"{block.name}-{r:03d}.trace", stamp,
-                                 write_trace(trace))
+            path = _write_output(trace_dir / f"{block.name}-{r:03d}.trace",
+                                 _trace_pieces(trace, stamp))
             log.info("simulated %s: %d events, %d dropped, max queue occupancy %d",
                      path.name, len(trace), trace.drops, trace.max_queue_occupancy)
             results.append(each(path, trace))
             del trace
     return results
+
+
+def _trace_pieces(trace: PacketTrace, stamp: str):
+    """The stamp, then the trace's text one block of RENDER_BLOCK rows at a
+    time, each rendered only when it is asked for; an empty trace still
+    gets the call that renders its header."""
+    yield stamp
+    block = simnet.RENDER_BLOCK
+    for lo in range(0, max(len(trace), 1), block):
+        yield write_trace(trace, lo, lo + block)
 
 
 def do_simulate(cfg: PipelineConfig, out: Path, digest: str) -> list[Path]:
@@ -163,7 +156,7 @@ def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: i
     dataset = merge_datasets([part for _, part in sorted(parts, key=lambda p: p[0])])
     text = write_dataset(dataset)
     path = _write_output(out / "dataset.csv",
-                         f"# master_seed={seed}\n# config_digest={digest}\n", text)
+                         (f"# master_seed={seed}\n# config_digest={digest}\n", text))
     log.info("wrote %s: %d windows from %d traces", path, len(dataset), len(parts))
     return dataset, text_digest(text)
 
@@ -210,8 +203,8 @@ def do_evaluate(data: LabeledDataset, fingerprint: str, cfg: PipelineConfig, nam
     text, csv = render_report(entries, cfg.cv_folds)
     comment = (f"# master_seed={cfg.seed} config_digest={digest} "
                f"dataset={fingerprint} folds={cfg.cv_folds}\n")
-    csv_path = _write_output(out / "report.csv", comment, csv)
-    txt_path = _write_output(out / "report.txt", comment, text)
+    csv_path = _write_output(out / "report.csv", (comment, csv))
+    txt_path = _write_output(out / "report.txt", (comment, text))
     sys.stdout.write(text)
     return csv_path, txt_path
 
@@ -240,8 +233,8 @@ def cmd_train(args) -> int:
     recipe = getattr(cfg, args.classifier)
     model, report = recipe.train_folds([data], [derive_seed(cfg.seed, recipe.name, "train")])[0]
     _write_output(Path(args.out) / f"model_{args.classifier}.json",
-                  save_model(model, recipe.train_config, report,
-                             extra={"master_seed": cfg.seed, "config_digest": digest}))
+                  (save_model(model, recipe.train_config, report,
+                              extra={"master_seed": cfg.seed, "config_digest": digest}),))
     log.info("trained %s: mse=%.6g epochs=%d wall=%.2fs converged=%s",
              args.classifier, report.final_mse, report.epochs_run,
              report.wall_time, report.converged)
@@ -273,7 +266,7 @@ def cmd_sweep(args) -> int:
     rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,
                                 train_config=cfg.mlp.train_config)
     comment = f"# master_seed={cfg.seed} config_digest={digest}\n"
-    path = _write_output(Path(args.out) / "sweep.csv", comment, render_sweep_csv(rows))
+    path = _write_output(Path(args.out) / "sweep.csv", (comment, render_sweep_csv(rows)))
     log.info("wrote %s (%d widths)", path, len(rows))
     return 0
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .errors import DnsIdsError, Empty, InvalidWidth, LengthMismatch, TooFewSamples
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
 from .seeding import derive_seed
@@ -204,14 +205,26 @@ class SweepRow:
     test_mse: float | None
 
 
+def _blas_threads() -> int:
+    """The BLAS thread count the environment asks for: the largest positive
+    integer among BLAS_THREAD_VARS, or 1 when none is set or none parses."""
+    counts = []
+    for var in BLAS_THREAD_VARS:
+        try:
+            counts.append(int(os.environ.get(var, "")))
+        except ValueError:
+            pass
+    return max((c for c in counts if c > 0), default=1)
+
+
 def sweep_workers(widths) -> int:
-    """Worker processes a sweep over `widths` runs on: one per usable CPU,
-    at most one per distinct width."""
+    """Worker processes a sweep over `widths` runs on: one per `_blas_threads()`
+    usable CPUs (at least one), at most one per distinct width."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:      # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, len(set(widths)))
+    return min(max(1, cpus // _blas_threads()), len(set(widths)))
 
 
 def _sweep_row(width: int, data: LabeledDataset, seed: int, k: int, train_config) -> SweepRow:
@@ -236,9 +249,11 @@ def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10
 
     The workers are forked, so they skip re-importing the library; a
     fork-context pool forks them all before it starts its own threads.
-    Each inherits the caller's BLAS thread count, so a caller whose BLAS
-    runs several threads oversubscribes the cores: run BLAS on one
-    thread, as the CLI does.
+    Each inherits the caller's BLAS thread count, so the pool gets one
+    worker per that many CPUs, as read from the environment. A caller
+    whose numpy picked its own thread count, with none of the variables
+    set, still oversubscribes the cores: run BLAS on one thread, as the
+    CLI does.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

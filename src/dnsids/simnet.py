@@ -731,21 +731,32 @@ def _render_block(trace: PacketTrace, lo: int, hi: int) -> str:
     return text[text != 0].tobytes().decode("ascii")
 
 
-def _row_blocks(trace: PacketTrace) -> list[str]:
-    """The event rows, each ending in a newline, in blocks of RENDER_BLOCK.
+def write_trace(trace: PacketTrace, start: int = 0, stop: int | None = None) -> str:
+    """Rows start..stop-1 of a trace as UTF-8 text, after the header when
+    start is 0; with no range, the whole text, which `read_trace` inverts
+    exactly.
 
-    Rows are rendered a block at a time, so the digit and byte matrices
-    stay the size of one block whatever the trace's length.
+    Split the rows at any points after 0, and the texts of the ranges
+    join to the whole text, so a writer can stream a trace one range at
+    a time. Rows are rendered RENDER_BLOCK at a time, so the digit and
+    byte matrices stay the size of one block whatever the range. The
+    range that starts at 0 checks once that every timestamp of the trace
+    is >= 0.
     """
     n = len(trace)
-    if n and not trace.t.min() >= 0:
-        raise ValueError("trace timestamps must be >= 0")
-    return [_render_block(trace, lo, min(lo + RENDER_BLOCK, n))
-            for lo in range(0, n, RENDER_BLOCK)]
+    stop = n if stop is None else min(stop, n)
+    pieces = []
+    if start == 0:
+        if n and not trace.t.min() >= 0:
+            raise ValueError("trace timestamps must be >= 0")
+        pieces.append(_header(trace))
+    pieces += [_render_block(trace, lo, min(lo + RENDER_BLOCK, stop))
+               for lo in range(start, stop, RENDER_BLOCK)]
+    return "".join(pieces)
 
 
-def write_trace(trace: PacketTrace) -> str:
-    """Render a trace as UTF-8 text; `read_trace` inverts it exactly."""
+def _header(trace: PacketTrace) -> str:
+    """The "#key=value" lines of the scenario and the run's counters."""
     lines = []
     cfg = trace.config
     for name in _CONFIG_FIELDS:
@@ -765,9 +776,7 @@ def write_trace(trace: PacketTrace) -> str:
     lines.append(f"#packets_generated={trace.packets_generated}")
     lines.append(f"#in_flight_at_end={trace.in_flight_at_end}")
     lines.append(f"#max_queue_occupancy={trace.max_queue_occupancy}")
-    # One join of header and row blocks: the text is built once, so at most
-    # the blocks and the text are held, never a second copy of the rows.
-    return "".join(["\n".join(lines) + "\n", *_row_blocks(trace)])
+    return "\n".join(lines) + "\n"
 
 
 def parse_pair(raw: str) -> tuple[float, float]:

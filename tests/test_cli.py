@@ -3,7 +3,6 @@
 import json
 import logging
 import re
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
 from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
 from dnsids.classifiers.som import SomTrainConfig, grid_positions, som_init
 from dnsids.classifiers.store import load_model, save_model
-from dnsids import cli, errors
+from dnsids import cli, errors, simnet
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, SECTION_PARSERS, parse_pipeline_config,
                            validate_for_training)
@@ -25,7 +24,7 @@ from dnsids.errors import ConfigError, InvalidConfig, ParseError
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, LabeledDataset, class_labels, label_codes,
                             write_dataset)
 from dnsids.seeding import text_digest
-from dnsids.simnet import AttackKind, read_trace
+from dnsids.simnet import AttackKind, read_trace, write_trace
 
 TINY_CONFIG = """\
 [pipeline]
@@ -808,27 +807,28 @@ attack_start_jitter = 0,0
     def test_output_pieces_are_written_in_order_across_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "WRITE_CHUNK", 3)
         pieces = ("#a=1\n", "", "0,1.5,x\n1,2.25,\u00e9\n", "z")
-        path = cli._write_output(tmp_path / "sub" / "f.txt", *pieces)
+        path = cli._write_output(tmp_path / "sub" / "f.txt", pieces)
+        assert path.read_bytes() == "".join(pieces).encode("utf-8")
+        path = cli._write_output(tmp_path / "g.txt", (piece for piece in pieces))
         assert path.read_bytes() == "".join(pieces).encode("utf-8")
 
-    def test_heap_is_trimmed_before_each_run_and_before_its_text(self, tmp_path, monkeypatch):
-        calls = []
+    def test_no_whole_trace_text_reaches_the_file(self, tmp_path, monkeypatch):
+        cfg = parse_pipeline_config(TINY_CONFIG)
+        cli.do_simulate(cfg, tmp_path / "default", "digest")
+        rows = []
 
-        def logged(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
+        def counted(*args):
+            text = write_trace(*args)
+            rows.append(sum(not line.startswith("#") for line in text.splitlines()))
+            return text
 
-        for name in ("_release_free_heap", "run", "write_trace"):
-            monkeypatch.setattr(cli, name, logged(name, getattr(cli, name)))
-        cli.do_simulate(parse_pipeline_config(TINY_CONFIG), tmp_path, "digest")
-        assert calls == ["_release_free_heap", "run", "_release_free_heap", "write_trace"] * 6
-
-    def test_heap_release_is_a_no_op_without_malloc_trim(self, monkeypatch):
-        assert cli._malloc_trim is not None or not sys.platform.startswith("linux")
-        monkeypatch.setattr(cli, "_malloc_trim", None)
-        cli._release_free_heap()
+        monkeypatch.setattr(simnet, "RENDER_BLOCK", 64)
+        monkeypatch.setattr(cli, "write_trace", counted)
+        paths = cli.do_simulate(cfg, tmp_path / "small", "digest")
+        assert max(rows) <= 64
+        assert len(rows) > 5 * len(paths)
+        for path in paths:
+            assert path.read_bytes() == (tmp_path / "default" / "traces" / path.name).read_bytes()
 
 
 def test_every_error_descends_from_exactly_one_root():

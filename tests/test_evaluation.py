@@ -1,5 +1,7 @@
 """Metrics against a brute-force oracle, fold laws, reporting round trips."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from dnsids.errors import Empty, InvalidWidth, LengthMismatch, TooFewSamples, Tr
 from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, FoldPlan, MetricSet,
                                confusion, cross_validate, kfold_split, metrics_from_confusion,
                                parse_report_csv, render_report, render_sweep_csv,
-                               sweep_hidden_neurons)
+                               sweep_hidden_neurons, sweep_workers)
 from dnsids.preproc import (CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset, class_labels,
                             label_codes)
 
@@ -446,6 +448,29 @@ class TestSweep:
             sweep_hidden_neurons(tiny_dataset(), [2], seed=0)
         with pytest.raises(InvalidWidth):
             sweep_hidden_neurons(tiny_dataset(), [22], seed=0)
+
+    # (environment, usable CPUs, widths) -> workers
+    @pytest.mark.parametrize("env, cpus, widths, workers", [
+        ({}, 8, range(3, 22, 2), 8),                        # nothing set: one thread each
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, [3, 5, 5, 3], 2),  # one per distinct width
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, range(3, 22, 2), 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, range(3, 22, 2), 4),
+        ({"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}, 8, range(3, 22, 2), 2),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 8, range(3, 22, 2), 1),  # never below one
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "0",
+          "MKL_NUM_THREADS": "-4"}, 8, range(3, 22, 2), 8),  # none parses as positive
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "4"}, 8, range(3, 22, 2), 2),
+        ({}, 8, [], 0),
+    ])
+    def test_workers_share_the_cpus_among_blas_threads(self, monkeypatch, env, cpus,
+                                                       widths, workers):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert sweep_workers(widths) == workers
 
     def test_sweep_csv_shape(self):
         data = tiny_dataset()

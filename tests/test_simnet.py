@@ -270,6 +270,7 @@ class TestTraceSerialization:
         trace = run(make_scenario(duration=0.005), seed=7)
         assert len(trace) == 0
         text = write_trace(trace)
+        assert text == write_trace(trace, 0, 0) == write_trace(trace, 0, simnet.RENDER_BLOCK)
         assert all(line.startswith("#") for line in text.splitlines())
         assert read_trace(text) == trace
 
@@ -885,8 +886,8 @@ def test_text_round_trip_is_exact(block, cfg, seed):
 # --- block rendering ------------------------------------------------------------
 
 def reference_render_rows(trace) -> str:
-    """The trace's rows as rendered before `_row_blocks` split them into
-    blocks: the whole trace in one set of digit and byte matrices."""
+    """The trace's rows rendered in one pass: the whole trace in one set of
+    digit and byte matrices, not a block at a time."""
     n = len(trace)
     if n == 0:
         return ""
@@ -976,6 +977,11 @@ class TestBlockRendering:
     def first_rows(trace, n: int, **columns):
         return replace(trace, **{name: getattr(trace, name)[:n] for name in COLUMNS} | columns)
 
+    @staticmethod
+    def rows(trace) -> str:
+        """The trace's text below its header."""
+        return write_trace(trace)[len(write_trace(trace, 0, 0)):]
+
     # With 10-row blocks the row number and (in the trace with whole-second
     # steps) the seconds gain a digit at a block boundary; with 7-row
     # blocks they gain it inside a block.
@@ -988,11 +994,36 @@ class TestBlockRendering:
         for n in sorted(lengths):
             for trace in (self.first_rows(long_trace, n),
                           self.first_rows(long_trace, n, t=np.arange(n) + 0.25)):
-                assert "".join(simnet._row_blocks(trace)) == reference_render_rows(trace), n
+                assert self.rows(trace) == reference_render_rows(trace), n
+
+    # Cuts fall anywhere, so most ranges start and end inside a block;
+    # repeated cuts give empty ranges, and a cut at the end an empty last one.
+    @pytest.mark.parametrize("block", [7, 10])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_any_split_of_the_rows_renders_the_whole_text(self, long_trace, block, data):
+        n = len(long_trace)
+        cuts = data.draw(st.lists(st.integers(1, n), max_size=6), label="cuts")
+        bounds = [0, *sorted(cuts), n]
+        with patch.object(simnet, "RENDER_BLOCK", block):
+            text = "".join(write_trace(long_trace, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+        assert text == write_trace(long_trace)
+        assert read_trace(text) == long_trace
+
+    def test_ranges_are_clipped_to_the_trace(self, long_trace, monkeypatch):
+        monkeypatch.setattr(simnet, "RENDER_BLOCK", 7)
+        n = len(long_trace)
+        whole = write_trace(long_trace)
+        assert write_trace(long_trace, n) == write_trace(long_trace, n, n + 7) == ""
+        assert write_trace(long_trace, 0, n) + write_trace(long_trace, n) == whole
+        assert write_trace(long_trace, 0, n + 7) == whole
 
     def test_negative_timestamp_in_a_later_block_rejected(self, long_trace, monkeypatch):
         monkeypatch.setattr(simnet, "RENDER_BLOCK", 7)
         t = long_trace.t.copy()
         t[20] = -1.0
-        with pytest.raises(ValueError, match=">= 0"):
-            simnet._row_blocks(replace(long_trace, t=t))
+        trace = replace(long_trace, t=t)
+        # The range that starts at 0 checks the whole trace, once.
+        for stop in (None, 7):
+            with pytest.raises(ValueError, match=">= 0"):
+                write_trace(trace, 0, stop)
