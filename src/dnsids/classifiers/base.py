@@ -1,4 +1,5 @@
-"""Shared classifier pieces: training reports and the output decision rule."""
+"""Shared classifier pieces: training reports, the nearest-point kernel and
+the output decision rule."""
 
 from __future__ import annotations
 
@@ -26,14 +27,22 @@ class TrainReport:
     mse_history: tuple[float, ...] = ()
 
 
+def sq_distances(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances from the rows of the (n, 3) `X` to the
+    (m, 3) `points`, summed in component order."""
+    diff = X[:, None, :] - points[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the point nearest each row of `X`; ties go to the lowest index."""
+    return sq_distances(X, points).argmin(axis=1)
+
+
 def nearest_code_labels(outputs) -> np.ndarray:
     """Label code of the class whose target code is nearest each output row.
 
-    Squared distances are summed in component order; ties break Normal,
-    then Amplification, then DirectDoS.
+    Ties break Normal, then Amplification, then DirectDoS.
     """
     out = np.asarray(outputs, dtype=float).reshape(-1, 3)
-    diff = out[:, None, :] - _CODES[None, :, :]
-    sq = diff * diff
-    d2 = sq[..., 0] + sq[..., 1] + sq[..., 2]
-    return _DECISION_LABEL_CODES[d2.argmin(axis=1)]
+    return _DECISION_LABEL_CODES[nearest(out, _CODES)]

@@ -33,10 +33,6 @@ class MlpModel:
     def hidden_size(self) -> int:
         return self.hidden_weights.shape[0]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.hidden_weights.copy(), self.hidden_bias.copy(),
-                        self.output_weights.copy(), self.output_bias.copy())
-
 
 @dataclass(frozen=True)
 class MlpTrainConfig:
@@ -165,8 +161,8 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
     start = time.perf_counter()
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     T = np.asarray(T, dtype=float).reshape(-1, 3)
-    current = model.copy()
-    params = get_params(current)
+    params = get_params(model)
+    current = set_params(model, params)
     hidden = _hidden(current, X)
     outputs = _output(current, hidden)
     mse = _mse(outputs, T)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import DegenerateDesign, NeedTwoCenters, TooFewSamples
 from ..preproc import LabeledDataset
-from .base import TrainReport
+from .base import TrainReport, sq_distances
 
 MSE_TARGET = 0.001
 RIDGE = 1e-8
@@ -47,7 +47,7 @@ def _lloyd_steps(points: np.ndarray, k: int, seed: int, max_iter: int):
 
     prev = None
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = sq_distances(points, centers)
         assign = d2.argmin(axis=1)
         empties = [j for j in range(k) if not np.any(assign == j)]
         if empties:
@@ -82,13 +82,11 @@ def rbf_width(centers) -> float:
     c = np.asarray(centers, dtype=float)
     if len(c) < 2:
         raise NeedTwoCenters("width rule needs at least two centers")
-    d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()) / np.sqrt(len(c)))
+    return float(np.sqrt(sq_distances(c, c).max()) / np.sqrt(len(c)))
 
 
 def _activations(centers: np.ndarray, width: float, X: np.ndarray) -> np.ndarray:
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * width * width))
+    return np.exp(-sq_distances(X, centers) / (2.0 * width * width))
 
 
 def rbf_train(data: LabeledDataset, k: int, seed: int,

@@ -9,13 +9,13 @@ count of the hexagonal neighbor graph.
 
 Cross-validation trains k maps at once. `som_train_folds` runs them in
 lockstep on one stacked codebook: step s presents each map the s-th
-sample of its own stream, drawn from its own seeded generator, at the
-schedule for presentation s. Maps with fewer presentations drop out of
-the stack when their stream ends. Each map's step is
-`cb += r * (x - cb)`, where r is the learning rate inside the winner's
-neighborhood and exactly 0 outside it, which leaves those rows
-unchanged for finite inputs, and the winner minimizes the
-squared distance summed in component order with ties to the lowest
+sample of its own stream, drawn from its own seeded generator one epoch
+at a time as training reaches it, at the schedule for presentation s.
+Maps with fewer presentations drop out of the stack when their stream
+ends. Each map's step is `cb += r * (x - cb)`, where r is the learning
+rate inside the winner's neighborhood and exactly 0 outside it, which
+leaves those rows unchanged for finite inputs, and the winner minimizes
+the squared distance summed in component order with ties to the lowest
 index. This is the sequential masked update and best-matching unit
 bit for bit, so every map equals the same map trained alone;
 `som_train` is the one-map case.
@@ -26,15 +26,13 @@ with the majority class of the training samples they win.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import Empty, Unlabeled, require
 from ..preproc import CLASS_ORDER, l2_normalize_rows
-from .base import _DECISION_LABEL_CODES, _DECISION_ORDER
+from .base import _DECISION_LABEL_CODES, _DECISION_ORDER, nearest, sq_distances
 
 GRID_ROWS = 5
 GRID_COLS = 5
@@ -47,34 +45,18 @@ _DECISION_RANK = np.array([_DECISION_ORDER.index(label) for label in CLASS_ORDER
 _CHUNK_STEPS = 128
 
 
-def grid_positions() -> np.ndarray:
-    """Planar coordinates of the hexagonal offset layout, neuron-major.
-
-    Neuron index r * GRID_COLS + c sits at (c + 0.5 * (r % 2), r * sqrt(3)/2).
-    """
-    pos = np.zeros((N_NEURONS, 2))
-    for r in range(GRID_ROWS):
-        for c in range(GRID_COLS):
-            pos[r * GRID_COLS + c] = (c + 0.5 * (r % 2), r * math.sqrt(3) / 2)
-    return pos
-
-
 def _link_matrix() -> np.ndarray:
-    """All-pairs hop counts on the neighbor graph (nodes within 1.001)."""
-    pos = grid_positions()
-    d = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2))
-    adjacency = (d <= 1.001) & ~np.eye(N_NEURONS, dtype=bool)
-    dist = np.full((N_NEURONS, N_NEURONS), -1, dtype=int)
-    for src in range(N_NEURONS):
-        dist[src, src] = 0
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
-            for nbr in np.nonzero(adjacency[node])[0]:
-                if dist[src, nbr] < 0:
-                    dist[src, nbr] = dist[src, node] + 1
-                    frontier.append(nbr)
-    return dist
+    """All-pairs hop counts on the hexagonal neighbor graph.
+
+    Odd rows sit half a cell right of even ones, so neuron r * GRID_COLS + c
+    has axial coordinates (q, r) with q = c - (r - r % 2) // 2, and the hop
+    count between two neurons is their axial hex distance.
+    """
+    r, c = np.divmod(np.arange(N_NEURONS), GRID_COLS)
+    q = c - (r - r % 2) // 2
+    dq = q[:, None] - q[None, :]
+    dr = r[:, None] - r[None, :]
+    return (np.abs(dq) + np.abs(dr) + np.abs(dq + dr)) // 2
 
 
 _LINKS = _link_matrix()
@@ -84,12 +66,7 @@ GRID_DIAMETER = int(_LINKS.max())
 @dataclass
 class SomModel:
     codebook: np.ndarray                         # (25, 3)
-    grid: np.ndarray                             # (25, 2)
     neuron_labels: np.ndarray | None = None      # (25,) int8 label codes
-
-    def copy(self) -> "SomModel":
-        labels = None if self.neuron_labels is None else self.neuron_labels.copy()
-        return SomModel(self.codebook.copy(), self.grid.copy(), labels)
 
 
 @dataclass(frozen=True)
@@ -113,18 +90,7 @@ class SomTrainConfig:
 def som_init(seed: int) -> SomModel:
     """Codebook drawn uniformly from the unit cube, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    return SomModel(codebook=rng.random((N_NEURONS, 3)), grid=grid_positions())
-
-
-def best_matching_units(codebook: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Index of the nearest codebook vector for each row of the (n, 3) `X`.
-
-    Squared distances are summed in component order, as in training;
-    ties go to the lowest neuron index.
-    """
-    diff = X[:, None, :] - codebook[None, :, :]
-    sq = diff * diff
-    return (sq[..., 0] + sq[..., 1] + sq[..., 2]).argmin(axis=1)
+    return SomModel(codebook=rng.random((N_NEURONS, 3)))
 
 
 def som_train(model: SomModel, data, cfg: SomTrainConfig = SomTrainConfig(),
@@ -136,6 +102,23 @@ def som_train(model: SomModel, data, cfg: SomTrainConfig = SomTrainConfig(),
     `ordering_steps` presentations form the ordering phase.
     """
     return som_train_folds([model], [data], cfg, [seed])[0]
+
+
+def _stream_blocks(rng, n: int, epochs: int, offset: int):
+    """Yield a map's presentation stream `_CHUNK_STEPS` indices at a time.
+
+    Each epoch is one permutation of the map's n samples, drawn from `rng`
+    when the stream reaches it; indices are shifted by `offset`. Only the
+    last block may be short.
+    """
+    pending = np.empty(0, dtype=np.intp)
+    for _ in range(epochs):
+        pending = np.concatenate([pending, rng.permutation(n) + offset])
+        while len(pending) >= _CHUNK_STEPS:
+            yield pending[:_CHUNK_STEPS]
+            pending = pending[_CHUNK_STEPS:]
+    if len(pending):
+        yield pending
 
 
 def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomModel]:
@@ -160,16 +143,13 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
     presentations = np.array([cfg.epochs * n for n in sizes])
     rank = np.argsort(-presentations, kind="stable")
     steps = int(presentations.max(initial=0))
-    # Row r holds the presentation stream of map rank[r] as indices into
-    # `samples`; the padding after a short stream is never read.
     samples = np.concatenate(Xs)
     offsets = np.cumsum([0] + sizes)
-    order = np.zeros((len(Xs), steps), dtype=np.int32)
-    for r, i in enumerate(rank):
-        n = sizes[i]
-        rng = np.random.default_rng(seeds[i])
-        for e in range(cfg.epochs):
-            order[r, e * n:(e + 1) * n] = rng.permutation(n) + offsets[i]
+    streams = [_stream_blocks(np.random.default_rng(seeds[i]), sizes[i], cfg.epochs,
+                              offsets[i]) for i in rank]
+    # Row r holds the current chunk of map rank[r]'s stream as indices into
+    # `samples`; the padding after a short stream is never read.
+    order = np.zeros((len(Xs), _CHUNK_STEPS), dtype=np.intp)
 
     # Component-major (3, maps, 25) layout keeps every inner loop 25 long.
     codebooks = np.stack([models[i].codebook for i in rank]).astype(float)
@@ -188,8 +168,11 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
         # lr inside the neighborhood radius and exactly 0 outside it.
         rates = np.where(_LINKS <= radius[:, None, None], lr[:, None, None], 0.0)
         active = (presentations[rank] > s[:, None]).sum(axis=1).tolist()
+        for r in range(active[0]):
+            block = next(streams[r])
+            order[r, :len(block)] = block
         # (steps, 3, maps, 1), contiguous so each step reads one block
-        xs = np.ascontiguousarray(samples[order[:, start:stop]].transpose(1, 2, 0))[..., None]
+        xs = np.ascontiguousarray(samples[order[:, :stop - start]].transpose(1, 2, 0))[..., None]
         for j, m in enumerate(active):
             cb = codebooks[:, :m]
             diff = xs[j, :, :m] - cb
@@ -197,7 +180,7 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
             winners = (sq[0] + sq[1] + sq[2]).argmin(axis=1)
             cb += rates[j].take(winners, axis=0) * diff
     trained = {i: codebooks[:, r].T.copy() for r, i in enumerate(rank)}
-    return [SomModel(codebook=trained[i], grid=m.grid.copy(), neuron_labels=m.neuron_labels)
+    return [SomModel(codebook=trained[i], neuron_labels=m.neuron_labels)
             for i, m in enumerate(models)]
 
 
@@ -206,8 +189,7 @@ def quantization_error(model: SomModel, data) -> float:
     X = np.asarray(data, dtype=float).reshape(-1, 3)
     if len(X) == 0:
         raise Empty("quantization error needs at least one sample")
-    diff = X - model.codebook[best_matching_units(model.codebook, X)]
-    return float(np.sqrt((diff * diff).sum(axis=1)).mean())
+    return float(np.sqrt(sq_distances(X, model.codebook).min(axis=1)).mean())
 
 
 def _pick_label(votes: np.ndarray, global_counts: np.ndarray) -> int:
@@ -235,7 +217,7 @@ def som_label(model: SomModel, vectors, codes) -> SomModel:
         raise Empty("neuron labeling needs matching non-empty samples")
 
     classes = _DECISION_RANK[codes]
-    winners = best_matching_units(model.codebook, X)
+    winners = nearest(X, model.codebook)
     votes = np.bincount(winners * len(_DECISION_ORDER) + classes,
                         minlength=N_NEURONS * len(_DECISION_ORDER)).reshape(N_NEURONS, -1)
     global_counts = votes.sum(axis=0)
@@ -245,7 +227,7 @@ def som_label(model: SomModel, vectors, codes) -> SomModel:
         # argmin over the ascending `labeled` takes the lowest index on ties
         source = n if votes[n].any() else labeled[_LINKS[n, labeled].argmin()]
         result.append(_pick_label(votes[source], global_counts))
-    return SomModel(model.codebook.copy(), model.grid.copy(), _DECISION_LABEL_CODES[result])
+    return SomModel(model.codebook.copy(), _DECISION_LABEL_CODES[result])
 
 
 def som_classify(model: SomModel, X) -> np.ndarray:
@@ -257,4 +239,4 @@ def som_classify(model: SomModel, X) -> np.ndarray:
     if model.neuron_labels is None:
         raise Unlabeled("neuron labels missing; run som_label first")
     X = l2_normalize_rows(np.asarray(X, dtype=float).reshape(-1, 3))
-    return model.neuron_labels[best_matching_units(model.codebook, X)]
+    return model.neuron_labels[nearest(X, model.codebook)]

@@ -1,13 +1,14 @@
 """JSON persistence for trained models, exact to the last bit.
 
-Files carry a `type` tag (mlp | rbf | som), the weights at full float
-precision, the training configuration, and the training report.
+Files carry a `type` tag (mlp | rbf | som), the model's fields at full
+float precision, the training configuration, and the training report.
+Array fields are nested lists; a map's `neuron_labels` are class names.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -18,39 +19,32 @@ from .mlp import MlpModel, MlpTrainConfig
 from .rbf import RbfModel
 from .som import SomModel, SomTrainConfig
 
+# Each type tag's model class, and its training config class (None: the
+# trainer has no settings the file keeps).
+_TYPES = {"mlp": (MlpModel, MlpTrainConfig), "rbf": (RbfModel, None),
+          "som": (SomModel, SomTrainConfig)}
+_TAGS = {model_cls: tag for tag, (model_cls, _) in _TYPES.items()}
 
-def _model_payload(model) -> tuple[str, dict]:
-    if isinstance(model, MlpModel):
-        return "mlp", {
-            "hidden_weights": model.hidden_weights.tolist(),
-            "hidden_bias": model.hidden_bias.tolist(),
-            "output_weights": model.output_weights.tolist(),
-            "output_bias": model.output_bias.tolist(),
-        }
-    if isinstance(model, RbfModel):
-        return "rbf", {
-            "centers": model.centers.tolist(),
-            "width": model.width,
-            "output_weights": model.output_weights.tolist(),
-            "output_bias": model.output_bias.tolist(),
-        }
-    if isinstance(model, SomModel):
-        labels = (None if model.neuron_labels is None
-                  else [lbl.value for lbl in class_labels(model.neuron_labels)])
-        return "som", {
-            "codebook": model.codebook.tolist(),
-            "grid": model.grid.tolist(),
-            "neuron_labels": labels,
-        }
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+def _encode(name: str, value):
+    if name == "neuron_labels":
+        return None if value is None else [lbl.value for lbl in class_labels(value)]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _decode(name: str, raw):
+    if name == "neuron_labels":
+        return None if raw is None else label_codes(ClassLabel(v) for v in raw)
+    return np.array(raw) if isinstance(raw, list) else raw
 
 
 def save_model(model, config, report: TrainReport, extra: dict | None = None) -> str:
     """Serialize; `extra` adds provenance keys (seed, config digest) to the doc."""
-    kind, payload = _model_payload(model)
+    if type(model) not in _TAGS:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
     doc = {
-        "type": kind,
-        "model": payload,
+        "type": _TAGS[type(model)],
+        "model": {f.name: _encode(f.name, getattr(model, f.name)) for f in fields(model)},
         "config": None if config is None else asdict(config),
         "report": asdict(report),
     }
@@ -60,44 +54,32 @@ def save_model(model, config, report: TrainReport, extra: dict | None = None) ->
 
 
 def load_model(text: str):
-    """Parse a model file; returns (model, config, report)."""
+    """Parse a model file; returns (model, config, report).
+
+    Model keys the class has no field for, such as an old map's `grid`,
+    are ignored, and so is a `seed` in the config.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model file is not valid JSON: {exc}") from None
     try:
         kind = doc["type"]
+        if kind not in _TYPES:
+            raise ParseError(f"unknown model type {kind!r}", field="type")
+        model_cls, config_cls = _TYPES[kind]
         payload = doc["model"]
+        model = model_cls(**{f.name: _decode(f.name, payload[f.name])
+                             for f in fields(model_cls)})
         settings = doc["config"]
         if isinstance(settings, dict):
             settings.pop("seed", None)   # no trainer reads it; older files carry it
-        if kind == "mlp":
-            model = MlpModel(
-                hidden_weights=np.array(payload["hidden_weights"]),
-                hidden_bias=np.array(payload["hidden_bias"]),
-                output_weights=np.array(payload["output_weights"]),
-                output_bias=np.array(payload["output_bias"]),
-            )
-            config = None if settings is None else MlpTrainConfig(**settings)
-        elif kind == "rbf":
-            model = RbfModel(
-                centers=np.array(payload["centers"]),
-                width=payload["width"],
-                output_weights=np.array(payload["output_weights"]),
-                output_bias=np.array(payload["output_bias"]),
-            )
-            config = settings
-        elif kind == "som":
-            labels = payload["neuron_labels"]
-            model = SomModel(
-                codebook=np.array(payload["codebook"]),
-                grid=np.array(payload["grid"]),
-                neuron_labels=(None if labels is None
-                               else label_codes(ClassLabel(v) for v in labels)),
-            )
-            config = None if settings is None else SomTrainConfig(**settings)
+        if settings is None:
+            config = None
+        elif config_cls is None:
+            raise ParseError(f"{kind} model files carry no config", field="config")
         else:
-            raise ParseError(f"unknown model type {kind!r}", field="type")
+            config = config_cls(**settings)
         rep = doc["report"]
         report = TrainReport(rep["final_mse"], rep["epochs_run"], rep["wall_time"],
                              rep["converged"], tuple(rep.get("mse_history", ())))

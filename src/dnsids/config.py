@@ -57,7 +57,6 @@ CLASSIFIERS = ("mlp", "rbf", "som")
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int
-    window_len: float = 20.0
     cv_folds: int = 10
     classifier_names: tuple[str, ...] = CLASSIFIERS
     scenarios: tuple[ScenarioBlock, ...] = ()
@@ -123,7 +122,7 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
         pipe = _read(parser["pipeline"], "pipeline")
         if "seed" not in pipe:
             raise InvalidConfig("seed must be set: it is the master seed")
-        window_len = pipe.get("window_len", PipelineConfig.window_len)
+        window_len = pipe.get("window_len", ScenarioConfig.window_len)
         # It is every scenario's default, so it obeys the scenario rules.
         ScenarioConfig(window_len=window_len)
         cv_folds = pipe.get("cv_folds", PipelineConfig.cv_folds)
@@ -156,8 +155,8 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
                 recipes["som"] = SomRecipe(SomTrainConfig(**values))
 
     return PipelineConfig(
-        seed=pipe["seed"], window_len=window_len, cv_folds=cv_folds,
-        classifier_names=names, scenarios=tuple(scenarios), **recipes)
+        seed=pipe["seed"], cv_folds=cv_folds, classifier_names=names,
+        scenarios=tuple(scenarios), **recipes)
 
 
 def validate_for_training(cfg: PipelineConfig) -> None:

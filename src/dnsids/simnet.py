@@ -174,7 +174,9 @@ def flow_name(flow: int) -> str:
 class PacketTrace:
     """One run: the scenario, its counters and the event columns.
 
-    The column arrays are private read-only copies of equal length.
+    The columns are read-only arrays of equal length. A column handed in
+    with its dtype already is kept as a view, not copied, so the caller
+    must not write to it afterwards; any other is converted.
     """
     config: ScenarioConfig
     seed: int
@@ -190,7 +192,7 @@ class PacketTrace:
 
     def __post_init__(self):
         for name, dtype in _COLUMNS.items():
-            column = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            column = np.asarray(getattr(self, name), dtype=dtype).reshape(-1)
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         if len({getattr(self, name).size for name in _COLUMNS}) != 1:
@@ -320,9 +322,16 @@ def round6(x: np.ndarray) -> np.ndarray:
     integers or too large to hold a fraction; those elements take
     Python's round.
     """
+    # In place where it can be, so at most three full-length float arrays
+    # are alive at once: this sets `run`'s peak memory on a long trace.
     scaled = x * 1e6
-    out = np.rint(scaled) / 1e6
-    inexact = (scaled - np.floor(scaled) == 0.5) | ~(np.abs(scaled) < 2.0**52)
+    out = np.rint(scaled)
+    out /= 1e6
+    frac = np.floor(scaled)
+    np.subtract(scaled, frac, out=frac)
+    inexact = frac == 0.5
+    del frac
+    inexact |= ~(np.abs(scaled, out=scaled) < 2.0**52)
     for i in np.flatnonzero(inexact).tolist():
         out[i] = round(float(x[i]), 6)
     return out

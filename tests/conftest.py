@@ -2,10 +2,12 @@
 
 import os
 
+import dnsids   # loads no numpy
+
 # The suite runs BLAS on one thread, as the CLI does, before any test
 # module imports numpy: in-process width sweeps fork one worker per CPU,
 # and multi-threaded BLAS in each worker would oversubscribe the cores.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for _var in dnsids.BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import pytest  # noqa: E402

@@ -290,16 +290,15 @@ def test_golden_output_digests(default_pipeline):
 # thread unless the environment says otherwise, so the sweep hashes to
 # this value with the thread variables unset too.
 GOLDEN_SWEEP_DIGEST = "78f96106d419d169e3a56b36d9d36f48ff4115b15d497c76fa087c3a37f8da96"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "unpinned"])
 def test_golden_sweep_digest(default_pipeline, tmp_path, pinned):
     """The width sweep on the bundled dataset hashes to the recorded value,
     with the BLAS thread variables set to 1 and with them unset."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in dnsids.BLAS_THREAD_VARS}
     if pinned:
-        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        env.update(dict.fromkeys(dnsids.BLAS_THREAD_VARS, "1"))
     src = str(Path(dnsids.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(

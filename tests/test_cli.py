@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
+from dnsids.classifiers.rbf import RbfModel
 from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
-from dnsids.classifiers.som import SomTrainConfig, grid_positions, som_init
+from dnsids.classifiers.som import SomModel, SomTrainConfig, som_init
 from dnsids.classifiers.store import load_model, save_model
 from dnsids import cli, errors, simnet
 from dnsids.cli import main
@@ -339,14 +341,24 @@ OLD_SOM_FILE = (
     '"config_digest": "abc"}')
 
 
+def assert_same_model(loaded, model):
+    """Every field equal to the last bit, arrays with their dtype."""
+    assert type(loaded) is type(model)
+    for f in fields(model):
+        want, got = getattr(model, f.name), getattr(loaded, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+
+
 class TestModelStore:
     def test_mlp_round_trip_exact(self):
         model = mlp_init(7, 3)
         report = TrainReport(1.25e-6, 17, 0.125, True, (0.5, 1.25e-6))
         text = save_model(model, MlpTrainConfig(), report)
         loaded, cfg, rep = load_model(text)
-        assert np.array_equal(loaded.hidden_weights, model.hidden_weights)
-        assert np.array_equal(loaded.output_bias, model.output_bias)
+        assert_same_model(loaded, model)
         assert cfg == MlpTrainConfig()
         assert rep == report
 
@@ -357,23 +369,24 @@ class TestModelStore:
                 for v in np.abs(rng.normal(size=(8, 3)) * 10)]
         ((model, report),) = recipe.train_folds(
             [LabeledDataset(rows, label_codes([ClassLabel.NORMAL] * 8))], [1])
-        loaded, _, rep = load_model(save_model(model, None, report))
-        assert np.array_equal(loaded.centers, model.centers)
-        assert loaded.width == model.width
+        loaded, cfg, rep = load_model(save_model(model, None, report))
+        assert_same_model(loaded, model)
+        assert cfg is None
         assert rep == report
 
     def test_som_round_trip_with_labels(self):
         model = som_init(2)
-        labeled = model.copy()
-        labeled.neuron_labels = label_codes(CLASS_ORDER[i % 3] for i in range(25))
+        labeled = SomModel(model.codebook, label_codes(CLASS_ORDER[i % 3] for i in range(25)))
         text = save_model(labeled, SomTrainConfig(), TrainReport(0.1, 5, 0.01, True))
         assert json.loads(text)["model"]["neuron_labels"][:3] == [
             "normal", "direct_dos", "amplification"]
         loaded, cfg, _ = load_model(text)
-        assert np.array_equal(loaded.codebook, model.codebook)
-        assert np.array_equal(loaded.neuron_labels, labeled.neuron_labels)
+        assert_same_model(loaded, labeled)
         assert loaded.neuron_labels.dtype == np.int8
         assert cfg == SomTrainConfig()
+        unlabeled, _, _ = load_model(save_model(model, None, TrainReport(0.1, 5, 0.01, True)))
+        assert unlabeled.neuron_labels is None
+        assert np.array_equal(unlabeled.codebook, model.codebook)
 
     def test_model_files_with_a_seed_key_still_load(self):
         model, cfg, report = load_model(OLD_MLP_FILE)
@@ -384,7 +397,7 @@ class TestModelStore:
 
         model, cfg, report = load_model(OLD_SOM_FILE)
         assert np.array_equal(model.codebook, np.arange(75).reshape(25, 3) / 100)
-        assert np.array_equal(model.grid, grid_positions())
+        assert not hasattr(model, "grid")
         assert class_labels(model.neuron_labels) == [CLASS_ORDER[i % 3] for i in range(25)]
         assert cfg == SomTrainConfig(epochs=6)
         assert report == TrainReport(0.125, 6, 0.25, True, ())
@@ -398,6 +411,21 @@ class TestModelStore:
         with pytest.raises(ParseError):
             load_model(json.dumps({"type": "svm", "model": {}, "config": None,
                                    "report": {}}))
+        report = TrainReport(0.1, 1, 0.0, False)
+        doc = json.loads(save_model(mlp_init(3, 0), MlpTrainConfig(), report))
+        del doc["model"]["hidden_bias"]
+        with pytest.raises(ParseError, match="hidden_bias"):
+            load_model(json.dumps(doc))
+        doc = json.loads(save_model(som_init(0), SomTrainConfig(), report))
+        doc["config"]["radius"] = 2
+        with pytest.raises(ParseError, match="radius"):
+            load_model(json.dumps(doc))
+        # An rbf file's training has no settings to keep.
+        rbf = RbfModel(np.eye(3)[:2], 1.0, np.zeros((3, 2)), np.zeros(3))
+        doc = json.loads(save_model(rbf, None, report))
+        doc["config"] = {"centers": 2}
+        with pytest.raises(ParseError, match="config"):
+            load_model(json.dumps(doc))
 
 
 @pytest.fixture(scope="module")
@@ -713,6 +741,110 @@ class TestInputFiles:
         err = one_json_error(capsys)
         assert err["error"] == "ConfigError"
         assert "--widths" in err["detail"]
+
+
+# Tokens a mutated line may put in place of a value: numbers of every
+# kind, the names a field may take, separators and short free text.
+input_tokens = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "1e-320", "9" * 400, "",
+                     "normal", "direct_dos", "atk", "q0", "q-1", "legit_request",
+                     "attack_packet", "dropped_at_queue", "#", ",", "=", "provenance="]),
+    st.text(st.characters(codec="utf-8"), max_size=6),
+)
+
+
+@st.composite
+def mutated_text(draw, text: str) -> str:
+    """`text` after one to three line mutations: drop a line, duplicate it,
+    truncate it, swap two of its fields, or put a drawn token in place of
+    one field (of a `#key=value` header line, its value)."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        op = draw(st.sampled_from(["drop", "duplicate", "truncate", "swap", "token"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, line)
+        elif op == "truncate":
+            lines[i] = line[:draw(st.integers(0, len(line)))]
+        elif line.startswith("#") and "=" in line:
+            if op == "token":
+                lines[i] = line.split("=", 1)[0] + "=" + draw(input_tokens)
+        else:
+            fields = line.split(",")
+            j = draw(st.integers(0, len(fields) - 1))
+            if op == "swap":
+                k = draw(st.integers(0, len(fields) - 1))
+                fields[j], fields[k] = fields[k], fields[j]
+            else:
+                fields[j] = draw(input_tokens)
+            lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _short_trace_text() -> str:
+    """A 5-second direct flood: a header and about 150 rows."""
+    cfg = simnet.make_scenario(attack_kind="direct_dos", duration=5, bottleneck_rate=100_000,
+                               attack_start_jitter=(0.0, 1.0), attack_duration=5)
+    return write_trace(simnet.run(cfg, seed=3))
+
+
+def _tiny_dataset_text() -> str:
+    """24 windows, 8 of each class, in three separated clusters."""
+    rng = np.random.default_rng(5)
+    centers = np.array([[800.0, 300.0, 0.0], [9000.0, 500.0, 40.0], [9500.0, 1400.0, 30.0]])
+    rows = [(round(float(a), 6), round(float(b), 6), int(c))
+            for a, b, c in np.repeat(centers, 8, axis=0) * rng.uniform(0.9, 1.1, (24, 3))]
+    return write_dataset(LabeledDataset(rows, np.repeat([0, 1, 2], 8), ("fuzz.trace",)))
+
+
+def assert_contract(rc: int, capsys) -> None:
+    """Exit 0, or a contract exit code with exactly one JSON stderr line."""
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        err = one_json_error(capsys)
+        assert set(err) == {"error", "detail"}
+    capsys.readouterr()
+
+
+class TestInputTextContract:
+    """Mutated trace and dataset text fails by contract, never with a traceback."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_mutated_trace_is_windowed_or_refused(self, data, tmp_path, capsys):
+        text = data.draw(mutated_text(_SHORT_TRACE), "trace")
+        traces = tmp_path / "traces"
+        traces.mkdir(exist_ok=True)
+        (traces / "fuzz.trace").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["features", "--traces", str(traces), "--out", str(tmp_path / "o")])
+        assert_contract(rc, capsys)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_mutated_dataset_is_evaluated_or_refused(self, data, tmp_path, capsys):
+        text = data.draw(mutated_text(_TINY_DATASET), "dataset")
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        path = tmp_path / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(cfg_path), "--dataset", str(path),
+                   "--classifier", "rbf", "--out", str(tmp_path / "o")])
+        assert_contract(rc, capsys)
+
+
+_SHORT_TRACE = _short_trace_text()
+_TINY_DATASET = _tiny_dataset_text()
 
 
 class TestOutputFiles:

@@ -130,8 +130,8 @@ def reference_train_lm(model, X, T, cfg):
     """
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     T = np.asarray(T, dtype=float).reshape(-1, 3)
-    current = model.copy()
-    params = get_params(current)
+    params = get_params(model)
+    current = set_params(model, params)
     mse = float(np.mean((mlp_forward(current, X) - T) ** 2))
     history = [mse]
     lam = cfg.lm_lambda_init

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnsids.classifiers.base import nearest_code_labels
+from dnsids.classifiers.base import nearest_code_labels, sq_distances
 from dnsids.classifiers.mlp import MlpModel, mlp_init
 from dnsids.classifiers.rbf import RbfModel
 from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
-from dnsids.classifiers.som import N_NEURONS, SomModel, grid_positions, som_classify
+from dnsids.classifiers.som import N_NEURONS, SomModel, som_classify
 from dnsids.preproc import CLASS_ORDER, TARGET_CODES, ClassLabel, class_labels, label_codes
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
@@ -76,6 +76,16 @@ _output_rows = st.one_of(
     # equal last components: equidistant from the two attack codes
     st.tuples(_component, _component).map(lambda t: (t[0], t[1], t[1])),
 )
+
+
+def test_squared_distances_sum_in_component_order():
+    # Near-ties between neurons or codes resolve by the rounding of this sum.
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        X, points = wide_inputs(rng, 20), wide_inputs(rng, 7)
+        diff = X[:, None, :] - points[None, :, :]
+        sq = diff * diff
+        assert np.array_equal(sq_distances(X, points), sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
 class TestNearestCodeLabels:
@@ -168,8 +178,7 @@ class TestSomPredict:
            scales=st.lists(st.floats(1e-3, 1e7), min_size=1, max_size=20),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_per_sample_classify(self, codes, labels, shapes, scales, seed):
-        model = SomModel(codebook=_POOL[codes], grid=grid_positions(),
-                         neuron_labels=label_codes(labels))
+        model = SomModel(codebook=_POOL[codes], neuron_labels=label_codes(labels))
         rng = np.random.default_rng(seed)
         X = np.concatenate([
             _ROW_SHAPES[shapes] * np.resize(scales, (len(shapes), 1)),
@@ -186,13 +195,13 @@ class TestSomPredict:
     def test_duplicate_neurons_go_to_the_lowest_index(self):
         codebook = np.tile(_POOL[:1], (N_NEURONS, 1))
         labels = label_codes((D,) + (A,) * (N_NEURONS - 1))
-        model = SomModel(codebook=codebook, grid=grid_positions(), neuron_labels=labels)
+        model = SomModel(codebook=codebook, neuron_labels=labels)
         assert class_labels(som_classify(model, [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])) == [D, D]
 
     def test_midway_input_goes_to_the_lower_neuron(self):
         codebook = np.tile(_POOL[[1, 0]], (13, 1))[:N_NEURONS]
         labels = label_codes((A, D) * 12 + (A,))
-        model = SomModel(codebook=codebook, grid=grid_positions(), neuron_labels=labels)
+        model = SomModel(codebook=codebook, neuron_labels=labels)
         # (1, 1, 0) is equidistant from both axes; neuron 0 holds the y axis.
         assert reference_som_classify(model, [3.0, 3.0, 0.0]) is A
         assert class_labels(som_classify(model, [[3.0, 3.0, 0.0]])) == [A]

@@ -322,6 +322,17 @@ class TestTraceSerialization:
         with pytest.raises(ValueError):
             trace.t[0] = 1.0
 
+    def test_columns_with_their_dtype_are_kept_and_others_converted(self):
+        trace = run(make_scenario(duration=20), seed=1)
+        t = trace.t.copy()
+        kept = replace(trace, t=t)
+        assert np.shares_memory(kept.t, t)
+        assert not kept.t.flags.writeable and t.flags.writeable
+        converted = replace(trace, t=t.tolist(), size=trace.size.astype(np.int64))
+        assert converted.t.dtype == np.float64 and not np.shares_memory(converted.t, t)
+        assert converted.size.dtype == np.int32
+        assert converted == trace
+
 
 def test_vector_rounding_equals_python_round():
     rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnsids.classifiers import som
-from dnsids.classifiers.som import (GRID_DIAMETER, N_NEURONS, SomModel, SomTrainConfig,
-                                    best_matching_units, grid_positions, quantization_error,
-                                    som_classify, som_init, som_label, som_train,
-                                    som_train_folds)
+from dnsids.classifiers.base import nearest
+from dnsids.classifiers.som import (GRID_COLS, GRID_DIAMETER, GRID_ROWS, N_NEURONS, SomModel,
+                                    SomTrainConfig, quantization_error, som_classify, som_init,
+                                    som_label, som_train, som_train_folds)
 from dnsids.errors import Empty, Unlabeled
 from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_codes
 
@@ -21,6 +22,18 @@ from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_co
 def linkdist(a: int, b: int) -> int:
     """Hop count between two neurons on the map's hexagonal neighbor graph."""
     return int(som._LINKS[a, b])
+
+
+def grid_positions() -> np.ndarray:
+    """Planar coordinates of the hexagonal offset layout, neuron-major.
+
+    Neuron index r * GRID_COLS + c sits at (c + 0.5 * (r % 2), r * sqrt(3)/2).
+    """
+    pos = np.zeros((N_NEURONS, 2))
+    for r in range(GRID_ROWS):
+        for c in range(GRID_COLS):
+            pos[r * GRID_COLS + c] = (c + 0.5 * (r % 2), r * math.sqrt(3) / 2)
+    return pos
 
 
 def bfs_hops(adjacency, src):
@@ -189,6 +202,24 @@ class TestLockstep:
         assert hashlib.sha256(model.codebook.tobytes()).hexdigest() == (
             "ccac2e958e59778a8678a064073771f6e8d966645c43e77623425242950bed10")
 
+    def test_peak_memory_does_not_grow_with_epochs(self):
+        # Each map's order is drawn one epoch at a time as training reaches
+        # it. The whole order of the 10-epoch run would take 23 KB as int32.
+        rng = np.random.default_rng(4)
+        Xs = [l2_normalize_rows(np.abs(rng.normal(size=(n, 3))) + 0.01) for n in (300, 290)]
+
+        def peak(epochs):
+            cfg = SomTrainConfig(epochs=epochs, ordering_steps=50)
+            models = [som_init(1), som_init(2)]
+            tracemalloc.start()
+            try:
+                som_train_folds(models, Xs, cfg, [1, 2])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10) - peak(1) < 8 * 1024
+
     def test_empty_fold_is_named(self):
         # The index travels on the error; cross-validation writes it into
         # the message, once.
@@ -208,19 +239,19 @@ class TestLockstep:
         codebook[:3] = [(p, q, r), (q, r, p), (r, p, q)]
         X = np.zeros((1, 3))
         cfg = SomTrainConfig(epochs=2, ordering_steps=1, tuning_neighbor_dist=0)
-        (trained,) = som_train_folds([SomModel(codebook, grid_positions())], [X], cfg, [0])
+        (trained,) = som_train_folds([SomModel(codebook)], [X], cfg, [0])
         assert np.array_equal(trained.codebook, reference_som_train(codebook, X, cfg, 0))
 
         p, q, r = 0.40847320541999865, 0.045275193902445166, 0.04875771072716806
         codebook[:3] = [(p, q, r), (q, r, p), (r, p, q)]
         sequential = ((codebook - X[0]) ** 2).sum(axis=1).argmin()
-        assert best_matching_units(codebook, X)[0] == sequential
+        assert nearest(X, codebook)[0] == sequential
 
     def test_best_matching_units_break_ties_low(self):
         codebook = np.zeros((N_NEURONS, 3))
         codebook[[3, 7]] = (1.0, 0.0, 0.0)        # two equally near neurons
         X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        assert best_matching_units(codebook, X).tolist() == [3, 0]
+        assert nearest(X, codebook).tolist() == [3, 0]
 
 
 class TestLabeling:
@@ -229,7 +260,7 @@ class TestLabeling:
         codebook = np.zeros((N_NEURONS, 3))
         for i in range(N_NEURONS):
             codebook[i] = (i + 1, 0.0, 0.0)
-        return SomModel(codebook=codebook, grid=grid_positions())
+        return SomModel(codebook=codebook)
 
     def vector_for(self, neuron):
         return np.array([float(neuron + 1), 0.0, 0.0])
@@ -285,7 +316,7 @@ class TestClassify:
         codebook = l2_normalize_rows(som_init(11).codebook + 0.01)
         labels = label_codes(ClassLabel.DIRECT_DOS if i % 2 else ClassLabel.NORMAL
                              for i in range(N_NEURONS))
-        return SomModel(codebook=codebook, grid=grid_positions(), neuron_labels=labels)
+        return SomModel(codebook=codebook, neuron_labels=labels)
 
     def test_codebook_vector_maps_to_own_neuron_label(self):
         model = self.labeled_model()
