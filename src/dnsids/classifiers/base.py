@@ -29,9 +29,17 @@ class TrainReport:
 
 def sq_distances(X: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(n, m) squared distances from the rows of the (n, 3) `X` to the
-    (m, 3) `points`, summed in component order."""
-    diff = X[:, None, :] - points[None, :, :]
-    return (diff * diff).sum(axis=2)
+    (m, 3) `points`, summed in component order.
+
+    Built one component at a time from (n, m) differences, which adds the
+    same squares in the same order as summing an (n, m, 3) difference
+    over its last axis, at a fraction of the memory traffic.
+    """
+    d0, d1, d2 = (x[:, None] - p for x, p in zip(X.T, points.T))
+    s = d0 * d0
+    s += d1 * d1
+    s += d2 * d2
+    return s
 
 
 def nearest(X: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -194,10 +194,13 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
                     raise SingularUpdate(
                         "normal equations unsolvable at maximum damping") from None
                 continue
-            trial = set_params(current, params + delta)
-            trial_hidden = _hidden(trial, X)
-            trial_outputs = _output(trial, trial_hidden)
-            trial_mse = _mse(trial_outputs, T)
+            # A step may overshoot far enough to overflow; the MSE test
+            # below rejects it, so its arithmetic must not raise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = set_params(current, params + delta)
+                trial_hidden = _hidden(trial, X)
+                trial_outputs = _output(trial, trial_hidden)
+                trial_mse = _mse(trial_outputs, T)
             if np.isfinite(trial_mse) and trial_mse < mse:
                 current, hidden, outputs = trial, trial_hidden, trial_outputs
                 params = params + delta

@@ -32,12 +32,14 @@ from .som import (SomModel, SomTrainConfig, quantization_error, som_classify,
 
 
 def train_each(train, train_sets, seeds) -> list:
-    """`train(data, seed)` on each pair in turn; pair i's error leaves with `fold` i."""
+    """`train(data, seed)` on each pair in turn; pair i's error, or the
+    floating-point fault numpy raises where its traps are set, leaves
+    with `fold` i."""
     results = []
     for fold, (data, seed) in enumerate(zip(train_sets, seeds)):
         try:
             results.append(train(data, seed))
-        except DnsIdsError as exc:
+        except (DnsIdsError, FloatingPointError) as exc:
             exc.fold = fold
             raise
     return results

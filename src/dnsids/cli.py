@@ -40,8 +40,8 @@ from . import errors, simnet  # noqa: E402
 from .classifiers.store import save_model  # noqa: E402
 from .config import (CLASSIFIERS, DEFAULT_CONFIG, PipelineConfig,  # noqa: E402
                      parse_pipeline_config, validate_for_training)
-from .evaluation import (cross_validate, render_report, render_sweep_csv,  # noqa: E402
-                         sweep_hidden_neurons, sweep_workers)
+from .evaluation import (cross_validate, numeric_faults, render_report,  # noqa: E402
+                         render_sweep_csv, sweep_hidden_neurons, sweep_workers)
 # Unused here; benchmarks/traced.py wraps it by this name until ROADMAP item 5 retires that.
 from .evaluation import kfold_split  # noqa: E402, F401
 from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,  # noqa: E402
@@ -231,7 +231,9 @@ def cmd_train(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
     data = _read_dataset_file(args.dataset)
     recipe = getattr(cfg, args.classifier)
-    model, report = recipe.train_folds([data], [derive_seed(cfg.seed, recipe.name, "train")])[0]
+    seed = derive_seed(cfg.seed, recipe.name, "train")
+    with numeric_faults(recipe.name):
+        model, report = recipe.train_folds([data], [seed])[0]
     _write_output(Path(args.out) / f"model_{args.classifier}.json",
                   (save_model(model, recipe.train_config, report,
                               extra={"master_seed": cfg.seed, "config_digest": digest}),))

@@ -78,6 +78,11 @@ class Empty(TrainingError):
     """An operation received no samples."""
 
 
+class NumericFault(TrainingError):
+    """Overflow, division by zero or an invalid operation while a
+    classifier trains or scores, as on a feature too large to square."""
+
+
 class TooFewSamples(TrainingError):
     """Fewer samples than cross-validation folds, or fewer distinct points
     than cluster centers."""

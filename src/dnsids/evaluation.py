@@ -19,12 +19,14 @@ Metrics with a zero denominator are reported as absent, never as 0 or
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import BLAS_THREAD_VARS
-from .errors import DnsIdsError, Empty, InvalidWidth, LengthMismatch, TooFewSamples
+from .errors import (DnsIdsError, Empty, InvalidWidth, LengthMismatch, NumericFault,
+                     TooFewSamples)
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
 from .seeding import derive_seed
 
@@ -139,15 +141,32 @@ def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
     return FoldPlan(tuple(tuple(np.sort(order[f::k]).tolist()) for f in range(k)), stratified)
 
 
+@contextmanager
+def numeric_faults(classifier: str, fold: int | None = None):
+    """Train or score `classifier` with numpy's overflow, division-by-zero
+    and invalid-operation traps raising.
+
+    A fault leaves as a NumericFault (exit 4) that names the classifier
+    and carries the fold: `fold`, or the one `train_each` tagged it with.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        fault = NumericFault(f"{classifier}: floating-point fault: {exc}")
+        fault.fold = getattr(exc, "fold", fold)
+        raise fault from None
+
+
 def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> EvalEntry:
     """Train on k-1 folds, score the held-out fold, pool all predictions.
 
     The recipe trains a model for every fold in one `train_folds` call,
-    then scores each held-out fold in one `score` call. When the recipe
-    returns raw outputs, the entry also carries the mean training MSE and
-    the held-out MSE of those outputs against the target codes. A
-    training error that names the fold it came from is raised with a
-    `fold <i>: ` prefix.
+    then scores each held-out fold in one `score` call, both under
+    `numeric_faults`. When the recipe returns raw outputs, the entry also
+    carries the mean training MSE and the held-out MSE of those outputs
+    against the target codes. An error that names the fold it came from
+    is raised with a `fold <i>: ` prefix.
 
     Fold membership derives from (seed, "kfold") and per-fold training
     seeds from (seed, recipe name, fold index), so repeated calls with
@@ -157,23 +176,24 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
     held_outs = [np.array(held_out, dtype=np.intp) for held_out in plan.folds]
     train_sets = [data.subset(np.delete(np.arange(len(data)), held)) for held in held_outs]
     seeds = [derive_seed(seed, recipe.name, fold_idx) for fold_idx in range(len(held_outs))]
+    fold_preds, fold_metrics = [], []
+    test_sse, test_points = 0.0, 0
     try:
-        trained = recipe.train_folds(train_sets, seeds)
+        with numeric_faults(recipe.name):
+            trained = recipe.train_folds(train_sets, seeds)
+        for fold, (held, (model, _)) in enumerate(zip(held_outs, trained)):
+            test_set = data.subset(held)
+            with numeric_faults(recipe.name, fold):
+                preds, outputs = recipe.score(model, test_set.X)
+                if outputs is not None:
+                    test_sse += float(np.sum((outputs - test_set.targets()) ** 2))
+                    test_points += outputs.size
+            fold_preds.append(preds)
+            fold_metrics.append(metrics_from_confusion(confusion(preds, test_set.codes)))
     except DnsIdsError as exc:
         if exc.fold is None:
             raise
         raise type(exc)(f"fold {exc.fold}: {exc}") from exc
-
-    fold_preds, fold_metrics = [], []
-    test_sse, test_points = 0.0, 0
-    for held, (model, _) in zip(held_outs, trained):
-        test_set = data.subset(held)
-        preds, outputs = recipe.score(model, test_set.X)
-        if outputs is not None:
-            test_sse += float(np.sum((outputs - test_set.targets()) ** 2))
-            test_points += outputs.size
-        fold_preds.append(preds)
-        fold_metrics.append(metrics_from_confusion(confusion(preds, test_set.codes)))
 
     all_truth = data.codes[np.concatenate(held_outs)]
     pooled = confusion(np.concatenate(fold_preds), all_truth)

@@ -214,6 +214,8 @@ class PacketTrace:
         """Number of packets dropped at the bottleneck queue."""
         return int(np.count_nonzero(self.disposition == DROPPED))
 
+    # Unused in the library; benchmarks/traced.py counts rows and drops
+    # through it until ROADMAP item 1 retires that.
     @property
     def events(self) -> tuple[PacketEvent, ...]:
         """The rows as `PacketEvent` records, built on each access."""
@@ -305,12 +307,19 @@ def make_scenario(**params) -> ScenarioConfig:
     return ScenarioConfig(**params)
 
 
+def _emission_time(start: float, rate: float, i):
+    """Constant-bit-rate emission time start + i / rate of attack packet i,
+    for an integer i or an array of them; a Python int and the same array
+    element give the same float, bit for bit."""
+    return start + i / rate
+
+
 def _attack_emissions(start: float, end: float, rate: float) -> np.ndarray:
-    """Constant-bit-rate emission times start + i / rate that fall before `end`."""
+    """The emission times `_emission_time` gives that fall before `end`."""
     n = int((end - start) * rate) + 1
-    while start + n / rate < end:
+    while _emission_time(start, rate, n) < end:
         n += 1
-    emit = start + np.arange(n + 1) / rate
+    emit = _emission_time(start, rate, np.arange(n + 1))
     return emit[emit < end]
 
 
@@ -322,8 +331,8 @@ def round6(x: np.ndarray) -> np.ndarray:
     integers or too large to hold a fraction; those elements take
     Python's round.
     """
-    # In place where it can be, so at most three full-length float arrays
-    # are alive at once: this sets `run`'s peak memory on a long trace.
+    # In place where it can be, so at most three arrays of x's length are
+    # alive at once; `run` rounds its times one block at a time.
     scaled = x * 1e6
     out = np.rint(scaled)
     out /= 1e6
@@ -437,10 +446,18 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     request_edge = edge_latency(cfg.request_size)
     request_tx = tx_time(cfg.request_size)
     attack_tx = tx_time(attack_size)
+    attack_edge = edge_latency(attack_size)
 
-    emit = (_attack_emissions(attack_start, emit_end, cfg.attack_rate)
-            if attack_start < emit_end else np.empty(0))
-    attack_arrive = emit + edge_latency(attack_size)
+    def emitted(i):
+        """Emission time of attack packet i, or of an array of indices."""
+        return _emission_time(attack_start, cfg.attack_rate, i)
+
+    # Arrival times at the router; emission times are recomputed where a
+    # tie needs them, so no array of them is kept.
+    attack_arrive = (_attack_emissions(attack_start, emit_end, cfg.attack_rate)
+                     if attack_start < emit_end else np.empty(0))
+    generated = len(attack_arrive)
+    attack_arrive += attack_edge
     request_emit = [0.0]
     while request_emit[-1] + cfg.legit_interarrival < horizon:
         request_emit.append(request_emit[-1] + cfg.legit_interarrival)
@@ -467,9 +484,9 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     def when(ev: tuple) -> float:
         tag, i = ev
         if tag == "E":
-            return emit[i]
+            return emitted(i)
         if tag == "A":
-            return attack_arrive[i]
+            return emitted(i) + attack_edge
         if tag == "Q":
             return request_emit[i]
         if tag == "L":
@@ -539,7 +556,6 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     # insertion count is the calendar's order.
     agenda: list[tuple] = [(0.0, 0, ("Q", 0))]
     inserted = itertools.count(1)
-    generated = len(emit)
 
     def schedule(ev: tuple, t: float) -> None:
         if t <= horizon:
@@ -615,43 +631,61 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         handle_next()
 
     # Rows: drops at their arrival, deliveries to the server, responses.
-    # The views below fix the buffers' size: nothing is appended from here.
+    # Each buffer and array below is released once its last reader is
+    # done, so that on a long trace at most about four full-length arrays
+    # of 8-byte entries are alive at once, next to the record buffers.
+    # The views fix the buffers' size: nothing is appended from here.
+    del attack_arrive
     source_ids = np.frombuffer(source, dtype=np.int64)
     drop_ids = np.frombuffer(dropped, dtype=np.int64)
+    # Departures only grow, so the packets delivered by the horizon are
+    # the first n_del admitted ones.
     deliver_t = np.frombuffer(depart) + link_delay
-    delivered = np.flatnonzero(deliver_t <= horizon)
-    requests = delivered[source_ids[delivered] < 0]
+    n_del = int(deliver_t.searchsorted(horizon, "right"))
+    requests = np.flatnonzero(source_ids[:n_del] < 0)
     generated += len(requests)                  # one response per delivered request
     answered = requests[deliver_t[requests] + reverse <= horizon]
 
-    n_drop, n_del, n_answered = len(drop_ids), len(delivered), len(answered)
+    n_drop, n_answered = len(drop_ids), len(answered)
     legit_drop = drop_ids < 0
     drop_t = np.empty(n_drop)
     drop_t[legit_drop] = np.array(sent_t)[~drop_ids[legit_drop]] + request_edge
-    drop_t[~legit_drop] = attack_arrive[drop_ids[~legit_drop]]
-    times = np.concatenate([drop_t, deliver_t[delivered], deliver_t[answered] + reverse])
+    attack_drop = ~legit_drop
+    drop_t[attack_drop] = emitted(drop_ids[attack_drop]) + attack_edge
+    times = np.concatenate([drop_t, deliver_t[:n_del], deliver_t[answered] + reverse])
+    del drop_t, deliver_t
     order = np.argsort(times, kind="stable")
-    times = times[order]    # the tie sorts below permute only equal times
+    # Sorted in place: the values of times[order] without a second array.
+    # The tie sorts below permute only equal times.
+    times.sort()
     ties = np.flatnonzero(times[1:] == times[:-1])
     if ties.size:
         def row_event(r: int) -> tuple:
             if r < n_drop:
                 return arrival(int(drop_ids[r]))
             if r < n_drop + n_del:
-                return "D", int(delivered[r - n_drop])
+                return "D", r - n_drop
             return "R", int(answered[r - n_drop - n_del])
 
         calendar = cmp_to_key(lambda r, s: -1 if before(row_event(r), row_event(s)) else 1)
         for group in np.split(ties, np.flatnonzero(np.diff(ties) > 1) + 1):
             lo, hi = group[0], group[-1] + 2
             order[lo:hi] = sorted(order[lo:hi].tolist(), key=calendar)
-    times = round6(times)
+    del depart, own_start     # the tie sort was their last reader
 
     # In row order: the arrival that carried each row's packet (a response
     # carries its request's), and the row's disposition.
-    ids = np.concatenate([drop_ids, source_ids[delivered], source_ids[answered]])[order]
+    ids = np.concatenate([drop_ids, source_ids[:n_del], source_ids[answered]])
+    del drop_ids, source_ids, dropped, source
+    ids = ids[order]
     disposition = np.repeat(np.array([DROPPED, TO_SERVER, TO_CLIENT], np.int8),
                             [n_drop, n_del, n_answered])[order]
+    del order
+    # Rounded in place, one block at a time, so the rounding's temporaries
+    # stay the size of a block.
+    for lo in range(0, len(times), ARRIVAL_BLOCK):
+        block = times[lo:lo + ARRIVAL_BLOCK]
+        block[:] = round6(block)
     legit, response = ids < 0, disposition == TO_CLIENT
     kind = np.full(len(ids), ATTACK, np.int8)
     kind[legit] = REQUEST
@@ -686,7 +720,11 @@ _COUNTERS = ("seed", "packets_generated", "in_flight_at_end", "max_queue_occupan
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _DISPOSITION_CODES = {disp.value: code for code, disp in enumerate(DISPOSITIONS)}
 _INT32_MAX = 2**31 - 1
-RENDER_BLOCK = 8192     # trace rows rendered to text per block
+RENDER_BLOCK = 8192     # trace rows rendered to text, and lines parsed, per block
+# Characters `read_trace` takes per line of a block when it cuts the text
+# into pieces: about the length of a rendered row, so a piece holds about
+# one block.
+_PIECE_CHARS_PER_LINE = 64
 
 
 def _digits(values: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -839,6 +877,27 @@ def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
+def _line_blocks(text: str, size: int):
+    """The lines of `text`, as `str.splitlines` splits them, in lists of
+    `size` lines; the last list may be shorter.
+
+    The text is cut into pieces only just after a line feed, which ends a
+    line wherever it stands (alone or in "\\r\\n"), so each piece splits
+    into the lines it holds in the whole text. A piece is about `size`
+    rendered rows long, so no list of all the lines is built.
+    """
+    pos, carry = 0, []
+    while pos < len(text):
+        cut = text.find("\n", pos + size * _PIECE_CHARS_PER_LINE)
+        pos_next = len(text) if cut < 0 else cut + 1
+        lines = carry + text[pos:pos_next].splitlines()
+        pos = pos_next
+        full = len(lines) if pos == len(text) else len(lines) - len(lines) % size
+        for lo in range(0, full, size):
+            yield lines[lo:lo + size]
+        carry = lines[full:]
+
+
 def read_trace(text: str) -> PacketTrace:
     """Parse the text form produced by `write_trace`.
 
@@ -848,16 +907,62 @@ def read_trace(text: str) -> PacketTrace:
     first; blank lines are skipped. Event rows must be numbered from 0
     without gaps, carry timestamps that never decrease and lie within
     [0, duration], and name a flow as `atk` or `q<n>`.
+
+    Lines are parsed RENDER_BLOCK at a time, so the Python strings of one
+    block are alive at once, never those of the whole text. Each block is
+    checked in the order above, and the first block with a fault fails;
+    so of several faults, the one reported is the first by that order
+    within the earliest faulty block, which need not be the earliest line.
     """
-    lines = text.splitlines()
-    n_header = 0
-    while n_header < len(lines) and (lines[n_header][:1] == "#"
-                                     or not lines[n_header].strip()):
-        n_header += 1
+    blocks = _line_blocks(text, RENDER_BLOCK)
+    header_lines: list[str] = []
+    first_rows: list[str] = []
+    for block in blocks:
+        n = 0
+        while n < len(block) and (block[n][:1] == "#" or not block[n].strip()):
+            n += 1
+        header_lines += block[:n]
+        if n < len(block):
+            first_rows = block[n:]
+            break
+    header, cfg, truth = _parse_header(header_lines)
+
+    parts = {name: [np.empty(0, dtype)] for name, dtype in _COLUMNS.items()}
+    n_rows, line_no, last_t = 0, len(header_lines) + 1, -np.inf
+    for rows in itertools.chain([first_rows], blocks):
+        columns = _parse_rows(rows, line_no, n_rows, last_t, cfg.duration)
+        line_no += len(rows)
+        if len(columns["t"]):
+            n_rows += len(columns["t"])
+            last_t = columns["t"][-1]
+        for name, column in columns.items():
+            parts[name].append(column)
+
+    expected_events = header["packets_generated"] - header["in_flight_at_end"]
+    if n_rows != expected_events:
+        raise ParseError(
+            f"event count {n_rows} does not match header ({expected_events}); "
+            "file truncated or corrupt")
+
+    return PacketTrace(
+        config=cfg,
+        seed=header["seed"],
+        # Each column's blocks are released once they are joined.
+        **{name: np.concatenate(parts.pop(name)) for name in _COLUMNS},
+        truth=truth,
+        packets_generated=header["packets_generated"],
+        in_flight_at_end=header["in_flight_at_end"],
+        max_queue_occupancy=header["max_queue_occupancy"],
+    )
+
+
+def _parse_header(lines: list[str]) -> tuple[dict, ScenarioConfig, GroundTruth]:
+    """The values, scenario and ground truth of a trace's first lines,
+    each a "#key=value" line or blank."""
     header: dict[str, object] = {}
     attack_start_raw: str | None = None
     attack_end_raw: str | None = None
-    for line_no, line in enumerate(lines[:n_header], start=1):
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         key, eq, raw = line[1:].partition("=")
@@ -890,9 +995,17 @@ def read_trace(text: str) -> PacketTrace:
         except ValueError:
             raise ParseError("bad attack interval", field="attack_start/attack_end") from None
         truth = GroundTruth(cfg.attack_kind, interval)
+    return header, cfg, truth
 
-    rows = lines[n_header:]
-    line_nos = list(range(n_header + 1, len(lines) + 1))
+
+def _parse_rows(rows: list[str], first_line: int, first_seq: int, last_t: float,
+                duration: float) -> dict[str, np.ndarray]:
+    """The columns of one block of event rows, blank lines skipped.
+
+    The block starts at line `first_line`, its first row must be numbered
+    `first_seq`, and `last_t` is the timestamp of the row before it.
+    """
+    line_nos = range(first_line, first_line + len(rows))
     commas = [row.count(",") for row in rows]
     if commas.count(5) != len(rows):    # blank lines, late header lines or bad rows
         kept = []
@@ -910,18 +1023,19 @@ def read_trace(text: str) -> PacketTrace:
     seq_s, t_s, kind_s, size_s, disp_s, flow_s = (fields_[i::6] for i in range(6))
 
     seq = _parse_column(seq_s, np.int64, "seq", line_nos)
-    gap = seq != np.arange(len(rows))
+    gap = seq != np.arange(first_seq, first_seq + len(rows))
     if gap.any():
         i = _first(gap)
-        raise ParseError(f"sequence gap: expected {i}, got {seq[i]}", line=line_nos[i])
+        raise ParseError(f"sequence gap: expected {first_seq + i}, got {seq[i]}",
+                         line=line_nos[i])
     t = _parse_column(t_s, np.float64, "timestamp", line_nos)
-    outside = ~((t >= 0) & (t <= cfg.duration))
+    outside = ~((t >= 0) & (t <= duration))
     if outside.any():
         i = _first(outside)
         raise ParseError(f"timestamp {t_s[i]} outside [0, duration]", line=line_nos[i])
-    decreasing = t[1:] < t[:-1]
+    decreasing = t < np.append(last_t, t[:-1])
     if decreasing.any():
-        i = _first(decreasing) + 1
+        i = _first(decreasing)
         raise ParseError(f"timestamp {t_s[i]} before the previous row's", line=line_nos[i])
     size = _parse_column(size_s, np.int64, "size", line_nos)
     small, large = size < 1, size > _INT32_MAX
@@ -930,7 +1044,7 @@ def read_trace(text: str) -> PacketTrace:
         raise ParseError("size must be >= 1" if small[i] else "size too large",
                          line=line_nos[i])
     flow_codes = {s: code for s in set(flow_s) if (code := _flow_code(s)) is not None}
-    columns = {"t": t, "size": size}
+    columns = {"t": t, "size": size.astype(_COLUMNS["size"])}
     for name, values, codes in (("kind", kind_s, _KIND_CODES),
                                 ("disposition", disp_s, _DISPOSITION_CODES),
                                 ("flow", flow_s, flow_codes)):
@@ -941,19 +1055,4 @@ def read_trace(text: str) -> PacketTrace:
             i = next(i for i, value in enumerate(values) if value not in codes)
             raise ParseError(f"bad event row: unknown {name} {values[i]!r}",
                              line=line_nos[i]) from None
-
-    expected_events = header["packets_generated"] - header["in_flight_at_end"]
-    if len(rows) != expected_events:
-        raise ParseError(
-            f"event count {len(rows)} does not match header ({expected_events}); "
-            "file truncated or corrupt")
-
-    return PacketTrace(
-        config=cfg,
-        seed=header["seed"],
-        **columns,
-        truth=truth,
-        packets_generated=header["packets_generated"],
-        in_flight_at_end=header["in_flight_at_end"],
-        max_queue_occupancy=header["max_queue_occupancy"],
-    )
+    return columns

@@ -2,7 +2,10 @@
 
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +26,7 @@ from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, SECTION_PARSERS, parse_pipeline_config,
                            validate_for_training)
 from dnsids.errors import ConfigError, InvalidConfig, ParseError
+from dnsids.evaluation import parse_report_csv
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, LabeledDataset, class_labels, label_codes,
                             write_dataset)
 from dnsids.seeding import text_digest
@@ -186,6 +190,19 @@ class TestConfigParsing:
     def test_digest_stability(self):
         assert text_digest(TINY_CONFIG) == text_digest(TINY_CONFIG)
         assert text_digest(TINY_CONFIG) != text_digest(DEFAULT_CONFIG)
+
+    def test_cli_import_leaves_openssl_unloaded(self):
+        # `hashlib` loads OpenSSL, about 3.6 MB of resident memory in every
+        # process; the seeds and digests take SHA-256 from the interpreter.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dnsids.cli; print(sorted("
+             "m for m in ('_hashlib', 'hashlib', '_ssl') if m in sys.modules))"],
+            env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def _section_lines(text: str) -> dict[str, list[str]]:
@@ -749,6 +766,7 @@ input_tokens = st.one_of(
     st.integers(-10**20, 10**20).map(str),
     st.floats().map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "1e-320", "9" * 400, "",
+                     "1e300", "-1e300", "1.7976931348623157e308", "1e200", "1e155",
                      "normal", "direct_dos", "atk", "q0", "q-1", "legit_request",
                      "attack_packet", "dropped_at_queue", "#", ",", "=", "provenance="]),
     st.text(st.characters(codec="utf-8"), max_size=6),
@@ -845,6 +863,54 @@ class TestInputTextContract:
 
 _SHORT_TRACE = _short_trace_text()
 _TINY_DATASET = _tiny_dataset_text()
+
+
+class TestNumericFaults:
+    """A feature too large for a classifier's arithmetic fails by contract.
+
+    One `throughput_bps` of 1e300 among 24 windows overflows the MLP's
+    standardisation and the RBF's distances: each fails as a NumericFault
+    (exit 4) naming the classifier, and under `evaluate` the fold. The map
+    scales each row exactly before it normalises it, so it takes the
+    value without a fault.
+    """
+
+    @staticmethod
+    def run(tmp_path, capsys, command, classifier):
+        lines = _TINY_DATASET.splitlines()
+        row = next(i for i, line in enumerate(lines) if line[:1].isdigit()) + 3
+        lines[row] = ",".join(["1e300", *lines[row].split(",")[1:]])
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        capsys.readouterr()
+        return main([command, "--config", str(cfg_path), "--dataset", str(path),
+                     "--classifier", classifier, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("classifier, name", [("mlp", "bp"), ("rbf", "rbf")])
+    def test_overflow_in_evaluate_names_classifier_and_fold(self, tmp_path, capsys,
+                                                            classifier, name):
+        assert self.run(tmp_path, capsys, "evaluate", classifier) == 4
+        err = one_json_error(capsys)
+        assert err["error"] == "NumericFault"
+        assert re.fullmatch(rf"fold \d+: {name}: floating-point fault: overflow .*",
+                            err["detail"])
+
+    @pytest.mark.parametrize("classifier, name", [("mlp", "bp"), ("rbf", "rbf")])
+    def test_overflow_in_train_names_classifier(self, tmp_path, capsys, classifier, name):
+        assert self.run(tmp_path, capsys, "train", classifier) == 4
+        err = one_json_error(capsys)
+        assert err["error"] == "NumericFault"
+        assert err["detail"].startswith(f"{name}: floating-point fault: overflow")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_map_takes_the_value(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, capsys, command, "som") == 0
+        if command == "evaluate":
+            (row,) = parse_report_csv((tmp_path / "o" / "report.csv").read_text())
+            assert 0.0 <= row["accuracy_3class"] <= 100.0
 
 
 class TestOutputFiles:

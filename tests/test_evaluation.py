@@ -11,7 +11,8 @@ from dnsids.classifiers.base import TrainReport
 from dnsids.classifiers.mlp import MlpTrainConfig
 from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe, train_each
 from dnsids.classifiers.som import SomTrainConfig
-from dnsids.errors import Empty, InvalidWidth, LengthMismatch, TooFewSamples, TrainingError
+from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, NumericFault, TooFewSamples,
+                           TrainingError)
 from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, FoldPlan, MetricSet,
                                confusion, cross_validate, kfold_split, metrics_from_confusion,
                                parse_report_csv, render_report, render_sweep_csv,
@@ -386,6 +387,59 @@ class TestCrossValidate:
         # one fold leaves nothing to train on
         with pytest.raises(Empty, match="^fold 0: "):
             cross_validate(SomRecipe(SomTrainConfig(epochs=1)), tiny_dataset(), k=1)
+
+    @staticmethod
+    def overflow():
+        return np.array([1e300]) * 1e300
+
+    def test_floating_point_faults_in_training_name_classifier_and_fold(self):
+        overflow = self.overflow
+
+        class Overflowing(ConstantNormal):
+            name = "huge"
+
+            def train_folds(self, train_sets, seeds):
+                folds = iter(range(len(seeds)))
+
+                def train(data, seed):
+                    if next(folds) == 1:
+                        overflow()
+                    return None, TrainReport(0.0, 0, 0.0, True)
+
+                return train_each(train, train_sets, seeds)
+
+        with pytest.raises(NumericFault) as info:
+            cross_validate(Overflowing(), tiny_dataset(), k=4, seed=0)
+        assert str(info.value) == ("fold 1: huge: floating-point fault: "
+                                   "overflow encountered in multiply")
+
+    def test_floating_point_faults_in_scoring_name_classifier_and_fold(self):
+        overflow = self.overflow
+        scored = []
+
+        class Overflowing(ConstantNormal):
+            name = "huge"
+
+            def score(self, model, X):
+                scored.append(len(X))
+                if len(scored) == 3:
+                    overflow()
+                return super().score(model, X)
+
+        with pytest.raises(NumericFault, match="^fold 2: huge: floating-point fault: "):
+            cross_validate(Overflowing(), tiny_dataset(), k=4, seed=0)
+
+    def test_floating_point_faults_outside_a_fold_name_the_classifier(self):
+        overflow = self.overflow
+
+        class Lockstep(ConstantNormal):
+            name = "huge"
+
+            def train_folds(self, train_sets, seeds):
+                overflow()
+
+        with pytest.raises(NumericFault, match="^huge: floating-point fault: overflow"):
+            cross_validate(Lockstep(), tiny_dataset(), k=4, seed=0)
 
     def test_errors_not_tied_to_a_fold_pass_unchanged(self):
         class Misconfigured(ConstantNormal):

@@ -273,7 +273,31 @@ class TestAgainstReference:
             train_lm_arrays(mlp_init(3, 8), X, T, MlpTrainConfig(target_mse=1e-12))
 
 
+class OverflowingFirstStep(CountingSolve):
+    """`np.linalg.solve` whose first step is far too long: the trial's
+    squared residuals overflow."""
+
+    def __call__(self, a, b):
+        step = super().__call__(a, b)
+        return np.full_like(step, 1e200) if self.calls == 1 else step
+
+
 class TestTraining:
+    def test_overflowing_trial_step_is_rejected_under_raising_traps(self, monkeypatch):
+        # Training runs with numpy's traps raising, and a step whose MSE
+        # overflows must still only raise the damping.
+        X, T = standardized_problem(3, 40)
+        cfg = MlpTrainConfig(max_epochs=5)
+        want_model, want = train_lm_arrays(mlp_init(4, 1), X, T, cfg)
+        solve = OverflowingFirstStep()
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            model, report = train_lm_arrays(mlp_init(4, 1), X, T, cfg)
+        assert solve.calls > want.epochs_run
+        assert np.isfinite(report.final_mse) and report.epochs_run == want.epochs_run
+        assert list(report.mse_history) == sorted(report.mse_history, reverse=True)
+        assert report.final_mse <= report.mse_history[0]
+
     def test_fixed_point_converges_at_epoch_zero(self):
         X = np.array([[1.0, 2.0, 3.0], [0.5, 0.1, 0.0]])
         data = dataset_from_arrays(X, [ClassLabel.NORMAL, ClassLabel.NORMAL])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dnsids.classifiers.base import nearest_code_labels, sq_distances
 from dnsids.classifiers.mlp import MlpModel, mlp_init
@@ -86,6 +87,26 @@ def test_squared_distances_sum_in_component_order():
         diff = X[:, None, :] - points[None, :, :]
         sq = diff * diff
         assert np.array_equal(sq_distances(X, points), sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+
+def reference_sq_distances(X, points):
+    """The (n, m, 3) broadcast build that the component-major kernel replaced."""
+    diff = X[:, None, :] - points[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+# Components whose squares cannot overflow, ties and signed zeros included.
+_coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                         st.floats(-1e150, 1e150, allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(X=st.integers(0, 30).flatmap(
+           lambda n: hnp.arrays(np.float64, (n, 3), elements=_coordinates)),
+       points=st.integers(1, 12).flatmap(
+           lambda m: hnp.arrays(np.float64, (m, 3), elements=_coordinates)))
+def test_component_major_distances_equal_the_broadcast_build(X, points):
+    assert np.array_equal(sq_distances(X, points), reference_sq_distances(X, points))
 
 
 class TestNearestCodeLabels:
