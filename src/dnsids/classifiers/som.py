@@ -154,6 +154,11 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
     # Component-major (3, maps, 25) layout keeps every inner loop 25 long.
     codebooks = np.stack([models[i].codebook for i in rank]).astype(float)
     codebooks = codebooks.transpose(2, 0, 1).copy()
+    # rates[j, w, n]: the step size of neuron n when w wins at step j of a
+    # chunk, lr inside the neighborhood radius and exactly 0 outside it.
+    # One buffer serves every chunk. Every rate is in (0, 1], so the
+    # product of the in-radius mask and lr is lr or +0.0, bit for bit.
+    rates = np.empty((min(steps, _CHUNK_STEPS), N_NEURONS, N_NEURONS))
     for start in range(0, steps, _CHUNK_STEPS):
         stop = min(start + _CHUNK_STEPS, steps)
         s = np.arange(start, stop)
@@ -164,9 +169,8 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
         radius = np.where(ordering,
                           GRID_DIAMETER + (cfg.tuning_neighbor_dist - GRID_DIAMETER) * frac,
                           cfg.tuning_neighbor_dist)
-        # rates[j, w, n]: the step size of neuron n when w wins at step j,
-        # lr inside the neighborhood radius and exactly 0 outside it.
-        rates = np.where(_LINKS <= radius[:, None, None], lr[:, None, None], 0.0)
+        np.multiply(_LINKS <= radius[:, None, None], lr[:, None, None],
+                    out=rates[:stop - start])
         active = (presentations[rank] > s[:, None]).sum(axis=1).tolist()
         for r in range(active[0]):
             block = next(streams[r])

@@ -22,11 +22,13 @@ so with the default `sweep.csv` does not depend on the number of cores.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import logging
 import os
 import sys
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,21 +54,52 @@ from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 log = logging.getLogger("dnsids")
 
 WRITE_CHUNK = 1 << 20   # characters encoded per write, so no file is encoded whole
+READ_CHUNK = 1 << 20    # bytes read and decoded per piece of a trace file
 
 
-def _read_input(path, what: str) -> str:
-    """Text of an input file.
+@contextmanager
+def _input_errors(path, what: str):
+    """Raise a failure to read an input file as the CLI's error for it.
 
     A path that cannot be read as a file (missing, a directory) fails as
-    a ConfigError; bytes that are not UTF-8 fail as a ParseError.
+    a ConfigError; bytes that are not UTF-8 fail as a ParseError naming
+    the offset of the first bad byte.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as exc:
         raise errors.ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise errors.ParseError(
             f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
+
+
+def _read_input(path, what: str) -> str:
+    """Text of an input file; it fails as `_input_errors` says."""
+    with _input_errors(path, what):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def _decoded_pieces(file):
+    """The text of a binary file, decoded as UTF-8 one READ_CHUNK of bytes
+    at a time. A byte that is not UTF-8 raises UnicodeDecodeError with
+    `start` at its offset in the file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0      # bytes of the file before `data`
+    while True:
+        data = file.read(READ_CHUNK)
+        # The decoder holds back a character cut at the end of the last
+        # piece and counts its error offsets from those bytes.
+        held = len(decoder.getstate()[0])
+        try:
+            text = decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            exc.start += offset - held
+            raise
+        yield text
+        if not data:
+            return
+        offset += len(data)
 
 
 def _write_output(path: Path, pieces: Iterable[str]) -> Path:
@@ -169,12 +202,13 @@ def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> N
 
 
 def _read_trace_file(path: Path) -> PacketTrace:
-    """Parse one trace file; a malformed trace's ParseError names the file."""
-    text = _read_input(path, "trace file")
-    try:
-        return read_trace(text)
-    except errors.ParseError as exc:
-        raise errors.ParseError(f"trace file {path}: {exc}") from None
+    """Parse one trace file as it is read, so neither its bytes nor its
+    text is ever held whole; a malformed trace's ParseError names the file."""
+    with _input_errors(path, "trace file"), open(path, "rb") as file:
+        try:
+            return read_trace(_decoded_pieces(file))
+        except errors.ParseError as exc:
+            raise errors.ParseError(f"trace file {path}: {exc}") from None
 
 
 def _read_dataset_file(path) -> LabeledDataset:
@@ -338,6 +372,14 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    # Nothing here needs OpenSSL: every generator is seeded and every digest
+    # is the interpreter's built-in SHA-256. Yet the first generator imports
+    # `numpy.random`, whose `secrets` imports `hmac` and `hashlib`, which
+    # would load `_hashlib` and libcrypto (about 3.5 MB resident); with it
+    # marked unavailable they fall back to the built-in hashes. Set here,
+    # not on import, so a library caller's process is untouched, and only
+    # if unset, so a process that already loaded OpenSSL keeps it.
+    sys.modules.setdefault("_hashlib", None)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     parser = build_parser()

@@ -58,6 +58,7 @@ import itertools
 import math
 import random
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cmp_to_key
@@ -721,9 +722,9 @@ _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _DISPOSITION_CODES = {disp.value: code for code, disp in enumerate(DISPOSITIONS)}
 _INT32_MAX = 2**31 - 1
 RENDER_BLOCK = 8192     # trace rows rendered to text, and lines parsed, per block
-# Characters `read_trace` takes per line of a block when it cuts the text
-# into pieces: about the length of a rendered row, so a piece holds about
-# one block.
+# Characters `read_trace` takes per line of a block when it splits a long
+# piece of text into parts: about the length of a rendered row, so a part
+# holds about one block.
 _PIECE_CHARS_PER_LINE = 64
 
 
@@ -877,29 +878,48 @@ def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
-def _line_blocks(text: str, size: int):
-    """The lines of `text`, as `str.splitlines` splits them, in lists of
-    `size` lines; the last list may be shorter.
+def _line_blocks(pieces: str | Iterable[str], size: int):
+    """The lines of the text that `pieces` join to, as `str.splitlines`
+    splits it, in lists of `size` lines; the last list may be shorter. A
+    str is one piece.
 
-    The text is cut into pieces only just after a line feed, which ends a
-    line wherever it stands (alone or in "\\r\\n"), so each piece splits
-    into the lines it holds in the whole text. A piece is about `size`
-    rendered rows long, so no list of all the lines is built.
+    Text is split only just after a line feed, which ends a line wherever
+    it stands (alone or in "\\r\\n"), so each part splits into the lines
+    it holds in the whole text. A part is about `size` rendered rows long,
+    or the rest of a piece up to its last line feed, so no list of all the
+    lines is built. The text after a piece's last line feed waits for the
+    next line feed, and is joined once, so the work stays linear in the
+    text's length however the pieces cut it.
     """
-    pos, carry = 0, []
-    while pos < len(text):
-        cut = text.find("\n", pos + size * _PIECE_CHARS_PER_LINE)
-        pos_next = len(text) if cut < 0 else cut + 1
-        lines = carry + text[pos:pos_next].splitlines()
-        pos = pos_next
-        full = len(lines) if pos == len(text) else len(lines) - len(lines) % size
-        for lo in range(0, full, size):
-            yield lines[lo:lo + size]
-        carry = lines[full:]
+    if isinstance(pieces, str):
+        pieces = (pieces,)
+    step = size * _PIECE_CHARS_PER_LINE
+    lines: list[str] = []
+    tail: list[str] = []    # text since the last line feed
+    for piece in pieces:
+        pos, end = 0, piece.rfind("\n") + 1
+        while pos < end:
+            cut = piece.find("\n", min(pos + step, end - 1)) + 1
+            part = piece[pos:cut]
+            if tail:
+                part = "".join(tail + [part])
+                tail = []
+            lines += part.splitlines()
+            pos = cut
+            full = len(lines) - len(lines) % size
+            for lo in range(0, full, size):
+                yield lines[lo:lo + size]
+            del lines[:full]
+        if end < len(piece):
+            tail.append(piece[end:])
+    lines += "".join(tail).splitlines()
+    for lo in range(0, len(lines), size):
+        yield lines[lo:lo + size]
 
 
-def read_trace(text: str) -> PacketTrace:
-    """Parse the text form produced by `write_trace`.
+def read_trace(text: str | Iterable[str]) -> PacketTrace:
+    """Parse the text form produced by `write_trace`, given whole or as
+    pieces, such as a file's as it is read, that join to it.
 
     Unknown header keys are ignored so writers may annotate traces; all
     config fields, the seed, and the bookkeeping counters are required,

@@ -2,10 +2,7 @@
 
 import json
 import logging
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -191,18 +188,10 @@ class TestConfigParsing:
         assert text_digest(TINY_CONFIG) == text_digest(TINY_CONFIG)
         assert text_digest(TINY_CONFIG) != text_digest(DEFAULT_CONFIG)
 
-    def test_cli_import_leaves_openssl_unloaded(self):
+    def test_cli_import_leaves_openssl_unloaded(self, fresh_interpreter):
         # `hashlib` loads OpenSSL, about 3.6 MB of resident memory in every
         # process; the seeds and digests take SHA-256 from the interpreter.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, dnsids.cli; print(sorted("
-             "m for m in ('_hashlib', 'hashlib', '_ssl') if m in sys.modules))"],
-            env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert not fresh_interpreter().modules & {"_hashlib", "hashlib", "_ssl"}
 
 
 def _section_lines(text: str) -> dict[str, list[str]]:
@@ -454,6 +443,29 @@ def tiny_run(tmp_path_factory):
     rc = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 0
     return cfg_path, out
+
+
+class TestResidentCode:
+    """What a command maps into its process beyond what its work uses."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "evaluate", "train"])
+    def test_cross_validation_and_training_load_no_openssl_or_masked_arrays(
+            self, tiny_run, fresh_interpreter, tmp_path, command):
+        # The first seeded generator imports `numpy.random`, whose `secrets`
+        # would load OpenSSL (libcrypto, 3.3 MB resident), and the RBF's
+        # distinct-row search could import `numpy.ma` (1.2 MB).
+        cfg_path, out = tiny_run
+        dataset = ["--dataset", str(out / "dataset.csv")]
+        args = {"pipeline": [], "evaluate": dataset,
+                "train": [*dataset, "--classifier", "rbf"]}[command]
+        loaded = fresh_interpreter(command, *args, "--config", str(cfg_path),
+                                   "--out", str(tmp_path))
+        assert "numpy.random" in loaded.modules
+        assert "_hashlib" not in loaded.modules
+        assert "numpy.ma" not in loaded.modules
+        if loaded.mappings is None:
+            pytest.skip("no /proc/self/maps to list the mapped files")
+        assert not [path for path in loaded.mappings if "libcrypto" in path]
 
 
 class TestPipelineCommand:
@@ -758,6 +770,62 @@ class TestInputFiles:
         err = one_json_error(capsys)
         assert err["error"] == "ConfigError"
         assert "--widths" in err["detail"]
+
+
+class TestTraceFileReading:
+    """A trace file is parsed as it is read, READ_CHUNK bytes at a time."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])
+    def test_any_read_length_reads_the_whole_file(self, tmp_path, monkeypatch, chunk):
+        # "\r\n" line ends, and a note of two-, three- and four-byte
+        # characters, so read boundaries fall inside both.
+        lines = ["#note=\u00e9\u20ac\U0001f600", *_SHORT_TRACE.splitlines()]
+        (tmp_path / "in").mkdir()
+        path = tmp_path / "in" / "crlf.trace"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        monkeypatch.setattr(cli, "READ_CHUNK", chunk)
+        assert cli._read_trace_file(path) == read_trace(_SHORT_TRACE)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("bad, at", [(b"\xff", 0.5), (b"\xe2\x28\xa1", 0.5),
+                                         (b"\xf0\x9f\x98", 1.0)],
+                             ids=["invalid", "bad-continuation", "truncated-at-end"])
+    def test_bytes_not_utf8_are_named_by_their_offset_in_the_file(
+            self, tmp_path, capsys, monkeypatch, chunk, bad, at):
+        good = _SHORT_TRACE.encode()
+        cut = int(len(good) * at)
+        data = good[:cut] + bad + good[cut:]
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        (tmp_path / "in").mkdir()
+        path = tmp_path / "in" / "bad.trace"
+        path.write_bytes(data)
+        monkeypatch.setattr(cli, "READ_CHUNK", chunk)
+        rc = main(["features", "--traces", str(path.parent), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = one_json_error(capsys)
+        assert err == {"error": "ParseError",
+                       "detail": f"trace file {path} is not UTF-8 text (byte {info.value.start})"}
+
+    def test_peak_memory_is_a_small_multiple_of_its_columns(self, tmp_path, monkeypatch):
+        # Reading the 1.9 MB file whole held its bytes and its text at
+        # once, 6.4 times the columns.
+        trace = simnet.run(simnet.make_scenario(attack_kind="direct_dos", duration=120,
+                                                bottleneck_rate=1_000_000,
+                                                attack_start_jitter=(0.0, 9.5)), seed=42)
+        path = tmp_path / "flood.trace"
+        path.write_text(write_trace(trace), encoding="utf-8")
+        monkeypatch.setattr(simnet, "RENDER_BLOCK", 256)
+        monkeypatch.setattr(cli, "READ_CHUNK", 1 << 16)
+        tracemalloc.start()
+        try:
+            read = cli._read_trace_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read == trace
+        columns = ("t", "kind", "size", "disposition", "flow")
+        assert peak < 2.5 * sum(getattr(trace, name).nbytes for name in columns)
 
 
 # Tokens a mutated line may put in place of a value: numbers of every

@@ -1172,3 +1172,53 @@ class TestBlockParsing:
             tracemalloc.stop()
         assert trace == full_queue_trace
         assert peak < 2.5 * sum(getattr(trace, name).nbytes for name in COLUMNS)
+
+
+def _cut(text: str, cuts) -> list[str]:
+    """The text cut at the given offsets; a repeated offset makes an empty piece."""
+    bounds = [0, *sorted(min(c, len(text)) for c in cuts), len(text)]
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestPieceParsing:
+    """`read_trace` also takes its text as pieces, such as a file's as it is
+    read. The lines, their blocks and the line an error names do not depend
+    on where the pieces are cut."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(sorted(set("a, #" + "".join(_SEPARATORS))), max_size=200),
+           size=st.integers(1, 9), cuts=st.lists(st.integers(0, 200), max_size=12),
+           piece=st.sampled_from([1, 3, 64]))
+    def test_line_blocks_of_pieces_split_as_splitlines(self, text, size, cuts, piece):
+        lines = text.splitlines()
+        with patch.object(simnet, "_PIECE_CHARS_PER_LINE", piece):
+            blocks = list(simnet._line_blocks(_cut(text, cuts), size))
+        assert blocks == [lines[lo:lo + size] for lo in range(0, len(lines), size)]
+
+    def test_crlf_cut_between_its_characters_ends_one_line(self):
+        text = "#a=1\r\n\r\nb\r\n"
+        for at in range(len(text) + 1):
+            blocks = list(simnet._line_blocks([text[:at], text[at:]], 2))
+            assert blocks == [["#a=1", ""], ["b"]], at
+
+    @pytest.mark.parametrize("length", [1, 7, 100, 4096])
+    def test_traces_in_pieces_round_trip(self, full_queue_trace, length, monkeypatch):
+        monkeypatch.setattr(simnet, "RENDER_BLOCK", 64)
+        trace = head(full_queue_trace, 3000)
+        text = write_trace(trace)
+        pieces = [text[i:i + length] for i in range(0, len(text), length)]
+        assert read_trace(pieces) == trace
+
+    def test_text_without_line_feeds_reads_in_pieces(self, long_trace):
+        trace = head(long_trace, 40)
+        text = write_trace(trace).replace("\n", "\r")
+        assert read_trace(text[i:i + 5] for i in range(0, len(text), 5)) == trace
+
+    @pytest.mark.parametrize("length", [1, 13, 64])
+    def test_a_fault_in_a_later_piece_names_its_line(self, long_trace, length, monkeypatch):
+        monkeypatch.setattr(simnet, "RENDER_BLOCK", 7)
+        text = write_trace(head(long_trace, 40))
+        n_header = len(_rows(text)[0])
+        text = _with_row(text, 33, t="0.000000")
+        with pytest.raises(ParseError, match=rf"before the previous.*\(line {n_header + 34}\)"):
+            read_trace(text[i:i + length] for i in range(0, len(text), length))

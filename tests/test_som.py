@@ -254,6 +254,24 @@ class TestLockstep:
         assert nearest(X, codebook).tolist() == [3, 0]
 
 
+class TestLockstepMemory:
+    def test_peak_memory_holds_one_rate_buffer(self):
+        # Ten 864-row folds, as the bundled CV trains. One chunk's rates
+        # take 640 KB; a new tensor per chunk, assigned while the last one
+        # was alive, took the peak to 1.8 MB, over this bound.
+        rng = np.random.default_rng(5)
+        Xs = [l2_normalize_rows(np.abs(rng.normal(size=(864, 3))) + 0.01) for _ in range(10)]
+        models = [som_init(i) for i in range(10)]
+        rates = som._CHUNK_STEPS * N_NEURONS * N_NEURONS * 8
+        tracemalloc.start()
+        try:
+            som_train_folds(models, Xs, SomTrainConfig(epochs=2), list(range(10)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(X.nbytes for X in Xs) + 2 * rates
+
+
 class TestLabeling:
     def crafted_model(self):
         # codebook rows far apart so test vectors pick known neurons
