@@ -50,9 +50,10 @@ class MlpTrainConfig:
         require(self.lm_lambda_up > 1, "lm_lambda_up", "> 1", self.lm_lambda_up)
         require(0 < self.lm_lambda_down < 1, "lm_lambda_down", "in (0, 1)",
                 self.lm_lambda_down)
-        # A zero initial damping never grows, and an infinite or nan cap is
-        # never passed: either way a fit that stops improving never stalls.
-        # An infinite weight range cannot be drawn from.
+        # A fit ends once a rejected step would take the damping out of
+        # (0, lm_lambda_max]: from a zero start, or under a nan cap, at the
+        # first rejection, and under an infinite cap never. An infinite
+        # weight range cannot be drawn from.
         for key in ("lm_lambda_init", "lm_lambda_max", "weight_init_range"):
             value = getattr(self, key)
             require(math.isfinite(value) and value > 0, key, "finite and > 0", value)
@@ -93,13 +94,15 @@ def get_params(model: MlpModel) -> np.ndarray:
                            model.output_weights.ravel(), model.output_bias])
 
 
+def _blocks(params: np.ndarray, h: int) -> MlpModel:
+    """The width-h model whose arrays are views of the flat `params`."""
+    return MlpModel(params[:3 * h].reshape(h, 3), params[3 * h:4 * h],
+                    params[4 * h:7 * h].reshape(3, h), params[7 * h:])
+
+
 def set_params(model: MlpModel, params: np.ndarray) -> MlpModel:
-    h = model.hidden_size
-    w1 = params[:h * 3].reshape(h, 3)
-    b1 = params[h * 3:h * 4]
-    w2 = params[h * 4:h * 4 + 3 * h].reshape(3, h)
-    b2 = params[h * 4 + 3 * h:]
-    return MlpModel(w1.copy(), b1.copy(), w2.copy(), b2.copy())
+    """A model of `model`'s width holding a copy of the flat `params`."""
+    return _blocks(np.array(params, dtype=float), model.hidden_size)
 
 
 def _jacobian_buffer(n: int, h: int) -> np.ndarray:
@@ -155,69 +158,60 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
 
     One epoch is one accepted damped Gauss-Newton step (rejected trial
     steps only raise lambda). Stops when the MSE target is met, the epoch
-    budget runs out, or no step improves even at maximum damping. The
-    accepted-step MSE sequence is non-increasing by construction.
+    budget runs out, or no step improves before lambda leaves
+    (0, lm_lambda_max]. The accepted-step MSE sequence is decreasing by
+    construction.
     """
     start = time.perf_counter()
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     T = np.asarray(T, dtype=float).reshape(-1, 3)
-    params = get_params(model)
-    current = set_params(model, params)
+    trained, history = _lm_fit(get_params(model), model.hidden_size, X, T, cfg)
+    mse = history[-1]
+    return trained, TrainReport(mse, len(history) - 1, time.perf_counter() - start,
+                                mse <= cfg.target_mse, tuple(history))
+
+
+def _lm_fit(params: np.ndarray, h: int, X: np.ndarray, T: np.ndarray,
+            cfg: MlpTrainConfig) -> tuple[MlpModel, list[float]]:
+    """The LM loop from the flat `params`: the trained model, a view of the
+    last accepted parameters, and the MSE before each accepted step and
+    after the last."""
+    current = _blocks(params, h)
     hidden = _hidden(current, X)
     outputs = _output(current, hidden)
-    mse = _mse(outputs, T)
-    history = [mse]
+    history = [_mse(outputs, T)]
     lam = cfg.lm_lambda_init
-    epochs_run = 0
-
-    if mse <= cfg.target_mse:
-        return current, TrainReport(mse, 0, time.perf_counter() - start, True,
-                                    tuple(history))
-
-    n_params = params.size
-    identity = np.eye(n_params)
-    J3 = _jacobian_buffer(X.shape[0], current.hidden_size)
-    J = J3.reshape(-1, n_params)
-    stalled = False
-    for _ in range(cfg.max_epochs):
-        # `hidden` and `outputs` belong to `current`: the accepted trial's.
+    identity = np.eye(params.size)
+    J3 = _jacobian_buffer(X.shape[0], h)
+    J = J3.reshape(-1, params.size)
+    while history[-1] > cfg.target_mse and len(history) <= cfg.max_epochs:
+        # `current`, `hidden` and `outputs` belong to `params`.
         _fill_jacobian(J3, current, X, hidden)
-        residual = (T - outputs).ravel()
         jt_j = J.T @ J
-        jt_e = J.T @ residual
+        jt_e = J.T @ (T - outputs).ravel()
         while True:
             try:
-                delta = np.linalg.solve(jt_j + lam * identity, jt_e)
+                trial = params + np.linalg.solve(jt_j + lam * identity, jt_e)
             except np.linalg.LinAlgError:
-                lam *= cfg.lm_lambda_up
-                if lam > cfg.lm_lambda_max:
-                    raise SingularUpdate(
-                        "normal equations unsolvable at maximum damping") from None
-                continue
-            # A step may overshoot far enough to overflow; the MSE test
-            # below rejects it, so its arithmetic must not raise.
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial = set_params(current, params + delta)
-                trial_hidden = _hidden(trial, X)
-                trial_outputs = _output(trial, trial_hidden)
-                trial_mse = _mse(trial_outputs, T)
-            if np.isfinite(trial_mse) and trial_mse < mse:
-                current, hidden, outputs = trial, trial_hidden, trial_outputs
-                params = params + delta
-                mse = trial_mse
-                lam *= cfg.lm_lambda_down
-                break
+                trial = None
+            else:
+                # A step may overshoot far enough to overflow; its nan or
+                # inf MSE fails the test below, so its arithmetic must not raise.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trial_model = _blocks(trial, h)
+                    trial_hidden = _hidden(trial_model, X)
+                    trial_outputs = _output(trial_model, trial_hidden)
+                    trial_mse = _mse(trial_outputs, T)
+                if trial_mse < history[-1]:
+                    break
+            # A damping that has underflowed to 0 cannot grow, so it ends
+            # the fit as one past the cap does.
             lam *= cfg.lm_lambda_up
-            if lam > cfg.lm_lambda_max:
-                stalled = True
-                break
-        if stalled:
-            break
-        epochs_run += 1
-        history.append(mse)
-        if mse <= cfg.target_mse:
-            break
-
-    wall = time.perf_counter() - start
-    return current, TrainReport(mse, epochs_run, wall, mse <= cfg.target_mse,
-                                tuple(history))
+            if not 0 < lam <= cfg.lm_lambda_max:
+                if trial is None:
+                    raise SingularUpdate("normal equations unsolvable at every damping tried")
+                return current, history
+        params, current, hidden, outputs = trial, trial_model, trial_hidden, trial_outputs
+        history.append(trial_mse)
+        lam *= cfg.lm_lambda_down
+    return current, history

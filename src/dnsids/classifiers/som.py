@@ -196,16 +196,6 @@ def quantization_error(model: SomModel, data) -> float:
     return float(np.sqrt(sq_distances(X, model.codebook).min(axis=1)).mean())
 
 
-def _pick_label(votes: np.ndarray, global_counts: np.ndarray) -> int:
-    """Majority class of one neuron's votes, all indexed in `_DECISION_ORDER`.
-
-    Ties go to the globally most frequent tied class, then to the first
-    in `_DECISION_ORDER`.
-    """
-    tied = votes == votes.max()
-    return int(np.where(tied, global_counts, -1).argmax())
-
-
 def som_label(model: SomModel, vectors, codes) -> SomModel:
     """Label every neuron from the training samples it wins.
 
@@ -226,11 +216,13 @@ def som_label(model: SomModel, vectors, codes) -> SomModel:
                         minlength=N_NEURONS * len(_DECISION_ORDER)).reshape(N_NEURONS, -1)
     global_counts = votes.sum(axis=0)
     labeled = np.flatnonzero(votes.sum(axis=1))
-    result = []
-    for n in range(N_NEURONS):
-        # argmin over the ascending `labeled` takes the lowest index on ties
-        source = n if votes[n].any() else labeled[_LINKS[n, labeled].argmin()]
-        result.append(_pick_label(votes[source], global_counts))
+    # Each neuron's own votes, or those of the nearest labeled neuron when it
+    # has none: argmin over the ascending `labeled` takes the lowest index on
+    # ties, and a labeled neuron is nearest itself.
+    votes = votes[labeled[_LINKS[:, labeled].argmin(axis=1)]]
+    # The columns follow `_DECISION_ORDER`, so argmax breaks the last ties.
+    tied = votes == votes.max(axis=1, keepdims=True)
+    result = np.where(tied, global_counts, -1).argmax(axis=1)
     return SomModel(model.codebook.copy(), _DECISION_LABEL_CODES[result])
 
 

@@ -55,7 +55,7 @@ class InvalidWidth(TrainingError):
 
 
 class SingularUpdate(TrainingError):
-    """Damped normal equations unsolvable even at maximum damping."""
+    """Damped normal equations unsolvable at every damping in (0, lm_lambda_max]."""
 
 
 class NeedTwoCenters(TrainingError):

@@ -118,6 +118,9 @@ MAX_EMISSIONS = 10**7
 # more is refused before anything is built.
 MAX_WINDOWS = 10**6
 
+# Largest packet size, and flow number, that a trace's int32 column holds.
+_INT32_MAX = 2**31 - 1
+
 # All rates in bits/second, sizes in bytes, times in seconds.
 
 
@@ -244,6 +247,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         require(getattr(cfg, name) >= 1, name, ">= 1", getattr(cfg, name))
     require(cfg.amp_response_size > 512, "amp_response_size",
             "> 512, the standard response size", cfg.amp_response_size)
+    for name in ("request_size", "normal_response_size", "amp_response_size"):
+        require(getattr(cfg, name) <= _INT32_MAX, name,
+                f"<= {_INT32_MAX}, the trace's largest size", getattr(cfg, name))
     require(cfg.retransmit_max >= 0, "retransmit_max", ">= 0", cfg.retransmit_max)
     lo, hi = cfg.attack_start_jitter
     require(0.0 <= lo <= hi < cfg.duration, "attack_start_jitter",
@@ -261,8 +267,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             f"retransmit_timeout)) request transmissions per run are <= {MAX_EMISSIONS}",
             f"{transmissions:g} transmissions")
     if cfg.attack_kind is not AttackKind.NONE:
-        require(cfg.attack_packet_size >= 1, "attack_packet_size", ">= 1",
-                cfg.attack_packet_size)
+        require(1 <= cfg.attack_packet_size <= _INT32_MAX, "attack_packet_size",
+                f"in 1..{_INT32_MAX}", cfg.attack_packet_size)
         require(cfg.attack_rate > 0, "attack_rate", "> 0 for attack scenarios",
                 cfg.attack_rate)
         require(cfg.attack_duration > 0, "attack_duration", "> 0", cfg.attack_duration)
@@ -457,7 +463,7 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     # tie needs them, so no array of them is kept.
     attack_arrive = (_attack_emissions(attack_start, emit_end, cfg.attack_rate)
                      if attack_start < emit_end else np.empty(0))
-    generated = len(attack_arrive)
+    attack_emitted = len(attack_arrive)
     attack_arrive += attack_edge
     request_emit = [0.0]
     while request_emit[-1] + cfg.legit_interarrival < horizon:
@@ -573,11 +579,9 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
 
     def handle_next() -> None:
         """Process the earliest agenda event."""
-        nonlocal generated
         t, _, ev = heapq.heappop(agenda)
         tag, i = ev
         if tag == "Q":
-            generated += 1
             tries.append(1)
             first_admitted.append(-1)
             send(i, ev, t)
@@ -591,7 +595,6 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
             k = first_admitted[flow]
             if tries[flow] <= cfg.retransmit_max and not (k >= 0 and before(("R", k), ev)):
                 tries[flow] += 1
-                generated += 1
                 send(flow, ev, t)
         elif arrive(~i, t, request_tx) and first_admitted[sent_flow[i]] < 0:
             first_admitted[sent_flow[i]] = len(depart) - 1
@@ -644,7 +647,9 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     deliver_t = np.frombuffer(depart) + link_delay
     n_del = int(deliver_t.searchsorted(horizon, "right"))
     requests = np.flatnonzero(source_ids[:n_del] < 0)
-    generated += len(requests)                  # one response per delivered request
+    # Every attack emission, request transmission and response to a
+    # delivered request.
+    generated = attack_emitted + len(sent_t) + len(requests)
     answered = requests[deliver_t[requests] + reverse <= horizon]
 
     n_drop, n_answered = len(drop_ids), len(answered)
@@ -691,12 +696,9 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     kind = np.full(len(ids), ATTACK, np.int8)
     kind[legit] = REQUEST
     kind[response] = RESPONSE
-    # Packet sizes in the trace's int32 column type.
-    request_bytes, response_bytes, attack_bytes = np.array(
-        [cfg.request_size, cfg.normal_response_size, attack_size]).astype(np.int32)
-    size = np.full(len(ids), attack_bytes)
-    size[legit] = request_bytes
-    size[response] = response_bytes
+    sizes = np.zeros(len(KINDS), np.int32)
+    sizes[[REQUEST, RESPONSE, ATTACK]] = cfg.request_size, cfg.normal_response_size, attack_size
+    size = sizes[kind]
     flow = np.full(len(ids), ATTACK_FLOW, np.int32)
     flow[legit] = np.array(sent_flow, dtype=np.int32)[~ids[legit]]
     return PacketTrace(
@@ -720,7 +722,6 @@ _CONFIG_FIELDS = [f.name for f in fields(ScenarioConfig)]
 _COUNTERS = ("seed", "packets_generated", "in_flight_at_end", "max_queue_occupancy")
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _DISPOSITION_CODES = {disp.value: code for code, disp in enumerate(DISPOSITIONS)}
-_INT32_MAX = 2**31 - 1
 RENDER_BLOCK = 8192     # trace rows rendered to text, and lines parsed, per block
 # Characters `read_trace` takes per line of a block when it splits a long
 # piece of text into parts: about the length of a rendered row, so a part

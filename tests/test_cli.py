@@ -288,6 +288,21 @@ class TestConfigContract:
         with pytest.raises(ConfigError, match=rf"^\[scenario\.{kind}\] {key} must be"):
             parse_pipeline_config(bad)
 
+    # A trace's `size` column is int32: a larger size was written wrapped
+    # to a negative number, which `features` then refused to read back.
+    @pytest.mark.parametrize("name, key", [("normal", "request_size"),
+                                           ("normal", "normal_response_size"),
+                                           ("amplification", "amp_response_size"),
+                                           ("direct_dos", "attack_packet_size")])
+    def test_size_beyond_the_trace_column_is_config_error(self, tmp_path, capsys, name, key):
+        path = tmp_path / "big.cfg"
+        path.write_text(TINY_CONFIG.replace(f"[scenario.{name}]\n",
+                                            f"[scenario.{name}]\n{key} = {2**31}\n"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = one_json_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith(f"[scenario.{name}] {key} must be")
+
     # Every rule holds for library callers too, when the object is built.
     @pytest.mark.parametrize("build, key", [
         (lambda: MlpTrainConfig(weight_init_range=float("inf")), "weight_init_range"),
@@ -563,6 +578,34 @@ class TestCommandsAndExitCodes:
         doc = json.loads(text)
         assert doc["master_seed"] == 7
         assert doc["config_digest"] == text_digest(cfg_path.read_text())
+
+    def test_damping_underflowed_to_zero_ends_evaluate(self, tmp_path, monkeypatch):
+        # With lm_lambda_down = 1e-200 the LM damping is 0 after two
+        # accepted steps, and growing it by lm_lambda_up leaves it 0. On
+        # these overlapping classes a later step is rejected, which must end
+        # the fit: a damping above 0 passes the cap within 335 solves an epoch.
+        rng = np.random.default_rng(0)
+        codes = rng.integers(0, 3, 60)
+        X = np.abs(rng.normal(size=(60, 3)) + codes[:, None] * [1.0, -0.5, 0.3])
+        X = np.trunc(X * [1e5, 1e4, 3]) / [100, 100, 1]
+        data = tmp_path / "overlap.csv"
+        data.write_text(write_dataset(LabeledDataset(X, codes.astype(np.int8))))
+        cfg = tmp_path / "underflow.cfg"
+        cfg.write_text(TINY_CONFIG.replace("hidden = 5\nmax_epochs = 120\n",
+                                           "hidden = 2\nmax_epochs = 50\ntarget_mse = 1e-12\n"
+                                           "lm_lambda_down = 1e-200\n"))
+        solve, calls, bound = np.linalg.solve, [0], 3 * 50 * 335
+
+        def bounded_solve(a, b):
+            calls[0] += 1
+            if calls[0] > bound:
+                raise RuntimeError(f"more than {bound} solves: a fit runs on")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", bounded_solve)
+        rc = main(["evaluate", "--config", str(cfg), "--dataset", str(data),
+                   "--classifier", "mlp", "--k", "3", "--out", str(tmp_path / "o")])
+        assert rc in (0, 4)
 
     def test_trained_model_carries_its_training_config(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run

@@ -320,6 +320,36 @@ class TestTraining:
         with pytest.raises(ValueError, match=key):
             train_lm_arrays(mlp_init(2, 0), X, T, MlpTrainConfig(**{key: lam}))
 
+    @pytest.mark.parametrize("knob", [{"lm_lambda_down": 1e-200},
+                                      {"lm_lambda_init": 5e-324}])
+    def test_damping_underflowed_to_zero_ends_the_fit(self, monkeypatch, knob):
+        # On this problem an accepted step takes the damping below the
+        # smallest float: after two steps at down = 1e-200, after one from
+        # init = 5e-324. Growing 0 by lm_lambda_up leaves 0, so the next
+        # rejected step must end the fit instead of retrying forever. A
+        # damping above 0 passes the cap within 334 growths of 10 from
+        # 5e-324, so a fit that ends makes at most 335 solves per epoch.
+        X, T = standardized_problem(0, 60)
+        cfg = MlpTrainConfig(max_epochs=20, target_mse=1e-12, **knob)
+        bound = cfg.max_epochs * 335
+
+        class BoundedSolve(CountingSolve):
+            def __call__(self, a, b):
+                if self.calls >= bound:
+                    raise RuntimeError(f"more than {bound} solves: the fit runs on")
+                return super().__call__(a, b)
+
+        solve = BoundedSolve()
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        try:
+            _, report = train_lm_arrays(mlp_init(2, 0), X, T, cfg)
+        except SingularUpdate:
+            return
+        assert not report.converged
+        assert report.epochs_run < cfg.max_epochs       # stopped by the damping
+        history = report.mse_history
+        assert all(a > b for a, b in zip(history, history[1:]))
+
     def test_accepted_mse_history_non_increasing(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))

@@ -134,6 +134,27 @@ class TestMakeScenario:
         cfg = make_scenario(duration=200.0, window_len=200.0 / bound)
         assert cfg.duration / cfg.window_len == bound
 
+    # A trace's `size` column is int32; a larger size used to be written
+    # wrapped to a negative number that `read_trace` refuses.
+    @pytest.mark.parametrize("key", ["request_size", "normal_response_size",
+                                     "amp_response_size", "attack_packet_size"])
+    def test_size_beyond_the_trace_column_rejected(self, key):
+        with pytest.raises(InvalidConfig, match=f"^{key} must be"):
+            make_scenario(attack_kind="direct_dos", **{key: 2**31})
+
+    @pytest.mark.parametrize("kind", ["direct_dos", "amplification"])
+    def test_largest_size_the_trace_column_holds_round_trips(self, kind):
+        big = 2**31 - 1
+        cfg = make_scenario(attack_kind=kind, duration=20.0, legit_interarrival=1.0,
+                            edge_rate=1e12, bottleneck_rate=1e12, request_size=big,
+                            normal_response_size=big, amp_response_size=big,
+                            attack_packet_size=big)
+        trace = run(cfg, seed=3)
+        for code in (REQUEST, RESPONSE, ATTACK):
+            assert (trace.kind == code).any()
+        assert (trace.size == big).all()
+        assert read_trace(write_trace(trace)) == trace
+
 
 class TestNoAttackRun:
     # Offered legitimate load is 60 B / 10 s = 48 bit/s, far below the

@@ -328,6 +328,36 @@ class TestLabeling:
         with pytest.raises(Empty):
             som_label(self.crafted_model(), np.zeros((0, 3)), [])
 
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.tuples(st.integers(0, N_NEURONS - 1), st.integers(0, 2)),
+                            min_size=1, max_size=40))
+    def test_equals_per_neuron_reference(self, samples):
+        # Few samples over 25 neurons and 3 classes leave many neurons
+        # without votes and many tied, both per neuron and globally.
+        model = self.crafted_model()
+        X = np.stack([self.vector_for(n) for n, _ in samples])
+        codes = np.array([c for _, c in samples])
+        got = som_label(model, X, codes).neuron_labels
+        assert np.array_equal(got, reference_som_labels(model, X, codes))
+        assert got.dtype == np.int8
+
+
+def reference_som_labels(model, X, codes):
+    """The neuron labels `som_label` gave when it labeled one neuron at a time."""
+    classes = som._DECISION_RANK[codes]
+    winners = nearest(X, model.codebook)
+    votes = np.zeros((N_NEURONS, 3), dtype=int)
+    for w, c in zip(winners, classes):
+        votes[w, c] += 1
+    global_counts = votes.sum(axis=0)
+    labeled = [n for n in range(N_NEURONS) if votes[n].any()]
+    result = []
+    for n in range(N_NEURONS):
+        source = n if votes[n].any() else min(labeled, key=lambda m: (linkdist(n, m), m))
+        tied = votes[source] == votes[source].max()
+        result.append(int(np.where(tied, global_counts, -1).argmax()))
+    return som._DECISION_LABEL_CODES[result]
+
 
 class TestClassify:
     def labeled_model(self):
