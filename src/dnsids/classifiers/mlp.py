@@ -173,9 +173,9 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
 
 def _lm_fit(params: np.ndarray, h: int, X: np.ndarray, T: np.ndarray,
             cfg: MlpTrainConfig) -> tuple[MlpModel, list[float]]:
-    """The LM loop from the flat `params`: the trained model, a view of the
-    last accepted parameters, and the MSE before each accepted step and
-    after the last."""
+    """Run the LM loop from the flat `params`. Returns the model over the
+    last accepted parameters, as views of them, and the MSE at the start
+    and after each accepted step."""
     current = _blocks(params, h)
     hidden = _hidden(current, X)
     outputs = _output(current, hidden)
