@@ -100,11 +100,6 @@ def _blocks(params: np.ndarray, h: int) -> MlpModel:
                     params[4 * h:7 * h].reshape(3, h), params[7 * h:])
 
 
-def set_params(model: MlpModel, params: np.ndarray) -> MlpModel:
-    """A model of `model`'s width holding a copy of the flat `params`."""
-    return _blocks(np.array(params, dtype=float), model.hidden_size)
-
-
 def _jacobian_buffer(n: int, h: int) -> np.ndarray:
     """Zeroed (n, 3, 7h+3) Jacobian with its constant `b2` ones set.
 

@@ -31,13 +31,18 @@ class RbfModel:
     output_bias: np.ndarray     # (3,)
 
 
-def _lloyd_steps(points: np.ndarray, k: int, seed: int, max_iter: int):
-    """Yield (centers, assignment, inertia) per Lloyd iteration.
+def kmeans(points, k: int, seed: int, max_iter: int = _MAX_LLOYD_ITER) -> np.ndarray:
+    """Cluster points into k centers by Lloyd iterations.
 
     Initial centers are k distinct data points chosen by the seeded
-    generator. Empty clusters are re-seeded from the point farthest from
-    its assigned center before the next pass.
+    generator. A pass that leaves clusters empty re-seeds each from the
+    point farthest from its assigned center; any other pass moves every
+    center to its cluster's mean, and the loop ends once a pass assigns
+    the points as the one before it did.
     """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError("points must be a 2-D array")
     n = len(points)
     # Asking for the indices keeps `np.unique` off its `np.ma.is_masked`
     # check, which would import `numpy.ma` (about 1.2 MB) for this call
@@ -62,21 +67,9 @@ def _lloyd_steps(points: np.ndarray, k: int, seed: int, max_iter: int):
             prev = None
             continue
         centers = np.stack([points[assign == j].mean(axis=0) for j in range(k)])
-        inertia = float(((points - centers[assign]) ** 2).sum())
-        yield centers, assign, inertia
         if prev is not None and np.array_equal(assign, prev):
-            return
+            break
         prev = assign
-
-
-def kmeans(points, k: int, seed: int, max_iter: int = _MAX_LLOYD_ITER) -> np.ndarray:
-    """Cluster points into k centers; every center is its cluster's mean."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
-    centers = None
-    for centers, _, _ in _lloyd_steps(pts, k, seed, max_iter):
-        pass
     return centers
 
 

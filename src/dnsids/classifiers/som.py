@@ -17,8 +17,7 @@ rate inside the winner's neighborhood and exactly 0 outside it, which
 leaves those rows unchanged for finite inputs, and the winner minimizes
 the squared distance summed in component order with ties to the lowest
 index. This is the sequential masked update and best-matching unit
-bit for bit, so every map equals the same map trained alone;
-`som_train` is the one-map case.
+bit for bit, so every map equals the same map trained alone.
 
 Classification is by best-matching unit after neurons have been labeled
 with the majority class of the training samples they win.
@@ -93,17 +92,6 @@ def som_init(seed: int) -> SomModel:
     return SomModel(codebook=rng.random((N_NEURONS, 3)))
 
 
-def som_train(model: SomModel, data, cfg: SomTrainConfig = SomTrainConfig(),
-              seed: int = 0) -> SomModel:
-    """Run the two-phase competitive schedule; returns a new model.
-
-    Presentation order is re-shuffled each epoch from the generator
-    seeded with `seed`; one epoch presents every sample once. The first
-    `ordering_steps` presentations form the ordering phase.
-    """
-    return som_train_folds([model], [data], cfg, [seed])[0]
-
-
 def _stream_blocks(rng, n: int, epochs: int, offset: int):
     """Yield a map's presentation stream `_CHUNK_STEPS` indices at a time.
 
@@ -124,9 +112,12 @@ def _stream_blocks(rng, n: int, epochs: int, offset: int):
 def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomModel]:
     """Train one map per (model, dataset, seed) in lockstep; returns new models.
 
-    Map i follows `som_train(models[i], datasets[i], cfg, seeds[i])`
-    exactly. Datasets may differ in size. An empty dataset i fails with
-    an error whose `fold` is i.
+    Each map runs the two-phase schedule on its own dataset, exactly as
+    it would alone. Its presentation order is re-shuffled each epoch from
+    the generator seeded with its seed; one epoch presents every sample
+    once. The first `ordering_steps` presentations form the ordering
+    phase. Datasets may differ in size. An empty dataset i fails with an
+    error whose `fold` is i.
     """
     Xs = [np.asarray(d, dtype=float).reshape(-1, 3) for d in datasets]
     if not len(models) == len(Xs) == len(seeds):

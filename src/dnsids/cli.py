@@ -5,12 +5,15 @@ output is a pure function of the config file and master seed; outputs
 embed both in a header comment. `pipeline` hands each stage's result to
 the next in memory: it windows each trace as soon as its file is
 written and cross-validates the dataset it wrote, reading neither back.
-The other commands read their inputs from files; a malformed trace or
-dataset file fails naming the file. Logs go to stderr, data to files.
+The other commands read their inputs from files, each config, dataset
+and trace file through one reader that decodes it READ_CHUNK bytes at a
+time. Trace and dataset files are parsed as they are read, and a
+malformed one fails naming the file. Logs go to stderr, data to files.
 Exit codes: 0 success, 2 configuration error (including an input file
 that cannot be read or an output that cannot be written), 3 parse error
 (including an input file that is not UTF-8), 4 training error (including
-a dataset with no samples); each failure writes one JSON line to stderr.
+a dataset with no samples and a sweep worker process that dies); each
+failure writes one JSON line to stderr.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS is set. `sweep` runs one worker process per that many
@@ -54,7 +57,7 @@ from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 log = logging.getLogger("dnsids")
 
 WRITE_CHUNK = 1 << 20   # characters encoded per write, so no file is encoded whole
-READ_CHUNK = 1 << 20    # bytes read and decoded per piece of a trace file
+READ_CHUNK = 1 << 20    # bytes read and decoded per piece of an input file
 
 
 @contextmanager
@@ -72,12 +75,6 @@ def _input_errors(path, what: str):
     except UnicodeDecodeError as exc:
         raise errors.ParseError(
             f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
-
-
-def _read_input(path, what: str) -> str:
-    """Text of an input file; it fails as `_input_errors` says."""
-    with _input_errors(path, what):
-        return Path(path).read_text(encoding="utf-8")
 
 
 def _decoded_pieces(file):
@@ -102,6 +99,18 @@ def _decoded_pieces(file):
         offset += len(data)
 
 
+def _read_file(path, what: str, parse):
+    """`parse` applied to the text of the input file at `path`, handed over
+    as `_decoded_pieces` reads it, so the file is held whole only if
+    `parse` joins it. Reading fails as `_input_errors` says, and a
+    ParseError is re-raised naming the file."""
+    with _input_errors(path, what), open(path, "rb") as file:
+        try:
+            return parse(_decoded_pieces(file))
+        except errors.ParseError as exc:
+            raise errors.ParseError(f"{what} {path}: {exc}") from None
+
+
 def _write_output(path: Path, pieces: Iterable[str]) -> Path:
     """Write the pieces of text, one after another, to an output file,
     creating its directory first.
@@ -124,7 +133,12 @@ def _write_output(path: Path, pieces: Iterable[str]) -> Path:
 
 
 def _load_config(path: str | None, seed_override: int | None) -> tuple[PipelineConfig, str]:
-    text = DEFAULT_CONFIG if path is None else _read_input(path, "config file")
+    if path is None:
+        text = DEFAULT_CONFIG
+    else:
+        # Line ends as text mode reads them, so they do not move the digest.
+        text = _read_file(path, "config file", "".join)
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     cfg = parse_pipeline_config(text)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
@@ -197,28 +211,14 @@ def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: i
 def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> None:
     if not trace_paths:
         raise errors.ConfigError("no trace files given")
-    parts = [(path, _labeled(_read_trace_file(path), path)) for path in trace_paths]
+    parts = [(path, _labeled(_read_file(path, "trace file", read_trace), path))
+             for path in trace_paths]
     _write_features(parts, out, seed, digest)
 
 
-def _read_trace_file(path: Path) -> PacketTrace:
-    """Parse one trace file as it is read, so neither its bytes nor its
-    text is ever held whole; a malformed trace's ParseError names the file."""
-    with _input_errors(path, "trace file"), open(path, "rb") as file:
-        try:
-            return read_trace(_decoded_pieces(file))
-        except errors.ParseError as exc:
-            raise errors.ParseError(f"trace file {path}: {exc}") from None
-
-
 def _read_dataset_file(path) -> LabeledDataset:
-    """Parse one dataset file; a malformed dataset's ParseError names the
-    file, and a dataset with no samples fails as Empty."""
-    text = _read_input(path, "dataset")
-    try:
-        data = read_dataset(text)
-    except errors.ParseError as exc:
-        raise errors.ParseError(f"dataset {path}: {exc}") from None
+    """Parse one dataset file; a dataset with no samples fails as Empty."""
+    data = _read_file(path, "dataset", read_dataset)
     if len(data) == 0:
         raise errors.Empty(f"dataset {path} has no samples")
     return data

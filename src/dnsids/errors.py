@@ -83,6 +83,10 @@ class NumericFault(TrainingError):
     classifier trains or scores, as on a feature too large to square."""
 
 
+class WorkerLost(TrainingError):
+    """A worker process ended before it returned its result."""
+
+
 class TooFewSamples(TrainingError):
     """Fewer samples than cross-validation folds, or fewer distinct points
     than cluster centers."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import BLAS_THREAD_VARS
 from .errors import (DnsIdsError, Empty, InvalidWidth, LengthMismatch, NumericFault,
-                     TooFewSamples)
+                     TooFewSamples, WorkerLost)
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
 from .seeding import derive_seed
 
@@ -265,7 +265,8 @@ def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10
     seeds, so the rows are the same for any worker count. The widest
     width is submitted first, because it takes longest. When widths
     fail, the error raised is that of the first failing one in
-    `widths`.
+    `widths`. A worker process that dies takes the pool with it, and
+    fails as WorkerLost naming every width left without a result.
 
     The workers are forked, so they skip re-importing the library; a
     fork-context pool forks them all before it starts its own threads.
@@ -277,6 +278,7 @@ def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     from .classifiers.mlp import MlpTrainConfig
 
@@ -290,10 +292,17 @@ def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10
     cfg = train_config or MlpTrainConfig()
     pool = ProcessPoolExecutor(sweep_workers(widths),
                                mp_context=multiprocessing.get_context("fork"))
+    futures = {}
     try:
-        futures = {w: pool.submit(_sweep_row, w, data, seed, k, cfg)
-                   for w in sorted(set(widths), reverse=True)}
+        for w in sorted(set(widths), reverse=True):
+            futures[w] = pool.submit(_sweep_row, w, data, seed, k, cfg)
         return tuple(futures[w].result() for w in widths)
+    except BrokenProcessPool:
+        # A width not yet submitted when the pool broke has no future.
+        lost = [w for w in dict.fromkeys(widths) if w not in futures
+                or isinstance(futures[w].exception(), BrokenProcessPool)]
+        raise WorkerLost("a sweep worker process ended; no result for widths "
+                         + ",".join(map(str, lost))) from None
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -14,14 +14,17 @@ dataset CSV format, so write/read round trips are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ParseError
-from .simnet import DROPPED, TO_SERVER, AttackKind, GroundTruth, PacketTrace, round6
+from .simnet import (DROPPED, RENDER_BLOCK, TO_SERVER, AttackKind, GroundTruth, PacketTrace,
+                     line_blocks, round6)
 
 
 class ClassLabel(Enum):
@@ -194,13 +197,19 @@ def write_dataset(dataset: LabeledDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_dataset(text: str) -> LabeledDataset:
-    """Parse CSV text produced by `write_dataset`."""
+def read_dataset(text: str | Iterable[str]) -> LabeledDataset:
+    """Parse CSV text produced by `write_dataset`, given whole or as
+    pieces, such as a file's as it is read, that join to it.
+
+    Lines are split as `str.splitlines` splits the whole text, and the
+    first faulty line fails.
+    """
     provenance: tuple[str, ...] = ()
     rows = []
     codes = []
     saw_header = False
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = itertools.chain.from_iterable(line_blocks(text, RENDER_BLOCK))
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if line.startswith("#"):

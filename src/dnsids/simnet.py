@@ -723,9 +723,9 @@ _COUNTERS = ("seed", "packets_generated", "in_flight_at_end", "max_queue_occupan
 _KIND_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _DISPOSITION_CODES = {disp.value: code for code, disp in enumerate(DISPOSITIONS)}
 RENDER_BLOCK = 8192     # trace rows rendered to text, and lines parsed, per block
-# Characters `read_trace` takes per line of a block when it splits a long
-# piece of text into parts: about the length of a rendered row, so a part
-# holds about one block.
+# Characters `line_blocks` takes per line of a block when it splits a long
+# piece of text into parts: about the length of a rendered trace row, so a
+# part holds about one block.
 _PIECE_CHARS_PER_LINE = 64
 
 
@@ -879,7 +879,7 @@ def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
-def _line_blocks(pieces: str | Iterable[str], size: int):
+def line_blocks(pieces: str | Iterable[str], size: int):
     """The lines of the text that `pieces` join to, as `str.splitlines`
     splits it, in lists of `size` lines; the last list may be shorter. A
     str is one piece.
@@ -935,7 +935,7 @@ def read_trace(text: str | Iterable[str]) -> PacketTrace:
     so of several faults, the one reported is the first by that order
     within the earliest faulty block, which need not be the earliest line.
     """
-    blocks = _line_blocks(text, RENDER_BLOCK)
+    blocks = line_blocks(text, RENDER_BLOCK)
     header_lines: list[str] = []
     first_rows: list[str] = []
     for block in blocks:

@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 import dnsids
+from dnsids.classifiers import mlp
 from dnsids.classifiers.mlp import (MlpTrainConfig, get_params, mlp_forward, mlp_init,
-                                    mlp_jacobian, set_params, train_lm_arrays)
+                                    mlp_jacobian, train_lm_arrays)
 from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
-from dnsids.classifiers.som import SomTrainConfig, quantization_error, som_init, som_train
+from dnsids.classifiers.som import SomTrainConfig, quantization_error, som_init, som_train_folds
 from dnsids.cli import main
 from dnsids.config import DEFAULT_CONFIG, parse_pipeline_config
 from dnsids.evaluation import (confusion, cross_validate, metrics_from_confusion,
@@ -125,8 +126,8 @@ def test_c03_lm_correctness():
             up[i] += eps
             dn = base.copy()
             dn[i] -= eps
-            out_up = mlp_forward(set_params(model, up), X)
-            out_dn = mlp_forward(set_params(model, dn), X)
+            out_up = mlp_forward(mlp._blocks(up, hidden), X)
+            out_dn = mlp_forward(mlp._blocks(dn, hidden), X)
             fd[:, i] = ((out_up - out_dn) / (2 * eps)).ravel()
         rel = np.max(np.abs(J - fd) / np.maximum(np.abs(fd), 1.0))
         assert rel <= 1e-5
@@ -362,7 +363,7 @@ def test_c10_som_properties(default_pipeline):
     qe_before = quantization_error(initial, X)
     epochs = 2
     ordering_only = SomTrainConfig(epochs=epochs, ordering_steps=epochs * len(X))
-    qe_after = quantization_error(som_train(initial, X, ordering_only, seed=3), X)
+    qe_after = quantization_error(som_train_folds([initial], [X], ordering_only, [3])[0], X)
     assert qe_after <= qe_before
     print(f"\nACCEPTANCE c10 som-properties: 100 scale checks, quantization error "
           f"{qe_before:.4f} -> {qe_after:.4f}")

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import re
 import tracemalloc
 from dataclasses import fields
@@ -18,14 +19,14 @@ from dnsids.classifiers.rbf import RbfModel
 from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
 from dnsids.classifiers.som import SomModel, SomTrainConfig, som_init
 from dnsids.classifiers.store import load_model, save_model
-from dnsids import cli, errors, simnet
+from dnsids import cli, errors, evaluation, simnet
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, SECTION_PARSERS, parse_pipeline_config,
                            validate_for_training)
 from dnsids.errors import ConfigError, InvalidConfig, ParseError
 from dnsids.evaluation import parse_report_csv
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, LabeledDataset, class_labels, label_codes,
-                            write_dataset)
+                            read_dataset, write_dataset)
 from dnsids.seeding import text_digest
 from dnsids.simnet import AttackKind, read_trace, write_trace
 
@@ -504,6 +505,21 @@ class TestPipelineCommand:
         trace_head = next(iter((out / "traces").glob("*.trace"))).read_text()
         assert "#master_seed=7" in trace_head
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_config_line_ends_do_not_move_its_digest(self, tiny_run, tmp_path, newline):
+        cfg_path, out = tiny_run
+        other = tmp_path / "tiny.cfg"
+        other.write_bytes(TINY_CONFIG.replace("\n", newline).encode())
+        dest = tmp_path / "o"
+        assert main(["features", "--config", str(other), "--traces", str(out / "traces"),
+                     "--out", str(dest)]) == 0
+        assert main(["evaluate", "--config", str(other), "--dataset", str(dest / "dataset.csv"),
+                     "--classifier", "rbf", "--out", str(dest)]) == 0
+        digest = f"config_digest={text_digest(TINY_CONFIG)}"
+        assert (dest / "dataset.csv").read_text().splitlines()[1] == f"# {digest}"
+        assert digest in (dest / "report.csv").read_text().splitlines()[0]
+        assert (dest / "dataset.csv").read_bytes() == (out / "dataset.csv").read_bytes()
+
     def test_report_lists_all_classifiers(self, tiny_run):
         _, out = tiny_run
         body = (out / "report.csv").read_text()
@@ -641,6 +657,44 @@ class TestCommandsAndExitCodes:
         assert err["error"] == "SingularUpdate"
         assert err["detail"].startswith("fold 0: ")
 
+    def test_lost_sweep_worker_is_training_error(self, tiny_run, tmp_path, capsys,
+                                                 monkeypatch):
+        # The sweep's workers are forked, so they inherit the patch.
+        monkeypatch.setattr(evaluation, "_sweep_row", _lost_worker)
+        cfg_path, out = tiny_run
+        rc = main(["sweep", "--config", str(cfg_path), "--dataset",
+                   str(out / "dataset.csv"), "--widths", "3,5",
+                   "--out", str(tmp_path / "sweep")])
+        assert rc == 4
+        assert one_json_error(capsys) == {
+            "error": "WorkerLost",
+            "detail": "a sweep worker process ended; no result for widths 3,5"}
+
+    # `benchmarks/traced.py` times the parsers by swapping these names.
+    @pytest.mark.parametrize("command, parser", [("features", "read_trace"),
+                                                 ("train", "read_dataset"),
+                                                 ("evaluate", "read_dataset"),
+                                                 ("sweep", "read_dataset")])
+    def test_parsers_are_looked_up_by_name_when_called(self, tiny_run, tmp_path, monkeypatch,
+                                                       command, parser):
+        real = getattr(cli, parser)
+        calls = []
+
+        def counted(pieces):
+            calls.append(parser)
+            return real(pieces)
+
+        monkeypatch.setattr(cli, parser, counted)
+        cfg_path, out = tiny_run
+        args = {"features": ["--traces", str(out / "traces")],
+                "train": ["--dataset", str(out / "dataset.csv"), "--classifier", "rbf"],
+                "evaluate": ["--dataset", str(out / "dataset.csv"), "--classifier", "rbf"],
+                "sweep": ["--dataset", str(out / "dataset.csv"), "--widths", "3"]}[command]
+        assert main([command, "--config", str(cfg_path), *args,
+                     "--out", str(tmp_path / "o")]) == 0
+        traces = len(list((out / "traces").glob("*.trace")))
+        assert calls == [parser] * (traces if command == "features" else 1)
+
     # One dataset is trained outside cross-validation, so no fold is named.
     @pytest.mark.parametrize("classifier, error", [("mlp", "SingularUpdate"),
                                                    ("rbf", "DegenerateDesign")])
@@ -753,30 +807,36 @@ class TestCommandsAndExitCodes:
         assert "\nrbf," in body and "\nbp," not in body
 
 
+def _lost_worker(*args):
+    """A sweep width whose worker process dies before it returns; at module
+    level, so the pool can hand it to a worker by name."""
+    os._exit(9)
+
+
 def one_json_error(capsys) -> dict:
     """The single stderr line of a failed command, parsed."""
     (line,) = capsys.readouterr().err.strip().splitlines()
     return json.loads(line)
 
 
-class TestInputFiles:
-    @staticmethod
-    def command(kind, path, tmp_path):
-        """A command that reads `path` as its config, dataset or trace file."""
-        out = str(tmp_path / "o")
-        if kind == "config":
-            return ["simulate", "--config", str(path), "--out", out]
-        if kind == "dataset":
-            return ["train", "--dataset", str(path), "--out", out]
-        return ["features", "--traces", str(path.parent), "--out", out]
+def input_command(kind, path, tmp_path) -> list[str]:
+    """A command that reads `path` as its config, dataset or trace file."""
+    out = str(tmp_path / "o")
+    if kind == "config":
+        return ["simulate", "--config", str(path), "--out", out]
+    if kind == "dataset":
+        return ["evaluate", "--dataset", str(path), "--out", out]
+    return ["features", "--traces", str(path.parent), "--out", out]
 
+
+class TestInputFiles:
     @pytest.mark.parametrize("kind", ["config", "dataset"])
     @pytest.mark.parametrize("make_dir", [True, False], ids=["directory", "missing"])
     def test_unreadable_path_is_config_error(self, tmp_path, capsys, kind, make_dir):
         path = tmp_path / "input"
         if make_dir:
             path.mkdir()
-        assert main(self.command(kind, path, tmp_path)) == 2
+        assert main(input_command(kind, path, tmp_path)) == 2
         err = one_json_error(capsys)
         assert err["error"] == "ConfigError"
         assert str(path) in err["detail"]
@@ -788,7 +848,7 @@ class TestInputFiles:
         (tmp_path / "in").mkdir()
         path = tmp_path / "in" / f"latin1.{kind}"
         path.write_bytes(valid.encode() + b"# caf\xe9\n")
-        assert main(self.command(kind, path, tmp_path)) == 3
+        assert main(input_command(kind, path, tmp_path)) == 3
         err = one_json_error(capsys)
         assert err["error"] == "ParseError"
         assert str(path) in err["detail"]
@@ -815,40 +875,67 @@ class TestInputFiles:
         assert "--widths" in err["detail"]
 
 
-class TestTraceFileReading:
-    """A trace file is parsed as it is read, READ_CHUNK bytes at a time."""
+# What the CLI calls each kind of input file in its messages.
+_FILE_NAMES = {"config": "config file", "dataset": "dataset", "trace": "trace file"}
 
+
+class TestFileReading:
+    """Every input file is read and decoded READ_CHUNK bytes at a time."""
+
+    @staticmethod
+    def text(kind) -> str:
+        return {"config": TINY_CONFIG, "dataset": _TINY_DATASET, "trace": _SHORT_TRACE}[kind]
+
+    @staticmethod
+    def parse(kind, text):
+        """What the CLI makes of `text` as a whole input of `kind`."""
+        if kind == "config":
+            return parse_pipeline_config(text), text_digest(text)
+        return {"dataset": read_dataset, "trace": read_trace}[kind](text)
+
+    @staticmethod
+    def read(kind, path):
+        """What the CLI makes of the file at `path` as an input of `kind`."""
+        if kind == "config":
+            return cli._load_config(str(path), None)
+        if kind == "dataset":
+            return cli._read_dataset_file(path)
+        return cli._read_file(path, "trace file", read_trace)
+
+    @pytest.mark.parametrize("kind", ["trace", "dataset", "config"])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 1 << 20])
-    def test_any_read_length_reads_the_whole_file(self, tmp_path, monkeypatch, chunk):
+    def test_any_read_length_reads_the_whole_file(self, tmp_path, monkeypatch, chunk, kind):
         # "\r\n" line ends, and a note of two-, three- and four-byte
         # characters, so read boundaries fall inside both.
-        lines = ["#note=\u00e9\u20ac\U0001f600", *_SHORT_TRACE.splitlines()]
+        lines = ["#note=\u00e9\u20ac\U0001f600", *self.text(kind).splitlines()]
         (tmp_path / "in").mkdir()
-        path = tmp_path / "in" / "crlf.trace"
+        path = tmp_path / "in" / f"crlf.{kind}"
         path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
         monkeypatch.setattr(cli, "READ_CHUNK", chunk)
-        assert cli._read_trace_file(path) == read_trace(_SHORT_TRACE)
+        assert self.read(kind, path) == self.parse(kind, "\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("kind", ["trace", "dataset", "config"])
     @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 20])
     @pytest.mark.parametrize("bad, at", [(b"\xff", 0.5), (b"\xe2\x28\xa1", 0.5),
                                          (b"\xf0\x9f\x98", 1.0)],
                              ids=["invalid", "bad-continuation", "truncated-at-end"])
     def test_bytes_not_utf8_are_named_by_their_offset_in_the_file(
-            self, tmp_path, capsys, monkeypatch, chunk, bad, at):
-        good = _SHORT_TRACE.encode()
+            self, tmp_path, capsys, monkeypatch, chunk, bad, at, kind):
+        good = self.text(kind).encode()
         cut = int(len(good) * at)
         data = good[:cut] + bad + good[cut:]
         with pytest.raises(UnicodeDecodeError) as info:
             data.decode("utf-8")
         (tmp_path / "in").mkdir()
-        path = tmp_path / "in" / "bad.trace"
+        path = tmp_path / "in" / f"bad.{kind}"
         path.write_bytes(data)
         monkeypatch.setattr(cli, "READ_CHUNK", chunk)
-        rc = main(["features", "--traces", str(path.parent), "--out", str(tmp_path / "o")])
+        rc = main(input_command(kind, path, tmp_path))
         assert rc == 3
         err = one_json_error(capsys)
         assert err == {"error": "ParseError",
-                       "detail": f"trace file {path} is not UTF-8 text (byte {info.value.start})"}
+                       "detail": f"{_FILE_NAMES[kind]} {path} is not UTF-8 text "
+                                 f"(byte {info.value.start})"}
 
     def test_peak_memory_is_a_small_multiple_of_its_columns(self, tmp_path, monkeypatch):
         # Reading the 1.9 MB file whole held its bytes and its text at
@@ -862,7 +949,7 @@ class TestTraceFileReading:
         monkeypatch.setattr(cli, "READ_CHUNK", 1 << 16)
         tracemalloc.start()
         try:
-            read = cli._read_trace_file(path)
+            read = self.read("trace", path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnsids.classifiers import mlp
 from dnsids.classifiers.mlp import (MlpModel, MlpTrainConfig, get_params, mlp_forward,
-                                    mlp_init, mlp_jacobian, set_params,
-                                    train_lm_arrays)
+                                    mlp_init, mlp_jacobian, train_lm_arrays)
 from dnsids.classifiers.recipes import MlpRecipe
 from dnsids.errors import Empty, InvalidWidth, SingularUpdate
 from dnsids.preproc import (TARGET_CODES, ClassLabel, LabeledDataset, class_labels,
@@ -90,8 +90,8 @@ class TestJacobian:
             plus[i] += eps
             minus = base.copy()
             minus[i] -= eps
-            out_p = mlp_forward(set_params(model, plus), X)
-            out_m = mlp_forward(set_params(model, minus), X)
+            out_p = mlp_forward(mlp._blocks(plus, model.hidden_size), X)
+            out_m = mlp_forward(mlp._blocks(minus, model.hidden_size), X)
             rows.append(((out_p - out_m) / (2 * eps)).ravel())
         return np.stack(rows, axis=1)
 
@@ -131,7 +131,7 @@ def reference_train_lm(model, X, T, cfg):
     X = np.asarray(X, dtype=float).reshape(-1, 3)
     T = np.asarray(T, dtype=float).reshape(-1, 3)
     params = get_params(model)
-    current = set_params(model, params)
+    current = mlp._blocks(params, model.hidden_size)
     mse = float(np.mean((mlp_forward(current, X) - T) ** 2))
     history = [mse]
     lam = cfg.lm_lambda_init
@@ -153,7 +153,7 @@ def reference_train_lm(model, X, T, cfg):
                 if lam > cfg.lm_lambda_max:
                     raise SingularUpdate("reference: unsolvable") from None
                 continue
-            trial = set_params(current, params + delta)
+            trial = mlp._blocks(params + delta, model.hidden_size)
             trial_mse = float(np.mean((mlp_forward(trial, X) - T) ** 2))
             if np.isfinite(trial_mse) and trial_mse < mse:
                 current = trial
@@ -373,7 +373,7 @@ class TestTraining:
         params = get_params(model)
 
         def mse_at(p):
-            m = set_params(model, p)
+            m = mlp._blocks(p, model.hidden_size)
             return float(np.mean((mlp_forward(m, X) - T) ** 2))
 
         eps = 1e-5

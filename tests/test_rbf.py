@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dnsids.classifiers.rbf import (RbfModel, _activations, _lloyd_steps, kmeans,
-                                    rbf_forward, rbf_train, rbf_width)
+from dnsids.classifiers.rbf import (RbfModel, _activations, kmeans, rbf_forward, rbf_train,
+                                    rbf_width)
 from dnsids.classifiers.recipes import RbfRecipe
 from dnsids.errors import NeedTwoCenters, TooFewSamples
 from dnsids.preproc import ClassLabel, LabeledDataset, class_labels, label_codes
@@ -68,7 +68,9 @@ class TestKmeans:
     def test_within_cluster_dispersion_non_increasing(self):
         rng = np.random.default_rng(3)
         X, _ = blob_data(rng, [(0, 0, 0), (8, 0, 0), (0, 8, 0)], per_blob=30)
-        inertias = [inertia for _, _, inertia in _lloyd_steps(X, 5, seed=1, max_iter=100)]
+        # Sum of squared distances to the nearest center after each pass.
+        inertias = [((X[:, None, :] - kmeans(X, 5, seed=1, max_iter=i)[None, :, :]) ** 2)
+                    .sum(axis=2).min(axis=1).sum() for i in range(1, 12)]
         assert all(a >= b - 1e-9 for a, b in zip(inertias, inertias[1:]))
 
     def test_centers_are_exact_cluster_means(self):

@@ -1117,7 +1117,7 @@ class TestBlockParsing:
            size=st.integers(1, 9), piece=st.sampled_from([1, 3, 64]))
     def test_line_blocks_split_as_splitlines(self, text, size, piece):
         with patch.object(simnet, "_PIECE_CHARS_PER_LINE", piece):
-            blocks = list(simnet._line_blocks(text, size))
+            blocks = list(simnet.line_blocks(text, size))
         assert [line for block in blocks for line in block] == text.splitlines()
         assert all(len(block) == size for block in blocks[:-1])
         assert all(0 < len(block) <= size for block in blocks)
@@ -1213,13 +1213,13 @@ class TestPieceParsing:
     def test_line_blocks_of_pieces_split_as_splitlines(self, text, size, cuts, piece):
         lines = text.splitlines()
         with patch.object(simnet, "_PIECE_CHARS_PER_LINE", piece):
-            blocks = list(simnet._line_blocks(_cut(text, cuts), size))
+            blocks = list(simnet.line_blocks(_cut(text, cuts), size))
         assert blocks == [lines[lo:lo + size] for lo in range(0, len(lines), size)]
 
     def test_crlf_cut_between_its_characters_ends_one_line(self):
         text = "#a=1\r\n\r\nb\r\n"
         for at in range(len(text) + 1):
-            blocks = list(simnet._line_blocks([text[:at], text[at:]], 2))
+            blocks = list(simnet.line_blocks([text[:at], text[at:]], 2))
             assert blocks == [["#a=1", ""], ["b"]], at
 
     @pytest.mark.parametrize("length", [1, 7, 100, 4096])

@@ -14,7 +14,7 @@ from dnsids.classifiers import som
 from dnsids.classifiers.base import nearest
 from dnsids.classifiers.som import (GRID_COLS, GRID_DIAMETER, GRID_ROWS, N_NEURONS, SomModel,
                                     SomTrainConfig, quantization_error, som_classify, som_init,
-                                    som_label, som_train, som_train_folds)
+                                    som_label, som_train_folds)
 from dnsids.errors import Empty, Unlabeled
 from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_codes
 
@@ -99,8 +99,8 @@ class TestLinkDistance:
 class TestTraining:
     def test_single_vector_attracts_bmu(self):
         target = np.array([[0.6, 0.8, 0.0]])
-        model = som_train(som_init(1), target,
-                          SomTrainConfig(epochs=2000, ordering_steps=1000), seed=1)
+        model = som_train_folds([som_init(1)], [target],
+                                SomTrainConfig(epochs=2000, ordering_steps=1000), [1])[0]
         best = np.min(np.linalg.norm(model.codebook - target[0], axis=1))
         assert best < 1e-3
 
@@ -109,7 +109,7 @@ class TestTraining:
         a = l2_normalize_rows(np.abs(rng.normal(size=(30, 3)) * 0.02 + [1, 0, 0]))
         b = l2_normalize_rows(np.abs(rng.normal(size=(30, 3)) * 0.02 + [0, 0, 1]))
         data = np.concatenate([a, b])
-        model = som_train(som_init(2), data, SomTrainConfig(epochs=40), seed=2)
+        model = som_train_folds([som_init(2)], [data], SomTrainConfig(epochs=40), [2])[0]
         # exhaustive best-matching-unit assignment per cluster
         def bmus(X):
             d2 = ((X[:, None, :] - model.codebook[None, :, :]) ** 2).sum(axis=2)
@@ -123,18 +123,18 @@ class TestTraining:
     def test_schedule_that_trains_nothing_rejected(self, bad):
         data = np.array([[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=next(iter(bad))):
-            som_train(som_init(5), data, SomTrainConfig(**bad), seed=0)
+            som_train_folds([som_init(5)], [data], SomTrainConfig(**bad), [0])
 
     def test_empty_data_rejected(self):
         with pytest.raises(Empty):
-            som_train(som_init(0), np.zeros((0, 3)), SomTrainConfig(epochs=1))
+            som_train_folds([som_init(0)], [np.zeros((0, 3))], SomTrainConfig(epochs=1), [0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         data = l2_normalize_rows(np.abs(rng.normal(size=(40, 3))) + 0.1)
         cfg = SomTrainConfig(epochs=10)
-        m1 = som_train(som_init(7), data, cfg, seed=9)
-        m2 = som_train(som_init(7), data, cfg, seed=9)
+        m1 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
+        m2 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
         assert np.array_equal(m1.codebook, m2.codebook)
 
     def test_ordering_phase_reduces_quantization_error(self):
@@ -144,7 +144,7 @@ class TestTraining:
         qe_before = quantization_error(initial, data)
         # epochs * samples == ordering_steps: the run is pure ordering phase
         cfg = SomTrainConfig(epochs=4, ordering_steps=200)
-        qe_after = quantization_error(som_train(initial, data, cfg, seed=3), data)
+        qe_after = quantization_error(som_train_folds([initial], [data], cfg, [3])[0], data)
         assert qe_after <= qe_before
 
 
@@ -187,7 +187,7 @@ class TestLockstep:
 
         stacked = som_train_folds([som_init(s) for s in seeds], Xs, cfg, seeds)
         for model, X, seed in zip(stacked, Xs, seeds):
-            alone = som_train(som_init(seed), X, cfg, seed)
+            alone = som_train_folds([som_init(seed)], [X], cfg, [seed])[0]
             assert np.array_equal(model.codebook, alone.codebook)
             assert np.array_equal(model.codebook,
                                   reference_som_train(som_init(seed).codebook, X, cfg,
@@ -197,8 +197,8 @@ class TestLockstep:
         # Digest of the codebook the per-sample trainer produced for this input.
         rng = np.random.default_rng(0)
         X = l2_normalize_rows(np.abs(rng.normal(size=(17, 3))) + 0.05)
-        model = som_train(som_init(3), X, SomTrainConfig(epochs=3, ordering_steps=20),
-                          seed=11)
+        model = som_train_folds([som_init(3)], [X], SomTrainConfig(epochs=3, ordering_steps=20),
+                                [11])[0]
         assert hashlib.sha256(model.codebook.tobytes()).hexdigest() == (
             "ccac2e958e59778a8678a064073771f6e8d966645c43e77623425242950bed10")
 
