@@ -104,8 +104,9 @@ def _jacobian_buffer(n: int, h: int) -> np.ndarray:
     """Zeroed (n, 3, 7h+3) Jacobian with its constant `b2` ones set.
 
     Axis 1 is the output component; the last axis follows `get_params`:
-    W1 (j-major, 3h), b1 (h), W2 (k-major, 3h), b2 (3). The blocks that
-    `_fill_jacobian` leaves alone (W2 off its diagonal, b2) never change.
+    W1 (j-major, 3h), b1 (h), W2 (k-major, 3h), b2 (3), so reshaped to
+    (3n, 7h+3) its rows follow `(targets - outputs).ravel()`. The blocks
+    that `_fill_jacobian` leaves alone (W2 off its diagonal, b2) never change.
     """
     J = np.zeros((n, 3, 7 * h + 3))
     for k in range(3):
@@ -129,18 +130,6 @@ def _fill_jacobian(J: np.ndarray, model: MlpModel, X: np.ndarray,
         np.multiply(g, X[:, m, None, None], out=J[:, :, m:3 * h:3])
     for k in range(3):
         J[:, k, (4 + k) * h:(5 + k) * h] = hidden
-
-
-def mlp_jacobian(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    """d(outputs)/d(params), shape (n_samples * 3, n_params).
-
-    Row layout matches `(targets - outputs).ravel()`: sample-major, then
-    output component. Column layout matches `get_params`.
-    """
-    X = np.asarray(X, dtype=float).reshape(-1, 3)
-    J = _jacobian_buffer(X.shape[0], model.hidden_size)
-    _fill_jacobian(J, model, X, _hidden(model, X))
-    return J.reshape(-1, J.shape[2])
 
 
 def _mse(outputs: np.ndarray, targets: np.ndarray) -> float:

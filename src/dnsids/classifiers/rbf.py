@@ -85,8 +85,7 @@ def _activations(centers: np.ndarray, width: float, X: np.ndarray) -> np.ndarray
     return np.exp(-sq_distances(X, centers) / (2.0 * width * width))
 
 
-def rbf_train(data: LabeledDataset, k: int, seed: int,
-              ridge: float = RIDGE) -> tuple[RbfModel, TrainReport]:
+def rbf_train(data: LabeledDataset, k: int, seed: int) -> tuple[RbfModel, TrainReport]:
     """Fit centers by k-means, width by the shared rule, outputs by ridge."""
     if k < 2:
         raise NeedTwoCenters("rbf training needs k >= 2")
@@ -97,7 +96,7 @@ def rbf_train(data: LabeledDataset, k: int, seed: int,
     width = rbf_width(centers)
     phi = _activations(centers, width, X)
     design = np.concatenate([phi, np.ones((len(X), 1))], axis=1)
-    gram = design.T @ design + ridge * np.eye(k + 1)
+    gram = design.T @ design + RIDGE * np.eye(k + 1)
     try:
         weights = np.linalg.solve(gram, design.T @ T)   # (k+1, 3)
     except np.linalg.LinAlgError:

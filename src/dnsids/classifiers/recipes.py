@@ -114,11 +114,11 @@ class SomRecipe:
         """
         start = time.perf_counter()
         Xs = [l2_normalize_rows(data.X) for data in train_sets]
-        maps = som_train_folds([som_init(seed) for seed in seeds], Xs,
-                               self.train_config, seeds)
-        models = [som_label(m, X, data.codes)
-                  for m, X, data in zip(maps, Xs, train_sets)]
-        qerrs = [quantization_error(m, X) for m, X in zip(models, Xs)]
+        codebooks = som_train_folds([som_init(seed) for seed in seeds], Xs,
+                                    self.train_config, seeds)
+        models = [som_label(cb, X, data.codes)
+                  for cb, X, data in zip(codebooks, Xs, train_sets)]
+        qerrs = [quantization_error(cb, X) for cb, X in zip(codebooks, Xs)]
         wall = (time.perf_counter() - start) / len(models)
         # No MSE target exists for the map; completing the schedule counts.
         return [(m, TrainReport(qe, self.train_config.epochs, wall, True, ()))

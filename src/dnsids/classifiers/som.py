@@ -19,8 +19,10 @@ the squared distance summed in component order with ties to the lowest
 index. This is the sequential masked update and best-matching unit
 bit for bit, so every map equals the same map trained alone.
 
-Classification is by best-matching unit after neurons have been labeled
-with the majority class of the training samples they win.
+Training yields a bare codebook. `som_label` then labels each neuron
+with the majority class of the training samples it wins, and the
+labelled codebook is the map, a `SomModel`, that classifies by
+best-matching unit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import Empty, Unlabeled, require
+from ..errors import Empty, require
 from ..preproc import CLASS_ORDER, l2_normalize_rows
 from .base import _DECISION_LABEL_CODES, _DECISION_ORDER, nearest, sq_distances
 
@@ -64,8 +66,8 @@ GRID_DIAMETER = int(_LINKS.max())
 
 @dataclass
 class SomModel:
-    codebook: np.ndarray                         # (25, 3)
-    neuron_labels: np.ndarray | None = None      # (25,) int8 label codes
+    codebook: np.ndarray        # (25, 3)
+    neuron_labels: np.ndarray   # (25,) int8 label codes
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,9 @@ class SomTrainConfig:
                 self.tuning_neighbor_dist)
 
 
-def som_init(seed: int) -> SomModel:
-    """Codebook drawn uniformly from the unit cube, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    return SomModel(codebook=rng.random((N_NEURONS, 3)))
+def som_init(seed: int) -> np.ndarray:
+    """(25, 3) codebook drawn uniformly from the unit cube, deterministic per seed."""
+    return np.random.default_rng(seed).random((N_NEURONS, 3))
 
 
 def _stream_blocks(rng, n: int, epochs: int, offset: int):
@@ -109,8 +110,9 @@ def _stream_blocks(rng, n: int, epochs: int, offset: int):
         yield pending
 
 
-def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomModel]:
-    """Train one map per (model, dataset, seed) in lockstep; returns new models.
+def som_train_folds(codebooks, datasets, cfg: SomTrainConfig, seeds) -> list[np.ndarray]:
+    """Train one map per (codebook, dataset, seed) in lockstep; returns the
+    trained codebooks as new arrays.
 
     Each map runs the two-phase schedule on its own dataset, exactly as
     it would alone. Its presentation order is re-shuffled each epoch from
@@ -120,8 +122,8 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
     error whose `fold` is i.
     """
     Xs = [np.asarray(d, dtype=float).reshape(-1, 3) for d in datasets]
-    if not len(models) == len(Xs) == len(seeds):
-        raise ValueError("need one model and one seed per dataset")
+    if not len(codebooks) == len(Xs) == len(seeds):
+        raise ValueError("need one codebook and one seed per dataset")
     for fold, X in enumerate(Xs):
         if len(X) == 0:
             exc = Empty("som training needs at least one sample")
@@ -143,8 +145,8 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
     order = np.zeros((len(Xs), _CHUNK_STEPS), dtype=np.intp)
 
     # Component-major (3, maps, 25) layout keeps every inner loop 25 long.
-    codebooks = np.stack([models[i].codebook for i in rank]).astype(float)
-    codebooks = codebooks.transpose(2, 0, 1).copy()
+    stack = np.stack([codebooks[i] for i in rank]).astype(float)
+    stack = stack.transpose(2, 0, 1).copy()
     # rates[j, w, n]: the step size of neuron n when w wins at step j of a
     # chunk, lr inside the neighborhood radius and exactly 0 outside it.
     # One buffer serves every chunk. Every rate is in (0, 1], so the
@@ -169,26 +171,26 @@ def som_train_folds(models, datasets, cfg: SomTrainConfig, seeds) -> list[SomMod
         # (steps, 3, maps, 1), contiguous so each step reads one block
         xs = np.ascontiguousarray(samples[order[:, :stop - start]].transpose(1, 2, 0))[..., None]
         for j, m in enumerate(active):
-            cb = codebooks[:, :m]
+            cb = stack[:, :m]
             diff = xs[j, :, :m] - cb
             sq = diff * diff
             winners = (sq[0] + sq[1] + sq[2]).argmin(axis=1)
             cb += rates[j].take(winners, axis=0) * diff
-    trained = {i: codebooks[:, r].T.copy() for r, i in enumerate(rank)}
-    return [SomModel(codebook=trained[i], neuron_labels=m.neuron_labels)
-            for i, m in enumerate(models)]
+    # Map i sits at the stack position r where rank[r] == i.
+    return [stack[:, r].T.copy() for r in np.argsort(rank)]
 
 
-def quantization_error(model: SomModel, data) -> float:
-    """Mean distance from each sample to its best-matching unit."""
+def quantization_error(codebook: np.ndarray, data) -> float:
+    """Mean distance from each sample to its best-matching unit of `codebook`."""
     X = np.asarray(data, dtype=float).reshape(-1, 3)
     if len(X) == 0:
         raise Empty("quantization error needs at least one sample")
-    return float(np.sqrt(sq_distances(X, model.codebook).min(axis=1)).mean())
+    return float(np.sqrt(sq_distances(X, codebook).min(axis=1)).mean())
 
 
-def som_label(model: SomModel, vectors, codes) -> SomModel:
-    """Label every neuron from the training samples it wins.
+def som_label(codebook: np.ndarray, vectors, codes) -> SomModel:
+    """The map of a copy of `codebook`, every neuron labeled from the
+    training samples it wins.
 
     `codes` are the samples' label codes. Majority vote per neuron;
     ties fall back to the globally most frequent class, then Normal.
@@ -202,7 +204,7 @@ def som_label(model: SomModel, vectors, codes) -> SomModel:
         raise Empty("neuron labeling needs matching non-empty samples")
 
     classes = _DECISION_RANK[codes]
-    winners = nearest(X, model.codebook)
+    winners = nearest(X, codebook)
     votes = np.bincount(winners * len(_DECISION_ORDER) + classes,
                         minlength=N_NEURONS * len(_DECISION_ORDER)).reshape(N_NEURONS, -1)
     global_counts = votes.sum(axis=0)
@@ -214,7 +216,7 @@ def som_label(model: SomModel, vectors, codes) -> SomModel:
     # The columns follow `_DECISION_ORDER`, so argmax breaks the last ties.
     tied = votes == votes.max(axis=1, keepdims=True)
     result = np.where(tied, global_counts, -1).argmax(axis=1)
-    return SomModel(model.codebook.copy(), _DECISION_LABEL_CODES[result])
+    return SomModel(codebook.copy(), _DECISION_LABEL_CODES[result])
 
 
 def som_classify(model: SomModel, X) -> np.ndarray:
@@ -223,7 +225,5 @@ def som_classify(model: SomModel, X) -> np.ndarray:
     Rows are unit-normalized first, so classification is invariant under
     positive scaling; an all-zero row is matched as-is.
     """
-    if model.neuron_labels is None:
-        raise Unlabeled("neuron labels missing; run som_label first")
     X = l2_normalize_rows(np.asarray(X, dtype=float).reshape(-1, 3))
     return model.neuron_labels[nearest(X, model.codebook)]

@@ -28,13 +28,13 @@ _TAGS = {model_cls: tag for tag, (model_cls, _) in _TYPES.items()}
 
 def _encode(name: str, value):
     if name == "neuron_labels":
-        return None if value is None else [lbl.value for lbl in class_labels(value)]
+        return [lbl.value for lbl in class_labels(value)]
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _decode(name: str, raw):
     if name == "neuron_labels":
-        return None if raw is None else label_codes(ClassLabel(v) for v in raw)
+        return label_codes(ClassLabel(v) for v in raw)
     return np.array(raw) if isinstance(raw, list) else raw
 
 

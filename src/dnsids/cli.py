@@ -43,14 +43,15 @@ for _var in BLAS_THREAD_VARS:
 
 from . import errors, simnet  # noqa: E402
 from .classifiers.store import save_model  # noqa: E402
-from .config import (CLASSIFIERS, DEFAULT_CONFIG, PipelineConfig,  # noqa: E402
+from .config import (CLASSIFIERS, DEFAULT_CONFIG, MAX_RUNS, PipelineConfig,  # noqa: E402
                      parse_pipeline_config, validate_for_training)
 from .evaluation import (cross_validate, numeric_faults, render_report,  # noqa: E402
-                         render_sweep_csv, sweep_hidden_neurons, sweep_workers)
+                         render_sweep_csv, smallest_class, sweep_hidden_neurons,
+                         sweep_workers)
 # Unused here; benchmarks/traced.py wraps it by this name until ROADMAP item 5 retires that.
 from .evaluation import kfold_split  # noqa: E402, F401
-from .preproc import (LabeledDataset, label_windows, merge_datasets, read_dataset,  # noqa: E402
-                      window_trace, write_dataset)
+from .preproc import (CLASS_ORDER, LabeledDataset, label_windows,  # noqa: E402
+                      merge_datasets, read_dataset, window_trace, write_dataset)
 from .seeding import derive_seed, text_digest  # noqa: E402
 from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 
@@ -111,6 +112,22 @@ def _read_file(path, what: str, parse):
             raise errors.ParseError(f"{what} {path}: {exc}") from None
 
 
+def _joined(pieces) -> str:
+    """The text the pieces join to. It is held whole, so it is held to
+    the bound on a line: past simnet.MAX_LINE_CHARS characters it fails as
+    a ParseError naming the line the bound falls in."""
+    held: list[str] = []
+    size = 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size > simnet.MAX_LINE_CHARS:
+            head = "".join(held)[:simnet.MAX_LINE_CHARS + 1]
+            raise errors.ParseError(f"longer than {simnet.MAX_LINE_CHARS} characters",
+                                    line=len(head.splitlines()))
+    return "".join(held)
+
+
 def _write_output(path: Path, pieces: Iterable[str]) -> Path:
     """Write the pieces of text, one after another, to an output file,
     creating its directory first.
@@ -137,7 +154,7 @@ def _load_config(path: str | None, seed_override: int | None) -> tuple[PipelineC
         text = DEFAULT_CONFIG
     else:
         # Line ends as text mode reads them, so they do not move the digest.
-        text = _read_file(path, "config file", "".join)
+        text = _read_file(path, "config file", _joined)
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     cfg = parse_pipeline_config(text)
     if seed_override is not None:
@@ -211,6 +228,9 @@ def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: i
 def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> None:
     if not trace_paths:
         raise errors.ConfigError("no trace files given")
+    if len(trace_paths) > MAX_RUNS:
+        # The dataset's provenance line names every one of them.
+        raise errors.ConfigError(f"at most {MAX_RUNS} trace files, got {len(trace_paths)}")
     parts = [(path, _labeled(_read_file(path, "trace file", read_trace), path))
              for path in trace_paths]
     _write_features(parts, out, seed, digest)
@@ -224,12 +244,21 @@ def _read_dataset_file(path) -> LabeledDataset:
     return data
 
 
+def _warn_unless_stratified(data: LabeledDataset, k: int) -> None:
+    """Log a WARNING when `kfold_split` cannot stratify `data` into k folds."""
+    smallest = smallest_class(data)
+    if len(CLASS_ORDER) * smallest < k:
+        log.warning("cross-validation is not stratified: the smallest class has %d rows, "
+                    "too few for %d folds; the folds are a plain shuffle", smallest, k)
+
+
 def do_evaluate(data: LabeledDataset, fingerprint: str, cfg: PipelineConfig, names,
                 out: Path, digest: str) -> tuple[Path, Path]:
     """Cross-validate the named classifiers on `data` and write the report.
 
     `fingerprint` identifies the dataset in the report's header comment.
     """
+    _warn_unless_stratified(data, cfg.cv_folds)
     entries = []
     for recipe in (getattr(cfg, name) for name in names):
         log.info("cross-validating %s (%d folds)", recipe.name, cfg.cv_folds)
@@ -297,6 +326,7 @@ def cmd_sweep(args) -> int:
         raise errors.ConfigError(
             f"--widths must be comma-separated integers, got {args.widths!r}") from None
     data = _read_dataset_file(args.dataset)
+    _warn_unless_stratified(data, cfg.cv_folds)
     log.info("sweeping %d widths; worker processes: %d", len(widths),
              sweep_workers(widths))
     rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,

@@ -28,7 +28,7 @@ from .classifiers.mlp import MlpTrainConfig
 from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
 from .classifiers.som import SomTrainConfig
 from .errors import ConfigError, InvalidConfig, require
-from .simnet import PARSERS, AttackKind, ScenarioConfig, make_scenario
+from .simnet import MAX_LINE_CHARS, PARSERS, AttackKind, ScenarioConfig, make_scenario
 
 # The bundled experiment, shipped as package data: a balanced three-class
 # dataset at desk scale. The contested link is scaled down from the
@@ -37,6 +37,12 @@ from .simnet import PARSERS, AttackKind, ScenarioConfig, make_scenario
 # jitter range keeps every attack window majority-covered, so window
 # labels stay clean. Outputs embed the digest of this text.
 DEFAULT_CONFIG = Path(__file__).with_name("default.cfg").read_text(encoding="utf-8")
+
+
+# The most simulation runs one config may ask for, over all its scenarios.
+# The dataset's "# provenance=" line names each run's trace file, at most
+# 255 bytes and a comma, so the line stays within simnet.MAX_LINE_CHARS.
+MAX_RUNS = (MAX_LINE_CHARS - len("# provenance=")) // 256
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,8 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
                 runs = values.pop("runs", 1)
                 config = make_scenario(**{"window_len": window_len} | values)
                 scenarios.append(ScenarioBlock(section_name.split(".", 1)[1], runs, config))
+                total = sum(block.runs for block in scenarios)
+                require(total <= MAX_RUNS, "runs", f"at most {MAX_RUNS} over all scenarios", total)
             elif kind == "mlp":
                 hidden = values.pop("hidden", MlpRecipe.hidden)
                 recipes["mlp"] = MlpRecipe(hidden, MlpTrainConfig(**values))

@@ -66,10 +66,6 @@ class DegenerateDesign(TrainingError):
     """Regularized least-squares system unsolvable."""
 
 
-class Unlabeled(TrainingError):
-    """Classification requested before neuron labeling."""
-
-
 class LengthMismatch(TrainingError):
     """Prediction and truth lists differ in length."""
 

@@ -112,6 +112,13 @@ class FoldPlan:
     stratified: bool
 
 
+def smallest_class(data: LabeledDataset) -> int:
+    """Rows of the smallest class present in `data`. `kfold_split`
+    stratifies k folds when the number of classes times it is at least k."""
+    counts = np.bincount(data.codes, minlength=len(CLASS_ORDER))
+    return int(counts[counts > 0].min(initial=len(data)))
+
+
 def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
     """Deterministic stratified split into k folds of near-equal size.
 
@@ -129,7 +136,7 @@ def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
     rng = np.random.default_rng(seed)
     by_class = [np.flatnonzero(data.codes == code) for code in range(len(CLASS_ORDER))]
     by_class = [idx for idx in by_class if len(idx)]
-    stratified = all(len(idx) * len(CLASS_ORDER) >= k for idx in by_class)
+    stratified = len(CLASS_ORDER) * smallest_class(data) >= k
     if stratified:
         for idx in by_class:
             rng.shuffle(idx)

@@ -727,6 +727,10 @@ RENDER_BLOCK = 8192     # trace rows rendered to text, and lines parsed, per blo
 # piece of text into parts: about the length of a rendered trace row, so a
 # part holds about one block.
 _PIECE_CHARS_PER_LINE = 64
+# The longest line `line_blocks` reads, in characters. A part of a block of
+# RENDER_BLOCK rows is half as long, so only a part with a longer line in it
+# has its lines measured.
+MAX_LINE_CHARS = 1 << 20
 
 
 def _digits(values: np.ndarray, width: int | None = None) -> np.ndarray:
@@ -879,10 +883,24 @@ def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
+def _split(text: str, first_line: int) -> list[str]:
+    """`text.splitlines()`, where the text's first line is line
+    `first_line`; a line longer than MAX_LINE_CHARS fails naming it."""
+    lines = text.splitlines()
+    if len(text) > MAX_LINE_CHARS:
+        for i, line in enumerate(lines):
+            if len(line) > MAX_LINE_CHARS:
+                raise ParseError(f"line longer than {MAX_LINE_CHARS} characters",
+                                 line=first_line + i)
+    return lines
+
+
 def line_blocks(pieces: str | Iterable[str], size: int):
     """The lines of the text that `pieces` join to, as `str.splitlines`
     splits it, in lists of `size` lines; the last list may be shorter. A
-    str is one piece.
+    str is one piece. A line longer than MAX_LINE_CHARS characters fails
+    as a ParseError naming it, once the reader holds more than that many
+    characters of it, so an endless line is never held whole.
 
     Text is split only just after a line feed, which ends a line wherever
     it stands (alone or in "\\r\\n"), so each part splits into the lines
@@ -890,13 +908,16 @@ def line_blocks(pieces: str | Iterable[str], size: int):
     or the rest of a piece up to its last line feed, so no list of all the
     lines is built. The text after a piece's last line feed waits for the
     next line feed, and is joined once, so the work stays linear in the
-    text's length however the pieces cut it.
+    text's length however the pieces cut it. When that waiting text passes
+    the bound, the lines that other line ends in it complete leave it.
     """
     if isinstance(pieces, str):
         pieces = (pieces,)
     step = size * _PIECE_CHARS_PER_LINE
     lines: list[str] = []
+    done = 0                # lines already yielded
     tail: list[str] = []    # text since the last line feed
+    held = 0                # its length
     for piece in pieces:
         pos, end = 0, piece.rfind("\n") + 1
         while pos < end:
@@ -904,16 +925,26 @@ def line_blocks(pieces: str | Iterable[str], size: int):
             part = piece[pos:cut]
             if tail:
                 part = "".join(tail + [part])
-                tail = []
-            lines += part.splitlines()
+                tail, held = [], 0
+            lines += _split(part, done + len(lines) + 1)
             pos = cut
             full = len(lines) - len(lines) % size
             for lo in range(0, full, size):
                 yield lines[lo:lo + size]
             del lines[:full]
+            done += full
         if end < len(piece):
             tail.append(piece[end:])
-    lines += "".join(tail).splitlines()
+            held += len(tail[-1])
+            if held > MAX_LINE_CHARS:
+                # The tail holds no line feed, so its last line may go on
+                # (or end in "\r" that a line feed joins) and stays; the
+                # ones before it are complete.
+                *complete, last = "".join(tail).splitlines(keepends=True)
+                lines += _split("".join(complete), done + len(lines) + 1)
+                _split(last, done + len(lines) + 1)     # fails if already too long
+                tail, held = [last], len(last)
+    lines += _split("".join(tail), done + len(lines) + 1)
     for lo in range(0, len(lines), size):
         yield lines[lo:lo + size]
 

@@ -68,6 +68,28 @@ def fresh_interpreter():
     return run
 
 
+# Characters in each piece of an `endless_line`.
+ENDLESS_PIECE_CHARS = 1 << 16
+
+
+@pytest.fixture
+def endless_line():
+    """Call with a character for pieces of a line of it that never ends.
+
+    Once a reader has taken four times the line bound from them, the test
+    fails: a reader that holds the whole line fails there, with a few MB
+    held, rather than filling memory.
+    """
+    from dnsids.simnet import MAX_LINE_CHARS
+
+    def pieces(char: str):
+        for _ in range(4 * MAX_LINE_CHARS // ENDLESS_PIECE_CHARS):
+            yield char * ENDLESS_PIECE_CHARS
+        pytest.fail(f"the reader took {4 * MAX_LINE_CHARS} characters of one line")
+
+    return pieces
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print one PASS/FAIL line per acceptance criterion."""
     lines = []

@@ -4,6 +4,8 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +23,7 @@ from dnsids.classifiers.som import SomModel, SomTrainConfig, som_init
 from dnsids.classifiers.store import load_model, save_model
 from dnsids import cli, errors, evaluation, simnet
 from dnsids.cli import main
-from dnsids.config import (DEFAULT_CONFIG, SECTION_PARSERS, parse_pipeline_config,
+from dnsids.config import (DEFAULT_CONFIG, MAX_RUNS, SECTION_PARSERS, parse_pipeline_config,
                            validate_for_training)
 from dnsids.errors import ConfigError, InvalidConfig, ParseError
 from dnsids.evaluation import parse_report_csv
@@ -112,6 +114,16 @@ class TestConfigParsing:
         cfg = parse_pipeline_config(solo)
         with pytest.raises(ConfigError):
             validate_for_training(cfg)
+
+    def test_more_runs_than_the_provenance_line_holds_rejected(self):
+        # The scenarios run 2 + 2 more after [scenario.normal].
+        most = TINY_CONFIG.replace("runs = 2", f"runs = {MAX_RUNS - 4}", 1)
+        assert sum(b.runs for b in parse_pipeline_config(most).scenarios) == MAX_RUNS
+        bad = TINY_CONFIG.replace("runs = 2", f"runs = {MAX_RUNS - 3}", 1)
+        with pytest.raises(ConfigError) as info:
+            parse_pipeline_config(bad)
+        assert str(info.value) == (f"[scenario.amplification] runs must be at most {MAX_RUNS} "
+                                   f"over all scenarios, got {MAX_RUNS + 1}")
 
     @pytest.mark.parametrize("folds", ["0", "1", "-3"])
     def test_fewer_than_two_folds_rejected(self, folds):
@@ -397,8 +409,7 @@ class TestModelStore:
         assert rep == report
 
     def test_som_round_trip_with_labels(self):
-        model = som_init(2)
-        labeled = SomModel(model.codebook, label_codes(CLASS_ORDER[i % 3] for i in range(25)))
+        labeled = SomModel(som_init(2), label_codes(CLASS_ORDER[i % 3] for i in range(25)))
         text = save_model(labeled, SomTrainConfig(), TrainReport(0.1, 5, 0.01, True))
         assert json.loads(text)["model"]["neuron_labels"][:3] == [
             "normal", "direct_dos", "amplification"]
@@ -406,9 +417,14 @@ class TestModelStore:
         assert_same_model(loaded, labeled)
         assert loaded.neuron_labels.dtype == np.int8
         assert cfg == SomTrainConfig()
-        unlabeled, _, _ = load_model(save_model(model, None, TrainReport(0.1, 5, 0.01, True)))
-        assert unlabeled.neuron_labels is None
-        assert np.array_equal(unlabeled.codebook, model.codebook)
+
+    def test_som_file_without_labels_rejected(self):
+        # A map is a labelled codebook; a file whose labels are null is not one.
+        labeled = SomModel(som_init(2), label_codes([CLASS_ORDER[0]] * 25))
+        doc = json.loads(save_model(labeled, None, TrainReport(0.1, 5, 0.01, True)))
+        doc["model"]["neuron_labels"] = None
+        with pytest.raises(ParseError, match="malformed model file"):
+            load_model(json.dumps(doc))
 
     def test_model_files_with_a_seed_key_still_load(self):
         model, cfg, report = load_model(OLD_MLP_FILE)
@@ -438,7 +454,8 @@ class TestModelStore:
         del doc["model"]["hidden_bias"]
         with pytest.raises(ParseError, match="hidden_bias"):
             load_model(json.dumps(doc))
-        doc = json.loads(save_model(som_init(0), SomTrainConfig(), report))
+        labeled = SomModel(som_init(0), label_codes([CLASS_ORDER[0]] * 25))
+        doc = json.loads(save_model(labeled, SomTrainConfig(), report))
         doc["config"]["radius"] = 2
         with pytest.raises(ParseError, match="radius"):
             load_model(json.dumps(doc))
@@ -873,6 +890,81 @@ class TestInputFiles:
         err = one_json_error(capsys)
         assert err["error"] == "ConfigError"
         assert "--widths" in err["detail"]
+
+
+class TestLineBound:
+    """No input file is held past the bound on one line: a config file in
+    all, a dataset or trace file per line."""
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "trace"])
+    @pytest.mark.parametrize("char", ["0", "\0"], ids=["digits", "nul"])
+    def test_endless_line_is_parse_error_naming_file_and_line(
+            self, tmp_path, capsys, monkeypatch, endless_line, kind, char):
+        (tmp_path / "in").mkdir()
+        path = tmp_path / "in" / f"endless.{kind}"
+        path.write_text("")
+        monkeypatch.setattr(cli, "_decoded_pieces", lambda file: endless_line(char))
+        assert main(input_command(kind, path, tmp_path)) == 3
+        err = one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert err["detail"].startswith(f"{_FILE_NAMES[kind]} {path}: ")
+        assert err["detail"].endswith(f"longer than {simnet.MAX_LINE_CHARS} characters (line 1)")
+
+    def test_config_at_the_bound_reads_and_one_character_more_fails(self, tmp_path, capsys):
+        bound = simnet.MAX_LINE_CHARS
+        text = TINY_CONFIG + "; " + "x" * (bound - len(TINY_CONFIG) - 3) + "\n"
+        assert len(text) == bound
+        path = tmp_path / "padded.cfg"
+        path.write_text(text)
+        assert cli._load_config(str(path), None)[0] == parse_pipeline_config(TINY_CONFIG)
+        path.write_text("x" + text)
+        assert main(input_command("config", path, tmp_path)) == 3
+        line = len(TINY_CONFIG.splitlines()) + 1
+        assert one_json_error(capsys) == {
+            "error": "ParseError",
+            "detail": f"config file {path}: longer than {bound} characters (line {line})"}
+
+    def test_features_refuses_more_traces_than_the_provenance_line_holds(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_RUNS", 1)
+        for name in ("a.trace", "b.trace"):
+            (tmp_path / name).write_text(_SHORT_TRACE)
+        assert main(["features", "--traces", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert one_json_error(capsys) == {"error": "ConfigError",
+                                          "detail": "at most 1 trace files, got 2"}
+
+
+class TestStratification:
+    def test_unstratified_folds_are_named_on_stderr(self, tmp_path):
+        # 8, 8 and 3 rows: stratified 10 folds need at least 4 of each class.
+        data = read_dataset(_TINY_DATASET)
+        amplification = np.flatnonzero(data.codes == 2)
+        keep = sorted(np.flatnonzero(data.codes != 2).tolist() + amplification[:3].tolist())
+        path = tmp_path / "small.csv"
+        path.write_text(write_dataset(data.subset(keep)))
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnsids.cli", "evaluate", "--config", str(cfg_path),
+             "--dataset", str(path), "--classifier", "mlp", "--k", "10",
+             "--out", str(tmp_path / "o")],
+            env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stderr.splitlines() if not line.startswith("INFO ")] == [
+            "WARNING cross-validation is not stratified: the smallest class has 3 rows, "
+            "too few for 10 folds; the folds are a plain shuffle"]
+        assert (tmp_path / "o" / "report.csv").exists()
+
+    def test_stratified_folds_warn_nothing(self, tmp_path, caplog):
+        path = tmp_path / "tiny.csv"
+        path.write_text(_TINY_DATASET)
+        with caplog.at_level(logging.INFO, logger="dnsids"):
+            assert main(["evaluate", "--dataset", str(path), "--classifier", "rbf", "--k", "10",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 # What the CLI calls each kind of input file in its messages.

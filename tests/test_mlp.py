@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dnsids.classifiers import mlp
 from dnsids.classifiers.mlp import (MlpModel, MlpTrainConfig, get_params, mlp_forward,
-                                    mlp_init, mlp_jacobian, train_lm_arrays)
+                                    mlp_init, train_lm_arrays)
 from dnsids.classifiers.recipes import MlpRecipe
 from dnsids.errors import Empty, InvalidWidth, SingularUpdate
 from dnsids.preproc import (TARGET_CODES, ClassLabel, LabeledDataset, class_labels,
@@ -81,6 +81,15 @@ class TestForward:
         assert np.allclose(mlp_forward(m, X), mlp_forward(halved, 2.0 * X))
 
 
+def filled_jacobian(model, X):
+    """d(outputs)/d(params), (3n, 7h+3), as the LM loop fills it: rows
+    sample-major, then output component; columns as `get_params`."""
+    X = np.asarray(X, dtype=float).reshape(-1, 3)
+    J = mlp._jacobian_buffer(len(X), model.hidden_size)
+    mlp._fill_jacobian(J, model, X, mlp._hidden(model, X))
+    return J.reshape(len(X) * 3, -1)
+
+
 class TestJacobian:
     def finite_difference(self, model, X, eps=1e-6):
         base = get_params(model)
@@ -100,7 +109,7 @@ class TestJacobian:
         for trial in range(3):
             model = mlp_init(4, trial + 1)
             X = rng.normal(size=(5, 3))
-            J = mlp_jacobian(model, X)
+            J = filled_jacobian(model, X)
             J_fd = self.finite_difference(model, X)
             denom = np.maximum(np.abs(J_fd), 1.0)
             assert np.max(np.abs(J - J_fd) / denom) < 1e-5
@@ -211,7 +220,7 @@ class TestAgainstReference:
         magnitude = 10.0 ** rng.uniform(-3, 6, size=(n, 3))
         X = magnitude * rng.choice([-1.0, 1.0], size=(n, 3))
         model = mlp_init(hidden, seed, init_range)
-        J = mlp_jacobian(model, X)
+        J = filled_jacobian(model, X)
         assert J.shape == (3 * n, 7 * hidden + 3)
         assert np.array_equal(J, reference_jacobian(model, X))
 
@@ -220,7 +229,7 @@ class TestAgainstReference:
         for hidden in (1, 2, 7, 21, 64):
             model = mlp_init(hidden, hidden)
             X = rng.normal(scale=0.5, size=(40, 3))
-            assert np.array_equal(mlp_jacobian(model, X), reference_jacobian(model, X))
+            assert np.array_equal(filled_jacobian(model, X), reference_jacobian(model, X))
 
     def assert_same_fit(self, model, X, T, cfg):
         params, history, epochs, converged = reference_train_lm(model, X, T, cfg)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnsids.config import MAX_RUNS
 from dnsids.errors import ParseError
 from dnsids.preproc import (CLASS_ORDER, TARGET_CODES, ClassLabel, LabeledDataset,
                             class_labels, l2_normalize_rows, label_codes, label_windows,
@@ -308,6 +309,12 @@ class TestDatasetSerialization:
         ds = LabeledDataset([(1.5, 2.5, 3)], label_codes([ClassLabel.DIRECT_DOS]),
                             ("t1", "t2"))
         assert read_dataset("# master_seed=9\n" + write_dataset(ds)) == ds
+
+    def test_provenance_of_the_most_runs_stays_within_the_line_bound(self):
+        # Trace file names are at most 255 bytes.
+        names = tuple(f"{i:0255d}" for i in range(MAX_RUNS))
+        ds = LabeledDataset([(1.5, 2.5, 3)], label_codes([ClassLabel.NORMAL]), names)
+        assert read_dataset(write_dataset(ds)) == ds
 
     def test_merge_keeps_order_and_provenance(self):
         a = LabeledDataset([(1.0, 1.0, 0)], label_codes([ClassLabel.NORMAL]), ("a",))

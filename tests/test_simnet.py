@@ -1108,19 +1108,45 @@ _SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]
 
 
+def _first_longer(lines: list[str], bound: int) -> int | None:
+    """Number of the first line longer than `bound`, counted from 1."""
+    return next((i + 1 for i, line in enumerate(lines) if len(line) > bound), None)
+
+
 class TestBlockParsing:
     """`read_trace` parses RENDER_BLOCK lines at a time. What it returns, and
     the line an error names, do not depend on where the blocks start."""
 
     @settings(max_examples=200, deadline=None)
     @given(text=st.text(sorted(set("a, #" + "".join(_SEPARATORS))), max_size=200),
-           size=st.integers(1, 9), piece=st.sampled_from([1, 3, 64]))
-    def test_line_blocks_split_as_splitlines(self, text, size, piece):
-        with patch.object(simnet, "_PIECE_CHARS_PER_LINE", piece):
+           size=st.integers(1, 9), piece=st.sampled_from([1, 3, 64]),
+           bound=st.integers(0, 40))
+    def test_line_blocks_split_as_splitlines(self, text, size, piece, bound):
+        # Under a small bound many texts hold a longer line, which fails
+        # naming the first such line.
+        too_long = _first_longer(text.splitlines(), bound)
+        with patch.object(simnet, "_PIECE_CHARS_PER_LINE", piece), \
+                patch.object(simnet, "MAX_LINE_CHARS", bound):
+            if too_long is not None:
+                with pytest.raises(ParseError, match=rf"than {bound} .*\(line {too_long}\)"):
+                    list(simnet.line_blocks(text, size))
+                return
             blocks = list(simnet.line_blocks(text, size))
         assert [line for block in blocks for line in block] == text.splitlines()
         assert all(len(block) == size for block in blocks[:-1])
         assert all(0 < len(block) <= size for block in blocks)
+
+    def test_a_line_at_the_bound_reads_and_one_character_more_fails(self):
+        bound = simnet.MAX_LINE_CHARS
+        for text in ("x" * bound, "a\n" + "x" * bound + "\r\nb"):
+            assert max(map(len, sum(simnet.line_blocks(text, 2), []))) == bound
+        for text in ("x" * (bound + 1), "a\n" + "x" * (bound + 1) + "\r\nb"):
+            line = text.splitlines().index("x" * (bound + 1)) + 1
+            with pytest.raises(ParseError, match=rf"longer than {bound} .*\(line {line}\)"):
+                list(simnet.line_blocks(text, 2))
+            pieces = [text[i:i + 4096] for i in range(0, len(text), 4096)]
+            with pytest.raises(ParseError, match=rf"\(line {line}\)"):
+                list(simnet.line_blocks(pieces, 2))
 
     def test_traces_at_the_block_length_round_trip(self, full_queue_trace):
         block = simnet.RENDER_BLOCK
@@ -1167,6 +1193,19 @@ class TestBlockParsing:
             with pytest.raises(ParseError, match=rf"unknown flow 'x{bad}' \(line {line}\)"):
                 read_trace(text)
 
+        # Under a bound at the longest line the text reads; a blank line one
+        # character longer fails naming it, before any row after it is parsed.
+        bound = max(map(len, lines))
+        at = data.draw(st.integers(0, len(lines)), "long line at")
+        longer = lines[:at] + [" " * (bound + 1)] + lines[at:]
+        with patch.object(simnet, "RENDER_BLOCK", block), \
+                patch.object(simnet, "MAX_LINE_CHARS", bound):
+            assert read_trace("".join(map(str.__add__, lines, ends))) == trace
+            text = "".join(map(str.__add__, longer, ends + ["\n"]))
+            line = text.splitlines().index(longer[at]) + 1
+            with pytest.raises(ParseError, match=rf"longer than {bound} .*\(line {line}\)"):
+                read_trace(text)
+
     def test_a_fault_in_an_earlier_block_is_reported_first(self, long_trace, monkeypatch):
         # Across the whole text, a sequence gap is checked before the flow
         # names; blocks are checked one after another, so the bad flow of
@@ -1209,10 +1248,16 @@ class TestPieceParsing:
     @settings(max_examples=300, deadline=None)
     @given(text=st.text(sorted(set("a, #" + "".join(_SEPARATORS))), max_size=200),
            size=st.integers(1, 9), cuts=st.lists(st.integers(0, 200), max_size=12),
-           piece=st.sampled_from([1, 3, 64]))
-    def test_line_blocks_of_pieces_split_as_splitlines(self, text, size, cuts, piece):
+           piece=st.sampled_from([1, 3, 64]), bound=st.integers(0, 40))
+    def test_line_blocks_of_pieces_split_as_splitlines(self, text, size, cuts, piece, bound):
         lines = text.splitlines()
-        with patch.object(simnet, "_PIECE_CHARS_PER_LINE", piece):
+        too_long = _first_longer(lines, bound)
+        with patch.object(simnet, "_PIECE_CHARS_PER_LINE", piece), \
+                patch.object(simnet, "MAX_LINE_CHARS", bound):
+            if too_long is not None:
+                with pytest.raises(ParseError, match=rf"than {bound} .*\(line {too_long}\)"):
+                    list(simnet.line_blocks(_cut(text, cuts), size))
+                return
             blocks = list(simnet.line_blocks(_cut(text, cuts), size))
         assert blocks == [lines[lo:lo + size] for lo in range(0, len(lines), size)]
 

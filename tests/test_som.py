@@ -15,7 +15,7 @@ from dnsids.classifiers.base import nearest
 from dnsids.classifiers.som import (GRID_COLS, GRID_DIAMETER, GRID_ROWS, N_NEURONS, SomModel,
                                     SomTrainConfig, quantization_error, som_classify, som_init,
                                     som_label, som_train_folds)
-from dnsids.errors import Empty, Unlabeled
+from dnsids.errors import Empty
 from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_codes
 
 
@@ -50,10 +50,10 @@ def bfs_hops(adjacency, src):
 
 class TestGrid:
     def test_init_deterministic(self):
-        assert np.array_equal(som_init(4).codebook, som_init(4).codebook)
+        assert np.array_equal(som_init(4), som_init(4))
 
     def test_neuron_count(self):
-        assert som_init(0).codebook.shape == (25, 3)
+        assert som_init(0).shape == (25, 3)
 
     def test_offset_row_position(self):
         pos = grid_positions()
@@ -62,7 +62,7 @@ class TestGrid:
         assert pos[5][1] == pytest.approx(0.866025, abs=1e-6)
 
     def test_codebook_in_unit_cube(self):
-        cb = som_init(9).codebook
+        cb = som_init(9)
         assert np.all(cb >= 0) and np.all(cb <= 1)
 
 
@@ -99,9 +99,9 @@ class TestLinkDistance:
 class TestTraining:
     def test_single_vector_attracts_bmu(self):
         target = np.array([[0.6, 0.8, 0.0]])
-        model = som_train_folds([som_init(1)], [target],
-                                SomTrainConfig(epochs=2000, ordering_steps=1000), [1])[0]
-        best = np.min(np.linalg.norm(model.codebook - target[0], axis=1))
+        codebook = som_train_folds([som_init(1)], [target],
+                                   SomTrainConfig(epochs=2000, ordering_steps=1000), [1])[0]
+        best = np.min(np.linalg.norm(codebook - target[0], axis=1))
         assert best < 1e-3
 
     def test_two_far_clusters_get_disjoint_neurons(self):
@@ -109,10 +109,10 @@ class TestTraining:
         a = l2_normalize_rows(np.abs(rng.normal(size=(30, 3)) * 0.02 + [1, 0, 0]))
         b = l2_normalize_rows(np.abs(rng.normal(size=(30, 3)) * 0.02 + [0, 0, 1]))
         data = np.concatenate([a, b])
-        model = som_train_folds([som_init(2)], [data], SomTrainConfig(epochs=40), [2])[0]
+        codebook = som_train_folds([som_init(2)], [data], SomTrainConfig(epochs=40), [2])[0]
         # exhaustive best-matching-unit assignment per cluster
         def bmus(X):
-            d2 = ((X[:, None, :] - model.codebook[None, :, :]) ** 2).sum(axis=2)
+            d2 = ((X[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
             return set(d2.argmin(axis=1).tolist())
         assert bmus(a).isdisjoint(bmus(b))
 
@@ -133,9 +133,9 @@ class TestTraining:
         rng = np.random.default_rng(6)
         data = l2_normalize_rows(np.abs(rng.normal(size=(40, 3))) + 0.1)
         cfg = SomTrainConfig(epochs=10)
-        m1 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
-        m2 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
-        assert np.array_equal(m1.codebook, m2.codebook)
+        cb1 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
+        cb2 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
+        assert np.array_equal(cb1, cb2)
 
     def test_ordering_phase_reduces_quantization_error(self):
         rng = np.random.default_rng(8)
@@ -186,20 +186,18 @@ class TestLockstep:
         cfg = SomTrainConfig(epochs=epochs, ordering_steps=ordering_steps)
 
         stacked = som_train_folds([som_init(s) for s in seeds], Xs, cfg, seeds)
-        for model, X, seed in zip(stacked, Xs, seeds):
+        for codebook, X, seed in zip(stacked, Xs, seeds):
             alone = som_train_folds([som_init(seed)], [X], cfg, [seed])[0]
-            assert np.array_equal(model.codebook, alone.codebook)
-            assert np.array_equal(model.codebook,
-                                  reference_som_train(som_init(seed).codebook, X, cfg,
-                                                      seed))
+            assert np.array_equal(codebook, alone)
+            assert np.array_equal(codebook, reference_som_train(som_init(seed), X, cfg, seed))
 
     def test_pinned_codebook_digest(self):
         # Digest of the codebook the per-sample trainer produced for this input.
         rng = np.random.default_rng(0)
         X = l2_normalize_rows(np.abs(rng.normal(size=(17, 3))) + 0.05)
-        model = som_train_folds([som_init(3)], [X], SomTrainConfig(epochs=3, ordering_steps=20),
-                                [11])[0]
-        assert hashlib.sha256(model.codebook.tobytes()).hexdigest() == (
+        codebook = som_train_folds([som_init(3)], [X],
+                                   SomTrainConfig(epochs=3, ordering_steps=20), [11])[0]
+        assert hashlib.sha256(codebook.tobytes()).hexdigest() == (
             "ccac2e958e59778a8678a064073771f6e8d966645c43e77623425242950bed10")
 
     def test_peak_memory_does_not_grow_with_epochs(self):
@@ -210,10 +208,10 @@ class TestLockstep:
 
         def peak(epochs):
             cfg = SomTrainConfig(epochs=epochs, ordering_steps=50)
-            models = [som_init(1), som_init(2)]
+            codebooks = [som_init(1), som_init(2)]
             tracemalloc.start()
             try:
-                som_train_folds(models, Xs, cfg, [1, 2])
+                som_train_folds(codebooks, Xs, cfg, [1, 2])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -239,8 +237,8 @@ class TestLockstep:
         codebook[:3] = [(p, q, r), (q, r, p), (r, p, q)]
         X = np.zeros((1, 3))
         cfg = SomTrainConfig(epochs=2, ordering_steps=1, tuning_neighbor_dist=0)
-        (trained,) = som_train_folds([SomModel(codebook)], [X], cfg, [0])
-        assert np.array_equal(trained.codebook, reference_som_train(codebook, X, cfg, 0))
+        (trained,) = som_train_folds([codebook], [X], cfg, [0])
+        assert np.array_equal(trained, reference_som_train(codebook, X, cfg, 0))
 
         p, q, r = 0.40847320541999865, 0.045275193902445166, 0.04875771072716806
         codebook[:3] = [(p, q, r), (q, r, p), (r, p, q)]
@@ -261,11 +259,11 @@ class TestLockstepMemory:
         # was alive, took the peak to 1.8 MB, over this bound.
         rng = np.random.default_rng(5)
         Xs = [l2_normalize_rows(np.abs(rng.normal(size=(864, 3))) + 0.01) for _ in range(10)]
-        models = [som_init(i) for i in range(10)]
+        codebooks = [som_init(i) for i in range(10)]
         rates = som._CHUNK_STEPS * N_NEURONS * N_NEURONS * 8
         tracemalloc.start()
         try:
-            som_train_folds(models, Xs, SomTrainConfig(epochs=2), list(range(10)))
+            som_train_folds(codebooks, Xs, SomTrainConfig(epochs=2), list(range(10)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,60 +271,60 @@ class TestLockstepMemory:
 
 
 class TestLabeling:
-    def crafted_model(self):
+    def crafted_codebook(self):
         # codebook rows far apart so test vectors pick known neurons
         codebook = np.zeros((N_NEURONS, 3))
         for i in range(N_NEURONS):
             codebook[i] = (i + 1, 0.0, 0.0)
-        return SomModel(codebook=codebook)
+        return codebook
 
     def vector_for(self, neuron):
         return np.array([float(neuron + 1), 0.0, 0.0])
 
-    def neuron_labels(self, model, X, labels):
+    def neuron_labels(self, codebook, X, labels):
         """Labels som_label gives the neurons from the samples' labels."""
-        return class_labels(som_label(model, X, label_codes(labels)).neuron_labels)
+        return class_labels(som_label(codebook, X, label_codes(labels)).neuron_labels)
 
     def test_unanimous_data_labels_everything_normal(self):
-        model = self.crafted_model()
+        codebook = self.crafted_codebook()
         X = np.stack([self.vector_for(i) for i in range(5)])
-        neuron_labels = self.neuron_labels(model, X, [ClassLabel.NORMAL] * 5)
+        neuron_labels = self.neuron_labels(codebook, X, [ClassLabel.NORMAL] * 5)
         assert set(neuron_labels) == {ClassLabel.NORMAL}
 
     def test_majority_vote(self):
-        model = self.crafted_model()
+        codebook = self.crafted_codebook()
         X = np.stack([self.vector_for(0)] * 4)
         labels = [ClassLabel.DIRECT_DOS] * 3 + [ClassLabel.NORMAL]
-        neuron_labels = self.neuron_labels(model, X, labels)
+        neuron_labels = self.neuron_labels(codebook, X, labels)
         assert neuron_labels[0] is ClassLabel.DIRECT_DOS
 
     def test_silent_neuron_inherits_nearest_label(self):
-        model = self.crafted_model()
+        codebook = self.crafted_codebook()
         # neuron 24 wins amplification samples; neuron 0 wins normal ones
         X = np.stack([self.vector_for(24)] * 3 + [self.vector_for(0)] * 3)
         labels = [ClassLabel.AMPLIFICATION] * 3 + [ClassLabel.NORMAL] * 3
-        neuron_labels = self.neuron_labels(model, X, labels)
+        neuron_labels = self.neuron_labels(codebook, X, labels)
         # neuron 23 is adjacent to 24 (hop 1) but hops from 0
         assert neuron_labels[23] is ClassLabel.AMPLIFICATION
 
     def test_neuron_tie_falls_back_to_global_frequency(self):
-        model = self.crafted_model()
+        codebook = self.crafted_codebook()
         X = np.stack([self.vector_for(0)] * 2 + [self.vector_for(5)] * 3)
         labels = ([ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION]
                   + [ClassLabel.AMPLIFICATION] * 3)
-        neuron_labels = self.neuron_labels(model, X, labels)
+        neuron_labels = self.neuron_labels(codebook, X, labels)
         assert neuron_labels[0] is ClassLabel.AMPLIFICATION
 
     def test_full_tie_prefers_normal(self):
-        model = self.crafted_model()
+        codebook = self.crafted_codebook()
         X = np.stack([self.vector_for(0)] * 2)
         labels = [ClassLabel.DIRECT_DOS, ClassLabel.NORMAL]
-        neuron_labels = self.neuron_labels(model, X, labels)
+        neuron_labels = self.neuron_labels(codebook, X, labels)
         assert neuron_labels[0] is ClassLabel.NORMAL
 
     def test_empty_rejected(self):
         with pytest.raises(Empty):
-            som_label(self.crafted_model(), np.zeros((0, 3)), [])
+            som_label(self.crafted_codebook(), np.zeros((0, 3)), [])
 
     @settings(max_examples=200, deadline=None)
     @given(samples=st.lists(st.tuples(st.integers(0, N_NEURONS - 1), st.integers(0, 2)),
@@ -334,18 +332,21 @@ class TestLabeling:
     def test_equals_per_neuron_reference(self, samples):
         # Few samples over 25 neurons and 3 classes leave many neurons
         # without votes and many tied, both per neuron and globally.
-        model = self.crafted_model()
+        codebook = self.crafted_codebook()
         X = np.stack([self.vector_for(n) for n, _ in samples])
         codes = np.array([c for _, c in samples])
-        got = som_label(model, X, codes).neuron_labels
-        assert np.array_equal(got, reference_som_labels(model, X, codes))
-        assert got.dtype == np.int8
+        model = som_label(codebook, X, codes)
+        assert np.array_equal(model.neuron_labels, reference_som_labels(codebook, X, codes))
+        assert model.neuron_labels.dtype == np.int8
+        # The map holds a copy of the codebook it labeled.
+        assert np.array_equal(model.codebook, codebook)
+        assert not np.shares_memory(model.codebook, codebook)
 
 
-def reference_som_labels(model, X, codes):
+def reference_som_labels(codebook, X, codes):
     """The neuron labels `som_label` gave when it labeled one neuron at a time."""
     classes = som._DECISION_RANK[codes]
-    winners = nearest(X, model.codebook)
+    winners = nearest(X, codebook)
     votes = np.zeros((N_NEURONS, 3), dtype=int)
     for w, c in zip(winners, classes):
         votes[w, c] += 1
@@ -361,7 +362,7 @@ def reference_som_labels(model, X, codes):
 
 class TestClassify:
     def labeled_model(self):
-        codebook = l2_normalize_rows(som_init(11).codebook + 0.01)
+        codebook = l2_normalize_rows(som_init(11) + 0.01)
         labels = label_codes(ClassLabel.DIRECT_DOS if i % 2 else ClassLabel.NORMAL
                              for i in range(N_NEURONS))
         return SomModel(codebook=codebook, neuron_labels=labels)
@@ -371,11 +372,6 @@ class TestClassify:
         rows = [0, 1, 13, 24]
         assert som_classify(model, model.codebook[rows]).tolist() == [
             model.neuron_labels[i] for i in rows]
-
-    def test_unlabeled_model_rejected(self):
-        model = som_init(0)
-        with pytest.raises(Unlabeled):
-            som_classify(model, [[1.0, 0.0, 0.0]])
 
     def test_positive_scaling_invariance(self):
         model = self.labeled_model()
