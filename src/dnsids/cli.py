@@ -46,12 +46,12 @@ from .classifiers.store import save_model  # noqa: E402
 from .config import (CLASSIFIERS, DEFAULT_CONFIG, MAX_RUNS, PipelineConfig,  # noqa: E402
                      parse_pipeline_config, validate_for_training)
 from .evaluation import (cross_validate, numeric_faults, render_report,  # noqa: E402
-                         render_sweep_csv, smallest_class, sweep_hidden_neurons,
-                         sweep_workers)
+                         render_sweep_csv, smallest_class, stratifies,
+                         sweep_hidden_neurons, sweep_workers)
 # Unused here; benchmarks/traced.py wraps it by this name until ROADMAP item 5 retires that.
 from .evaluation import kfold_split  # noqa: E402, F401
-from .preproc import (CLASS_ORDER, LabeledDataset, label_windows,  # noqa: E402
-                      merge_datasets, read_dataset, window_trace, write_dataset)
+from .preproc import (LabeledDataset, label_windows, merge_datasets,  # noqa: E402
+                      read_dataset, window_trace, write_dataset)
 from .seeding import derive_seed, text_digest  # noqa: E402
 from .simnet import PacketTrace, read_trace, run, write_trace  # noqa: E402
 
@@ -228,9 +228,12 @@ def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: i
 def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> None:
     if not trace_paths:
         raise errors.ConfigError("no trace files given")
+    # The dataset's provenance line names every one of them.
     if len(trace_paths) > MAX_RUNS:
-        # The dataset's provenance line names every one of them.
         raise errors.ConfigError(f"at most {MAX_RUNS} trace files, got {len(trace_paths)}")
+    for path in trace_paths:
+        if path.name.splitlines() != [path.name]:
+            raise errors.ConfigError(f"trace file name {str(path)!r} holds a line break")
     parts = [(path, _labeled(_read_file(path, "trace file", read_trace), path))
              for path in trace_paths]
     _write_features(parts, out, seed, digest)
@@ -246,10 +249,10 @@ def _read_dataset_file(path) -> LabeledDataset:
 
 def _warn_unless_stratified(data: LabeledDataset, k: int) -> None:
     """Log a WARNING when `kfold_split` cannot stratify `data` into k folds."""
-    smallest = smallest_class(data)
-    if len(CLASS_ORDER) * smallest < k:
+    if not stratifies(data, k):
         log.warning("cross-validation is not stratified: the smallest class has %d rows, "
-                    "too few for %d folds; the folds are a plain shuffle", smallest, k)
+                    "too few for %d folds; the folds are a plain shuffle",
+                    smallest_class(data), k)
 
 
 def do_evaluate(data: LabeledDataset, fingerprint: str, cfg: PipelineConfig, names,
@@ -329,11 +332,11 @@ def cmd_sweep(args) -> int:
     _warn_unless_stratified(data, cfg.cv_folds)
     log.info("sweeping %d widths; worker processes: %d", len(widths),
              sweep_workers(widths))
-    rows = sweep_hidden_neurons(data, widths, cfg.seed, k=cfg.cv_folds,
-                                train_config=cfg.mlp.train_config)
+    entries = sweep_hidden_neurons(data, cfg.mlp, widths, cfg.seed, k=cfg.cv_folds)
     comment = f"# master_seed={cfg.seed} config_digest={digest}\n"
-    path = _write_output(Path(args.out) / "sweep.csv", (comment, render_sweep_csv(rows)))
-    log.info("wrote %s (%d widths)", path, len(rows))
+    path = _write_output(Path(args.out) / "sweep.csv",
+                         (comment, render_sweep_csv(widths, entries)))
+    log.info("wrote %s (%d widths)", path, len(entries))
     return 0
 
 

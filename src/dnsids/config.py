@@ -20,6 +20,7 @@ bad value is a ConfigError that starts with `[section] key`.
 from __future__ import annotations
 
 import configparser
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -44,6 +45,13 @@ DEFAULT_CONFIG = Path(__file__).with_name("default.cfg").read_text(encoding="utf
 # 255 bytes and a comma, so the line stays within simnet.MAX_LINE_CHARS.
 MAX_RUNS = (MAX_LINE_CHARS - len("# provenance=")) // 256
 
+# A scenario's name is the stem of its trace file names, "<name>-<run>.trace":
+# portable file-name characters on one line, no leading "." (so no "." or
+# ".." and no hidden file), and short enough that the longest such name,
+# that of run MAX_RUNS - 1, fits in 255 bytes.
+MAX_SCENARIO_NAME = 255 - len(f"-{MAX_RUNS - 1:03d}.trace")
+SCENARIO_NAME = re.compile(rf"[A-Za-z0-9_-][A-Za-z0-9_.-]{{0,{MAX_SCENARIO_NAME - 1}}}")
+
 
 @dataclass(frozen=True)
 class ScenarioBlock:
@@ -52,6 +60,10 @@ class ScenarioBlock:
     config: ScenarioConfig
 
     def __post_init__(self):
+        require(SCENARIO_NAME.fullmatch(self.name) is not None, "name",
+                f"1-{MAX_SCENARIO_NAME} ASCII letters, digits, '_', '-' or '.', "
+                "not starting with '.'",
+                repr(self.name))
         require(self.runs >= 1, "runs", ">= 1", self.runs)
 
 

@@ -2,9 +2,10 @@
 
 Cross-validation is classifier-agnostic: a recipe (see
 `classifiers.recipes`) trains one model per fold in one call and scores
-each held-out fold as one batch of feature rows. Labels are carried as
-int8 codes, indices into `CLASS_ORDER`; confusion matrices are indexed
-the same way.
+each held-out fold as one batch of feature rows. The hidden-width sweep
+takes the feed-forward recipe from its caller and cross-validates a copy
+of it at each width. Labels are carried as int8 codes, indices into
+`CLASS_ORDER`; confusion matrices are indexed the same way.
 
 The binarized view treats either attack class as the positive case: an
 attack window predicted as the wrong attack class still counts as a true
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,8 +60,6 @@ class MetricSet:
 class EvalEntry:
     classifier: str
     metrics: MetricSet                    # pooled over all held-out folds
-    confusion: ConfusionCounts
-    fold_metrics: tuple[MetricSet, ...]
     train_time: float                     # wall seconds summed over folds
     train_mse: float | None = None
     test_mse: float | None = None
@@ -106,27 +105,26 @@ def metrics_from_confusion(c: ConfusionCounts) -> MetricSet:
     )
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple[tuple[int, ...], ...]
-    stratified: bool
-
-
 def smallest_class(data: LabeledDataset) -> int:
-    """Rows of the smallest class present in `data`. `kfold_split`
-    stratifies k folds when the number of classes times it is at least k."""
+    """Rows of the smallest class present in `data`."""
     counts = np.bincount(data.codes, minlength=len(CLASS_ORDER))
     return int(counts[counts > 0].min(initial=len(data)))
 
 
-def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
-    """Deterministic stratified split into k folds of near-equal size.
+def stratifies(data: LabeledDataset, k: int) -> bool:
+    """Whether `kfold_split` stratifies `data` into k folds: the number of
+    classes times the rows of the smallest class is at least k."""
+    return len(CLASS_ORDER) * smallest_class(data) >= k
 
-    Stratification deals each class's shuffled samples round-robin so
-    per-fold class counts differ from exact proportionality by at most
-    one sample. When some class is too small for that (fewer than
-    k / number-of-classes samples), the split falls back to a plain
-    shuffled partition and flags it.
+
+def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> tuple[np.ndarray, ...]:
+    """Deterministic split into k folds of near-equal size, each a sorted
+    array of row indices.
+
+    When `stratifies(data, k)`, each class's shuffled rows are dealt
+    round-robin, so per-fold class counts differ from exact
+    proportionality by at most one row; otherwise the split is a plain
+    shuffled partition.
     """
     n = len(data)
     if n < k:
@@ -134,18 +132,16 @@ def kfold_split(data: LabeledDataset, k: int = 10, seed: int = 0) -> FoldPlan:
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
-    by_class = [np.flatnonzero(data.codes == code) for code in range(len(CLASS_ORDER))]
-    by_class = [idx for idx in by_class if len(idx)]
-    stratified = len(CLASS_ORDER) * smallest_class(data) >= k
-    if stratified:
+    if stratifies(data, k):
+        # Shuffling a class with no rows draws nothing from `rng`.
+        by_class = [np.flatnonzero(data.codes == code) for code in range(len(CLASS_ORDER))]
         for idx in by_class:
             rng.shuffle(idx)
         order = np.concatenate(by_class)
     else:
-        order = np.arange(n)
-        rng.shuffle(order)
+        order = rng.permutation(n)
     # Position p of the dealt order goes to fold p % k.
-    return FoldPlan(tuple(tuple(np.sort(order[f::k]).tolist()) for f in range(k)), stratified)
+    return tuple(np.sort(order[f::k]) for f in range(k))
 
 
 @contextmanager
@@ -179,39 +175,34 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
     seeds from (seed, recipe name, fold index), so repeated calls with
     the same arguments reproduce each other exactly.
     """
-    plan = kfold_split(data, k, derive_seed(seed, "kfold"))
-    held_outs = [np.array(held_out, dtype=np.intp) for held_out in plan.folds]
+    held_outs = kfold_split(data, k, derive_seed(seed, "kfold"))
     train_sets = [data.subset(np.delete(np.arange(len(data)), held)) for held in held_outs]
     seeds = [derive_seed(seed, recipe.name, fold_idx) for fold_idx in range(len(held_outs))]
-    fold_preds, fold_metrics = [], []
+    targets = data.targets()
+    fold_preds = []
     test_sse, test_points = 0.0, 0
     try:
         with numeric_faults(recipe.name):
             trained = recipe.train_folds(train_sets, seeds)
         for fold, (held, (model, _)) in enumerate(zip(held_outs, trained)):
-            test_set = data.subset(held)
             with numeric_faults(recipe.name, fold):
-                preds, outputs = recipe.score(model, test_set.X)
+                preds, outputs = recipe.score(model, data.X[held])
                 if outputs is not None:
-                    test_sse += float(np.sum((outputs - test_set.targets()) ** 2))
+                    test_sse += float(np.sum((outputs - targets[held]) ** 2))
                     test_points += outputs.size
             fold_preds.append(preds)
-            fold_metrics.append(metrics_from_confusion(confusion(preds, test_set.codes)))
     except DnsIdsError as exc:
         if exc.fold is None:
             raise
         raise type(exc)(f"fold {exc.fold}: {exc}") from exc
 
-    all_truth = data.codes[np.concatenate(held_outs)]
-    pooled = confusion(np.concatenate(fold_preds), all_truth)
+    pooled = confusion(np.concatenate(fold_preds), data.codes[np.concatenate(held_outs)])
     reports = [report for _, report in trained]
     # Every held-out fold has a sample, so only a recipe without outputs
     # leaves `test_points` at 0.
     return EvalEntry(
         classifier=recipe.name,
         metrics=metrics_from_confusion(pooled),
-        confusion=pooled,
-        fold_metrics=tuple(fold_metrics),
         train_time=sum(report.wall_time for report in reports),
         train_mse=float(np.mean([r.final_mse for r in reports])) if test_points else None,
         test_mse=test_sse / test_points if test_points else None,
@@ -222,14 +213,6 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
 
 SWEEP_MIN_WIDTH = 3
 SWEEP_MAX_WIDTH = 21
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    width: int
-    metrics: MetricSet
-    train_mse: float | None
-    test_mse: float | None
 
 
 def _blas_threads() -> int:
@@ -254,26 +237,19 @@ def sweep_workers(widths) -> int:
     return min(max(1, cpus // _blas_threads()), len(set(widths)))
 
 
-def _sweep_row(width: int, data: LabeledDataset, seed: int, k: int, train_config) -> SweepRow:
-    from .classifiers.recipes import MlpRecipe
+def sweep_hidden_neurons(data: LabeledDataset, recipe, widths, seed: int, *,
+                         k: int = 10) -> tuple[EvalEntry, ...]:
+    """Cross-validate the feed-forward `recipe` at each hidden width.
 
-    entry = cross_validate(MlpRecipe(hidden=width, train_config=train_config), data,
-                           k=k, seed=seed)
-    return SweepRow(width, entry.metrics, entry.train_mse, entry.test_mse)
-
-
-def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10,
-                         train_config=None) -> tuple[SweepRow, ...]:
-    """Cross-validate the feed-forward network at each hidden width.
-
-    Each distinct width is cross-validated once, in one of
-    `sweep_workers(widths)` worker processes, and the rows come back in
-    the order of `widths`. A width's result depends only on its own
-    seeds, so the rows are the same for any worker count. The widest
-    width is submitted first, because it takes longest. When widths
-    fail, the error raised is that of the first failing one in
-    `widths`. A worker process that dies takes the pool with it, and
-    fails as WorkerLost naming every width left without a result.
+    Each distinct width is cross-validated once, as a copy of `recipe`
+    with that `hidden` width, in one of `sweep_workers(widths)` worker
+    processes, and the entries come back in the order of `widths`. A
+    width's result depends only on its own seeds, so the entries are the
+    same for any worker count. The widest width is submitted first,
+    because it takes longest. When widths fail, the error raised is that
+    of the first failing one in `widths`. A worker process that dies
+    takes the pool with it, and fails as WorkerLost naming every width
+    left without a result.
 
     The workers are forked, so they skip re-importing the library; a
     fork-context pool forks them all before it starts its own threads.
@@ -287,8 +263,6 @@ def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    from .classifiers.mlp import MlpTrainConfig
-
     widths = list(widths)
     for w in widths:
         if not SWEEP_MIN_WIDTH <= w <= SWEEP_MAX_WIDTH:
@@ -296,13 +270,12 @@ def sweep_hidden_neurons(data: LabeledDataset, widths, seed: int, *, k: int = 10
                 f"sweep widths must be in {SWEEP_MIN_WIDTH}..{SWEEP_MAX_WIDTH}, got {w}")
     if not widths:
         return ()
-    cfg = train_config or MlpTrainConfig()
     pool = ProcessPoolExecutor(sweep_workers(widths),
                                mp_context=multiprocessing.get_context("fork"))
     futures = {}
     try:
         for w in sorted(set(widths), reverse=True):
-            futures[w] = pool.submit(_sweep_row, w, data, seed, k, cfg)
+            futures[w] = pool.submit(cross_validate, replace(recipe, hidden=w), data, k, seed)
         return tuple(futures[w].result() for w in widths)
     except BrokenProcessPool:
         # A width not yet submitted when the pool broke has no future.
@@ -389,16 +362,17 @@ def parse_report_csv(text: str) -> list[dict]:
     return rows
 
 
-def render_sweep_csv(rows) -> str:
+def render_sweep_csv(widths, entries) -> str:
+    """The sweep CSV: one row per width, from the entry at its position."""
     lines = [SWEEP_CSV_HEADER]
-    for r in rows:
+    for w, e in zip(widths, entries):
         lines.append(",".join([
-            str(r.width),
-            _fmt(r.metrics.dr_direct, ".6f"),
-            _fmt(r.metrics.dr_amplification, ".6f"),
-            _fmt(r.metrics.accuracy, ".6f"),
-            _fmt(r.metrics.far, ".6f"),
-            _fmt(r.train_mse, ".6e"),
-            _fmt(r.test_mse, ".6e"),
+            str(w),
+            _fmt(e.metrics.dr_direct, ".6f"),
+            _fmt(e.metrics.dr_amplification, ".6f"),
+            _fmt(e.metrics.accuracy, ".6f"),
+            _fmt(e.metrics.far, ".6f"),
+            _fmt(e.train_mse, ".6e"),
+            _fmt(e.test_mse, ".6e"),
         ]))
     return "\n".join(lines) + "\n"

@@ -243,15 +243,14 @@ def test_c08_sweep_sanity(default_pipeline):
     dataset = default_pipeline["dataset"]
     cfg = parse_pipeline_config(DEFAULT_CONFIG)
     widths = list(range(3, 22, 2))
-    rows = sweep_hidden_neurons(dataset, widths, seed=cfg.seed, k=cfg.cv_folds,
-                                train_config=cfg.mlp.train_config)
-    assert [r.width for r in rows] == widths
+    rows = sweep_hidden_neurons(dataset, cfg.mlp, widths, seed=cfg.seed, k=cfg.cv_folds)
+    assert len(rows) == len(widths)
     for r in rows:
         for value in (r.metrics.accuracy, r.metrics.dr_direct,
                       r.metrics.dr_amplification, r.metrics.far):
             assert value is None or 0.0 <= value <= 100.0
 
-    width7 = next(r for r in rows if r.width == 7)
+    width7 = rows[widths.index(7)]
     entry = cross_validate(MlpRecipe(hidden=7, train_config=cfg.mlp.train_config),
                            dataset, k=cfg.cv_folds, seed=cfg.seed)
     for got, want in ((width7.metrics.accuracy, entry.metrics.accuracy),

@@ -23,8 +23,8 @@ from dnsids.classifiers.som import SomModel, SomTrainConfig, som_init
 from dnsids.classifiers.store import load_model, save_model
 from dnsids import cli, errors, evaluation, simnet
 from dnsids.cli import main
-from dnsids.config import (DEFAULT_CONFIG, MAX_RUNS, SECTION_PARSERS, parse_pipeline_config,
-                           validate_for_training)
+from dnsids.config import (DEFAULT_CONFIG, MAX_RUNS, MAX_SCENARIO_NAME, SECTION_PARSERS,
+                           parse_pipeline_config, validate_for_training)
 from dnsids.errors import ConfigError, InvalidConfig, ParseError
 from dnsids.evaluation import parse_report_csv
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, LabeledDataset, class_labels, label_codes,
@@ -124,6 +124,27 @@ class TestConfigParsing:
             parse_pipeline_config(bad)
         assert str(info.value) == (f"[scenario.amplification] runs must be at most {MAX_RUNS} "
                                    f"over all scenarios, got {MAX_RUNS + 1}")
+
+    # A scenario's name is the stem of its trace file names.
+    @pytest.mark.parametrize("name", [
+        "", ".hidden", "..", "a/b", "nor\x85mal", "tab\tname", "caf\u00e9",
+        "a" * (MAX_SCENARIO_NAME + 1),
+    ], ids=["empty", "leading_dot", "parent", "separator", "next_line", "tab", "non_ascii",
+            "too_long"])
+    def test_unsafe_scenario_name_rejected(self, name):
+        bad = TINY_CONFIG.replace("[scenario.normal]", f"[scenario.{name}]")
+        with pytest.raises(ConfigError) as info:
+            parse_pipeline_config(bad)
+        assert str(info.value) == (
+            f"[scenario.{name}] name must be 1-{MAX_SCENARIO_NAME} ASCII letters, digits, "
+            f"'_', '-' or '.', not starting with '.', got {name!r}")
+
+    def test_longest_scenario_name_fits_a_file_name(self):
+        name = "Z9_-." + "a" * (MAX_SCENARIO_NAME - 5)
+        cfg = parse_pipeline_config(TINY_CONFIG.replace("[scenario.normal]", f"[scenario.{name}]"))
+        assert cfg.scenarios[0].name == name
+        # The longest trace file name, that of the last run a config may ask for.
+        assert len(f"{name}-{MAX_RUNS - 1:03d}.trace".encode()) == 255
 
     @pytest.mark.parametrize("folds", ["0", "1", "-3"])
     def test_fewer_than_two_folds_rejected(self, folds):
@@ -677,7 +698,7 @@ class TestCommandsAndExitCodes:
     def test_lost_sweep_worker_is_training_error(self, tiny_run, tmp_path, capsys,
                                                  monkeypatch):
         # The sweep's workers are forked, so they inherit the patch.
-        monkeypatch.setattr(evaluation, "_sweep_row", _lost_worker)
+        monkeypatch.setattr(evaluation, "cross_validate", _lost_worker)
         cfg_path, out = tiny_run
         rc = main(["sweep", "--config", str(cfg_path), "--dataset",
                    str(out / "dataset.csv"), "--widths", "3,5",
@@ -932,6 +953,47 @@ class TestLineBound:
         assert main(["features", "--traces", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert one_json_error(capsys) == {"error": "ConfigError",
                                           "detail": "at most 1 trace files, got 2"}
+
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"],
+                             ids=["newline", "return", "next_line", "line_separator"])
+    def test_features_refuses_a_trace_name_with_a_line_break(self, tmp_path, capsys,
+                                                             monkeypatch, brk):
+        # The dataset's provenance line names every trace file.
+        (tmp_path / "a-000.trace").write_text(_SHORT_TRACE)
+        bad = tmp_path / f"nor{brk}mal-000.trace"
+        bad.write_text(_SHORT_TRACE)
+        real, read = cli.read_trace, []
+        monkeypatch.setattr(cli, "read_trace", lambda pieces: read.append(1) or real(pieces))
+        assert main(["features", "--traces", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert one_json_error(capsys) == {
+            "error": "ConfigError", "detail": f"trace file name {str(bad)!r} holds a line break"}
+        assert not read
+        assert not (tmp_path / "o").exists()
+
+
+class TestScenarioNames:
+    """A scenario's name ends up in file names and on the provenance line."""
+
+    def test_simulate_writes_nothing_outside_out(self, tmp_path, capsys):
+        cfg = tmp_path / "escape.cfg"
+        cfg.write_text(TINY_CONFIG.replace("[scenario.normal]", "[scenario.../../../escaped]"))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o4" / "a" / "b")])
+        assert rc == 2
+        err = one_json_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith("[scenario.../../../escaped] name must be ")
+        assert not (tmp_path / "o4").exists()
+
+    def test_pipeline_refuses_a_name_that_splits_the_provenance_line(self, tmp_path, capsys):
+        cfg = tmp_path / "split.cfg"
+        cfg.write_text(TINY_CONFIG.replace("[scenario.normal]", "[scenario.nor\x85mal]"),
+                       encoding="utf-8")
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = one_json_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith("[scenario.nor\x85mal] name must be ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestStratification:

@@ -13,25 +13,14 @@ from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe, train_ea
 from dnsids.classifiers.som import SomTrainConfig
 from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, NumericFault, TooFewSamples,
                            TrainingError)
-from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, FoldPlan, MetricSet,
-                               confusion, cross_validate, kfold_split, metrics_from_confusion,
-                               parse_report_csv, render_report, render_sweep_csv,
+from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, MetricSet, confusion,
+                               cross_validate, kfold_split, metrics_from_confusion,
+                               parse_report_csv, render_report, render_sweep_csv, stratifies,
                                sweep_hidden_neurons, sweep_workers)
 from dnsids.preproc import (CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset, class_labels,
                             label_codes)
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
-
-
-def fold_metric_mean(entry: EvalEntry) -> MetricSet:
-    """Mean of each metric over the folds where it was defined."""
-    def mean_of(name: str) -> float | None:
-        values = [getattr(m, name) for m in entry.fold_metrics
-                  if getattr(m, name) is not None]
-        return float(np.mean(values)) if values else None
-
-    return MetricSet(mean_of("accuracy"), mean_of("dr_direct"),
-                     mean_of("dr_amplification"), mean_of("far"), mean_of("accuracy_3class"))
 
 
 def brute_force_counts(preds, truth):
@@ -143,26 +132,26 @@ def tiny_dataset(n_per_class=12, seed=0):
 class TestKfold:
     def test_hundred_samples_ten_folds(self):
         data = tiny_dataset(n_per_class=40)
-        plan = kfold_split(data, 10, seed=1)
-        sizes = [len(f) for f in plan.folds]
+        folds = kfold_split(data, 10, seed=1)
+        sizes = [len(f) for f in folds]
         assert sizes == [12] * 10
-        seen = [i for fold in plan.folds for i in fold]
+        seen = [i for fold in folds for i in fold]
         assert sorted(seen) == list(range(120))
 
     def test_exact_stratification(self):
         # 50/30/20 mix in ten folds: every fold gets 5/3/2
         labels = [N] * 50 + [D] * 30 + [A] * 20
         data = dataset_of([(1.0, 1.0, 0)] * 100, labels)
-        plan = kfold_split(data, 10, seed=3)
-        assert plan.stratified
-        for fold in plan.folds:
+        assert stratifies(data, 10)
+        for fold in kfold_split(data, 10, seed=3):
             from collections import Counter
             mix = Counter(labels[i] for i in fold)
             assert (mix[N], mix[D], mix[A]) == (5, 3, 2)
 
     def test_deterministic(self):
         data = tiny_dataset()
-        assert kfold_split(data, 6, seed=9) == kfold_split(data, 6, seed=9)
+        a, b = kfold_split(data, 6, seed=9), kfold_split(data, 6, seed=9)
+        assert [f.tolist() for f in a] == [f.tolist() for f in b]
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
@@ -170,9 +159,8 @@ class TestKfold:
 
     def test_tiny_class_falls_back_unstratified(self):
         data = dataset_of([(1.0, 1.0, 0)] * 30 + [(2.0, 2.0, 0)] * 2, [N] * 30 + [D] * 2)
-        plan = kfold_split(data, 10, seed=0)
-        assert not plan.stratified
-        assert sorted(i for f in plan.folds for i in f) == list(range(32))
+        assert not stratifies(data, 10)
+        assert sorted(i for f in kfold_split(data, 10, seed=0) for i in f) == list(range(32))
 
 
 def reference_kfold_split(labels, k, seed):
@@ -201,7 +189,7 @@ def reference_kfold_split(labels, k, seed):
         for i in indices:
             folds[cursor % k].append(int(i))
             cursor += 1
-    return FoldPlan(tuple(tuple(sorted(f)) for f in folds), stratified)
+    return [sorted(f) for f in folds], stratified
 
 
 def reference_confusion(predictions, truth):
@@ -244,15 +232,15 @@ class TestAgainstPerSampleReference:
             with pytest.raises(TooFewSamples):
                 kfold_split(data, k, seed)
             return
-        plan = kfold_split(data, k, seed)
-        expected = reference_kfold_split(labels, k, seed)
-        assert plan == expected
-        assert plan.stratified == expected.stratified
-        assert all(type(i) is int for fold in plan.folds for i in fold)
+        folds = kfold_split(data, k, seed)
+        expected_folds, expected_stratified = reference_kfold_split(labels, k, seed)
+        assert [f.tolist() for f in folds] == expected_folds
+        assert stratifies(data, k) == expected_stratified
+        assert all(f.dtype == np.intp for f in folds)
 
     def test_kfold_split_covers_both_branches(self):
-        assert kfold_split(tiny_dataset(), 10, 0).stratified
-        assert not kfold_split(dataset_of([(1.0, 1.0, 0)] * 40, [N] * 39 + [A]), 10, 0).stratified
+        assert stratifies(tiny_dataset(), 10)
+        assert not stratifies(dataset_of([(1.0, 1.0, 0)] * 40, [N] * 39 + [A]), 10)
 
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(st.sampled_from(CLASS_ORDER),
@@ -318,12 +306,6 @@ class TestCrossValidate:
         entry = cross_validate(MlpRecipe(hidden=5), tiny_dataset(), k=6, seed=1)
         assert entry.metrics.accuracy == 100.0
         assert entry.metrics.far == 0.0
-
-    def test_pooled_accuracy_within_fold_range(self):
-        entry = cross_validate(MlpRecipe(hidden=5), tiny_dataset(), k=6, seed=1)
-        fold_acc = [m.accuracy for m in entry.fold_metrics if m.accuracy is not None]
-        mean = fold_metric_mean(entry)
-        assert min(fold_acc) <= mean.accuracy <= max(fold_acc)
 
     def test_folds_never_leak_into_training(self):
         scored = []
@@ -480,18 +462,19 @@ class TestCrossValidate:
         b = cross_validate(Batched("batched"), tiny_dataset(), k=5, seed=3)
         assert len(predictions["per_fold"]) == 5
         assert predictions["per_fold"] == predictions["batched"]
-        assert (a.metrics, a.fold_metrics) == (b.metrics, b.fold_metrics)
+        assert a.metrics == b.metrics
 
 
 class TestSweep:
     def test_single_width_matches_standalone_cross_validate(self):
-        """Each row, in the caller's order, is that width's serial cross-validation."""
+        """Each entry, in the caller's order, is that width's serial cross-validation."""
         data = tiny_dataset()
         cfg = MlpTrainConfig(max_epochs=100)
-        rows = sweep_hidden_neurons(data, [9, 3, 9], seed=2, k=4, train_config=cfg)
-        assert [row.width for row in rows] == [9, 3, 9]
-        for row in rows:
-            entry = cross_validate(MlpRecipe(hidden=row.width, train_config=cfg), data,
+        widths = [9, 3, 9]
+        rows = sweep_hidden_neurons(data, MlpRecipe(train_config=cfg), widths, seed=2, k=4)
+        assert len(rows) == len(widths)
+        for width, row in zip(widths, rows):
+            entry = cross_validate(MlpRecipe(hidden=width, train_config=cfg), data,
                                    k=4, seed=2)
             assert row.metrics == entry.metrics
             assert row.train_mse == entry.train_mse
@@ -499,9 +482,9 @@ class TestSweep:
 
     def test_out_of_range_width_rejected(self):
         with pytest.raises(InvalidWidth):
-            sweep_hidden_neurons(tiny_dataset(), [2], seed=0)
+            sweep_hidden_neurons(tiny_dataset(), MlpRecipe(), [2], seed=0)
         with pytest.raises(InvalidWidth):
-            sweep_hidden_neurons(tiny_dataset(), [22], seed=0)
+            sweep_hidden_neurons(tiny_dataset(), MlpRecipe(), [22], seed=0)
 
     # (environment, usable CPUs, widths) -> workers
     @pytest.mark.parametrize("env, cpus, widths, workers", [
@@ -528,19 +511,17 @@ class TestSweep:
 
     def test_sweep_csv_shape(self):
         data = tiny_dataset()
-        rows = sweep_hidden_neurons(data, [3, 5], seed=2, k=4,
-                                    train_config=MlpTrainConfig(max_epochs=50))
-        text = render_sweep_csv(rows)
+        recipe = MlpRecipe(train_config=MlpTrainConfig(max_epochs=50))
+        rows = sweep_hidden_neurons(data, recipe, [3, 5], seed=2, k=4)
+        text = render_sweep_csv([3, 5], rows)
         lines = text.strip().splitlines()
         assert lines[0] == "width,dr_direct,dr_amp,accuracy,far,train_mse,test_mse"
         assert len(lines) == 3
 
 
 def entry(name, time_s, drd, dra, acc, far_v, acc3=None):
-    c = ConfusionCounts(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2, 1, 0, 0)
-    return EvalEntry(classifier=name,
-                     metrics=MetricSet(acc, drd, dra, far_v, acc3),
-                     confusion=c, fold_metrics=(), train_time=time_s)
+    return EvalEntry(classifier=name, metrics=MetricSet(acc, drd, dra, far_v, acc3),
+                     train_time=time_s)
 
 
 class TestRendering:
