@@ -206,8 +206,8 @@ def do_simulate(cfg: PipelineConfig, out: Path, digest: str) -> list[Path]:
 
 def _labeled(trace: PacketTrace, path: Path) -> LabeledDataset:
     window_len = trace.config.window_len
-    return label_windows(window_trace(trace, window_len), trace.truth, window_len,
-                         provenance=(path.name,))
+    return label_windows(window_trace(trace, window_len), trace.config.attack_kind,
+                         trace.attack_interval, window_len, provenance=(path.name,))
 
 
 def _write_features(parts: list[tuple[Path, LabeledDataset]], out: Path, seed: int,
@@ -234,6 +234,10 @@ def do_features(trace_paths: list[Path], out: Path, seed: int, digest: str) -> N
     for path in trace_paths:
         if path.name.splitlines() != [path.name]:
             raise errors.ConfigError(f"trace file name {str(path)!r} holds a line break")
+        try:
+            path.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise errors.ConfigError(f"trace file name {str(path)!r} is not UTF-8") from None
     parts = [(path, _labeled(_read_file(path, "trace file", read_trace), path))
              for path in trace_paths]
     _write_features(parts, out, seed, digest)

@@ -7,11 +7,11 @@ takes the feed-forward recipe from its caller and cross-validates a copy
 of it at each width. Labels are carried as int8 codes, indices into
 `CLASS_ORDER`; confusion matrices are indexed the same way.
 
-The binarized view treats either attack class as the positive case: an
-attack window predicted as the wrong attack class still counts as a true
-positive there, but as a miss in that class's detection-rate row. Fold
-results are pooled (counts summed, then metrics computed) because
-per-fold attack counts can be tiny.
+Accuracy and the false alarm rate treat either attack class as the
+positive case: an attack window predicted as the wrong attack class still
+counts as correct there, but as a miss in that class's detection-rate
+row. All folds' held-out predictions are pooled into one confusion
+matrix, because per-fold attack counts can be tiny.
 
 Metrics with a zero denominator are reported as absent, never as 0 or
 100; absent values render as the "—" placeholder.
@@ -26,25 +26,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import BLAS_THREAD_VARS
-from .errors import (DnsIdsError, Empty, InvalidWidth, LengthMismatch, NumericFault,
-                     TooFewSamples, WorkerLost)
+from .errors import (DnsIdsError, InvalidWidth, LengthMismatch, NumericFault, TooFewSamples,
+                     WorkerLost)
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
 from .seeding import derive_seed
 
 ABSENT = "—"
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    matrix: tuple[tuple[int, ...], ...]   # [true class][predicted class]
-    tp: int   # attack predicted as (any) attack
-    tn: int   # normal predicted normal
-    fp: int   # normal predicted as attack
-    fn: int   # attack predicted normal
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
 
 
 @dataclass(frozen=True)
@@ -65,43 +52,36 @@ class EvalEntry:
     test_mse: float | None = None
 
 
-def confusion(predictions, truth) -> ConfusionCounts:
-    """Count per-class and binarized outcomes of label-code predictions."""
-    predictions = np.asarray(predictions, dtype=np.intp).reshape(-1)
-    truth = np.asarray(truth, dtype=np.intp).reshape(-1)
-    if len(predictions) != len(truth):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(truth)} truths")
-    if len(predictions) == 0:
-        raise Empty("no samples to score")
-    matrix = np.bincount(3 * truth + predictions, minlength=9).reshape(3, 3)
-    normal = CLASS_INDEX[ClassLabel.NORMAL]
-    tn = int(matrix[normal, normal])
-    fp = int(matrix[normal].sum()) - tn
-    fn = int(matrix[:, normal].sum()) - tn
-    tp = len(truth) - tn - fp - fn
-    return ConfusionCounts(tuple(tuple(row) for row in matrix.tolist()), tp, tn, fp, fn)
-
-
 def _percent(num: int, den: int) -> float | None:
     return num / den * 100.0 if den else None
 
 
-def metrics_from_confusion(c: ConfusionCounts) -> MetricSet:
-    """Every rate in percent, None where its denominator is 0.
+def pooled_metrics(predictions, truth) -> MetricSet:
+    """Every rate of label-code predictions against the true codes, in
+    percent, None where its denominator is 0, from their 3x3 confusion
+    matrix [true class][predicted class].
 
-    Accuracy is (TP + TN) / all, a detection rate is its class's recall
-    from the confusion row, the false alarm rate is FP / (FP + TN), and
-    the three-class accuracy is the confusion matrix's trace over all.
+    Accuracy is all windows but false alarms (normal predicted attack) and
+    misses (attack predicted normal) over all, the false alarm rate is the
+    false alarms over the normal row, a detection rate is its class's
+    diagonal over its row, and the three-class accuracy is the trace over all.
     """
-    m = c.matrix
-    direct = CLASS_INDEX[ClassLabel.DIRECT_DOS]
-    amp = CLASS_INDEX[ClassLabel.AMPLIFICATION]
+    predictions = np.asarray(predictions, dtype=np.intp).reshape(-1)
+    truth = np.asarray(truth, dtype=np.intp).reshape(-1)
+    if len(predictions) != len(truth):
+        raise LengthMismatch(f"{len(predictions)} predictions vs {len(truth)} truths")
+    m = np.bincount(3 * truth + predictions, minlength=9).reshape(3, 3).tolist()
+    normal, direct, amp = (CLASS_INDEX[c] for c in (ClassLabel.NORMAL, ClassLabel.DIRECT_DOS,
+                                                    ClassLabel.AMPLIFICATION))
+    total = len(truth)
+    false_alarms = sum(m[normal]) - m[normal][normal]
+    misses = sum(row[normal] for row in m) - m[normal][normal]
     return MetricSet(
-        accuracy=_percent(c.tp + c.tn, c.total),
+        accuracy=_percent(total - false_alarms - misses, total),
         dr_direct=_percent(m[direct][direct], sum(m[direct])),
         dr_amplification=_percent(m[amp][amp], sum(m[amp])),
-        far=_percent(c.fp, c.fp + c.tn),
-        accuracy_3class=_percent(sum(m[i][i] for i in range(3)), sum(map(sum, m))),
+        far=_percent(false_alarms, sum(m[normal])),
+        accuracy_3class=_percent(sum(m[i][i] for i in range(3)), total),
     )
 
 
@@ -196,13 +176,13 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
             raise
         raise type(exc)(f"fold {exc.fold}: {exc}") from exc
 
-    pooled = confusion(np.concatenate(fold_preds), data.codes[np.concatenate(held_outs)])
     reports = [report for _, report in trained]
     # Every held-out fold has a sample, so only a recipe without outputs
     # leaves `test_points` at 0.
     return EvalEntry(
         classifier=recipe.name,
-        metrics=metrics_from_confusion(pooled),
+        metrics=pooled_metrics(np.concatenate(fold_preds),
+                               data.codes[np.concatenate(held_outs)]),
         train_time=sum(report.wall_time for report in reports),
         train_mse=float(np.mean([r.final_mse for r in reports])) if test_points else None,
         test_mse=test_sse / test_points if test_points else None,

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParseError
-from .simnet import (DROPPED, RENDER_BLOCK, TO_SERVER, AttackKind, GroundTruth, PacketTrace,
+from .simnet import (DROPPED, RENDER_BLOCK, TO_SERVER, AttackKind, PacketTrace,
                      line_blocks, round6)
 
 
@@ -141,20 +141,21 @@ def window_trace(trace: PacketTrace, window_len: float) -> np.ndarray:
     return np.column_stack([round6(bits / window_len), round6(mean_size), lost])
 
 
-def label_windows(features: np.ndarray, truth: GroundTruth, window_len: float,
+def label_windows(features: np.ndarray, attack_kind: AttackKind,
+                  interval: tuple[float, float] | None, window_len: float,
                   provenance: tuple[str, ...] = ()) -> LabeledDataset:
     """Label the feature rows of one trace's windows, row i starting at
     i * window_len.
 
-    A window gets the trace's attack class iff the attack interval covers
-    strictly more than half of the window span; otherwise it is Normal.
+    A window gets the class of `attack_kind` iff the attack `interval`
+    covers strictly more than half of the window span; otherwise it is Normal.
     """
     codes = np.full(len(features), CLASS_INDEX[ClassLabel.NORMAL], dtype=np.int8)
-    if truth.interval is not None:
-        a_start, a_end = truth.interval
+    if interval is not None:
+        a_start, a_end = interval
         start = np.arange(len(features)) * window_len
         overlap = np.minimum(a_end, start + window_len) - np.maximum(a_start, start)
-        codes[overlap > window_len / 2] = CLASS_INDEX[_ATTACK_TO_LABEL[truth.attack_kind]]
+        codes[overlap > window_len / 2] = CLASS_INDEX[_ATTACK_TO_LABEL[attack_kind]]
     return LabeledDataset(features, codes, provenance)
 
 

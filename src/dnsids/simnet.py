@@ -160,12 +160,6 @@ class PacketEvent:
     flow_id: str
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    attack_kind: AttackKind
-    interval: tuple[float, float] | None  # None when attack_kind is NONE
-
-
 _COLUMNS = {"t": np.float64, "kind": np.int8, "size": np.int32,
             "disposition": np.int8, "flow": np.int32}
 
@@ -189,7 +183,7 @@ class PacketTrace:
     size: np.ndarray
     disposition: np.ndarray
     flow: np.ndarray
-    truth: GroundTruth
+    attack_interval: tuple[float, float] | None   # None without an attack
     packets_generated: int
     in_flight_at_end: int
     max_queue_occupancy: int
@@ -429,14 +423,14 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         lo, hi = cfg.attack_start_jitter
         attack_start = round(lo + rng.random() * (hi - lo), 6)
         emit_end = min(attack_start + cfg.attack_duration, cfg.duration)
-        truth = GroundTruth(cfg.attack_kind, (attack_start, round(emit_end, 6)))
+        attack_interval = (attack_start, round(emit_end, 6))
         attack_size = (cfg.amp_response_size
                        if cfg.attack_kind is AttackKind.AMPLIFICATION
                        else cfg.attack_packet_size)
     else:
         attack_start = 0.0
         emit_end = 0.0
-        truth = GroundTruth(AttackKind.NONE, None)
+        attack_interval = None
         attack_size = 0
 
     def edge_latency(size: int) -> float:
@@ -709,7 +703,7 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
         size=size,
         disposition=disposition,
         flow=flow,
-        truth=truth,
+        attack_interval=attack_interval,
         packets_generated=generated,
         in_flight_at_end=generated - n_del - n_answered - n_drop,
         max_queue_occupancy=max_occupancy,
@@ -820,12 +814,12 @@ def _header(trace: PacketTrace) -> str:
             value = f"{value[0]!r},{value[1]!r}"
         lines.append(f"#{name}={value!r}" if isinstance(value, float) else f"#{name}={value}")
     lines.append(f"#seed={trace.seed}")
-    if trace.truth.interval is None:
+    if trace.attack_interval is None:
         lines.append("#attack_start=")
         lines.append("#attack_end=")
     else:
-        lines.append(f"#attack_start={trace.truth.interval[0]!r}")
-        lines.append(f"#attack_end={trace.truth.interval[1]!r}")
+        lines.append(f"#attack_start={trace.attack_interval[0]!r}")
+        lines.append(f"#attack_end={trace.attack_interval[1]!r}")
     lines.append(f"#packets_generated={trace.packets_generated}")
     lines.append(f"#in_flight_at_end={trace.in_flight_at_end}")
     lines.append(f"#max_queue_occupancy={trace.max_queue_occupancy}")
@@ -955,7 +949,8 @@ def read_trace(text: str | Iterable[str]) -> PacketTrace:
 
     Unknown header keys are ignored so writers may annotate traces; all
     config fields, the seed, and the bookkeeping counters are required,
-    and the config fields must obey the scenario rules. Header lines come
+    the config fields must obey the scenario rules, and the counters and
+    attack interval must be values `run` can write. Header lines come
     first; blank lines are skipped. Event rows must be numbered from 0
     without gaps, carry timestamps that never decrease and lie within
     [0, duration], and name a flow as `atk` or `q<n>`.
@@ -977,7 +972,7 @@ def read_trace(text: str | Iterable[str]) -> PacketTrace:
         if n < len(block):
             first_rows = block[n:]
             break
-    header, cfg, truth = _parse_header(header_lines)
+    header, cfg, attack_interval = _parse_header(header_lines)
 
     parts = {name: [np.empty(0, dtype)] for name, dtype in _COLUMNS.items()}
     n_rows, line_no, last_t = 0, len(header_lines) + 1, -np.inf
@@ -1001,16 +996,21 @@ def read_trace(text: str | Iterable[str]) -> PacketTrace:
         seed=header["seed"],
         # Each column's blocks are released once they are joined.
         **{name: np.concatenate(parts.pop(name)) for name in _COLUMNS},
-        truth=truth,
+        attack_interval=attack_interval,
         packets_generated=header["packets_generated"],
         in_flight_at_end=header["in_flight_at_end"],
         max_queue_occupancy=header["max_queue_occupancy"],
     )
 
 
-def _parse_header(lines: list[str]) -> tuple[dict, ScenarioConfig, GroundTruth]:
-    """The values, scenario and ground truth of a trace's first lines,
-    each a "#key=value" line or blank."""
+def _parse_header(lines: list[str]) -> tuple[dict, ScenarioConfig, tuple[float, float] | None]:
+    """The values, scenario and attack interval of a trace's first lines,
+    each a "#key=value" line or blank.
+
+    Values `run` never writes fail naming their key: an occupancy outside
+    0..queue_capacity, a negative count in flight, and an attack interval
+    that is not finite with 0 <= start <= end.
+    """
     header: dict[str, object] = {}
     attack_start_raw: str | None = None
     attack_end_raw: str | None = None
@@ -1037,17 +1037,22 @@ def _parse_header(lines: list[str]) -> tuple[dict, ScenarioConfig, GroundTruth]:
         cfg = ScenarioConfig(**{name: header[name] for name in _CONFIG_FIELDS})
     except InvalidConfig as exc:
         raise ParseError(f"bad header: {exc}") from None
+    if not 0 <= header["max_queue_occupancy"] <= cfg.queue_capacity:
+        raise ParseError("must be in 0..queue_capacity", field="max_queue_occupancy")
+    if header["in_flight_at_end"] < 0:
+        raise ParseError("must be >= 0", field="in_flight_at_end")
     if cfg.attack_kind is AttackKind.NONE:
-        truth = GroundTruth(AttackKind.NONE, None)
-    else:
-        if not attack_start_raw or not attack_end_raw:
-            raise ParseError("attack scenario without interval", field="attack_start")
-        try:
-            interval = (float(attack_start_raw), float(attack_end_raw))
-        except ValueError:
-            raise ParseError("bad attack interval", field="attack_start/attack_end") from None
-        truth = GroundTruth(cfg.attack_kind, interval)
-    return header, cfg, truth
+        return header, cfg, None
+    if not attack_start_raw or not attack_end_raw:
+        raise ParseError("attack scenario without interval", field="attack_start")
+    try:
+        start, end = float(attack_start_raw), float(attack_end_raw)
+    except ValueError:
+        raise ParseError("bad attack interval", field="attack_start/attack_end") from None
+    if not 0 <= start <= end < math.inf:
+        raise ParseError("attack interval must be finite with 0 <= start <= end",
+                         field="attack_start/attack_end")
+    return header, cfg, (start, end)
 
 
 def _parse_rows(rows: list[str], first_line: int, first_seq: int, last_t: float,

@@ -25,8 +25,8 @@ from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
 from dnsids.classifiers.som import SomTrainConfig, quantization_error, som_init, som_train_folds
 from dnsids.cli import main
 from dnsids.config import DEFAULT_CONFIG, parse_pipeline_config
-from dnsids.evaluation import (confusion, cross_validate, metrics_from_confusion,
-                               parse_report_csv, sweep_hidden_neurons)
+from dnsids.evaluation import (cross_validate, parse_report_csv, pooled_metrics,
+                               sweep_hidden_neurons)
 from dnsids.preproc import (CLASS_ORDER, ClassLabel, l2_normalize_rows, label_codes,
                             read_dataset)
 from dnsids.simnet import ATTACK, DROPPED, REQUEST, RESPONSE, TO_SERVER, make_scenario, run
@@ -61,21 +61,16 @@ def test_c01_metric_oracle_equivalence():
         n = rng.randint(1, 500)
         truth = [CLASS_ORDER[rng.randrange(3)] for _ in range(n)]
         preds = [CLASS_ORDER[rng.randrange(3)] for _ in range(n)]
-        c = confusion(label_codes(preds), label_codes(truth))
-        ms = metrics_from_confusion(c)
+        ms = pooled_metrics(label_codes(preds), label_codes(truth))
 
         tp = sum(1 for t, p in zip(truth, preds) if t is not N and p is not N)
         tn = sum(1 for t, p in zip(truth, preds) if t is N and p is N)
         fp = sum(1 for t, p in zip(truth, preds) if t is N and p is not N)
         fn = sum(1 for t, p in zip(truth, preds) if t is not N and p is N)
-        assert (c.tp, c.tn, c.fp, c.fn) == (tp, tn, fp, fn)
         detection = {}
         for cls in (D, A):
             hits = sum(1 for t, p in zip(truth, preds) if t is cls and p is cls)
             total = sum(1 for t in truth if t is cls)
-            row = c.matrix[CLASS_ORDER.index(cls)]
-            assert row[CLASS_ORDER.index(cls)] == hits
-            assert sum(row) == total
             detection[cls] = _oracle_rate(hits, total)
         correct = sum(1 for t, p in zip(truth, preds) if t is p)
         expected = (_oracle_rate(tp + tn, n), detection[D], detection[A],

@@ -971,6 +971,20 @@ class TestLineBound:
         assert not read
         assert not (tmp_path / "o").exists()
 
+    def test_features_refuses_a_trace_name_that_is_not_utf8(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The name could not be written on the dataset's provenance line.
+        (tmp_path / "a-000.trace").write_text(_SHORT_TRACE)
+        bad = tmp_path / os.fsdecode(b"nor\xffmal-000.trace")
+        bad.write_text(_SHORT_TRACE)
+        real, read = cli.read_trace, []
+        monkeypatch.setattr(cli, "read_trace", lambda pieces: read.append(1) or real(pieces))
+        assert main(["features", "--traces", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert one_json_error(capsys) == {
+            "error": "ConfigError", "detail": f"trace file name {str(bad)!r} is not UTF-8"}
+        assert not read
+        assert not (tmp_path / "o").exists()
+
 
 class TestScenarioNames:
     """A scenario's name ends up in file names and on the provenance line."""

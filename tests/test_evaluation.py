@@ -13,10 +13,10 @@ from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe, train_ea
 from dnsids.classifiers.som import SomTrainConfig
 from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, NumericFault, TooFewSamples,
                            TrainingError)
-from dnsids.evaluation import (ABSENT, ConfusionCounts, EvalEntry, MetricSet, confusion,
-                               cross_validate, kfold_split, metrics_from_confusion,
-                               parse_report_csv, render_report, render_sweep_csv, stratifies,
-                               sweep_hidden_neurons, sweep_workers)
+from dnsids.evaluation import (ABSENT, EvalEntry, MetricSet, cross_validate, kfold_split,
+                               parse_report_csv, pooled_metrics, render_report,
+                               render_sweep_csv, stratifies, sweep_hidden_neurons,
+                               sweep_workers)
 from dnsids.preproc import (CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset, class_labels,
                             label_codes)
 
@@ -40,33 +40,46 @@ def brute_force_counts(preds, truth):
     return matrix, tp, tn, fp, fn
 
 
-def labeled_confusion(preds, truth):
-    """`confusion` of two label sequences."""
-    return confusion(label_codes(preds), label_codes(truth))
+def oracle_metrics(matrix, tp, tn, fp, fn):
+    """The paper's rates, written out from binarized counts and a
+    [true class][predicted class] matrix: (TP + TN) / all, FP / (FP + TN),
+    each class's recall, and the matrix's trace over all."""
+    def percent(num, den):
+        return num / den * 100.0 if den else None
+    total = tp + tn + fp + fn
+    return MetricSet(
+        accuracy=percent(tp + tn, total),
+        dr_direct=percent(matrix[1][1], sum(matrix[1])),
+        dr_amplification=percent(matrix[2][2], sum(matrix[2])),
+        far=percent(fp, fp + tn),
+        accuracy_3class=percent(matrix[0][0] + matrix[1][1] + matrix[2][2], total),
+    )
+
+
+def labeled_metrics(preds, truth):
+    """`pooled_metrics` of two label sequences."""
+    return pooled_metrics(label_codes(preds), label_codes(truth))
 
 
 class TestConfusion:
     def test_perfect_split(self):
         preds = [N] * 10 + [D] * 10
         truth = [N] * 10 + [D] * 10
-        c = labeled_confusion(preds, truth)
-        assert (c.tp, c.tn, c.fp, c.fn) == (10, 10, 0, 0)
+        assert labeled_metrics(preds, truth) == MetricSet(100.0, 100.0, None, 0.0, 100.0)
 
     def test_wrong_attack_type_is_binarized_hit_but_class_miss(self):
-        c = labeled_confusion([A], [D])
-        assert c.tp == 1
-        assert c.matrix[1][2] == 1  # true direct predicted amplification
-        ms = metrics_from_confusion(c)
+        ms = labeled_metrics([A], [D])
+        assert ms.accuracy == 100.0          # an attack flagged as an attack
+        assert ms.accuracy_3class == 0.0     # true direct predicted amplification
         assert ms.dr_amplification is None   # no true amplification rows
         assert ms.dr_direct == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            labeled_confusion([N], [N, D])
+            labeled_metrics([N], [N, D])
 
     def test_empty(self):
-        with pytest.raises(Empty):
-            labeled_confusion([], [])
+        assert labeled_metrics([], []) == MetricSet(None, None, None, None, None)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(CLASS_ORDER), st.sampled_from(CLASS_ORDER)),
@@ -74,42 +87,40 @@ class TestConfusion:
     def test_matches_brute_force_recount(self, pairs):
         truth = [t for t, _ in pairs]
         preds = [p for _, p in pairs]
-        c = labeled_confusion(preds, truth)
-        matrix, tp, tn, fp, fn = brute_force_counts(preds, truth)
-        assert (c.tp, c.tn, c.fp, c.fn) == (tp, tn, fp, fn)
-        for i, t in enumerate(CLASS_ORDER):
-            for j, p in enumerate(CLASS_ORDER):
-                assert c.matrix[i][j] == matrix[(t, p)]
+        counts, tp, tn, fp, fn = brute_force_counts(preds, truth)
+        matrix = [[counts[(t, p)] for p in CLASS_ORDER] for t in CLASS_ORDER]
+        assert labeled_metrics(preds, truth) == oracle_metrics(matrix, tp, tn, fp, fn)
 
 
 class TestMetricFormulas:
-    def counts(self, tp, tn, fp, fn, matrix=None):
-        matrix = matrix or ((tn, fp, 0), (fn, tp, 0), (0, 0, 0))
-        return ConfusionCounts(matrix, tp, tn, fp, fn)
+    def counts(self, tp, tn, fp, fn):
+        """`pooled_metrics` of label sequences with these binarized counts,
+        every attack a direct one."""
+        truth = [D] * tp + [N] * tn + [N] * fp + [D] * fn
+        preds = [D] * tp + [N] * tn + [D] * fp + [N] * fn
+        return labeled_metrics(preds, truth)
 
     def test_accuracy_direct_formula(self):
-        assert metrics_from_confusion(self.counts(50, 45, 3, 2)).accuracy == pytest.approx(95.0)
+        assert self.counts(50, 45, 3, 2).accuracy == pytest.approx(95.0)
 
     def test_detection_rate_formula(self):
-        c = ConfusionCounts(((0, 0, 0), (10, 90, 0), (0, 0, 0)), 90, 0, 0, 10)
-        assert metrics_from_confusion(c).dr_direct == pytest.approx(90.0)
+        assert self.counts(90, 0, 0, 10).dr_direct == pytest.approx(90.0)
 
     def test_far_formula(self):
-        assert metrics_from_confusion(self.counts(0, 95, 5, 0)).far == pytest.approx(5.0)
+        assert self.counts(0, 95, 5, 0).far == pytest.approx(5.0)
 
     def test_undefined_metrics_absent_not_zero(self):
-        c = labeled_confusion([D, D], [D, D])  # no normals at all
-        ms = metrics_from_confusion(c)
+        ms = labeled_metrics([D, D], [D, D])  # no normals at all
         assert ms.far is None
         assert ms.dr_direct == pytest.approx(100.0)
         assert ms.dr_amplification is None
 
     def test_no_samples_leaves_every_rate_absent(self):
-        ms = metrics_from_confusion(ConfusionCounts(((0,) * 3,) * 3, 0, 0, 0, 0))
+        ms = self.counts(0, 0, 0, 0)
         assert ms == MetricSet(None, None, None, None, None)
 
     def test_three_class_accuracy(self):
-        ms = metrics_from_confusion(labeled_confusion([N, D, A, D], [N, D, A, A]))
+        ms = labeled_metrics([N, D, A, D], [N, D, A, A])
         assert ms.accuracy_3class == pytest.approx(75.0)
         assert ms.accuracy == pytest.approx(100.0)  # wrong attack still flagged
 
@@ -198,8 +209,6 @@ def reference_confusion(predictions, truth):
     truth = list(truth)
     if len(predictions) != len(truth):
         raise LengthMismatch(f"{len(predictions)} predictions vs {len(truth)} truths")
-    if not predictions:
-        raise Empty("no samples to score")
     matrix = [[0, 0, 0] for _ in range(3)]
     tp = tn = fp = fn = 0
     for t, p in zip(truth, predictions):
@@ -214,7 +223,7 @@ def reference_confusion(predictions, truth):
             fp += 1
         else:
             tn += 1
-    return ConfusionCounts(tuple(tuple(row) for row in matrix), tp, tn, fp, fn)
+    return matrix, tp, tn, fp, fn
 
 
 # Label mixes from one class to all three, with classes as small as one
@@ -248,13 +257,7 @@ class TestAgainstPerSampleReference:
     def test_confusion_matches(self, pairs):
         truth = [t for t, _ in pairs]
         preds = [p for _, p in pairs]
-        if not pairs:
-            with pytest.raises(Empty):
-                labeled_confusion(preds, truth)
-            with pytest.raises(Empty):
-                reference_confusion(preds, truth)
-            return
-        assert labeled_confusion(preds, truth) == reference_confusion(preds, truth)
+        assert labeled_metrics(preds, truth) == oracle_metrics(*reference_confusion(preds, truth))
 
     @given(preds=st.lists(st.sampled_from(CLASS_ORDER), max_size=20),
            truth=st.lists(st.sampled_from(CLASS_ORDER), max_size=20))
@@ -262,7 +265,7 @@ class TestAgainstPerSampleReference:
         if len(preds) == len(truth):
             return
         with pytest.raises(LengthMismatch):
-            labeled_confusion(preds, truth)
+            labeled_metrics(preds, truth)
         with pytest.raises(LengthMismatch):
             reference_confusion(preds, truth)
 

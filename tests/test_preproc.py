@@ -14,7 +14,7 @@ from dnsids.preproc import (CLASS_ORDER, TARGET_CODES, ClassLabel, LabeledDatase
                             class_labels, l2_normalize_rows, label_codes, label_windows,
                             merge_datasets, read_dataset, window_trace, write_dataset)
 from dnsids.simnet import (ATTACK, ATTACK_FLOW, DROPPED, RESPONSE, TO_CLIENT, TO_SERVER,
-                           AttackKind, GroundTruth, PacketTrace, ScenarioConfig,
+                           AttackKind, PacketTrace, ScenarioConfig,
                            make_scenario, run)
 
 
@@ -27,7 +27,7 @@ def _trace(duration, rows):
                        kind=[RESPONSE if d == TO_CLIENT else ATTACK for d in disposition],
                        size=[size for _, _, size in rows], disposition=disposition,
                        flow=[ATTACK_FLOW] * len(rows),
-                       truth=GroundTruth(AttackKind.NONE, None),
+                       attack_interval=None,
                        packets_generated=len(rows), in_flight_at_end=0,
                        max_queue_occupancy=0)
 
@@ -152,31 +152,28 @@ class TestFeatures:
 
 class TestLabeling:
     def test_no_attack_all_normal(self):
-        ds = label_windows(np.zeros((3, 3)), GroundTruth(AttackKind.NONE, None), 20.0)
+        ds = label_windows(np.zeros((3, 3)), AttackKind.NONE, None, 20.0)
         assert all(lbl is ClassLabel.NORMAL for lbl in class_labels(ds.codes))
 
     def test_majority_overlap_rule(self):
-        truth = GroundTruth(AttackKind.DIRECT_DOS, (20.0, 200.0))
-        ds = label_windows(np.zeros((10, 3)), truth, 20.0)
+        ds = label_windows(np.zeros((10, 3)), AttackKind.DIRECT_DOS, (20.0, 200.0), 20.0)
         labels = class_labels(ds.codes)
         assert labels[0] is ClassLabel.NORMAL
         assert all(lbl is ClassLabel.DIRECT_DOS for lbl in labels[1:])
 
     def test_exactly_half_overlap_is_normal(self):
-        truth = GroundTruth(AttackKind.AMPLIFICATION, (10.0, 20.0))
-        ds = label_windows(np.zeros((1, 3)), truth, 20.0)
+        ds = label_windows(np.zeros((1, 3)), AttackKind.AMPLIFICATION, (10.0, 20.0), 20.0)
         assert class_labels(ds.codes)[0] is ClassLabel.NORMAL
 
     def test_just_over_half_is_attack(self):
-        truth = GroundTruth(AttackKind.AMPLIFICATION, (9.99, 20.0))
-        ds = label_windows(np.zeros((1, 3)), truth, 20.0)
+        ds = label_windows(np.zeros((1, 3)), AttackKind.AMPLIFICATION, (9.99, 20.0), 20.0)
         assert class_labels(ds.codes)[0] is ClassLabel.AMPLIFICATION
 
     def test_labeling_is_deterministic_and_keeps_the_rows(self):
         features = np.tile([400.0, 10.0, 0.0], (6, 1))
-        truth = GroundTruth(AttackKind.DIRECT_DOS, (35.0, 90.0))
-        first = label_windows(features, truth, 20.0, ("t",))
-        again = label_windows(features, truth, 20.0, ("t",))
+        truth = (AttackKind.DIRECT_DOS, (35.0, 90.0))
+        first = label_windows(features, *truth, 20.0, ("t",))
+        again = label_windows(features, *truth, 20.0, ("t",))
         assert first == again
         assert np.array_equal(first.X, features) and first.provenance == ("t",)
         # windows starting at 40 and 60 are more than half covered
@@ -403,5 +400,6 @@ class TestPipelineSignatures:
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 5.0), attack_duration=120)
         trace = run(cfg, seed=2)
-        ds = label_windows(window_trace(trace, 20.0), trace.truth, 20.0, ("t",))
+        ds = label_windows(window_trace(trace, 20.0), cfg.attack_kind, trace.attack_interval,
+                           20.0, ("t",))
         assert read_dataset(write_dataset(ds)) == ds

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import re
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from dnsids import simnet
 from dnsids.errors import InvalidConfig, ParseError
 from dnsids.simnet import (ATTACK, DISPOSITIONS, DROPPED, KINDS, REQUEST, RESPONSE,
-                           TO_CLIENT, TO_SERVER, AttackKind, Disposition, GroundTruth,
-                           PacketKind, ScenarioConfig, make_scenario, read_trace, round6,
-                           run, validate_config, write_trace)
+                           TO_CLIENT, TO_SERVER, AttackKind, Disposition, PacketKind,
+                           ScenarioConfig, make_scenario, read_trace, round6, run,
+                           validate_config, write_trace)
 
 COLUMNS = ("t", "kind", "size", "disposition", "flow")
 
@@ -173,8 +174,8 @@ class TestNoAttackRun:
     def test_no_attack_purity(self):
         trace = run(make_scenario(duration=200), seed=5)
         assert (trace.kind != ATTACK).all()
-        assert trace.truth.attack_kind is AttackKind.NONE
-        assert trace.truth.interval is None
+        assert trace.config.attack_kind is AttackKind.NONE
+        assert trace.attack_interval is None
 
     def test_single_flow_emission_without_loss(self):
         trace = run(make_scenario(duration=200), seed=2)
@@ -190,7 +191,7 @@ class TestOverloadRun:
         trace = run(cfg, seed=3)
         dropped = trace.t[drops(trace)]
         assert dropped.size
-        start, end = trace.truth.interval
+        start, end = trace.attack_interval
         assert ((start <= dropped) & (dropped <= end + 1.0)).all()
 
     def test_queue_never_exceeds_capacity(self):
@@ -229,7 +230,7 @@ class TestTraceLaws:
         cfg = make_scenario(attack_kind="direct_dos", duration=80,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 20.0), attack_duration=60)
-        starts = {run(cfg, seed=s).truth.interval[0] for s in range(5)}
+        starts = {run(cfg, seed=s).attack_interval[0] for s in range(5)}
         assert len(starts) > 1
         assert all(0.0 <= s < 20.0 for s in starts)
 
@@ -315,6 +316,18 @@ class TestTraceSerialization:
         with pytest.raises(ParseError):
             read_trace(text)
 
+    @pytest.mark.parametrize("params, interval", [
+        # The end rounds up past the duration.
+        (dict(duration=1.0000005, attack_duration=5.0), (0.0, 1.000001)),
+        # The start rounds up to the duration, and the attack ends there.
+        (dict(duration=10, attack_start_jitter=(9.9999996, 9.9999999),
+              attack_duration=1e-9), (10.0, 10.0)),
+    ], ids=["end_past_duration", "start_at_duration"])
+    def test_attack_interval_at_rounding_edges_round_trips(self, params, interval):
+        trace = run(make_scenario(attack_kind="direct_dos", **params), seed=1)
+        assert trace.attack_interval == interval
+        assert read_trace(write_trace(trace)) == trace
+
     def test_missing_header_key_rejected(self):
         trace = run(make_scenario(duration=0.005), seed=7)
         lines = [l for l in write_trace(trace).splitlines() if not l.startswith("#seed=")]
@@ -383,6 +396,14 @@ def _with_row(text: str, index: int, **changes) -> str:
     return "\n".join(header + rows) + "\n"
 
 
+def _with_header(text: str, **values: str) -> str:
+    """The trace text with the named header values replaced."""
+    for key, value in values.items():
+        text, n = re.subn(f"^#{key}=.*$", f"#{key}={value}", text, count=1, flags=re.M)
+        assert n == 1, key
+    return text
+
+
 class TestStrictTraceParsing:
     @pytest.fixture(scope="class")
     def text(self):
@@ -412,6 +433,25 @@ class TestStrictTraceParsing:
         header, _ = _rows(text)
         with pytest.raises(ParseError, match=f"line {len(header) + 6}"):
             read_trace(_with_row(text, 5, **change))
+
+    @pytest.mark.parametrize("start, end", [("nan", "30.0"), ("30.0", "1.0"),
+                                            ("-1e9", "1e9"), ("0.0", "inf")],
+                             ids=["nan", "reversed", "negative", "infinite"])
+    def test_attack_interval_run_cannot_write_rejected(self, text, start, end):
+        with pytest.raises(ParseError, match="attack_start/attack_end"):
+            read_trace(_with_header(text, attack_start=start, attack_end=end))
+
+    @pytest.mark.parametrize("occupancy", ["-7", "101", "999999"])
+    def test_occupancy_outside_the_queue_rejected(self, text, occupancy):
+        with pytest.raises(ParseError, match="max_queue_occupancy"):
+            read_trace(_with_header(text, max_queue_occupancy=occupancy))
+
+    def test_negative_count_in_flight_rejected(self, text):
+        # The event count still matches: packets_generated offsets it.
+        _, rows = _rows(text)
+        bad = _with_header(text, in_flight_at_end="-1", packets_generated=str(len(rows) - 1))
+        with pytest.raises(ParseError, match="in_flight_at_end"):
+            read_trace(bad)
 
     def test_header_line_after_rows_rejected(self, text):
         with pytest.raises(ParseError, match="header line after event rows"):
@@ -443,14 +483,14 @@ def reference_run(config: ScenarioConfig, seed: int) -> dict:
         lo, hi = cfg.attack_start_jitter
         attack_start = round(lo + rng.random() * (hi - lo), 6)
         emit_end = min(attack_start + cfg.attack_duration, cfg.duration)
-        truth = GroundTruth(cfg.attack_kind, (attack_start, round(emit_end, 6)))
+        attack_interval = (attack_start, round(emit_end, 6))
         attack_size = (cfg.amp_response_size
                        if cfg.attack_kind is AttackKind.AMPLIFICATION
                        else cfg.attack_packet_size)
     else:
         attack_start = 0.0
         emit_end = 0.0
-        truth = GroundTruth(AttackKind.NONE, None)
+        attack_interval = None
         attack_size = 0
 
     def edge_latency(size: int) -> float:
@@ -566,7 +606,7 @@ def reference_run(config: ScenarioConfig, seed: int) -> dict:
 
     return {
         "columns": [np.array(c) for c in zip(*events)] if events else [[]] * 5,
-        "truth": truth,
+        "attack_interval": attack_interval,
         "packets_generated": generated,
         "in_flight_at_end": generated - delivered - dropped,
         "max_queue_occupancy": max_occupancy,
@@ -579,7 +619,7 @@ def assert_matches_reference(cfg, seed) -> dict:
     got = run(cfg, seed)
     for name, column in zip(COLUMNS, want["columns"]):
         assert np.array_equal(getattr(got, name), column), name
-    assert got.truth == want["truth"]
+    assert got.attack_interval == want["attack_interval"]
     for key in ("packets_generated", "in_flight_at_end", "max_queue_occupancy"):
         assert getattr(got, key) == want[key], key
     return want
@@ -937,7 +977,8 @@ def test_text_round_trip_is_exact(block, cfg, seed):
     for name in COLUMNS:
         got, want = getattr(back, name), getattr(trace, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert (back.config, back.seed, back.truth) == (trace.config, trace.seed, trace.truth)
+    assert ((back.config, back.seed, back.attack_interval)
+            == (trace.config, trace.seed, trace.attack_interval))
     assert back == trace
 
 
