@@ -85,8 +85,6 @@ class MlpRecipe:
 @dataclass(frozen=True)
 class RbfRecipe:
     name: ClassVar[str] = "rbf"
-    # Training has no settings beyond `centers`; model files store none.
-    train_config: ClassVar[None] = None
     centers: int = 10
 
     def __post_init__(self):

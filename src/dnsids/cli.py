@@ -1,6 +1,6 @@
 """Command-line front end wiring the pipeline stages together.
 
-Subcommands: simulate, features, train, evaluate, sweep, pipeline. Every
+Subcommands: simulate, features, evaluate, sweep, pipeline. Every
 output is a pure function of the config file and master seed; outputs
 embed both in a header comment. `pipeline` hands each stage's result to
 the next in memory: it windows each trace as soon as its file is
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import json
 import logging
 import os
@@ -42,10 +43,9 @@ for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 from . import errors, simnet  # noqa: E402
-from .classifiers.store import save_model  # noqa: E402
 from .config import (CLASSIFIERS, DEFAULT_CONFIG, MAX_RUNS, PipelineConfig,  # noqa: E402
                      parse_pipeline_config, validate_for_training)
-from .evaluation import (cross_validate, numeric_faults, render_report,  # noqa: E402
+from .evaluation import (cross_validate, render_report,  # noqa: E402
                          render_sweep_csv, smallest_class, stratifies,
                          sweep_hidden_neurons, sweep_workers)
 # Unused here; benchmarks/traced.py wraps it by this name until ROADMAP item 5 retires that.
@@ -147,6 +147,21 @@ def _write_output(path: Path, pieces: Iterable[str]) -> Path:
     except OSError as exc:
         raise errors.ConfigError(f"cannot write output {path}: {exc.strerror}") from None
     return path
+
+
+def _check_output_dir(out: Path) -> None:
+    """Fail as `_write_output` would, but before any work, when `out` cannot
+    be made a directory: the nearest of it and its ancestors that exists
+    is not one. Creates nothing; any other fault is left to the write."""
+    for path in (out, *out.parents):
+        try:
+            if path.is_dir():
+                return
+            if path.exists():
+                raise errors.ConfigError(
+                    f"cannot write output {out}: {os.strerror(errno.ENOTDIR)}")
+        except OSError:
+            return
 
 
 def _load_config(path: str | None, seed_override: int | None) -> tuple[PipelineConfig, str]:
@@ -297,22 +312,6 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg, digest = _load_config(args.config, args.seed)
-    data = _read_dataset_file(args.dataset)
-    recipe = getattr(cfg, args.classifier)
-    seed = derive_seed(cfg.seed, recipe.name, "train")
-    with numeric_faults(recipe.name):
-        model, report = recipe.train_folds([data], [seed])[0]
-    _write_output(Path(args.out) / f"model_{args.classifier}.json",
-                  (save_model(model, recipe.train_config, report,
-                              extra={"master_seed": cfg.seed, "config_digest": digest}),))
-    log.info("trained %s: mse=%.6g epochs=%d wall=%.2fs converged=%s",
-             args.classifier, report.final_mse, report.epochs_run,
-             report.wall_time, report.converged)
-    return 0
-
-
 def cmd_evaluate(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
     names = cfg.classifier_names if args.classifier == "all" else (args.classifier,)
@@ -320,8 +319,10 @@ def cmd_evaluate(args) -> int:
         if args.k < 2:
             raise errors.ConfigError(f"--k must be >= 2, got {args.k}")
         cfg = replace(cfg, cv_folds=args.k)
+    out = Path(args.out)
+    _check_output_dir(out)
     data = _read_dataset_file(args.dataset)
-    do_evaluate(data, text_digest(write_dataset(data)), cfg, names, Path(args.out), digest)
+    do_evaluate(data, text_digest(write_dataset(data)), cfg, names, out, digest)
     return 0
 
 
@@ -332,13 +333,15 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise errors.ConfigError(
             f"--widths must be comma-separated integers, got {args.widths!r}") from None
+    out = Path(args.out)
+    _check_output_dir(out)
     data = _read_dataset_file(args.dataset)
     _warn_unless_stratified(data, cfg.cv_folds)
     log.info("sweeping %d widths; worker processes: %d", len(widths),
              sweep_workers(widths))
     entries = sweep_hidden_neurons(data, cfg.mlp, widths, cfg.seed, k=cfg.cv_folds)
     comment = f"# master_seed={cfg.seed} config_digest={digest}\n"
-    path = _write_output(Path(args.out) / "sweep.csv",
+    path = _write_output(out / "sweep.csv",
                          (comment, render_sweep_csv(widths, entries)))
     log.info("wrote %s (%d widths)", path, len(entries))
     return 0
@@ -375,12 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--traces", required=True, help="directory of .trace files")
     p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("train", help="train one classifier on a dataset")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--classifier", choices=CLASSIFIERS, default="mlp")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="cross-validate classifiers, write the report")
     common(p)

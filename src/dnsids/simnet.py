@@ -422,7 +422,8 @@ def run(config: ScenarioConfig, seed: int) -> PacketTrace:
     if cfg.attack_kind is not AttackKind.NONE:
         lo, hi = cfg.attack_start_jitter
         attack_start = round(lo + rng.random() * (hi - lo), 6)
-        emit_end = min(attack_start + cfg.attack_duration, cfg.duration)
+        # A float even when a library caller's duration is an int.
+        emit_end = float(min(attack_start + cfg.attack_duration, cfg.duration))
         attack_interval = (attack_start, round(emit_end, 6))
         attack_size = (cfg.amp_response_size
                        if cfg.attack_kind is AttackKind.AMPLIFICATION

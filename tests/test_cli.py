@@ -1,5 +1,6 @@
-"""Config parsing, model files, CLI commands, composition, determinism."""
+"""Config parsing, CLI commands, composition, determinism."""
 
+import argparse
 import json
 import logging
 import os
@@ -7,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,22 +15,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dnsids.classifiers.base import TrainReport
-from dnsids.classifiers.mlp import MlpTrainConfig, mlp_init
-from dnsids.classifiers.rbf import RbfModel
-from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
-from dnsids.classifiers.som import SomModel, SomTrainConfig, som_init
-from dnsids.classifiers.store import load_model, save_model
+from dnsids.classifiers.mlp import MlpTrainConfig
+from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe
+from dnsids.classifiers.som import SomTrainConfig
 from dnsids import cli, errors, evaluation, simnet
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, MAX_RUNS, MAX_SCENARIO_NAME, SECTION_PARSERS,
                            parse_pipeline_config, validate_for_training)
-from dnsids.errors import ConfigError, InvalidConfig, ParseError
+from dnsids.errors import ConfigError, InvalidConfig
 from dnsids.evaluation import parse_report_csv
-from dnsids.preproc import (CLASS_ORDER, ClassLabel, LabeledDataset, class_labels, label_codes,
-                            read_dataset, write_dataset)
+from dnsids.preproc import LabeledDataset, read_dataset, write_dataset
 from dnsids.seeding import text_digest
-from dnsids.simnet import AttackKind, read_trace, write_trace
+from dnsids.simnet import read_trace, write_trace
 
 TINY_CONFIG = """\
 [pipeline]
@@ -351,143 +347,6 @@ class TestConfigContract:
             build()
         assert isinstance(info.value, ValueError)
 
-    def test_model_file_with_a_broken_training_config_is_parse_error(self):
-        model = mlp_init(3, 0)
-        report = TrainReport(0.1, 1, 0.0, False, (0.2, 0.1))
-        doc = json.loads(save_model(model, MlpTrainConfig(), report))
-        doc["config"]["max_epochs"] = 0
-        with pytest.raises(ParseError, match="max_epochs"):
-            load_model(json.dumps(doc))
-
-
-# Model files as `save_model` wrote them while `MlpTrainConfig` and
-# `SomTrainConfig` still had a `seed` field, which no trainer read.
-OLD_MLP_FILE = (
-    '{"type": "mlp", "model": {"hidden_weights": [[0.5, -0.25, 0.125]], "hidden_bias": '
-    '[0.75], "output_weights": [[1.0], [-1.0], [0.5]], "output_bias": [0.0, 0.25, -0.5]},'
-    ' "config": {"max_epochs": 120, "target_mse": 1e-05, "lm_lambda_init": 0.001, '
-    '"lm_lambda_up": 10.0, "lm_lambda_down": 0.1, "lm_lambda_max": 10000000000.0, '
-    '"weight_init_range": 0.5, "seed": 0}, "report": {"final_mse": 0.0625, "epochs_run": '
-    '12, "wall_time": 0.5, "converged": false, "mse_history": [0.5, 0.0625]}, '
-    '"master_seed": 7, "config_digest": "abc"}')
-OLD_SOM_FILE = (
-    '{"type": "som", "model": {"codebook": [[0.0, 0.01, 0.02], [0.03, 0.04, 0.05], [0.06,'
-    ' 0.07, 0.08], [0.09, 0.1, 0.11], [0.12, 0.13, 0.14], [0.15, 0.16, 0.17], [0.18, '
-    '0.19, 0.2], [0.21, 0.22, 0.23], [0.24, 0.25, 0.26], [0.27, 0.28, 0.29], [0.3, 0.31, '
-    '0.32], [0.33, 0.34, 0.35], [0.36, 0.37, 0.38], [0.39, 0.4, 0.41], [0.42, 0.43, '
-    '0.44], [0.45, 0.46, 0.47], [0.48, 0.49, 0.5], [0.51, 0.52, 0.53], [0.54, 0.55, '
-    '0.56], [0.57, 0.58, 0.59], [0.6, 0.61, 0.62], [0.63, 0.64, 0.65], [0.66, 0.67, '
-    '0.68], [0.69, 0.7, 0.71], [0.72, 0.73, 0.74]], "grid": [[0.0, 0.0], [1.0, 0.0], '
-    '[2.0, 0.0], [3.0, 0.0], [4.0, 0.0], [0.5, 0.8660254037844386], [1.5, '
-    '0.8660254037844386], [2.5, 0.8660254037844386], [3.5, 0.8660254037844386], [4.5, '
-    '0.8660254037844386], [0.0, 1.7320508075688772], [1.0, 1.7320508075688772], [2.0, '
-    '1.7320508075688772], [3.0, 1.7320508075688772], [4.0, 1.7320508075688772], [0.5, '
-    '2.598076211353316], [1.5, 2.598076211353316], [2.5, 2.598076211353316], [3.5, '
-    '2.598076211353316], [4.5, 2.598076211353316], [0.0, 3.4641016151377544], [1.0, '
-    '3.4641016151377544], [2.0, 3.4641016151377544], [3.0, 3.4641016151377544], [4.0, '
-    '3.4641016151377544]], "neuron_labels": ["normal", "direct_dos", "amplification", '
-    '"normal", "direct_dos", "amplification", "normal", "direct_dos", "amplification", '
-    '"normal", "direct_dos", "amplification", "normal", "direct_dos", "amplification", '
-    '"normal", "direct_dos", "amplification", "normal", "direct_dos", "amplification", '
-    '"normal", "direct_dos", "amplification", "normal"]}, "config": {"epochs": 6, '
-    '"ordering_lr": 0.9, "ordering_steps": 1000, "tuning_lr": 0.02, '
-    '"tuning_neighbor_dist": 1, "seed": 0}, "report": {"final_mse": 0.125, "epochs_run": '
-    '6, "wall_time": 0.25, "converged": true, "mse_history": []}, "master_seed": 7, '
-    '"config_digest": "abc"}')
-
-
-def assert_same_model(loaded, model):
-    """Every field equal to the last bit, arrays with their dtype."""
-    assert type(loaded) is type(model)
-    for f in fields(model):
-        want, got = getattr(model, f.name), getattr(loaded, f.name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
-        else:
-            assert got == want, f.name
-
-
-class TestModelStore:
-    def test_mlp_round_trip_exact(self):
-        model = mlp_init(7, 3)
-        report = TrainReport(1.25e-6, 17, 0.125, True, (0.5, 1.25e-6))
-        text = save_model(model, MlpTrainConfig(), report)
-        loaded, cfg, rep = load_model(text)
-        assert_same_model(loaded, model)
-        assert cfg == MlpTrainConfig()
-        assert rep == report
-
-    def test_rbf_round_trip_exact(self):
-        recipe = RbfRecipe(centers=3)
-        rng = np.random.default_rng(0)
-        rows = [(round(float(v[0]), 6), round(float(v[1]), 6), int(v[2]))
-                for v in np.abs(rng.normal(size=(8, 3)) * 10)]
-        ((model, report),) = recipe.train_folds(
-            [LabeledDataset(rows, label_codes([ClassLabel.NORMAL] * 8))], [1])
-        loaded, cfg, rep = load_model(save_model(model, None, report))
-        assert_same_model(loaded, model)
-        assert cfg is None
-        assert rep == report
-
-    def test_som_round_trip_with_labels(self):
-        labeled = SomModel(som_init(2), label_codes(CLASS_ORDER[i % 3] for i in range(25)))
-        text = save_model(labeled, SomTrainConfig(), TrainReport(0.1, 5, 0.01, True))
-        assert json.loads(text)["model"]["neuron_labels"][:3] == [
-            "normal", "direct_dos", "amplification"]
-        loaded, cfg, _ = load_model(text)
-        assert_same_model(loaded, labeled)
-        assert loaded.neuron_labels.dtype == np.int8
-        assert cfg == SomTrainConfig()
-
-    def test_som_file_without_labels_rejected(self):
-        # A map is a labelled codebook; a file whose labels are null is not one.
-        labeled = SomModel(som_init(2), label_codes([CLASS_ORDER[0]] * 25))
-        doc = json.loads(save_model(labeled, None, TrainReport(0.1, 5, 0.01, True)))
-        doc["model"]["neuron_labels"] = None
-        with pytest.raises(ParseError, match="malformed model file"):
-            load_model(json.dumps(doc))
-
-    def test_model_files_with_a_seed_key_still_load(self):
-        model, cfg, report = load_model(OLD_MLP_FILE)
-        assert model.hidden_weights.tolist() == [[0.5, -0.25, 0.125]]
-        assert model.output_bias.tolist() == [0.0, 0.25, -0.5]
-        assert cfg == MlpTrainConfig(max_epochs=120)
-        assert report == TrainReport(0.0625, 12, 0.5, False, (0.5, 0.0625))
-
-        model, cfg, report = load_model(OLD_SOM_FILE)
-        assert np.array_equal(model.codebook, np.arange(75).reshape(25, 3) / 100)
-        assert not hasattr(model, "grid")
-        assert class_labels(model.neuron_labels) == [CLASS_ORDER[i % 3] for i in range(25)]
-        assert cfg == SomTrainConfig(epochs=6)
-        assert report == TrainReport(0.125, 6, 0.25, True, ())
-
-        # What is written now has no seed key.
-        assert "seed" not in json.loads(save_model(model, cfg, report))["config"]
-
-    def test_malformed_model_rejected(self):
-        with pytest.raises(ParseError):
-            load_model("{not json")
-        with pytest.raises(ParseError):
-            load_model(json.dumps({"type": "svm", "model": {}, "config": None,
-                                   "report": {}}))
-        report = TrainReport(0.1, 1, 0.0, False)
-        doc = json.loads(save_model(mlp_init(3, 0), MlpTrainConfig(), report))
-        del doc["model"]["hidden_bias"]
-        with pytest.raises(ParseError, match="hidden_bias"):
-            load_model(json.dumps(doc))
-        labeled = SomModel(som_init(0), label_codes([CLASS_ORDER[0]] * 25))
-        doc = json.loads(save_model(labeled, SomTrainConfig(), report))
-        doc["config"]["radius"] = 2
-        with pytest.raises(ParseError, match="radius"):
-            load_model(json.dumps(doc))
-        # An rbf file's training has no settings to keep.
-        rbf = RbfModel(np.eye(3)[:2], 1.0, np.zeros((3, 2)), np.zeros(3))
-        doc = json.loads(save_model(rbf, None, report))
-        doc["config"] = {"centers": 2}
-        with pytest.raises(ParseError, match="config"):
-            load_model(json.dumps(doc))
-
-
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny")
@@ -502,7 +361,7 @@ def tiny_run(tmp_path_factory):
 class TestResidentCode:
     """What a command maps into its process beyond what its work uses."""
 
-    @pytest.mark.parametrize("command", ["pipeline", "evaluate", "train"])
+    @pytest.mark.parametrize("command", ["pipeline", "evaluate"])
     def test_cross_validation_and_training_load_no_openssl_or_masked_arrays(
             self, tiny_run, fresh_interpreter, tmp_path, command):
         # The first seeded generator imports `numpy.random`, whose `secrets`
@@ -510,8 +369,7 @@ class TestResidentCode:
         # distinct-row search could import `numpy.ma` (1.2 MB).
         cfg_path, out = tiny_run
         dataset = ["--dataset", str(out / "dataset.csv")]
-        args = {"pipeline": [], "evaluate": dataset,
-                "train": [*dataset, "--classifier", "rbf"]}[command]
+        args = {"pipeline": [], "evaluate": dataset}[command]
         loaded = fresh_interpreter(command, *args, "--config", str(cfg_path),
                                    "--out", str(tmp_path))
         assert "numpy.random" in loaded.modules
@@ -619,20 +477,6 @@ class TestPipelineCommand:
 
 
 class TestCommandsAndExitCodes:
-    def test_train_writes_model(self, tiny_run, tmp_path):
-        cfg_path, out = tiny_run
-        dest = tmp_path / "model"
-        rc = main(["train", "--config", str(cfg_path), "--dataset",
-                   str(out / "dataset.csv"), "--classifier", "rbf", "--out", str(dest)])
-        assert rc == 0
-        text = (dest / "model_rbf.json").read_text()
-        model, _, report = load_model(text)
-        assert model.centers.shape[0] == 6
-        assert report.final_mse >= 0
-        doc = json.loads(text)
-        assert doc["master_seed"] == 7
-        assert doc["config_digest"] == text_digest(cfg_path.read_text())
-
     def test_damping_underflowed_to_zero_ends_evaluate(self, tmp_path, monkeypatch):
         # With lm_lambda_down = 1e-200 the LM damping is 0 after two
         # accepted steps, and growing it by lm_lambda_up leaves it 0. On
@@ -660,14 +504,6 @@ class TestCommandsAndExitCodes:
         rc = main(["evaluate", "--config", str(cfg), "--dataset", str(data),
                    "--classifier", "mlp", "--k", "3", "--out", str(tmp_path / "o")])
         assert rc in (0, 4)
-
-    def test_trained_model_carries_its_training_config(self, tiny_run, tmp_path):
-        cfg_path, out = tiny_run
-        rc = main(["train", "--config", str(cfg_path), "--dataset",
-                   str(out / "dataset.csv"), "--classifier", "som", "--out", str(tmp_path)])
-        assert rc == 0
-        _, config, _ = load_model((tmp_path / "model_som.json").read_text())
-        assert config == parse_pipeline_config(TINY_CONFIG).som.train_config
 
     def test_sweep_writes_csv(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run
@@ -710,7 +546,6 @@ class TestCommandsAndExitCodes:
 
     # `benchmarks/traced.py` times the parsers by swapping these names.
     @pytest.mark.parametrize("command, parser", [("features", "read_trace"),
-                                                 ("train", "read_dataset"),
                                                  ("evaluate", "read_dataset"),
                                                  ("sweep", "read_dataset")])
     def test_parsers_are_looked_up_by_name_when_called(self, tiny_run, tmp_path, monkeypatch,
@@ -725,7 +560,6 @@ class TestCommandsAndExitCodes:
         monkeypatch.setattr(cli, parser, counted)
         cfg_path, out = tiny_run
         args = {"features": ["--traces", str(out / "traces")],
-                "train": ["--dataset", str(out / "dataset.csv"), "--classifier", "rbf"],
                 "evaluate": ["--dataset", str(out / "dataset.csv"), "--classifier", "rbf"],
                 "sweep": ["--dataset", str(out / "dataset.csv"), "--widths", "3"]}[command]
         assert main([command, "--config", str(cfg_path), *args,
@@ -733,24 +567,25 @@ class TestCommandsAndExitCodes:
         traces = len(list((out / "traces").glob("*.trace")))
         assert calls == [parser] * (traces if command == "features" else 1)
 
-    # One dataset is trained outside cross-validation, so no fold is named.
-    @pytest.mark.parametrize("classifier, error", [("mlp", "SingularUpdate"),
-                                                   ("rbf", "DegenerateDesign")])
-    def test_train_error_names_no_fold(self, tiny_run, tmp_path, capsys, monkeypatch,
-                                       classifier, error):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+    def test_train_is_no_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--dataset", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'train'" in err
+        assert "Traceback" not in err
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        cfg_path, out = tiny_run
-        rc = main(["train", "--config", str(cfg_path), "--dataset", str(out / "dataset.csv"),
-                   "--classifier", classifier, "--out", str(tmp_path / "o")])
-        assert rc == 4
-        err = one_json_error(capsys)
-        assert err["error"] == error
-        assert "fold" not in err["detail"]
+    def test_docs_name_exactly_the_subcommands(self):
+        (action,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        commands = list(action.choices)
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Subcommands", 1)[1].split("\nExit codes", 1)[0]
+        assert re.findall(r"^\| `([\w-]+)` ", table, re.M) == commands
+        listed = re.search(r"^Subcommands: ([\w,\s-]+)\.", cli.__doc__, re.M).group(1)
+        assert [name.strip() for name in listed.split(",")] == commands
 
-    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_empty_dataset_train_fails_with_empty(self, tmp_path, capsys, command):
         empty = tmp_path / "empty.csv"
         empty.write_text(write_dataset(LabeledDataset((), ())))
@@ -766,7 +601,7 @@ class TestCommandsAndExitCodes:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(err)["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_bad_dataset_is_parse_error(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
         bad.write_text("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
@@ -895,7 +730,7 @@ class TestInputFiles:
         path = tmp_path / "huge.csv"
         path.write_text("throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
                         f"1.0,2.0,{'9' * 400},normal\n")
-        rc = main(["train", "--dataset", str(path), "--out", str(tmp_path / "o")])
+        rc = main(["evaluate", "--dataset", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
         err = one_json_error(capsys)
         assert err["error"] == "ParseError"
@@ -1262,21 +1097,12 @@ class TestNumericFaults:
         assert err["error"] == "NumericFault"
         assert re.fullmatch(rf"fold \d+: {name}: floating-point fault: overflow .*",
                             err["detail"])
-
-    @pytest.mark.parametrize("classifier, name", [("mlp", "bp"), ("rbf", "rbf")])
-    def test_overflow_in_train_names_classifier(self, tmp_path, capsys, classifier, name):
-        assert self.run(tmp_path, capsys, "train", classifier) == 4
-        err = one_json_error(capsys)
-        assert err["error"] == "NumericFault"
-        assert err["detail"].startswith(f"{name}: floating-point fault: overflow")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "train"])
-    def test_map_takes_the_value(self, tmp_path, capsys, command):
-        assert self.run(tmp_path, capsys, command, "som") == 0
-        if command == "evaluate":
-            (row,) = parse_report_csv((tmp_path / "o" / "report.csv").read_text())
-            assert 0.0 <= row["accuracy_3class"] <= 100.0
+    def test_map_takes_the_value(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, "evaluate", "som") == 0
+        (row,) = parse_report_csv((tmp_path / "o" / "report.csv").read_text())
+        assert 0.0 <= row["accuracy_3class"] <= 100.0
 
 
 class TestOutputFiles:
@@ -1289,14 +1115,13 @@ class TestOutputFiles:
         return {
             "simulate": ["simulate", *cfg],
             "features": ["features", *cfg, "--traces", str(out / "traces")],
-            "train": ["train", *cfg, *dataset, "--classifier", "rbf"],
             "evaluate": ["evaluate", *cfg, *dataset, "--classifier", "rbf"],
             "sweep": ["sweep", *cfg, *dataset, "--widths", "3"],
             "pipeline": ["pipeline", *cfg],
         }[name]
 
-    @pytest.mark.parametrize("name", ["simulate", "features", "train", "evaluate",
-                                      "sweep", "pipeline"])
+    @pytest.mark.parametrize("name", ["simulate", "features", "evaluate", "sweep",
+                                      "pipeline"])
     def test_out_under_a_file_is_config_error(self, tiny_run, tmp_path, capsys, name):
         cfg_path, out = tiny_run
         blocker = tmp_path / "F"
@@ -1315,6 +1140,26 @@ class TestOutputFiles:
         err = one_json_error(capsys)
         assert err["error"] == "ConfigError"
         assert str(dest) in err["detail"]
+
+    # The commands that cross-validate a dataset file check `--out` first,
+    # so a bad one fails at once, ahead of a bad dataset, and creates nothing.
+    @pytest.mark.parametrize("name", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("under", [True, False], ids=["under_a_file", "a_file"])
+    def test_unwritable_out_fails_before_the_dataset_is_read(
+            self, tiny_run, tmp_path, capsys, monkeypatch, name, under):
+        def refuse(pieces):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "read_dataset", refuse)
+        cfg_path, out = tiny_run
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        dest = blocker / "x" if under else blocker
+        before = sorted(tmp_path.rglob("*"))
+        assert main(self.command(name, cfg_path, out, dest)) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert one_json_error(capsys) == {
+            "error": "ConfigError", "detail": f"cannot write output {dest}: Not a directory"}
 
 
 class TestSimulateStage:

@@ -322,10 +322,14 @@ class TestTraceSerialization:
         # The start rounds up to the duration, and the attack ends there.
         (dict(duration=10, attack_start_jitter=(9.9999996, 9.9999999),
               attack_duration=1e-9), (10.0, 10.0)),
-    ], ids=["end_past_duration", "start_at_duration"])
+        # The attack is cut at an int duration; the end is still a float.
+        (dict(duration=10, attack_start_jitter=(5, 5)), (5.0, 10.0)),
+    ], ids=["end_past_duration", "start_at_duration", "end_cut_at_int_duration"])
     def test_attack_interval_at_rounding_edges_round_trips(self, params, interval):
         trace = run(make_scenario(attack_kind="direct_dos", **params), seed=1)
         assert trace.attack_interval == interval
+        assert [type(t) for t in trace.attack_interval] == [float, float]
+        assert f"#attack_end={interval[1]!r}\n" in write_trace(trace)
         assert read_trace(write_trace(trace)) == trace
 
     def test_missing_header_key_rejected(self):
