@@ -1161,6 +1161,85 @@ class TestOutputFiles:
         assert one_json_error(capsys) == {
             "error": "ConfigError", "detail": f"cannot write output {dest}: Not a directory"}
 
+    # Whatever is wrong with the dataset, given alone it fails with its own
+    # error, and given with a bad `--out` it fails with the `--out` error.
+    @pytest.mark.parametrize("name", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("kind, code, error", [("missing", 2, "ConfigError"),
+                                                   ("malformed", 3, "ParseError"),
+                                                   ("empty", 4, "Empty")])
+    def test_bad_out_wins_over_a_bad_dataset(self, tiny_run, tmp_path, capsys, name,
+                                             kind, code, error):
+        cfg_path, _ = tiny_run
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        text = {"missing": None,
+                "malformed": "throughput_bps,mean_packet_size_bytes,packet_loss,label\n"
+                             "1.0,2.0,0,weird\n",
+                "empty": write_dataset(LabeledDataset((), ()))}[kind]
+        if text is not None:
+            (data_dir / "dataset.csv").write_text(text)
+        assert main(self.command(name, cfg_path, data_dir, tmp_path / "o")) == code
+        assert one_json_error(capsys)["error"] == error
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        dest = blocker / "x"
+        assert main(self.command(name, cfg_path, data_dir, dest)) == 2
+        assert one_json_error(capsys) == {
+            "error": "ConfigError", "detail": f"cannot write output {dest}: Not a directory"}
+
+
+class TestOutputDirCheck:
+    """`cli._check_output_dir` refuses an `--out` only when the nearest of it
+    and its ancestors that exists is not a directory, and creates nothing."""
+
+    def test_existing_directory_passes(self, tmp_path):
+        cli._check_output_dir(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directories_pass_and_are_not_created(self, tmp_path):
+        cli._check_output_dir(tmp_path / "a" / "b" / "c")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_file_at_any_depth_fails_naming_out(self, tmp_path, depth):
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        out = blocker.joinpath(*["d"] * depth)
+        with pytest.raises(ConfigError) as info:
+            cli._check_output_dir(out)
+        assert str(info.value) == f"cannot write output {out}: Not a directory"
+        assert sorted(tmp_path.rglob("*")) == [blocker]
+
+    def test_symlink_to_a_directory_passes(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "d")
+        cli._check_output_dir(tmp_path / "link" / "x")
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_symlink_to_a_file_fails(self, tmp_path):
+        (tmp_path / "f").write_text("not a directory\n")
+        (tmp_path / "link").symlink_to(tmp_path / "f")
+        out = tmp_path / "link" / "x"
+        with pytest.raises(ConfigError) as info:
+            cli._check_output_dir(out)
+        assert str(info.value) == f"cannot write output {out}: Not a directory"
+
+    # Any other fault is the write's to report, as it was before the check.
+    def test_dangling_symlink_is_left_to_the_write(self, tmp_path):
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "gone")
+        cli._check_output_dir(out)
+        with pytest.raises(ConfigError, match=r"^cannot write output .*: File exists$"):
+            cli._write_output(out / "report.csv", ["x\n"])
+        assert not (tmp_path / "gone").exists()
+
+    def test_name_too_long_is_left_to_the_write(self, tmp_path):
+        out = tmp_path / ("n" * 300)
+        cli._check_output_dir(out)
+        with pytest.raises(ConfigError, match=r"^cannot write output .*: File name too long$"):
+            cli._write_output(out / "report.csv", ["x\n"])
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateStage:
     # A 1 Mbit/s link at 1.2x overload with a fixed attack start, so every
