@@ -1,5 +1,18 @@
-"""Shared classifier pieces: training reports, the nearest-point kernel and
-the output decision rule."""
+"""Shared classifier pieces: the train/score protocol, training reports,
+the nearest-point kernel and the output decision rule.
+
+Each classifier module defines its recipe: one frozen dataclass whose
+fields are all of that classifier's settings, checked when it is built.
+Evaluation uses three of its members and no others: `name`, a class
+constant naming the classifier in reports and keying its fold seeds;
+`train_folds(train_sets, seeds)`, one fresh `(model, TrainReport)` per
+(dataset, seed) pair, where an error from pair i carries `fold` i; and
+`score(model, X)`, the `(labels, outputs)` of a batch of raw feature
+rows: int8 label codes and the raw outputs. The two networks train pair
+by pair (`train_each`) and label each row with the class whose target
+code is nearest its output; the map trains all pairs in one lockstep
+run and scores with no outputs (None in their place).
+"""
 
 from __future__ import annotations
 
@@ -7,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DnsIdsError
 from ..preproc import CLASS_INDEX, TARGET_CODES, ClassLabel
 
 # Class preference on ties: an output equidistant from several codes, or
@@ -25,6 +39,20 @@ class TrainReport:
     wall_time: float
     converged: bool
     mse_history: tuple[float, ...] = ()
+
+
+def train_each(train, train_sets, seeds) -> list:
+    """`train(data, seed)` on each pair in turn; pair i's error, or the
+    floating-point fault numpy raises where its traps are set, leaves
+    with `fold` i."""
+    results = []
+    for fold, (data, seed) in enumerate(zip(train_sets, seeds)):
+        try:
+            results.append(train(data, seed))
+        except (DnsIdsError, FloatingPointError) as exc:
+            exc.fold = fold
+            raise
+    return results
 
 
 def sq_distances(X: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..errors import InvalidWidth, SingularUpdate, require
-from .base import TrainReport
+from ..errors import Empty, InvalidWidth, SingularUpdate, require
+from ..preproc import LabeledDataset
+from .base import TrainReport, nearest_code_labels, train_each
 
 MAX_HIDDEN = 64
 
@@ -35,7 +37,9 @@ class MlpModel:
 
 
 @dataclass(frozen=True)
-class MlpTrainConfig:
+class MlpRecipe:
+    name: ClassVar[str] = "bp"
+    hidden: int = 7
     max_epochs: int = 500
     target_mse: float = 1e-5
     lm_lambda_init: float = 1e-3
@@ -57,6 +61,34 @@ class MlpTrainConfig:
         for key in ("lm_lambda_init", "lm_lambda_max", "weight_init_range"):
             value = getattr(self, key)
             require(math.isfinite(value) and value > 0, key, "finite and > 0", value)
+        # Last, so a section that breaks it and an LM rule names the LM key.
+        require(1 <= self.hidden <= MAX_HIDDEN, "hidden", f"in 1..{MAX_HIDDEN}", self.hidden)
+
+    def train_folds(self, train_sets, seeds) -> list[tuple[MlpModel, TrainReport]]:
+        return train_each(self._train, train_sets, seeds)
+
+    def _train(self, data: LabeledDataset, seed: int) -> tuple[MlpModel, TrainReport]:
+        if len(data) == 0:
+            raise Empty("cannot train on an empty dataset")
+        model = mlp_init(self.hidden, seed, self.weight_init_range)
+        # Damped Gauss-Newton is brittle when the feature columns span
+        # five orders of magnitude, so train in per-fold standardized
+        # coordinates and fold the affine map back into the first layer;
+        # the returned model consumes raw features.
+        X = data.X
+        mu = X.mean(axis=0)
+        sd = X.std(axis=0)
+        sd = np.where(sd == 0.0, 1.0, sd)
+        trained, report = train_lm_arrays(model, (X - mu) / sd, data.targets(), self)
+        w1 = trained.hidden_weights / sd
+        b1 = trained.hidden_bias - trained.hidden_weights @ (mu / sd)
+        raw_model = MlpModel(w1, b1, trained.output_weights.copy(),
+                             trained.output_bias.copy())
+        return raw_model, report
+
+    def score(self, model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
+        outputs = mlp_forward(model, X)
+        return nearest_code_labels(outputs), outputs
 
 
 def mlp_init(hidden: int, seed: int, init_range: float = 0.5) -> MlpModel:
@@ -137,7 +169,7 @@ def _mse(outputs: np.ndarray, targets: np.ndarray) -> float:
 
 
 def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
-                    cfg: MlpTrainConfig = MlpTrainConfig()) -> tuple[MlpModel, TrainReport]:
+                    cfg: MlpRecipe = MlpRecipe()) -> tuple[MlpModel, TrainReport]:
     """Train a copy of `model` on features X (n, 3) and targets T (n, 3).
 
     One epoch is one accepted damped Gauss-Newton step (rejected trial
@@ -156,7 +188,7 @@ def train_lm_arrays(model: MlpModel, X: np.ndarray, T: np.ndarray,
 
 
 def _lm_fit(params: np.ndarray, h: int, X: np.ndarray, T: np.ndarray,
-            cfg: MlpTrainConfig) -> tuple[MlpModel, list[float]]:
+            cfg: MlpRecipe) -> tuple[MlpModel, list[float]]:
     """Run the LM loop from the flat `params`. Returns the model over the
     last accepted parameters, as views of them, and the MSE at the start
     and after each accepted step."""

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ..errors import DegenerateDesign, NeedTwoCenters, TooFewSamples
+from ..errors import DegenerateDesign, NeedTwoCenters, TooFewSamples, require
 from ..preproc import LabeledDataset
-from .base import TrainReport, sq_distances
+from .base import TrainReport, nearest_code_labels, sq_distances, train_each
 
 MSE_TARGET = 0.001
 RIDGE = 1e-8
@@ -29,6 +30,23 @@ class RbfModel:
     width: float                # shared Gaussian sigma
     output_weights: np.ndarray  # (3, k)
     output_bias: np.ndarray     # (3,)
+
+
+@dataclass(frozen=True)
+class RbfRecipe:
+    name: ClassVar[str] = "rbf"
+    centers: int = 10
+
+    def __post_init__(self):
+        require(self.centers >= 2, "centers", ">= 2", self.centers)
+
+    def train_folds(self, train_sets, seeds) -> list[tuple[RbfModel, TrainReport]]:
+        return train_each(lambda data, seed: rbf_train(data, self.centers, seed),
+                          train_sets, seeds)
+
+    def score(self, model: RbfModel, X) -> tuple[np.ndarray, np.ndarray]:
+        outputs = rbf_forward(model, X)
+        return nearest_code_labels(outputs), outputs
 
 
 def kmeans(points, k: int, seed: int, max_iter: int = _MAX_LLOYD_ITER) -> np.ndarray:

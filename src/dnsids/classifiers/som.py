@@ -27,13 +27,16 @@ best-matching unit.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import Empty, require
 from ..preproc import CLASS_ORDER, l2_normalize_rows
-from .base import _DECISION_LABEL_CODES, _DECISION_ORDER, nearest, sq_distances
+from .base import (_DECISION_LABEL_CODES, _DECISION_ORDER, TrainReport, nearest,
+                   sq_distances)
 
 GRID_ROWS = 5
 GRID_COLS = 5
@@ -71,7 +74,8 @@ class SomModel:
 
 
 @dataclass(frozen=True)
-class SomTrainConfig:
+class SomRecipe:
+    name: ClassVar[str] = "som"
     epochs: int = 1000
     ordering_lr: float = 0.9
     ordering_steps: int = 1000
@@ -86,6 +90,26 @@ class SomTrainConfig:
         require(self.epochs >= 1, "epochs", ">= 1", self.epochs)
         require(self.tuning_neighbor_dist >= 0, "tuning_neighbor_dist", ">= 0",
                 self.tuning_neighbor_dist)
+
+    def train_folds(self, train_sets, seeds) -> list[tuple[SomModel, TrainReport]]:
+        """Train one map per (dataset, seed) pair in a single lockstep run.
+
+        Each report's wall time is an even share of the whole run, so the
+        shares add up to its total.
+        """
+        start = time.perf_counter()
+        Xs = [l2_normalize_rows(data.X) for data in train_sets]
+        codebooks = som_train_folds([som_init(seed) for seed in seeds], Xs, self, seeds)
+        models = [som_label(cb, X, data.codes)
+                  for cb, X, data in zip(codebooks, Xs, train_sets)]
+        qerrs = [quantization_error(cb, X) for cb, X in zip(codebooks, Xs)]
+        wall = (time.perf_counter() - start) / len(models)
+        # No MSE target exists for the map; completing the schedule counts.
+        return [(m, TrainReport(qe, self.epochs, wall, True, ()))
+                for m, qe in zip(models, qerrs)]
+
+    def score(self, model: SomModel, X) -> tuple[np.ndarray, None]:
+        return som_classify(model, X), None
 
 
 def som_init(seed: int) -> np.ndarray:
@@ -110,7 +134,7 @@ def _stream_blocks(rng, n: int, epochs: int, offset: int):
         yield pending
 
 
-def som_train_folds(codebooks, datasets, cfg: SomTrainConfig, seeds) -> list[np.ndarray]:
+def som_train_folds(codebooks, datasets, cfg: SomRecipe, seeds) -> list[np.ndarray]:
     """Train one map per (codebook, dataset, seed) in lockstep; returns the
     trained codebooks as new arrays.
 

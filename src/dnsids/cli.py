@@ -304,11 +304,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_features(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
+    out = Path(args.out)
+    _check_output_dir(out)
     trace_dir = Path(args.traces)
     if not trace_dir.is_dir():
         raise errors.ConfigError(f"trace directory not found: {trace_dir}")
     paths = sorted(trace_dir.glob("*.trace"))
-    do_features(paths, Path(args.out), cfg.seed, digest)
+    do_features(paths, out, cfg.seed, digest)
     return 0
 
 

@@ -5,16 +5,17 @@ Grammar (see README for the full key list):
     [pipeline]            seed, window_len, cv_folds, classifiers
     [scenario.<name>]     runs + any scenario field (attack_kind, rates, ...)
     [mlp] [rbf] [som]     classifier hyperparameters, each section building
-                          the classifier's recipe
+                          one dataclass: the classifier's recipe
 
 Every scenario inherits the pipeline window_len unless it sets its own.
 A master seed is mandatory; nothing in the pipeline touches the wall
 clock except training-time measurement.
 
-The keys of [scenario.*], [mlp], [rbf] and [som] are the fields of the
-dataclasses they set, and each value parses by its field's annotation.
-Those dataclasses check their own rules when built; a broken rule or a
-bad value is a ConfigError that starts with `[section] key`.
+The keys of [scenario.*] are the fields of the scenario dataclasses; each
+of [mlp], [rbf] and [som] sets the fields of one recipe, defined in its
+classifier's module. Each value parses by its field's annotation. Those
+dataclasses check their own rules when built; a broken rule or a bad
+value is a ConfigError that starts with `[section] key`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .classifiers.mlp import MlpTrainConfig
-from .classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
-from .classifiers.som import SomTrainConfig
+from .classifiers.mlp import MlpRecipe
+from .classifiers.rbf import RbfRecipe
+from .classifiers.som import SomRecipe
 from .errors import ConfigError, InvalidConfig, require
 from .simnet import MAX_LINE_CHARS, PARSERS, AttackKind, ScenarioConfig, make_scenario
 
@@ -68,8 +69,9 @@ class ScenarioBlock:
 
 
 # Each classifier's config name: its section, and the PipelineConfig
-# field holding its recipe.
-CLASSIFIERS = ("mlp", "rbf", "som")
+# field holding its recipe, with the recipe class the section builds.
+RECIPES = {"mlp": MlpRecipe, "rbf": RbfRecipe, "som": SomRecipe}
+CLASSIFIERS = tuple(RECIPES)
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,7 @@ def _names(raw: str) -> tuple[str, ...]:
 SECTION_PARSERS = {
     "pipeline": {"seed": int, "window_len": float, "cv_folds": int, "classifiers": _names},
     "scenario.*": _field_parsers(ScenarioBlock, ScenarioConfig),
-    "mlp": _field_parsers(MlpRecipe, MlpTrainConfig),
-    "rbf": _field_parsers(RbfRecipe),
-    "som": _field_parsers(SomTrainConfig),
+    **{kind: _field_parsers(recipe) for kind, recipe in RECIPES.items()},
 }
 
 
@@ -149,6 +149,8 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
         for name in names:
             require(name in CLASSIFIERS, "classifiers", f"names from {', '.join(CLASSIFIERS)}",
                     repr(name))
+        require(len(set(names)) == len(names), "classifiers", "distinct names",
+                ",".join(names))
 
     scenarios = []
     recipes = {}
@@ -166,13 +168,8 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
                 scenarios.append(ScenarioBlock(section_name.split(".", 1)[1], runs, config))
                 total = sum(block.runs for block in scenarios)
                 require(total <= MAX_RUNS, "runs", f"at most {MAX_RUNS} over all scenarios", total)
-            elif kind == "mlp":
-                hidden = values.pop("hidden", MlpRecipe.hidden)
-                recipes["mlp"] = MlpRecipe(hidden, MlpTrainConfig(**values))
-            elif kind == "rbf":
-                recipes["rbf"] = RbfRecipe(**values)
             else:
-                recipes["som"] = SomRecipe(SomTrainConfig(**values))
+                recipes[kind] = RECIPES[kind](**values)
 
     return PipelineConfig(
         seed=pipe["seed"], cv_folds=cv_folds, classifier_names=names,

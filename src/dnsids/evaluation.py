@@ -1,7 +1,7 @@
 """Confusion accounting, detection metrics, cross-validation, and reports.
 
 Cross-validation is classifier-agnostic: a recipe (see
-`classifiers.recipes`) trains one model per fold in one call and scores
+`classifiers.base`) trains one model per fold in one call and scores
 each held-out fold as one batch of feature rows. The hidden-width sweep
 takes the feed-forward recipe from its caller and cross-validates a copy
 of it at each width. Labels are carried as int8 codes, indices into

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,8 @@ import pytest
 
 import dnsids
 from dnsids.classifiers import mlp
-from dnsids.classifiers.mlp import (MlpTrainConfig, get_params, mlp_forward, mlp_init,
-                                    train_lm_arrays)
-from dnsids.classifiers.recipes import MlpRecipe, SomRecipe
-from dnsids.classifiers.som import SomTrainConfig, quantization_error, som_init, som_train_folds
+from dnsids.classifiers.mlp import MlpRecipe, get_params, mlp_forward, mlp_init, train_lm_arrays
+from dnsids.classifiers.som import SomRecipe, quantization_error, som_init, som_train_folds
 from dnsids.cli import main
 from dnsids.config import DEFAULT_CONFIG, parse_pipeline_config
 from dnsids.evaluation import (cross_validate, parse_report_csv, pooled_metrics,
@@ -135,7 +134,7 @@ def test_c03_lm_correctness():
     wins = 0
     for seed in range(10):
         _, rep = train_lm_arrays(mlp_init(7, seed), X, T,
-                                 MlpTrainConfig(max_epochs=200, target_mse=1e-3))
+                                 MlpRecipe(max_epochs=200, target_mse=1e-3))
         wins += rep.final_mse <= 1e-3
     assert wins >= 9
     elapsed = time.perf_counter() - started
@@ -246,8 +245,8 @@ def test_c08_sweep_sanity(default_pipeline):
             assert value is None or 0.0 <= value <= 100.0
 
     width7 = rows[widths.index(7)]
-    entry = cross_validate(MlpRecipe(hidden=7, train_config=cfg.mlp.train_config),
-                           dataset, k=cfg.cv_folds, seed=cfg.seed)
+    entry = cross_validate(replace(cfg.mlp, hidden=7), dataset,
+                           k=cfg.cv_folds, seed=cfg.seed)
     for got, want in ((width7.metrics.accuracy, entry.metrics.accuracy),
                       (width7.metrics.dr_direct, entry.metrics.dr_direct),
                       (width7.metrics.dr_amplification, entry.metrics.dr_amplification),
@@ -378,7 +377,7 @@ def test_c10_som_properties(default_pipeline):
     initial = som_init(3)
     qe_before = quantization_error(initial, X)
     epochs = 2
-    ordering_only = SomTrainConfig(epochs=epochs, ordering_steps=epochs * len(X))
+    ordering_only = SomRecipe(epochs=epochs, ordering_steps=epochs * len(X))
     qe_after = quantization_error(som_train_folds([initial], [X], ordering_only, [3])[0], X)
     assert qe_after <= qe_before
     print(f"\nACCEPTANCE c10 som-properties: 100 scale checks, quantization error "

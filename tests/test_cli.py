@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dnsids.classifiers.mlp import MlpTrainConfig
-from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe
-from dnsids.classifiers.som import SomTrainConfig
+from dnsids.classifiers.mlp import MlpRecipe
+from dnsids.classifiers.rbf import RbfRecipe
+from dnsids.classifiers.som import SomRecipe
 from dnsids import cli, errors, evaluation, simnet
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, MAX_RUNS, MAX_SCENARIO_NAME, SECTION_PARSERS,
@@ -77,7 +77,7 @@ class TestConfigParsing:
         assert len(cfg.scenarios) == 3
         assert cfg.mlp.hidden == 7
         assert cfg.rbf.centers == 10
-        assert cfg.som.train_config.epochs == 20
+        assert cfg.som.epochs == 20
         validate_for_training(cfg)
 
     def test_scenarios_inherit_window_len(self):
@@ -155,6 +155,11 @@ class TestConfigParsing:
          "[scenario.direct_dos] attack_start_jitter"),
         ("max_epochs = 120", "max_epochs = 0", "[mlp] max_epochs"),
         ("hidden = 5", "hidden = 0", "[mlp] hidden"),
+        # The LM settings are checked before the width, so both broken
+        # name the LM key.
+        ("hidden = 5\nmax_epochs = 120", "hidden = 0\nmax_epochs = 0", "[mlp] max_epochs"),
+        # A repeated name would cross-validate that classifier twice.
+        ("classifiers = mlp,rbf,som", "classifiers = rbf,rbf", "[pipeline] classifiers"),
         ("centers = 6", "centers = 1", "[rbf] centers"),
         ("epochs = 6", "epochs = six", "[som] epochs"),
         ("centers = 6", "centers = 6.5", "[rbf] centers"),
@@ -335,10 +340,10 @@ class TestConfigContract:
 
     # Every rule holds for library callers too, when the object is built.
     @pytest.mark.parametrize("build, key", [
-        (lambda: MlpTrainConfig(weight_init_range=float("inf")), "weight_init_range"),
-        (lambda: MlpTrainConfig(lm_lambda_down=1.0), "lm_lambda_down"),
-        (lambda: SomTrainConfig(tuning_lr=0.0), "tuning_lr"),
-        (lambda: SomTrainConfig(ordering_steps=0), "ordering_steps"),
+        (lambda: MlpRecipe(weight_init_range=float("inf")), "weight_init_range"),
+        (lambda: MlpRecipe(lm_lambda_down=1.0), "lm_lambda_down"),
+        (lambda: SomRecipe(tuning_lr=0.0), "tuning_lr"),
+        (lambda: SomRecipe(ordering_steps=0), "ordering_steps"),
         (lambda: MlpRecipe(hidden=65), "hidden"),
         (lambda: RbfRecipe(centers=1), "centers"),
     ])
@@ -1141,16 +1146,17 @@ class TestOutputFiles:
         assert err["error"] == "ConfigError"
         assert str(dest) in err["detail"]
 
-    # The commands that cross-validate a dataset file check `--out` first,
-    # so a bad one fails at once, ahead of a bad dataset, and creates nothing.
-    @pytest.mark.parametrize("name", ["evaluate", "sweep"])
+    # The commands that read traces or a dataset file check `--out` first,
+    # so a bad one fails at once, ahead of a bad input, and creates nothing.
+    @pytest.mark.parametrize("name", ["features", "evaluate", "sweep"])
     @pytest.mark.parametrize("under", [True, False], ids=["under_a_file", "a_file"])
     def test_unwritable_out_fails_before_the_dataset_is_read(
             self, tiny_run, tmp_path, capsys, monkeypatch, name, under):
         def refuse(pieces):
-            raise AssertionError("the dataset was read")
+            raise AssertionError("an input was read")
 
         monkeypatch.setattr(cli, "read_dataset", refuse)
+        monkeypatch.setattr(cli, "read_trace", refuse)
         cfg_path, out = tiny_run
         blocker = tmp_path / "F"
         blocker.write_text("not a directory\n")

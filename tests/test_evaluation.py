@@ -1,16 +1,17 @@
 """Metrics against a brute-force oracle, fold laws, reporting round trips."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnsids.classifiers.base import TrainReport
-from dnsids.classifiers.mlp import MlpTrainConfig
-from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe, train_each
-from dnsids.classifiers.som import SomTrainConfig
+from dnsids.classifiers.base import TrainReport, train_each
+from dnsids.classifiers.mlp import MlpRecipe
+from dnsids.classifiers.rbf import RbfRecipe
+from dnsids.classifiers.som import SomRecipe
 from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, NumericFault, TooFewSamples,
                            TrainingError)
 from dnsids.evaluation import (ABSENT, EvalEntry, MetricSet, cross_validate, kfold_split,
@@ -359,7 +360,7 @@ class TestCrossValidate:
     # Fold 2 of each real recipe trains on nothing; its error names that
     # fold, and no other, exactly once.
     @pytest.mark.parametrize("recipe", [MlpRecipe(hidden=3), RbfRecipe(centers=2),
-                                        SomRecipe(SomTrainConfig(epochs=1))],
+                                        SomRecipe(epochs=1)],
                              ids=["per_fold_mlp", "per_fold_rbf", "lockstep_som"])
     def test_a_failing_fold_is_named_once(self, recipe):
         with pytest.raises(TrainingError) as info:
@@ -371,7 +372,7 @@ class TestCrossValidate:
     def test_batched_training_failures_name_the_fold(self):
         # one fold leaves nothing to train on
         with pytest.raises(Empty, match="^fold 0: "):
-            cross_validate(SomRecipe(SomTrainConfig(epochs=1)), tiny_dataset(), k=1)
+            cross_validate(SomRecipe(epochs=1), tiny_dataset(), k=1)
 
     @staticmethod
     def overflow():
@@ -436,7 +437,7 @@ class TestCrossValidate:
 
     def test_fold_batched_training_matches_per_fold_training(self):
         # k maps trained in lockstep must equal k maps trained one set each.
-        recipe = SomRecipe(SomTrainConfig(epochs=3, ordering_steps=40))
+        recipe = SomRecipe(epochs=3, ordering_steps=40)
         predictions = {}
 
         class Batched:
@@ -472,13 +473,12 @@ class TestSweep:
     def test_single_width_matches_standalone_cross_validate(self):
         """Each entry, in the caller's order, is that width's serial cross-validation."""
         data = tiny_dataset()
-        cfg = MlpTrainConfig(max_epochs=100)
+        cfg = MlpRecipe(max_epochs=100)
         widths = [9, 3, 9]
-        rows = sweep_hidden_neurons(data, MlpRecipe(train_config=cfg), widths, seed=2, k=4)
+        rows = sweep_hidden_neurons(data, cfg, widths, seed=2, k=4)
         assert len(rows) == len(widths)
         for width, row in zip(widths, rows):
-            entry = cross_validate(MlpRecipe(hidden=width, train_config=cfg), data,
-                                   k=4, seed=2)
+            entry = cross_validate(replace(cfg, hidden=width), data, k=4, seed=2)
             assert row.metrics == entry.metrics
             assert row.train_mse == entry.train_mse
             assert row.test_mse == entry.test_mse
@@ -514,7 +514,7 @@ class TestSweep:
 
     def test_sweep_csv_shape(self):
         data = tiny_dataset()
-        recipe = MlpRecipe(train_config=MlpTrainConfig(max_epochs=50))
+        recipe = MlpRecipe(max_epochs=50)
         rows = sweep_hidden_neurons(data, recipe, [3, 5], seed=2, k=4)
         text = render_sweep_csv([3, 5], rows)
         lines = text.strip().splitlines()

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnsids.classifiers import mlp
-from dnsids.classifiers.mlp import (MlpModel, MlpTrainConfig, get_params, mlp_forward,
+from dnsids.classifiers.mlp import (MlpModel, MlpRecipe, get_params, mlp_forward,
                                     mlp_init, train_lm_arrays)
-from dnsids.classifiers.recipes import MlpRecipe
 from dnsids.errors import Empty, InvalidWidth, SingularUpdate
 from dnsids.preproc import (TARGET_CODES, ClassLabel, LabeledDataset, class_labels,
                             label_codes)
@@ -23,7 +22,7 @@ def dataset_from_arrays(X, labels):
 
 
 def mlp_train_lm(model: MlpModel, data: LabeledDataset,
-                 cfg: MlpTrainConfig = MlpTrainConfig()):
+                 cfg: MlpRecipe = MlpRecipe()):
     """`train_lm_arrays` on a dataset's features and target codes."""
     if len(data) == 0:
         raise Empty("cannot train on an empty dataset")
@@ -244,7 +243,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("hidden,seed", [(1, 0), (3, 1), (7, 2), (21, 3)])
     def test_trainer_equals_reference_with_rejected_steps(self, monkeypatch, hidden, seed):
         X, T = standardized_problem(seed, 90)
-        cfg = MlpTrainConfig(max_epochs=40, target_mse=1e-12)
+        cfg = MlpRecipe(max_epochs=40, target_mse=1e-12)
         counter = CountingSolve()
         monkeypatch.setattr(np.linalg, "solve", counter)
         report = self.assert_same_fit(mlp_init(hidden, seed), X, T, cfg)
@@ -253,20 +252,20 @@ class TestAgainstReference:
 
     def test_trainer_equals_reference_when_damping_stalls(self):
         X, T = standardized_problem(5, 60)
-        cfg = MlpTrainConfig(max_epochs=500, target_mse=1e-12, lm_lambda_max=1.0)
+        cfg = MlpRecipe(max_epochs=500, target_mse=1e-12, lm_lambda_max=1.0)
         report = self.assert_same_fit(mlp_init(5, 4), X, T, cfg)
         assert not report.converged
         assert report.epochs_run < cfg.max_epochs       # stopped by lambda_max
 
     def test_trainer_equals_reference_when_target_met(self):
         X, T = standardized_problem(6, 30)
-        cfg = MlpTrainConfig(max_epochs=200, target_mse=5e-2)
+        cfg = MlpRecipe(max_epochs=200, target_mse=5e-2)
         report = self.assert_same_fit(mlp_init(9, 6), X, T, cfg)
         assert report.converged
 
     def test_trainer_equals_reference_after_failed_solves(self, monkeypatch):
         X, T = standardized_problem(7, 50)
-        cfg = MlpTrainConfig(max_epochs=15, target_mse=1e-12)
+        cfg = MlpRecipe(max_epochs=15, target_mse=1e-12)
         model = mlp_init(4, 7)
         monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=2))
         expected = reference_train_lm(model, X, T, cfg)
@@ -279,7 +278,7 @@ class TestAgainstReference:
         X, T = standardized_problem(8, 20)
         monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=10**6))
         with pytest.raises(SingularUpdate):
-            train_lm_arrays(mlp_init(3, 8), X, T, MlpTrainConfig(target_mse=1e-12))
+            train_lm_arrays(mlp_init(3, 8), X, T, MlpRecipe(target_mse=1e-12))
 
 
 class OverflowingFirstStep(CountingSolve):
@@ -296,7 +295,7 @@ class TestTraining:
         # Training runs with numpy's traps raising, and a step whose MSE
         # overflows must still only raise the damping.
         X, T = standardized_problem(3, 40)
-        cfg = MlpTrainConfig(max_epochs=5)
+        cfg = MlpRecipe(max_epochs=5)
         want_model, want = train_lm_arrays(mlp_init(4, 1), X, T, cfg)
         solve = OverflowingFirstStep()
         monkeypatch.setattr(np.linalg, "solve", solve)
@@ -327,7 +326,7 @@ class TestTraining:
         # the trainer would loop forever instead of stalling.
         X, T = self.xor_data()
         with pytest.raises(ValueError, match=key):
-            train_lm_arrays(mlp_init(2, 0), X, T, MlpTrainConfig(**{key: lam}))
+            train_lm_arrays(mlp_init(2, 0), X, T, MlpRecipe(**{key: lam}))
 
     @pytest.mark.parametrize("knob", [{"lm_lambda_down": 1e-200},
                                       {"lm_lambda_init": 5e-324}])
@@ -339,7 +338,7 @@ class TestTraining:
         # damping above 0 passes the cap within 334 growths of 10 from
         # 5e-324, so a fit that ends makes at most 335 solves per epoch.
         X, T = standardized_problem(0, 60)
-        cfg = MlpTrainConfig(max_epochs=20, target_mse=1e-12, **knob)
+        cfg = MlpRecipe(max_epochs=20, target_mse=1e-12, **knob)
         bound = cfg.max_epochs * 335
 
         class BoundedSolve(CountingSolve):
@@ -365,7 +364,7 @@ class TestTraining:
         labels = [ClassLabel.DIRECT_DOS if x[0] > 0 else ClassLabel.NORMAL for x in X]
         data = dataset_from_arrays(np.abs(X), labels)
         _, report = mlp_train_lm(mlp_init(5, 2), data,
-                                 MlpTrainConfig(max_epochs=60, target_mse=1e-12))
+                                 MlpRecipe(max_epochs=60, target_mse=1e-12))
         history = report.mse_history
         assert all(a >= b for a, b in zip(history, history[1:]))
 
@@ -401,7 +400,7 @@ class TestTraining:
         X, T = self.xor_data()
         model = mlp_init(7, 1)
         trained, report = train_lm_arrays(model, X, T,
-                                          MlpTrainConfig(max_epochs=200, target_mse=1e-3))
+                                          MlpRecipe(max_epochs=200, target_mse=1e-3))
         assert report.final_mse <= 1e-3
         assert report.epochs_run <= 200
 

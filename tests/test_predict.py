@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dnsids.classifiers.base import nearest_code_labels, sq_distances
-from dnsids.classifiers.mlp import MlpModel, mlp_init
-from dnsids.classifiers.rbf import RbfModel
-from dnsids.classifiers.recipes import MlpRecipe, RbfRecipe, SomRecipe
-from dnsids.classifiers.som import N_NEURONS, SomModel, som_classify
+from dnsids.classifiers.mlp import MlpModel, MlpRecipe, mlp_init
+from dnsids.classifiers.rbf import RbfModel, RbfRecipe
+from dnsids.classifiers.som import N_NEURONS, SomModel, SomRecipe, som_classify
 from dnsids.preproc import CLASS_ORDER, TARGET_CODES, ClassLabel, class_labels, label_codes
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION

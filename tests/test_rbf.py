@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dnsids.classifiers.rbf import (RbfModel, _activations, kmeans, rbf_forward, rbf_train,
-                                    rbf_width)
-from dnsids.classifiers.recipes import RbfRecipe
+from dnsids.classifiers.rbf import (RbfModel, RbfRecipe, _activations, kmeans, rbf_forward,
+                                    rbf_train, rbf_width)
 from dnsids.errors import NeedTwoCenters, TooFewSamples
 from dnsids.preproc import ClassLabel, LabeledDataset, class_labels, label_codes
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dnsids.classifiers import som
 from dnsids.classifiers.base import nearest
 from dnsids.classifiers.som import (GRID_COLS, GRID_DIAMETER, GRID_ROWS, N_NEURONS, SomModel,
-                                    SomTrainConfig, quantization_error, som_classify, som_init,
+                                    SomRecipe, quantization_error, som_classify, som_init,
                                     som_label, som_train_folds)
 from dnsids.errors import Empty
 from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_codes
@@ -100,7 +100,7 @@ class TestTraining:
     def test_single_vector_attracts_bmu(self):
         target = np.array([[0.6, 0.8, 0.0]])
         codebook = som_train_folds([som_init(1)], [target],
-                                   SomTrainConfig(epochs=2000, ordering_steps=1000), [1])[0]
+                                   SomRecipe(epochs=2000, ordering_steps=1000), [1])[0]
         best = np.min(np.linalg.norm(codebook - target[0], axis=1))
         assert best < 1e-3
 
@@ -109,7 +109,7 @@ class TestTraining:
         a = l2_normalize_rows(np.abs(rng.normal(size=(30, 3)) * 0.02 + [1, 0, 0]))
         b = l2_normalize_rows(np.abs(rng.normal(size=(30, 3)) * 0.02 + [0, 0, 1]))
         data = np.concatenate([a, b])
-        codebook = som_train_folds([som_init(2)], [data], SomTrainConfig(epochs=40), [2])[0]
+        codebook = som_train_folds([som_init(2)], [data], SomRecipe(epochs=40), [2])[0]
         # exhaustive best-matching-unit assignment per cluster
         def bmus(X):
             d2 = ((X[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
@@ -123,16 +123,16 @@ class TestTraining:
     def test_schedule_that_trains_nothing_rejected(self, bad):
         data = np.array([[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=next(iter(bad))):
-            som_train_folds([som_init(5)], [data], SomTrainConfig(**bad), [0])
+            som_train_folds([som_init(5)], [data], SomRecipe(**bad), [0])
 
     def test_empty_data_rejected(self):
         with pytest.raises(Empty):
-            som_train_folds([som_init(0)], [np.zeros((0, 3))], SomTrainConfig(epochs=1), [0])
+            som_train_folds([som_init(0)], [np.zeros((0, 3))], SomRecipe(epochs=1), [0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         data = l2_normalize_rows(np.abs(rng.normal(size=(40, 3))) + 0.1)
-        cfg = SomTrainConfig(epochs=10)
+        cfg = SomRecipe(epochs=10)
         cb1 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
         cb2 = som_train_folds([som_init(7)], [data], cfg, [9])[0]
         assert np.array_equal(cb1, cb2)
@@ -143,7 +143,7 @@ class TestTraining:
         initial = som_init(3)
         qe_before = quantization_error(initial, data)
         # epochs * samples == ordering_steps: the run is pure ordering phase
-        cfg = SomTrainConfig(epochs=4, ordering_steps=200)
+        cfg = SomRecipe(epochs=4, ordering_steps=200)
         qe_after = quantization_error(som_train_folds([initial], [data], cfg, [3])[0], data)
         assert qe_after <= qe_before
 
@@ -183,7 +183,7 @@ class TestLockstep:
                                    max_size=len(sizes)), "seeds")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "data_seed"))
         Xs = [l2_normalize_rows(np.abs(rng.normal(size=(n, 3))) + 0.01) for n in sizes]
-        cfg = SomTrainConfig(epochs=epochs, ordering_steps=ordering_steps)
+        cfg = SomRecipe(epochs=epochs, ordering_steps=ordering_steps)
 
         stacked = som_train_folds([som_init(s) for s in seeds], Xs, cfg, seeds)
         for codebook, X, seed in zip(stacked, Xs, seeds):
@@ -196,7 +196,7 @@ class TestLockstep:
         rng = np.random.default_rng(0)
         X = l2_normalize_rows(np.abs(rng.normal(size=(17, 3))) + 0.05)
         codebook = som_train_folds([som_init(3)], [X],
-                                   SomTrainConfig(epochs=3, ordering_steps=20), [11])[0]
+                                   SomRecipe(epochs=3, ordering_steps=20), [11])[0]
         assert hashlib.sha256(codebook.tobytes()).hexdigest() == (
             "ccac2e958e59778a8678a064073771f6e8d966645c43e77623425242950bed10")
 
@@ -207,7 +207,7 @@ class TestLockstep:
         Xs = [l2_normalize_rows(np.abs(rng.normal(size=(n, 3))) + 0.01) for n in (300, 290)]
 
         def peak(epochs):
-            cfg = SomTrainConfig(epochs=epochs, ordering_steps=50)
+            cfg = SomRecipe(epochs=epochs, ordering_steps=50)
             codebooks = [som_init(1), som_init(2)]
             tracemalloc.start()
             try:
@@ -224,7 +224,7 @@ class TestLockstep:
         X = np.ones((4, 3)) / math.sqrt(3)
         with pytest.raises(Empty) as info:
             som_train_folds([som_init(0), som_init(1)], [X, X[:0]],
-                            SomTrainConfig(epochs=1), [0, 1])
+                            SomRecipe(epochs=1), [0, 1])
         assert info.value.fold == 1
         assert "fold" not in str(info.value)
 
@@ -236,7 +236,7 @@ class TestLockstep:
         codebook = np.full((N_NEURONS, 3), 5.0)
         codebook[:3] = [(p, q, r), (q, r, p), (r, p, q)]
         X = np.zeros((1, 3))
-        cfg = SomTrainConfig(epochs=2, ordering_steps=1, tuning_neighbor_dist=0)
+        cfg = SomRecipe(epochs=2, ordering_steps=1, tuning_neighbor_dist=0)
         (trained,) = som_train_folds([codebook], [X], cfg, [0])
         assert np.array_equal(trained, reference_som_train(codebook, X, cfg, 0))
 
@@ -263,7 +263,7 @@ class TestLockstepMemory:
         rates = som._CHUNK_STEPS * N_NEURONS * N_NEURONS * 8
         tracemalloc.start()
         try:
-            som_train_folds(codebooks, Xs, SomTrainConfig(epochs=2), list(range(10)))
+            som_train_folds(codebooks, Xs, SomRecipe(epochs=2), list(range(10)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
