@@ -13,9 +13,14 @@ clock except training-time measurement.
 
 The keys of [scenario.*] are the fields of the scenario dataclasses; each
 of [mlp], [rbf] and [som] sets the fields of one recipe, defined in its
-classifier's module. Each value parses by its field's annotation. Those
-dataclasses check their own rules when built; a broken rule or a bad
-value is a ConfigError that starts with `[section] key`.
+classifier's module; [pipeline] sets PipelineConfig's own fields. Each
+value parses by its field's annotation. Those dataclasses hold their own
+rules and defaults, and apply them when built, so a hand-built object
+meets the same ones as a config file: PipelineConfig checks cv_folds and
+the classifier names, and ScenarioConfig derives an unset attack_rate
+and attack_duration. A broken rule or a bad value is a ConfigError that
+starts with `[section] key`. A [DEFAULT] section is an unknown section,
+not one whose keys every other section inherits.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ from __future__ import annotations
 import configparser
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifiers.mlp import MlpRecipe
 from .classifiers.rbf import RbfRecipe
 from .classifiers.som import SomRecipe
 from .errors import ConfigError, InvalidConfig, require
-from .simnet import MAX_LINE_CHARS, PARSERS, AttackKind, ScenarioConfig, make_scenario
+from .simnet import MAX_LINE_CHARS, PARSERS, AttackKind, ScenarioConfig
 
 # The bundled experiment, shipped as package data: a balanced three-class
 # dataset at desk scale. The contested link is scaled down from the
@@ -84,6 +89,14 @@ class PipelineConfig:
     rbf: RbfRecipe = field(default_factory=RbfRecipe)
     som: SomRecipe = field(default_factory=SomRecipe)
 
+    def __post_init__(self):
+        require(self.cv_folds >= 2, "cv_folds", ">= 2", self.cv_folds)
+        for name in self.classifier_names:
+            require(name in CLASSIFIERS, "classifiers", f"names from {', '.join(CLASSIFIERS)}",
+                    repr(name))
+        require(len(set(self.classifier_names)) == len(self.classifier_names), "classifiers",
+                "distinct names", ",".join(self.classifier_names))
+
 
 def _field_parsers(*classes) -> dict:
     """Parser of each key that sets a plain-valued field of `classes`."""
@@ -128,7 +141,7 @@ def _read(section, kind: str) -> dict:
 
 
 def parse_pipeline_config(text: str) -> PipelineConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -143,14 +156,9 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
         window_len = pipe.get("window_len", ScenarioConfig.window_len)
         # It is every scenario's default, so it obeys the scenario rules.
         ScenarioConfig(window_len=window_len)
-        cv_folds = pipe.get("cv_folds", PipelineConfig.cv_folds)
-        require(cv_folds >= 2, "cv_folds", ">= 2", cv_folds)
-        names = pipe.get("classifiers", CLASSIFIERS)
-        for name in names:
-            require(name in CLASSIFIERS, "classifiers", f"names from {', '.join(CLASSIFIERS)}",
-                    repr(name))
-        require(len(set(names)) == len(names), "classifiers", "distinct names",
-                ",".join(names))
+        pipeline = PipelineConfig(
+            seed=pipe["seed"], cv_folds=pipe.get("cv_folds", PipelineConfig.cv_folds),
+            classifier_names=pipe.get("classifiers", CLASSIFIERS))
 
     scenarios = []
     recipes = {}
@@ -164,16 +172,14 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
             values = _read(parser[section_name], kind)
             if kind == "scenario.*":
                 runs = values.pop("runs", 1)
-                config = make_scenario(**{"window_len": window_len} | values)
+                config = ScenarioConfig(**{"window_len": window_len} | values)
                 scenarios.append(ScenarioBlock(section_name.split(".", 1)[1], runs, config))
                 total = sum(block.runs for block in scenarios)
                 require(total <= MAX_RUNS, "runs", f"at most {MAX_RUNS} over all scenarios", total)
             else:
                 recipes[kind] = RECIPES[kind](**values)
 
-    return PipelineConfig(
-        seed=pipe["seed"], cv_folds=cv_folds, classifier_names=names,
-        scenarios=tuple(scenarios), **recipes)
+    return replace(pipeline, scenarios=tuple(scenarios), **recipes)
 
 
 def validate_for_training(cfg: PipelineConfig) -> None:

@@ -278,6 +278,13 @@ def _fmt(value: float | None, spec: str) -> str:
     return ABSENT if value is None else format(value, spec)
 
 
+def _rate_cells(metrics, spec: str = ".6f") -> list[str]:
+    """The cells of the two detection rates, accuracy and false-alarm rate;
+    the default spec is how both CSVs print them."""
+    return [_fmt(rate, spec) for rate in (metrics.dr_direct, metrics.dr_amplification,
+                                          metrics.accuracy, metrics.far)]
+
+
 def render_report(entries, folds: int) -> tuple[str, str]:
     """Render the comparison of cross-validated `entries` as (text table, CSV).
 
@@ -288,14 +295,8 @@ def render_report(entries, folds: int) -> tuple[str, str]:
                "dr_amplification", "accuracy", "far")
     text_rows = [headers]
     for e in entries:
-        text_rows.append((
-            e.classifier,
-            _fmt(e.train_time, ".2f"),
-            _fmt(e.metrics.dr_direct, ".2f"),
-            _fmt(e.metrics.dr_amplification, ".2f"),
-            _fmt(e.metrics.accuracy, ".2f"),
-            _fmt(e.metrics.far, ".2f"),
-        ))
+        text_rows.append((e.classifier, _fmt(e.train_time, ".2f"),
+                          *_rate_cells(e.metrics, ".2f")))
     widths = [max(len(row[i]) for row in text_rows) for i in range(len(headers))]
     lines = []
     for r, row in enumerate(text_rows):
@@ -311,10 +312,7 @@ def render_report(entries, folds: int) -> tuple[str, str]:
         csv_lines.append(",".join([
             e.classifier,
             ABSENT,
-            _fmt(e.metrics.dr_direct, ".6f"),
-            _fmt(e.metrics.dr_amplification, ".6f"),
-            _fmt(e.metrics.accuracy, ".6f"),
-            _fmt(e.metrics.far, ".6f"),
+            *_rate_cells(e.metrics),
             _fmt(e.metrics.accuracy_3class, ".6f"),
             str(folds),
         ]))
@@ -348,10 +346,7 @@ def render_sweep_csv(widths, entries) -> str:
     for w, e in zip(widths, entries):
         lines.append(",".join([
             str(w),
-            _fmt(e.metrics.dr_direct, ".6f"),
-            _fmt(e.metrics.dr_amplification, ".6f"),
-            _fmt(e.metrics.accuracy, ".6f"),
-            _fmt(e.metrics.far, ".6f"),
+            *_rate_cells(e.metrics),
             _fmt(e.train_mse, ".6e"),
             _fmt(e.test_mse, ".6e"),
         ]))

@@ -55,16 +55,6 @@ _ATTACK_TO_LABEL = {
 _TARGET_TABLE = np.array([TARGET_CODES[label] for label in CLASS_ORDER])
 
 
-def label_codes(labels) -> np.ndarray:
-    """int8 label codes (indices into CLASS_ORDER) of a sequence of labels."""
-    return np.array([CLASS_INDEX[label] for label in labels], dtype=np.int8)
-
-
-def class_labels(codes) -> list[ClassLabel]:
-    """The labels named by a sequence of label codes."""
-    return [CLASS_ORDER[c] for c in np.asarray(codes).tolist()]
-
-
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Feature rows and their label codes, held as columns.

@@ -140,13 +140,82 @@ class ScenarioConfig:
     edge_delay: float = 0.010
     queue_capacity: int = 100
     attack_kind: AttackKind = AttackKind.NONE
-    attack_rate: float = 0.0
+    # None means "derived", and every built object holds a number: an unset
+    # attack_duration is duration, and an attack's unset attack_rate offers
+    # DEFAULT_OVERLOAD times the bottleneck capacity in packets of
+    # attack_packet_size, or of amp_response_size for amplification.
+    attack_rate: float | None = None
     attack_packet_size: int = 512
     attack_start_jitter: tuple[float, float] = (0.0, 0.0)
-    attack_duration: float = 200.0
+    attack_duration: float | None = None
 
     def __post_init__(self):
-        validate_config(self)
+        """Derive the unset fields, then check every rule of a scenario;
+        the error names the first key that breaks one."""
+        try:
+            kind = AttackKind(self.attack_kind)
+        except ValueError:
+            raise InvalidConfig(f"attack_kind must be one of "
+                                f"{', '.join(k.value for k in AttackKind)}, "
+                                f"got {self.attack_kind!r}") from None
+        object.__setattr__(self, "attack_kind", kind)
+        lo, hi = self.attack_start_jitter
+        object.__setattr__(self, "attack_start_jitter", (float(lo), float(hi)))
+        if self.attack_duration is None:
+            object.__setattr__(self, "attack_duration", self.duration)
+        if self.attack_rate is None:
+            size = (self.amp_response_size if kind is AttackKind.AMPLIFICATION
+                    else self.attack_packet_size)
+            # A size below 1 breaks its own rule, reported below.
+            rate = (DEFAULT_OVERLOAD * self.bottleneck_rate / (8 * size)
+                    if kind is not AttackKind.NONE and size >= 1 else 0.0)
+            object.__setattr__(self, "attack_rate", rate)
+
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            require(bool(np.isfinite(value).all()), name, "finite", value)
+        for name in ("duration", "window_len", "legit_interarrival", "retransmit_timeout",
+                     "bottleneck_rate", "bottleneck_delay", "edge_rate", "edge_delay"):
+            require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
+        for name in ("request_size", "normal_response_size", "queue_capacity"):
+            require(getattr(self, name) >= 1, name, ">= 1", getattr(self, name))
+        require(self.amp_response_size > 512, "amp_response_size",
+                "> 512, the standard response size", self.amp_response_size)
+        for name in ("request_size", "normal_response_size", "amp_response_size"):
+            require(getattr(self, name) <= _INT32_MAX, name,
+                    f"<= {_INT32_MAX}, the trace's largest size", getattr(self, name))
+        require(self.retransmit_max >= 0, "retransmit_max", ">= 0", self.retransmit_max)
+        require(0.0 <= lo <= hi < self.duration, "attack_start_jitter",
+                "a range within [0, duration)", self.attack_start_jitter)
+        requests = self.duration / self.legit_interarrival
+        require(requests <= MAX_EMISSIONS, "duration", f"<= {MAX_EMISSIONS} * "
+                f"legit_interarrival, {MAX_EMISSIONS} request emissions per run", self.duration)
+        # A request is sent once and retransmitted at most retransmit_max
+        # times, one timeout apart within the run. The 1e300 keeps an integer
+        # retransmit_max beyond float range printable; it is refused anyway.
+        retries = min(self.retransmit_max, self.duration / self.retransmit_timeout, 1e300)
+        transmissions = math.ceil(requests) * (1 + retries)
+        require(transmissions <= MAX_EMISSIONS, "retransmit_max", f"small enough that "
+                f"ceil(duration / legit_interarrival) * (1 + min(retransmit_max, duration / "
+                f"retransmit_timeout)) request transmissions per run are <= {MAX_EMISSIONS}",
+                f"{transmissions:g} transmissions")
+        if self.attack_kind is not AttackKind.NONE:
+            require(1 <= self.attack_packet_size <= _INT32_MAX, "attack_packet_size",
+                    f"in 1..{_INT32_MAX}", self.attack_packet_size)
+            require(self.attack_rate > 0, "attack_rate", "> 0 for attack scenarios",
+                    self.attack_rate)
+            require(self.attack_duration > 0, "attack_duration", "> 0", self.attack_duration)
+            attacks = self.attack_rate * min(self.attack_duration, self.duration)
+            require(attacks <= MAX_EMISSIONS, "attack_rate", f"<= {MAX_EMISSIONS} / "
+                    f"min(attack_duration, duration), {MAX_EMISSIONS} attack emissions per run",
+                    self.attack_rate)
+        # The quotient is compared as it is: a tiny window_len makes it inf.
+        require(self.duration / self.window_len <= MAX_WINDOWS, "window_len",
+                f">= duration / {MAX_WINDOWS}, {MAX_WINDOWS} windows per run", self.window_len)
+
+
+# Fields holding one float or a pair of them.
+_FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if "float" in f.type]
 
 
 @dataclass(frozen=True)
@@ -222,90 +291,6 @@ class PacketTrace:
             for seq, (t, k, size, d, f) in enumerate(zip(
                 self.t.tolist(), self.kind.tolist(), self.size.tolist(),
                 self.disposition.tolist(), self.flow.tolist())))
-
-
-# Fields holding one float or a pair of them.
-_FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if "float" in f.type]
-
-
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every rule of a scenario; the error names the first key that
-    breaks one. `ScenarioConfig` runs this whenever one is built."""
-    for name in _FLOAT_FIELDS:
-        value = getattr(cfg, name)
-        require(bool(np.isfinite(value).all()), name, "finite", value)
-    for name in ("duration", "window_len", "legit_interarrival", "retransmit_timeout",
-                 "bottleneck_rate", "bottleneck_delay", "edge_rate", "edge_delay"):
-        require(getattr(cfg, name) > 0, name, "> 0", getattr(cfg, name))
-    for name in ("request_size", "normal_response_size", "queue_capacity"):
-        require(getattr(cfg, name) >= 1, name, ">= 1", getattr(cfg, name))
-    require(cfg.amp_response_size > 512, "amp_response_size",
-            "> 512, the standard response size", cfg.amp_response_size)
-    for name in ("request_size", "normal_response_size", "amp_response_size"):
-        require(getattr(cfg, name) <= _INT32_MAX, name,
-                f"<= {_INT32_MAX}, the trace's largest size", getattr(cfg, name))
-    require(cfg.retransmit_max >= 0, "retransmit_max", ">= 0", cfg.retransmit_max)
-    lo, hi = cfg.attack_start_jitter
-    require(0.0 <= lo <= hi < cfg.duration, "attack_start_jitter",
-            "a range within [0, duration)", cfg.attack_start_jitter)
-    requests = cfg.duration / cfg.legit_interarrival
-    require(requests <= MAX_EMISSIONS, "duration", f"<= {MAX_EMISSIONS} * "
-            f"legit_interarrival, {MAX_EMISSIONS} request emissions per run", cfg.duration)
-    # A request is sent once and retransmitted at most retransmit_max
-    # times, one timeout apart within the run. The 1e300 keeps an integer
-    # retransmit_max beyond float range printable; it is refused anyway.
-    retries = min(cfg.retransmit_max, cfg.duration / cfg.retransmit_timeout, 1e300)
-    transmissions = math.ceil(requests) * (1 + retries)
-    require(transmissions <= MAX_EMISSIONS, "retransmit_max", f"small enough that "
-            f"ceil(duration / legit_interarrival) * (1 + min(retransmit_max, duration / "
-            f"retransmit_timeout)) request transmissions per run are <= {MAX_EMISSIONS}",
-            f"{transmissions:g} transmissions")
-    if cfg.attack_kind is not AttackKind.NONE:
-        require(1 <= cfg.attack_packet_size <= _INT32_MAX, "attack_packet_size",
-                f"in 1..{_INT32_MAX}", cfg.attack_packet_size)
-        require(cfg.attack_rate > 0, "attack_rate", "> 0 for attack scenarios",
-                cfg.attack_rate)
-        require(cfg.attack_duration > 0, "attack_duration", "> 0", cfg.attack_duration)
-        attacks = cfg.attack_rate * min(cfg.attack_duration, cfg.duration)
-        require(attacks <= MAX_EMISSIONS, "attack_rate", f"<= {MAX_EMISSIONS} / "
-                f"min(attack_duration, duration), {MAX_EMISSIONS} attack emissions per run",
-                cfg.attack_rate)
-    # The quotient is compared as it is: a tiny window_len makes it inf.
-    require(cfg.duration / cfg.window_len <= MAX_WINDOWS, "window_len",
-            f">= duration / {MAX_WINDOWS}, {MAX_WINDOWS} windows per run", cfg.window_len)
-    return cfg
-
-
-def make_scenario(**params) -> ScenarioConfig:
-    """Build a ScenarioConfig from partial parameters.
-
-    Unset fields take the defaults above, and `attack_duration` that of
-    `duration`. For attack scenarios with no explicit rate, the
-    constant-bit-rate source is sized to offer DEFAULT_OVERLOAD times the
-    bottleneck capacity: a direct flood of standard-size packets, or an
-    amplification flood of oversized reflected responses.
-    """
-    given = {f.name: f.default for f in fields(ScenarioConfig)}
-    unknown = set(params) - set(given)
-    if unknown:
-        raise InvalidConfig(f"{sorted(unknown)[0]} is not a scenario field")
-    given.update(params)
-    try:
-        kind = params["attack_kind"] = AttackKind(given["attack_kind"])
-    except ValueError:
-        raise InvalidConfig(f"attack_kind must be one of "
-                            f"{', '.join(k.value for k in AttackKind)}, "
-                            f"got {given['attack_kind']!r}") from None
-    if "attack_start_jitter" in params:
-        lo, hi = params["attack_start_jitter"]
-        params["attack_start_jitter"] = (float(lo), float(hi))
-    params.setdefault("attack_duration", given["duration"])
-    size = (given["amp_response_size"] if kind is AttackKind.AMPLIFICATION
-            else given["attack_packet_size"])
-    # A size below 1 breaks its own rule, which the config then reports.
-    if kind is not AttackKind.NONE and "attack_rate" not in params and size >= 1:
-        params["attack_rate"] = DEFAULT_OVERLOAD * given["bottleneck_rate"] / (8 * size)
-    return ScenarioConfig(**params)
 
 
 def _emission_time(start: float, rate: float, i):
@@ -835,8 +820,8 @@ def parse_pair(raw: str) -> tuple[float, float]:
 
 # How the text form of a value parses, by the annotation of the field it
 # sets; each parser raises ValueError on text it cannot read.
-PARSERS = {"int": int, "float": float, "tuple[float, float]": parse_pair,
-           "AttackKind": AttackKind}
+PARSERS = {"int": int, "float": float, "float | None": float,
+           "tuple[float, float]": parse_pair, "AttackKind": AttackKind}
 _HEADER_TYPES = ({f.name: f.type for f in fields(ScenarioConfig)}
                  | dict.fromkeys(_COUNTERS, "int"))
 

@@ -26,9 +26,9 @@ from dnsids.cli import main
 from dnsids.config import DEFAULT_CONFIG, parse_pipeline_config
 from dnsids.evaluation import (cross_validate, parse_report_csv, pooled_metrics,
                                sweep_hidden_neurons)
-from dnsids.preproc import (CLASS_ORDER, ClassLabel, l2_normalize_rows, label_codes,
-                            read_dataset)
-from dnsids.simnet import ATTACK, DROPPED, REQUEST, RESPONSE, TO_SERVER, make_scenario, run
+from dnsids.preproc import CLASS_ORDER, ClassLabel, l2_normalize_rows, read_dataset
+from dnsids.simnet import ATTACK, DROPPED, REQUEST, RESPONSE, TO_SERVER, ScenarioConfig, run
+from labels import label_codes
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
 
@@ -157,7 +157,7 @@ def test_c04_simulator_laws_over_fifty_scenarios():
         if kind != "none":
             params.update(attack_start_jitter=(0.0, duration / 4),
                           attack_duration=duration)
-        cfg = make_scenario(**params)
+        cfg = ScenarioConfig(**params)
         trace = run(cfg, seed=1000 + i)
 
         assert run(cfg, seed=1000 + i) == trace  # determinism

@@ -21,7 +21,7 @@ from dnsids.classifiers.som import SomRecipe
 from dnsids import cli, errors, evaluation, simnet
 from dnsids.cli import main
 from dnsids.config import (DEFAULT_CONFIG, MAX_RUNS, MAX_SCENARIO_NAME, SECTION_PARSERS,
-                           parse_pipeline_config, validate_for_training)
+                           PipelineConfig, parse_pipeline_config, validate_for_training)
 from dnsids.errors import ConfigError, InvalidConfig
 from dnsids.evaluation import parse_report_csv
 from dnsids.preproc import LabeledDataset, read_dataset, write_dataset
@@ -79,6 +79,21 @@ class TestConfigParsing:
         assert cfg.rbf.centers == 10
         assert cfg.som.epochs == 20
         validate_for_training(cfg)
+
+    # A scenario built by hand from a section's keys, with the pipeline's
+    # window_len, is the one the config file gives: the attack rate and
+    # length derive in the dataclass, not in the parser.
+    @pytest.mark.parametrize("name, keys", [
+        ("normal", dict(duration=640, bottleneck_rate=100000, attack_kind="none")),
+        ("direct_dos", dict(duration=640, bottleneck_rate=100000, attack_kind="direct_dos",
+                            attack_start_jitter=(0, 9.5), attack_duration=640)),
+        ("amplification", dict(duration=640, bottleneck_rate=100000,
+                               attack_kind="amplification", attack_start_jitter=(0, 9.5),
+                               attack_duration=640)),
+    ])
+    def test_hand_built_scenario_equals_parsed(self, name, keys):
+        blocks = {b.name: b.config for b in parse_pipeline_config(DEFAULT_CONFIG).scenarios}
+        assert simnet.ScenarioConfig(window_len=20, **keys) == blocks[name]
 
     def test_scenarios_inherit_window_len(self):
         cfg = parse_pipeline_config(TINY_CONFIG)
@@ -207,6 +222,10 @@ class TestConfigParsing:
         # A simulator rule outside the emission bound names its section too.
         ("runs = 2\nduration = 200", "runs = 2\nduration = 200\nlegit_interarrival = 0",
          "[scenario.normal] legit_interarrival"),
+        # [DEFAULT] is an ordinary section, not one whose keys every other
+        # section inherits, so it fails as itself.
+        ("[pipeline]", "[DEFAULT]\nwindow_len = 10\n\n[pipeline]", "unknown section [DEFAULT]"),
+        ("[pipeline]", "[DEFAULT]\nfoo = 1\n\n[pipeline]", "unknown section [DEFAULT]"),
     ])
     def test_bad_value_is_config_error_naming_section_and_key(self, tmp_path, capsys,
                                                               old, new, where):
@@ -346,6 +365,9 @@ class TestConfigContract:
         (lambda: SomRecipe(ordering_steps=0), "ordering_steps"),
         (lambda: MlpRecipe(hidden=65), "hidden"),
         (lambda: RbfRecipe(centers=1), "centers"),
+        (lambda: PipelineConfig(seed=1, cv_folds=1), "cv_folds"),
+        (lambda: PipelineConfig(seed=1, classifier_names=("mlp", "mlp")), "classifiers"),
+        (lambda: PipelineConfig(seed=1, classifier_names=("svm",)), "classifiers"),
     ])
     def test_trainer_rules_checked_when_built(self, build, key):
         with pytest.raises(InvalidConfig, match=f"^{key} must be") as info:
@@ -948,7 +970,7 @@ class TestFileReading:
     def test_peak_memory_is_a_small_multiple_of_its_columns(self, tmp_path, monkeypatch):
         # Reading the 1.9 MB file whole held its bytes and its text at
         # once, 6.4 times the columns.
-        trace = simnet.run(simnet.make_scenario(attack_kind="direct_dos", duration=120,
+        trace = simnet.run(simnet.ScenarioConfig(attack_kind="direct_dos", duration=120,
                                                 bottleneck_rate=1_000_000,
                                                 attack_start_jitter=(0.0, 9.5)), seed=42)
         path = tmp_path / "flood.trace"
@@ -1014,7 +1036,7 @@ def mutated_text(draw, text: str) -> str:
 
 def _short_trace_text() -> str:
     """A 5-second direct flood: a header and about 150 rows."""
-    cfg = simnet.make_scenario(attack_kind="direct_dos", duration=5, bottleneck_rate=100_000,
+    cfg = simnet.ScenarioConfig(attack_kind="direct_dos", duration=5, bottleneck_rate=100_000,
                                attack_start_jitter=(0.0, 1.0), attack_duration=5)
     return write_trace(simnet.run(cfg, seed=3))
 

@@ -18,8 +18,8 @@ from dnsids.evaluation import (ABSENT, EvalEntry, MetricSet, cross_validate, kfo
                                parse_report_csv, pooled_metrics, render_report,
                                render_sweep_csv, stratifies, sweep_hidden_neurons,
                                sweep_workers)
-from dnsids.preproc import (CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset, class_labels,
-                            label_codes)
+from dnsids.preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
+from labels import class_labels, label_codes
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
 

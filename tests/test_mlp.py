@@ -11,8 +11,8 @@ from dnsids.classifiers import mlp
 from dnsids.classifiers.mlp import (MlpModel, MlpRecipe, get_params, mlp_forward,
                                     mlp_init, train_lm_arrays)
 from dnsids.errors import Empty, InvalidWidth, SingularUpdate
-from dnsids.preproc import (TARGET_CODES, ClassLabel, LabeledDataset, class_labels,
-                            label_codes)
+from dnsids.preproc import TARGET_CODES, ClassLabel, LabeledDataset
+from labels import class_labels, label_codes
 
 
 def dataset_from_arrays(X, labels):

@@ -18,7 +18,8 @@ from dnsids.classifiers.base import nearest_code_labels, sq_distances
 from dnsids.classifiers.mlp import MlpModel, MlpRecipe, mlp_init
 from dnsids.classifiers.rbf import RbfModel, RbfRecipe
 from dnsids.classifiers.som import N_NEURONS, SomModel, SomRecipe, som_classify
-from dnsids.preproc import CLASS_ORDER, TARGET_CODES, ClassLabel, class_labels, label_codes
+from dnsids.preproc import CLASS_ORDER, TARGET_CODES, ClassLabel
+from labels import class_labels, label_codes
 
 N, D, A = ClassLabel.NORMAL, ClassLabel.DIRECT_DOS, ClassLabel.AMPLIFICATION
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from dnsids.config import MAX_RUNS
 from dnsids.errors import ParseError
 from dnsids.preproc import (CLASS_ORDER, TARGET_CODES, ClassLabel, LabeledDataset,
-                            class_labels, l2_normalize_rows, label_codes, label_windows,
-                            merge_datasets, read_dataset, window_trace, write_dataset)
+                            l2_normalize_rows, label_windows, merge_datasets, read_dataset,
+                            window_trace, write_dataset)
 from dnsids.simnet import (ATTACK, ATTACK_FLOW, DROPPED, RESPONSE, TO_CLIENT, TO_SERVER,
-                           AttackKind, PacketTrace, ScenarioConfig,
-                           make_scenario, run)
+                           AttackKind, PacketTrace, ScenarioConfig, run)
+from labels import class_labels, label_codes
 
 
 def _trace(duration, rows):
@@ -95,14 +95,14 @@ class TestWindowing:
         assert row[0] == 0.0 and row[1] == 0.0
 
     def test_no_attack_run_two_requests_per_window(self):
-        trace = run(make_scenario(duration=200), seed=1)
+        trace = run(ScenarioConfig(duration=200), seed=1)
         X = window_trace(trace, 20.0)
         assert len(X) == 10
         # 2 packets of 60 bytes, 960 bits, per window
         assert X.tolist() == [[960 / 20, 60.0, 0.0]] * 10
 
     def test_partition_property(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=90,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=90,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 10.0), attack_duration=90)
         trace = run(cfg, seed=33)
@@ -396,7 +396,7 @@ class TestColumnarDataset:
 
 class TestPipelineSignatures:
     def test_generated_features_quantized_for_exact_round_trip(self):
-        cfg = make_scenario(attack_kind="amplification", duration=120,
+        cfg = ScenarioConfig(attack_kind="amplification", duration=120,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 5.0), attack_duration=120)
         trace = run(cfg, seed=2)

@@ -8,7 +8,8 @@ import pytest
 from dnsids.classifiers.rbf import (RbfModel, RbfRecipe, _activations, kmeans, rbf_forward,
                                     rbf_train, rbf_width)
 from dnsids.errors import NeedTwoCenters, TooFewSamples
-from dnsids.preproc import ClassLabel, LabeledDataset, class_labels, label_codes
+from dnsids.preproc import ClassLabel, LabeledDataset
+from labels import class_labels, label_codes
 
 
 def dataset_from_arrays(X, labels):

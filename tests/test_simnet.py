@@ -17,8 +17,7 @@ from dnsids import simnet
 from dnsids.errors import InvalidConfig, ParseError
 from dnsids.simnet import (ATTACK, DISPOSITIONS, DROPPED, KINDS, REQUEST, RESPONSE,
                            TO_CLIENT, TO_SERVER, AttackKind, Disposition, PacketKind,
-                           ScenarioConfig, make_scenario, read_trace, round6, run,
-                           validate_config, write_trace)
+                           ScenarioConfig, read_trace, round6, run, write_trace)
 
 COLUMNS = ("t", "kind", "size", "disposition", "flow")
 
@@ -40,8 +39,10 @@ def requests_per_flow(trace):
 
 
 class TestMakeScenario:
+    """Building a ScenarioConfig: its defaults, derived fields and rules."""
+
     def test_defaults_match_reference_constants(self):
-        cfg = make_scenario()
+        cfg = ScenarioConfig()
         assert cfg.queue_capacity == 100
         assert cfg.bottleneck_rate == 10_000_000
         assert cfg.edge_rate == 100_000_000
@@ -55,44 +56,53 @@ class TestMakeScenario:
 
     def test_amp_response_must_exceed_standard_size(self):
         with pytest.raises(InvalidConfig):
-            make_scenario(attack_kind="amplification", amp_response_size=400)
+            ScenarioConfig(attack_kind="amplification", amp_response_size=400)
 
     def test_zero_attack_rate_rejected_for_attacks(self):
         with pytest.raises(InvalidConfig):
-            make_scenario(attack_kind="direct_dos", attack_rate=0)
+            ScenarioConfig(attack_kind="direct_dos", attack_rate=0)
 
     def test_attack_rate_zero_fine_without_attack(self):
-        cfg = make_scenario(attack_kind="none")
+        cfg = ScenarioConfig(attack_kind="none")
         assert cfg.attack_rate == 0.0
 
     def test_derived_direct_rate_offers_overload(self):
-        cfg = make_scenario(attack_kind="direct_dos")
+        cfg = ScenarioConfig(attack_kind="direct_dos")
         assert cfg.attack_rate * cfg.attack_packet_size * 8 == pytest.approx(
             1.2 * cfg.bottleneck_rate)
 
     def test_derived_amp_rate_uses_reflected_size(self):
-        cfg = make_scenario(attack_kind="amplification")
+        cfg = ScenarioConfig(attack_kind="amplification")
         assert cfg.attack_rate * cfg.amp_response_size * 8 == pytest.approx(
             1.2 * cfg.bottleneck_rate)
 
+    def test_attack_lasts_the_run_unless_set(self):
+        assert ScenarioConfig(duration=640, attack_kind="direct_dos").attack_duration == 640
+        assert ScenarioConfig(duration=640, attack_duration=90).attack_duration == 90
+
+    def test_unknown_attack_kind_names_the_choices(self):
+        with pytest.raises(InvalidConfig, match="^attack_kind must be one of none, "
+                           "direct_dos, amplification, got 'flood'$"):
+            ScenarioConfig(attack_kind="flood")
+
     def test_jitter_must_fit_duration(self):
         with pytest.raises(InvalidConfig):
-            make_scenario(duration=100, attack_start_jitter=(0, 100))
+            ScenarioConfig(duration=100, attack_start_jitter=(0, 100))
 
     def test_queue_capacity_positive(self):
         with pytest.raises(InvalidConfig):
-            make_scenario(queue_capacity=0)
+            ScenarioConfig(queue_capacity=0)
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(InvalidConfig):
-            make_scenario(not_a_field=1)
+        with pytest.raises(TypeError):
+            ScenarioConfig(not_a_field=1)
 
     # An infinite duration would keep `run` appending request emissions
     # forever, so a direct caller must be stopped before the loop.
     @pytest.mark.parametrize("name", simnet._FLOAT_FIELDS)
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_float_field_rejected(self, name, bad):
-        cfg = make_scenario(attack_kind="direct_dos")
+        cfg = ScenarioConfig(attack_kind="direct_dos")
         value = (0.0, bad) if name == "attack_start_jitter" else bad
         with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
             run(replace(cfg, **{name: value}), seed=1)
@@ -115,24 +125,24 @@ class TestMakeScenario:
     def test_emissions_per_run_bounded(self, params, key):
         # Validation only: none of these scenarios is run.
         with pytest.raises(InvalidConfig, match=f"^{key} .* per run"):
-            make_scenario(**params)
+            ScenarioConfig(**params)
 
     def test_transmissions_at_the_bound_accepted(self):
         # 10 requests, each sent once and retransmitted at most 10**6 - 1 times
         bound = simnet.MAX_EMISSIONS
-        cfg = make_scenario(duration=100.0, retransmit_max=bound // 10 - 1,
+        cfg = ScenarioConfig(duration=100.0, retransmit_max=bound // 10 - 1,
                             retransmit_timeout=1e-9)
         assert 10 * (1 + cfg.retransmit_max) == bound
 
     def test_emissions_at_the_bound_accepted(self):
         bound = simnet.MAX_EMISSIONS
-        cfg = make_scenario(attack_kind="direct_dos", duration=100.0, retransmit_max=0,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=100.0, retransmit_max=0,
                             legit_interarrival=100.0 / bound, attack_rate=bound / 100.0)
         assert cfg.attack_rate * cfg.duration == bound
 
     def test_windows_at_the_bound_accepted(self):
         bound = simnet.MAX_WINDOWS
-        cfg = make_scenario(duration=200.0, window_len=200.0 / bound)
+        cfg = ScenarioConfig(duration=200.0, window_len=200.0 / bound)
         assert cfg.duration / cfg.window_len == bound
 
     # A trace's `size` column is int32; a larger size used to be written
@@ -141,12 +151,12 @@ class TestMakeScenario:
                                      "amp_response_size", "attack_packet_size"])
     def test_size_beyond_the_trace_column_rejected(self, key):
         with pytest.raises(InvalidConfig, match=f"^{key} must be"):
-            make_scenario(attack_kind="direct_dos", **{key: 2**31})
+            ScenarioConfig(attack_kind="direct_dos", **{key: 2**31})
 
     @pytest.mark.parametrize("kind", ["direct_dos", "amplification"])
     def test_largest_size_the_trace_column_holds_round_trips(self, kind):
         big = 2**31 - 1
-        cfg = make_scenario(attack_kind=kind, duration=20.0, legit_interarrival=1.0,
+        cfg = ScenarioConfig(attack_kind=kind, duration=20.0, legit_interarrival=1.0,
                             edge_rate=1e12, bottleneck_rate=1e12, request_size=big,
                             normal_response_size=big, amp_response_size=big,
                             attack_packet_size=big)
@@ -161,7 +171,7 @@ class TestNoAttackRun:
     # Offered legitimate load is 60 B / 10 s = 48 bit/s, far below the
     # 10 Mbit/s bottleneck, so nothing can ever queue up.
     def test_zero_drops_and_full_delivery(self):
-        trace = run(make_scenario(duration=200), seed=1)
+        trace = run(ScenarioConfig(duration=200), seed=1)
         assert drops(trace).size == 0
         requests = [i for i in server_deliveries(trace) if trace.kind[i] == REQUEST]
         responses = np.flatnonzero(trace.disposition == TO_CLIENT)
@@ -172,13 +182,13 @@ class TestNoAttackRun:
         assert trace.packets_generated == 40
 
     def test_no_attack_purity(self):
-        trace = run(make_scenario(duration=200), seed=5)
+        trace = run(ScenarioConfig(duration=200), seed=5)
         assert (trace.kind != ATTACK).all()
         assert trace.config.attack_kind is AttackKind.NONE
         assert trace.attack_interval is None
 
     def test_single_flow_emission_without_loss(self):
-        trace = run(make_scenario(duration=200), seed=2)
+        trace = run(ScenarioConfig(duration=200), seed=2)
         assert set(requests_per_flow(trace).tolist()) == {1}
 
 
@@ -186,7 +196,7 @@ class TestOverloadRun:
     # 2929.6875 pkt/s of 512 B is 12 Mbit/s offered against a 10 Mbit/s
     # link: sustained 1.2x overload must overflow a 100-packet queue.
     def test_direct_overload_drops_within_attack_interval(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=40,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=40,
                             attack_start_jitter=(0.0, 0.0), attack_duration=30)
         trace = run(cfg, seed=3)
         dropped = trace.t[drops(trace)]
@@ -195,13 +205,13 @@ class TestOverloadRun:
         assert ((start <= dropped) & (dropped <= end + 1.0)).all()
 
     def test_queue_never_exceeds_capacity(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=40,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=40,
                             attack_start_jitter=(0.0, 0.0), attack_duration=30)
         trace = run(cfg, seed=3)
         assert trace.max_queue_occupancy == cfg.queue_capacity
 
     def test_retransmission_bound_under_loss(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=120,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=120,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 0.0), attack_duration=120)
         trace = run(cfg, seed=9)
@@ -210,7 +220,7 @@ class TestOverloadRun:
         assert per_flow.max() <= 1 + cfg.retransmit_max
 
     def test_amplification_delivers_oversized_packets_inbound(self):
-        cfg = make_scenario(attack_kind="amplification", duration=60,
+        cfg = ScenarioConfig(attack_kind="amplification", duration=60,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 0.0), attack_duration=60)
         trace = run(cfg, seed=4)
@@ -221,13 +231,13 @@ class TestOverloadRun:
 
 class TestTraceLaws:
     def test_determinism_bit_identical(self):
-        cfg = make_scenario(attack_kind="amplification", duration=80,
+        cfg = ScenarioConfig(attack_kind="amplification", duration=80,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 20.0), attack_duration=60)
         assert run(cfg, seed=11) == run(cfg, seed=11)
 
     def test_different_seeds_move_attack_start(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=80,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=80,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 20.0), attack_duration=60)
         starts = {run(cfg, seed=s).attack_interval[0] for s in range(5)}
@@ -235,14 +245,14 @@ class TestTraceLaws:
         assert all(0.0 <= s < 20.0 for s in starts)
 
     def test_conservation(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=60,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=60,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 5.0), attack_duration=60)
         trace = run(cfg, seed=21)
         assert trace.packets_generated == len(trace) + trace.in_flight_at_end
 
     def test_causality_response_follows_delivered_request(self):
-        trace = run(make_scenario(duration=200), seed=6)
+        trace = run(ScenarioConfig(duration=200), seed=6)
         delivered = np.flatnonzero((trace.kind == REQUEST) & (trace.disposition == TO_SERVER))
         first_delivery = np.full(trace.flow.max(initial=-1) + 1, len(trace))
         np.minimum.at(first_delivery, trace.flow[delivered], delivered)
@@ -250,7 +260,7 @@ class TestTraceLaws:
         assert (first_delivery[trace.flow[responses]] < responses).all()
 
     def test_events_sorted_with_stable_ties(self):
-        trace = run(make_scenario(attack_kind="direct_dos", duration=30,
+        trace = run(ScenarioConfig(attack_kind="direct_dos", duration=30,
                                   attack_start_jitter=(0.0, 0.0),
                                   attack_duration=20), seed=8)
         stamps = list(zip(trace.t.tolist(), range(len(trace))))
@@ -258,7 +268,7 @@ class TestTraceLaws:
 
     def test_in_flight_packets_counted(self):
         # A request emitted at t=10 cannot reach the server by t=10.005.
-        cfg = make_scenario(duration=10.005)
+        cfg = ScenarioConfig(duration=10.005)
         trace = run(cfg, seed=1)
         assert trace.in_flight_at_end >= 1
         assert trace.packets_generated == len(trace) + trace.in_flight_at_end
@@ -277,7 +287,7 @@ def test_core_laws_hold_everywhere(seed, kind, duration, queue):
     if kind != "none":
         params.update(attack_start_jitter=(0.0, duration / 4),
                       attack_duration=duration)
-    cfg = make_scenario(**params)
+    cfg = ScenarioConfig(**params)
     trace = run(cfg, seed)
     assert trace.packets_generated == len(trace) + trace.in_flight_at_end
     assert trace.max_queue_occupancy <= cfg.queue_capacity
@@ -289,7 +299,7 @@ def test_core_laws_hold_everywhere(seed, kind, duration, queue):
 class TestTraceSerialization:
     def test_empty_trace_round_trips_header_only(self):
         # Duration shorter than the first router hop: no event can land.
-        trace = run(make_scenario(duration=0.005), seed=7)
+        trace = run(ScenarioConfig(duration=0.005), seed=7)
         assert len(trace) == 0
         text = write_trace(trace)
         assert text == write_trace(trace, 0, 0) == write_trace(trace, 0, simnet.RENDER_BLOCK)
@@ -297,21 +307,21 @@ class TestTraceSerialization:
         assert read_trace(text) == trace
 
     def test_generated_trace_round_trips_exactly(self):
-        cfg = make_scenario(attack_kind="amplification", duration=60,
+        cfg = ScenarioConfig(attack_kind="amplification", duration=60,
                             bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 10.0), attack_duration=50)
         trace = run(cfg, seed=13)
         assert read_trace(write_trace(trace)) == trace
 
     def test_truncated_file_rejected(self):
-        trace = run(make_scenario(duration=200), seed=1)
+        trace = run(ScenarioConfig(duration=200), seed=1)
         text = write_trace(trace)
         truncated = "\n".join(text.splitlines()[:-3]) + "\n"
         with pytest.raises(ParseError):
             read_trace(truncated)
 
     def test_garbage_row_rejected(self):
-        trace = run(make_scenario(duration=200), seed=1)
+        trace = run(ScenarioConfig(duration=200), seed=1)
         text = write_trace(trace) + "0,not-a-number,legit_request,60,delivered_to_server,q0\n"
         with pytest.raises(ParseError):
             read_trace(text)
@@ -326,30 +336,30 @@ class TestTraceSerialization:
         (dict(duration=10, attack_start_jitter=(5, 5)), (5.0, 10.0)),
     ], ids=["end_past_duration", "start_at_duration", "end_cut_at_int_duration"])
     def test_attack_interval_at_rounding_edges_round_trips(self, params, interval):
-        trace = run(make_scenario(attack_kind="direct_dos", **params), seed=1)
+        trace = run(ScenarioConfig(attack_kind="direct_dos", **params), seed=1)
         assert trace.attack_interval == interval
         assert [type(t) for t in trace.attack_interval] == [float, float]
         assert f"#attack_end={interval[1]!r}\n" in write_trace(trace)
         assert read_trace(write_trace(trace)) == trace
 
     def test_missing_header_key_rejected(self):
-        trace = run(make_scenario(duration=0.005), seed=7)
+        trace = run(ScenarioConfig(duration=0.005), seed=7)
         lines = [l for l in write_trace(trace).splitlines() if not l.startswith("#seed=")]
         with pytest.raises(ParseError):
             read_trace("\n".join(lines) + "\n")
 
     def test_unknown_header_keys_ignored(self):
-        trace = run(make_scenario(duration=200), seed=1)
+        trace = run(ScenarioConfig(duration=200), seed=1)
         text = "#master_seed=42\n#config_digest=deadbeef\n" + write_trace(trace)
         assert read_trace(text) == trace
 
     def test_timestamps_have_microsecond_resolution(self):
-        trace = run(make_scenario(duration=200), seed=1)
+        trace = run(ScenarioConfig(duration=200), seed=1)
         for t in trace.t.tolist():
             assert t == round(t, 6)
 
     def test_events_view_matches_columns(self):
-        trace = run(make_scenario(attack_kind="direct_dos", duration=20,
+        trace = run(ScenarioConfig(attack_kind="direct_dos", duration=20,
                                   bottleneck_rate=100_000), seed=4)
         rows = trace.events
         assert len(rows) == len(trace) > 0
@@ -361,7 +371,7 @@ class TestTraceSerialization:
             trace.t[0] = 1.0
 
     def test_columns_with_their_dtype_are_kept_and_others_converted(self):
-        trace = run(make_scenario(duration=20), seed=1)
+        trace = run(ScenarioConfig(duration=20), seed=1)
         t = trace.t.copy()
         kept = replace(trace, t=t)
         assert np.shares_memory(kept.t, t)
@@ -411,7 +421,7 @@ def _with_header(text: str, **values: str) -> str:
 class TestStrictTraceParsing:
     @pytest.fixture(scope="class")
     def text(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=30, bottleneck_rate=100_000,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=30, bottleneck_rate=100_000,
                             attack_start_jitter=(0.0, 0.0), attack_duration=30)
         return write_trace(run(cfg, seed=2))
 
@@ -479,7 +489,6 @@ _EMIT_REQ, _EMIT_ATK, _ARRIVE, _TX_DONE, _DELIVER, _RESPOND, _TIMEOUT = range(7)
 
 def reference_run(config: ScenarioConfig, seed: int) -> dict:
     """Simulate one scenario with an event heap; also count same-time pops."""
-    validate_config(config)
     cfg = config
     rng = random.Random(seed)
 
@@ -652,7 +661,7 @@ def scenarios(draw):
         params.update(attack_packet_size=size, attack_rate=load * rate / (8 * wire),
                       attack_start_jitter=jitter if jitter[1] < duration else (0.0, 0.0),
                       attack_duration=draw(st.sampled_from([0.02, 0.5, 4.0, 100.0])))
-    return make_scenario(**params)
+    return ScenarioConfig(**params)
 
 
 class TestReferenceEquivalence:
@@ -677,14 +686,14 @@ class TestReferenceEquivalence:
         params = dict(dict(attack_kind="direct_dos", duration=30, bottleneck_rate=50_000,
                            queue_capacity=1, attack_start_jitter=(0.0, 0.0),
                            attack_duration=30), **params)
-        assert assert_matches_reference(make_scenario(**params), seed=1)["same_time_pops"] > 0
+        assert assert_matches_reference(ScenarioConfig(**params), seed=1)["same_time_pops"] > 0
 
     # Every time is a multiple of 1/8 s: each retransmission reaches the
     # link as the one ahead of it leaves, and timeouts land on responses,
     # several of one flow's packets admitted before the first is answered.
     @pytest.mark.parametrize("timeout", [0.125, 0.25, 0.5, 2.0])
     def test_exact_ties_of_timeouts_and_responses(self, timeout):
-        cfg = make_scenario(duration=16, legit_interarrival=8, request_size=64,
+        cfg = ScenarioConfig(duration=16, legit_interarrival=8, request_size=64,
                             normal_response_size=64, edge_rate=2048, edge_delay=0.25,
                             bottleneck_rate=2048, bottleneck_delay=0.25,
                             retransmit_timeout=timeout, retransmit_max=20)
@@ -693,13 +702,13 @@ class TestReferenceEquivalence:
     def test_many_retransmissions_match_reference(self):
         # The response needs about 3000 timeouts of 1e-5 s to come back, so
         # each flow has thousands of packets admitted when it is answered.
-        cfg = make_scenario(duration=20, retransmit_max=10**9, retransmit_timeout=1e-5)
+        cfg = ScenarioConfig(duration=20, retransmit_max=10**9, retransmit_timeout=1e-5)
         assert assert_matches_reference(cfg, seed=1)["packets_generated"] == 9990
 
     def test_many_pending_timeouts_match_reference(self):
         # Each request is sent again every 1e-4 s until it is answered, so
         # about a hundred arrivals and timeouts are pending at once.
-        cfg = make_scenario(duration=20, retransmit_max=10**9, retransmit_timeout=1e-4)
+        cfg = ScenarioConfig(duration=20, retransmit_max=10**9, retransmit_timeout=1e-4)
         want = assert_matches_reference(cfg, seed=1)
         assert len(want["columns"][0]) == 1624
 
@@ -708,7 +717,7 @@ class TestReferenceEquivalence:
         params = dict(attack_kind=kind, duration=120, bottleneck_rate=100_000)
         if kind != "none":
             params.update(attack_start_jitter=(0.0, 9.5), attack_duration=120)
-        assert_matches_reference(make_scenario(**params), seed=42)
+        assert_matches_reference(ScenarioConfig(**params), seed=42)
 
     def test_settled_runs_match_reference(self, monkeypatch):
         calls = record_settles(monkeypatch)
@@ -762,7 +771,7 @@ def busy_scenarios(draw):
     wire = 4000 if kind == "amplification" else size
     load = draw(st.sampled_from([0.9, 1.0, 1.01, 1.2, 3.0]))
     duration = draw(st.sampled_from([6.0, 20.0, 60.0]))
-    return make_scenario(
+    return ScenarioConfig(
         attack_kind=kind, bottleneck_rate=rate, duration=duration,
         queue_capacity=draw(st.integers(1, 120)),
         legit_interarrival=draw(st.sampled_from([10.0, 5.0, 2.5])),
@@ -789,7 +798,7 @@ def gate_scenarios(draw):
     load = draw(st.sampled_from([1.1, 1.5, 3.0]))
     attack_rate = 3 * (capacity + 1) / interval
     duration = interval * draw(st.integers(2, 5))
-    return make_scenario(
+    return ScenarioConfig(
         attack_kind=kind, bottleneck_rate=8 * wire * attack_rate / load, duration=duration,
         queue_capacity=capacity, legit_interarrival=interval,
         retransmit_timeout=interval / 2, retransmit_max=draw(st.integers(0, 3)),
@@ -910,14 +919,14 @@ class TestSettleFullQueue:
         assert peak < 1_000_000
 
     def test_huge_capacity_simulates_without_drops(self):
-        cfg = make_scenario(attack_kind="direct_dos", duration=60, bottleneck_rate=100_000,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=60, bottleneck_rate=100_000,
                             queue_capacity=10**12)
         trace = run(cfg, seed=1)
         assert trace.drops == 0
         assert trace.max_queue_occupancy > 100
 
     def test_array_path_equals_per_packet_loop_at_scale(self, monkeypatch):
-        cfg = make_scenario(attack_kind="direct_dos", duration=120, bottleneck_rate=1_000_000,
+        cfg = ScenarioConfig(attack_kind="direct_dos", duration=120, bottleneck_rate=1_000_000,
                             attack_start_jitter=(0.0, 9.5))
         calls = record_settles(monkeypatch)
         fast = run(cfg, seed=42)
@@ -936,7 +945,7 @@ def test_run_peak_memory_is_a_small_multiple_of_its_columns():
     # Keeping the emission or arrival times to the end, gathering the
     # sorted times into a second array, or rounding them in one piece
     # each take it above 2.25; all of those together gave 5.0.
-    cfg = make_scenario(attack_kind="direct_dos", duration=120, bottleneck_rate=1_000_000,
+    cfg = ScenarioConfig(attack_kind="direct_dos", duration=120, bottleneck_rate=1_000_000,
                         attack_start_jitter=(0.0, 9.5))
     tracemalloc.start()
     try:
@@ -1070,7 +1079,7 @@ class TestDigits:
 @pytest.fixture(scope="module")
 def long_trace():
     """About 3k rows of every kind and disposition, with timestamps up to 120 s."""
-    return run(make_scenario(attack_kind="direct_dos", duration=120,
+    return run(ScenarioConfig(attack_kind="direct_dos", duration=120,
                              bottleneck_rate=100_000, attack_start_jitter=(0.0, 9.5)),
                seed=42)
 
@@ -1143,7 +1152,7 @@ def head(trace, n: int):
 @pytest.fixture(scope="module")
 def full_queue_trace():
     """About 33k rows of a 1 Mbit/s direct flood whose queue stays full."""
-    return run(make_scenario(attack_kind="direct_dos", duration=120,
+    return run(ScenarioConfig(attack_kind="direct_dos", duration=120,
                              bottleneck_rate=1_000_000, attack_start_jitter=(0.0, 9.5)),
                seed=42)
 

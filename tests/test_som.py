@@ -16,7 +16,8 @@ from dnsids.classifiers.som import (GRID_COLS, GRID_DIAMETER, GRID_ROWS, N_NEURO
                                     SomRecipe, quantization_error, som_classify, som_init,
                                     som_label, som_train_folds)
 from dnsids.errors import Empty
-from dnsids.preproc import ClassLabel, class_labels, l2_normalize_rows, label_codes
+from dnsids.preproc import ClassLabel, l2_normalize_rows
+from labels import class_labels, label_codes
 
 
 def linkdist(a: int, b: int) -> int:
