@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import Empty, InvalidWidth, SingularUpdate, require
+from ..errors import Empty, SingularUpdate, require
 from ..preproc import LabeledDataset
 from .base import TrainReport, nearest_code_labels, train_each
 
@@ -70,7 +70,7 @@ class MlpRecipe:
     def _train(self, data: LabeledDataset, seed: int) -> tuple[MlpModel, TrainReport]:
         if len(data) == 0:
             raise Empty("cannot train on an empty dataset")
-        model = mlp_init(self.hidden, seed, self.weight_init_range)
+        model = mlp_init(self, seed)
         # Damped Gauss-Newton is brittle when the feature columns span
         # five orders of magnitude, so train in per-fold standardized
         # coordinates and fold the affine map back into the first layer;
@@ -91,10 +91,9 @@ class MlpRecipe:
         return nearest_code_labels(outputs), outputs
 
 
-def mlp_init(hidden: int, seed: int, init_range: float = 0.5) -> MlpModel:
-    """Create a network with weights drawn uniformly from +/- init_range."""
-    if not 1 <= hidden <= MAX_HIDDEN:
-        raise InvalidWidth(f"hidden width must be in 1..{MAX_HIDDEN}, got {hidden}")
+def mlp_init(recipe: MlpRecipe, seed: int) -> MlpModel:
+    """A `recipe.hidden`-wide network, weights uniform in +/- `recipe.weight_init_range`."""
+    hidden, init_range = recipe.hidden, recipe.weight_init_range
     rng = np.random.default_rng(seed)
     return MlpModel(
         hidden_weights=rng.uniform(-init_range, init_range, (hidden, 3)),

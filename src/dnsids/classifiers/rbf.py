@@ -41,7 +41,7 @@ class RbfRecipe:
         require(self.centers >= 2, "centers", ">= 2", self.centers)
 
     def train_folds(self, train_sets, seeds) -> list[tuple[RbfModel, TrainReport]]:
-        return train_each(lambda data, seed: rbf_train(data, self.centers, seed),
+        return train_each(lambda data, seed: rbf_train(data, self, seed),
                           train_sets, seeds)
 
     def score(self, model: RbfModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +103,9 @@ def _activations(centers: np.ndarray, width: float, X: np.ndarray) -> np.ndarray
     return np.exp(-sq_distances(X, centers) / (2.0 * width * width))
 
 
-def rbf_train(data: LabeledDataset, k: int, seed: int) -> tuple[RbfModel, TrainReport]:
-    """Fit centers by k-means, width by the shared rule, outputs by ridge."""
-    if k < 2:
-        raise NeedTwoCenters("rbf training needs k >= 2")
+def rbf_train(data: LabeledDataset, recipe: RbfRecipe, seed: int) -> tuple[RbfModel, TrainReport]:
+    """Fit `recipe.centers` centers by k-means, width by the shared rule, outputs by ridge."""
+    k = recipe.centers
     start = time.perf_counter()
     X = data.X
     T = data.targets()

@@ -318,9 +318,8 @@ def cmd_evaluate(args) -> int:
     cfg, digest = _load_config(args.config, args.seed)
     names = cfg.classifier_names if args.classifier == "all" else (args.classifier,)
     if args.k is not None:
-        if args.k < 2:
-            raise errors.ConfigError(f"--k must be >= 2, got {args.k}")
-        cfg = replace(cfg, cv_folds=args.k)
+        with errors.prefixed("--k:"):
+            cfg = replace(cfg, cv_folds=args.k)
     out = Path(args.out)
     _check_output_dir(out)
     data = _read_dataset_file(args.dataset)
@@ -335,6 +334,10 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise errors.ConfigError(
             f"--widths must be comma-separated integers, got {args.widths!r}") from None
+    # Each width is held to [mlp] hidden's rule before the dataset is read.
+    with errors.prefixed("--widths:"):
+        for w in widths:
+            replace(cfg.mlp, hidden=w)
     out = Path(args.out)
     _check_output_dir(out)
     data = _read_dataset_file(args.dataset)

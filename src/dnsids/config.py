@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import configparser
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .classifiers.mlp import MlpRecipe
 from .classifiers.rbf import RbfRecipe
 from .classifiers.som import SomRecipe
-from .errors import ConfigError, InvalidConfig, require
+from .errors import ConfigError, InvalidConfig, prefixed, require
 from .simnet import MAX_LINE_CHARS, PARSERS, AttackKind, ScenarioConfig
 
 # The bundled experiment, shipped as package data: a balanced three-class
@@ -117,15 +116,6 @@ SECTION_PARSERS = {
 }
 
 
-@contextmanager
-def _section(name: str):
-    """Report a broken rule inside the block as a ConfigError naming section `name`."""
-    try:
-        yield
-    except InvalidConfig as exc:
-        raise ConfigError(f"[{name}] {exc}") from None
-
-
 def _read(section, kind: str) -> dict:
     """Parse a section's values by the parsers `SECTION_PARSERS[kind]` lists."""
     parsers = SECTION_PARSERS[kind]
@@ -149,7 +139,7 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
 
     if "pipeline" not in parser:
         raise ConfigError("missing [pipeline] section")
-    with _section("pipeline"):
+    with prefixed("[pipeline]"):
         pipe = _read(parser["pipeline"], "pipeline")
         if "seed" not in pipe:
             raise InvalidConfig("seed must be set: it is the master seed")
@@ -168,7 +158,7 @@ def parse_pipeline_config(text: str) -> PipelineConfig:
         kind = "scenario.*" if section_name.startswith("scenario.") else section_name
         if kind not in SECTION_PARSERS:
             raise ConfigError(f"unknown section [{section_name}]")
-        with _section(section_name):
+        with prefixed(f"[{section_name}]"):
             values = _read(parser[section_name], kind)
             if kind == "scenario.*":
                 runs = values.pop("runs", 1)

@@ -5,6 +5,8 @@ to its exit codes: `ConfigError` (2), `ParseError` (3) and
 `TrainingError` (4).
 """
 
+from contextlib import contextmanager
+
 
 class DnsIdsError(Exception):
     """Base class for every package-specific error."""
@@ -50,8 +52,14 @@ def require(ok: bool, key: str, rule: str, value) -> None:
         raise InvalidConfig(f"{key} must be {rule}, got {value}")
 
 
-class InvalidWidth(TrainingError):
-    """Hidden-layer width outside the supported range."""
+@contextmanager
+def prefixed(prefix: str):
+    """Re-raise an InvalidConfig from the block as a ConfigError starting
+    with `prefix`: a config file's `[section]`, or the flag that set the value."""
+    try:
+        yield
+    except InvalidConfig as exc:
+        raise ConfigError(f"{prefix} {exc}") from None
 
 
 class SingularUpdate(TrainingError):

@@ -26,8 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import BLAS_THREAD_VARS
-from .errors import (DnsIdsError, InvalidWidth, LengthMismatch, NumericFault, TooFewSamples,
-                     WorkerLost)
+from .errors import DnsIdsError, LengthMismatch, NumericFault, TooFewSamples, WorkerLost
 from .preproc import CLASS_INDEX, CLASS_ORDER, ClassLabel, LabeledDataset
 from .seeding import derive_seed
 
@@ -191,10 +190,6 @@ def cross_validate(recipe, data: LabeledDataset, k: int = 10, seed: int = 0) -> 
 
 # --- hidden-width sweep ------------------------------------------------------
 
-SWEEP_MIN_WIDTH = 3
-SWEEP_MAX_WIDTH = 21
-
-
 def _blas_threads() -> int:
     """The BLAS thread count the environment asks for: the largest positive
     integer among BLAS_THREAD_VARS, or 1 when none is set or none parses."""
@@ -223,7 +218,9 @@ def sweep_hidden_neurons(data: LabeledDataset, recipe, widths, seed: int, *,
 
     Each distinct width is cross-validated once, as a copy of `recipe`
     with that `hidden` width, in one of `sweep_workers(widths)` worker
-    processes, and the entries come back in the order of `widths`. A
+    processes, and the entries come back in the order of `widths`. Every
+    copy is built before the pool starts, so a width `hidden` refuses
+    raises InvalidConfig, for the first such in `widths`, forking none. A
     width's result depends only on its own seeds, so the entries are the
     same for any worker count. The widest width is submitted first,
     because it takes longest. When widths fail, the error raised is that
@@ -244,22 +241,19 @@ def sweep_hidden_neurons(data: LabeledDataset, recipe, widths, seed: int, *,
     from concurrent.futures.process import BrokenProcessPool
 
     widths = list(widths)
-    for w in widths:
-        if not SWEEP_MIN_WIDTH <= w <= SWEEP_MAX_WIDTH:
-            raise InvalidWidth(
-                f"sweep widths must be in {SWEEP_MIN_WIDTH}..{SWEEP_MAX_WIDTH}, got {w}")
-    if not widths:
+    recipes = {w: replace(recipe, hidden=w) for w in widths}
+    if not recipes:
         return ()
     pool = ProcessPoolExecutor(sweep_workers(widths),
                                mp_context=multiprocessing.get_context("fork"))
     futures = {}
     try:
-        for w in sorted(set(widths), reverse=True):
-            futures[w] = pool.submit(cross_validate, replace(recipe, hidden=w), data, k, seed)
+        for w in sorted(recipes, reverse=True):
+            futures[w] = pool.submit(cross_validate, recipes[w], data, k, seed)
         return tuple(futures[w].result() for w in widths)
     except BrokenProcessPool:
         # A width not yet submitted when the pool broke has no future.
-        lost = [w for w in dict.fromkeys(widths) if w not in futures
+        lost = [w for w in recipes if w not in futures
                 or isinstance(futures[w].exception(), BrokenProcessPool)]
         raise WorkerLost("a sweep worker process ended; no result for widths "
                          + ",".join(map(str, lost))) from None

@@ -109,7 +109,7 @@ def test_c03_lm_correctness():
     rng = np.random.default_rng(7)
     for trial in range(20):
         hidden = int(rng.integers(2, 6))
-        model = mlp_init(hidden, trial)
+        model = mlp_init(MlpRecipe(hidden=hidden), trial)
         X = rng.normal(size=(4, 3))
         # The Jacobian as the LM loop fills it, one row per (sample, output).
         J = mlp._jacobian_buffer(len(X), hidden)
@@ -133,7 +133,7 @@ def test_c03_lm_correctness():
     T = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
     wins = 0
     for seed in range(10):
-        _, rep = train_lm_arrays(mlp_init(7, seed), X, T,
+        _, rep = train_lm_arrays(mlp_init(MlpRecipe(hidden=7), seed), X, T,
                                  MlpRecipe(max_epochs=200, target_mse=1e-3))
         wins += rep.final_mse <= 1e-3
     assert wins >= 9

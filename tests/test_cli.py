@@ -542,6 +542,15 @@ class TestCommandsAndExitCodes:
         assert lines[1] == "width,dr_direct,dr_amp,accuracy,far,train_mse,test_mse"
         assert len(lines) == 4
 
+    def test_sweep_takes_every_width_hidden_accepts(self, tiny_run, tmp_path):
+        cfg_path, out = tiny_run
+        dest = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfg_path), "--dataset",
+                   str(out / "dataset.csv"), "--widths", "1,64", "--out", str(dest)])
+        assert rc == 0
+        rows = (dest / "sweep.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["1", "64"]
+
     def test_sweep_worker_error_reaches_the_cli(self, tiny_run, tmp_path, capsys,
                                                  monkeypatch):
         def singular(*args, **kwargs):
@@ -694,7 +703,7 @@ class TestCommandsAndExitCodes:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
-        assert "--k" in err["detail"]
+        assert err["detail"] == f"--k: cv_folds must be >= 2, got {k}"
 
     def test_evaluate_single_classifier(self, tiny_run, tmp_path):
         cfg_path, out = tiny_run
@@ -773,6 +782,18 @@ class TestInputFiles:
         err = one_json_error(capsys)
         assert err["error"] == "ConfigError"
         assert "--widths" in err["detail"]
+
+    # The widths are checked before the dataset is read, so its absence
+    # does not mask them.
+    @pytest.mark.parametrize("widths, bad", [("0", 0), ("3,65", 65)])
+    def test_width_hidden_refuses_is_config_error_before_the_read(self, tmp_path, capsys,
+                                                                  widths, bad):
+        rc = main(["sweep", "--dataset", str(tmp_path / "missing.csv"), "--widths", widths,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert one_json_error(capsys) == {
+            "error": "ConfigError",
+            "detail": f"--widths: hidden must be in 1..64, got {bad}"}
 
 
 class TestLineBound:

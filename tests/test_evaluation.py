@@ -1,5 +1,6 @@
 """Metrics against a brute-force oracle, fold laws, reporting round trips."""
 
+import concurrent.futures
 import os
 from dataclasses import replace
 
@@ -12,8 +13,8 @@ from dnsids.classifiers.base import TrainReport, train_each
 from dnsids.classifiers.mlp import MlpRecipe
 from dnsids.classifiers.rbf import RbfRecipe
 from dnsids.classifiers.som import SomRecipe
-from dnsids.errors import (Empty, InvalidWidth, LengthMismatch, NumericFault, TooFewSamples,
-                           TrainingError)
+from dnsids.errors import (Empty, InvalidConfig, LengthMismatch, NumericFault, SingularUpdate,
+                           TooFewSamples, TrainingError)
 from dnsids.evaluation import (ABSENT, EvalEntry, MetricSet, cross_validate, kfold_split,
                                parse_report_csv, pooled_metrics, render_report,
                                render_sweep_csv, stratifies, sweep_hidden_neurons,
@@ -428,12 +429,12 @@ class TestCrossValidate:
             cross_validate(Lockstep(), tiny_dataset(), k=4, seed=0)
 
     def test_errors_not_tied_to_a_fold_pass_unchanged(self):
-        class Misconfigured(ConstantNormal):
+        class Unsolvable(ConstantNormal):
             def train_folds(self, train_sets, seeds):
-                raise InvalidWidth("hidden width must be in 1..64, got 0")
+                raise SingularUpdate("normal equations unsolvable at every damping tried")
 
-        with pytest.raises(InvalidWidth, match="^hidden width"):
-            cross_validate(Misconfigured(), tiny_dataset(), k=4, seed=0)
+        with pytest.raises(SingularUpdate, match="^normal equations"):
+            cross_validate(Unsolvable(), tiny_dataset(), k=4, seed=0)
 
     def test_fold_batched_training_matches_per_fold_training(self):
         # k maps trained in lockstep must equal k maps trained one set each.
@@ -483,11 +484,20 @@ class TestSweep:
             assert row.train_mse == entry.train_mse
             assert row.test_mse == entry.test_mse
 
-    def test_out_of_range_width_rejected(self):
-        with pytest.raises(InvalidWidth):
-            sweep_hidden_neurons(tiny_dataset(), MlpRecipe(), [2], seed=0)
-        with pytest.raises(InvalidWidth):
-            sweep_hidden_neurons(tiny_dataset(), MlpRecipe(), [22], seed=0)
+    def test_out_of_range_width_rejected(self, monkeypatch):
+        """A width the recipe's `hidden` refuses fails before any worker exists."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for width in (0, 65):
+            with pytest.raises(InvalidConfig, match=f"^hidden must be .*, got {width}$"):
+                sweep_hidden_neurons(tiny_dataset(), MlpRecipe(), [3, width], seed=0)
+
+    def test_every_width_hidden_accepts_is_swept(self):
+        rows = sweep_hidden_neurons(tiny_dataset(), MlpRecipe(max_epochs=20), [1, 64],
+                                    seed=0, k=4)
+        assert len(rows) == 2
 
     # (environment, usable CPUs, widths) -> workers
     @pytest.mark.parametrize("env, cpus, widths, workers", [

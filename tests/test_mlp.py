@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dnsids.classifiers import mlp
 from dnsids.classifiers.mlp import (MlpModel, MlpRecipe, get_params, mlp_forward,
                                     mlp_init, train_lm_arrays)
-from dnsids.errors import Empty, InvalidWidth, SingularUpdate
+from dnsids.errors import Empty, InvalidConfig, SingularUpdate
 from dnsids.preproc import TARGET_CODES, ClassLabel, LabeledDataset
 from labels import class_labels, label_codes
 
@@ -36,25 +36,25 @@ def zero_model(hidden=7):
 
 class TestInit:
     def test_deterministic_per_seed(self):
-        a = mlp_init(7, 42)
-        b = mlp_init(7, 42)
+        a = mlp_init(MlpRecipe(hidden=7), 42)
+        b = mlp_init(MlpRecipe(hidden=7), 42)
         assert np.array_equal(a.hidden_weights, b.hidden_weights)
         assert np.array_equal(a.output_bias, b.output_bias)
 
     def test_zero_width_rejected(self):
-        with pytest.raises(InvalidWidth):
-            mlp_init(0, 1)
+        with pytest.raises(InvalidConfig, match="^hidden must be"):
+            MlpRecipe(hidden=0)
 
     def test_width_only_changes_shapes(self):
-        small = mlp_init(3, 5)
-        big = mlp_init(21, 5)
+        small = mlp_init(MlpRecipe(hidden=3), 5)
+        big = mlp_init(MlpRecipe(hidden=21), 5)
         assert small.hidden_weights.shape == (3, 3)
         assert big.hidden_weights.shape == (21, 3)
         assert small.output_weights.shape == (3, 3)
         assert big.output_weights.shape == (3, 21)
 
     def test_init_range_respected(self):
-        m = mlp_init(7, 3, init_range=0.25)
+        m = mlp_init(MlpRecipe(hidden=7, weight_init_range=0.25), 3)
         assert np.abs(get_params(m)).max() <= 0.25
 
 
@@ -73,7 +73,7 @@ class TestForward:
         assert out[0] == pytest.approx(0.761594, abs=1e-6)
 
     def test_input_scaling_absorbed_by_first_layer(self):
-        m = mlp_init(7, 9)
+        m = mlp_init(MlpRecipe(hidden=7), 9)
         X = np.array([[0.3, -1.2, 2.0], [5.0, 0.0, -0.7]])
         halved = MlpModel(m.hidden_weights / 2.0, m.hidden_bias.copy(),
                           m.output_weights.copy(), m.output_bias.copy())
@@ -106,7 +106,7 @@ class TestJacobian:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(0)
         for trial in range(3):
-            model = mlp_init(4, trial + 1)
+            model = mlp_init(MlpRecipe(hidden=4), trial + 1)
             X = rng.normal(size=(5, 3))
             J = filled_jacobian(model, X)
             J_fd = self.finite_difference(model, X)
@@ -218,7 +218,7 @@ class TestAgainstReference:
         rng = np.random.default_rng(seed)
         magnitude = 10.0 ** rng.uniform(-3, 6, size=(n, 3))
         X = magnitude * rng.choice([-1.0, 1.0], size=(n, 3))
-        model = mlp_init(hidden, seed, init_range)
+        model = mlp_init(MlpRecipe(hidden=hidden, weight_init_range=init_range), seed)
         J = filled_jacobian(model, X)
         assert J.shape == (3 * n, 7 * hidden + 3)
         assert np.array_equal(J, reference_jacobian(model, X))
@@ -226,7 +226,7 @@ class TestAgainstReference:
     def test_jacobian_equals_broadcast_build_on_unsaturated_units(self):
         rng = np.random.default_rng(3)
         for hidden in (1, 2, 7, 21, 64):
-            model = mlp_init(hidden, hidden)
+            model = mlp_init(MlpRecipe(hidden=hidden), hidden)
             X = rng.normal(scale=0.5, size=(40, 3))
             assert np.array_equal(filled_jacobian(model, X), reference_jacobian(model, X))
 
@@ -246,27 +246,27 @@ class TestAgainstReference:
         cfg = MlpRecipe(max_epochs=40, target_mse=1e-12)
         counter = CountingSolve()
         monkeypatch.setattr(np.linalg, "solve", counter)
-        report = self.assert_same_fit(mlp_init(hidden, seed), X, T, cfg)
+        report = self.assert_same_fit(mlp_init(MlpRecipe(hidden=hidden), seed), X, T, cfg)
         calls_per_fit = counter.calls / 2
         assert calls_per_fit > report.epochs_run        # some trial steps were rejected
 
     def test_trainer_equals_reference_when_damping_stalls(self):
         X, T = standardized_problem(5, 60)
         cfg = MlpRecipe(max_epochs=500, target_mse=1e-12, lm_lambda_max=1.0)
-        report = self.assert_same_fit(mlp_init(5, 4), X, T, cfg)
+        report = self.assert_same_fit(mlp_init(MlpRecipe(hidden=5), 4), X, T, cfg)
         assert not report.converged
         assert report.epochs_run < cfg.max_epochs       # stopped by lambda_max
 
     def test_trainer_equals_reference_when_target_met(self):
         X, T = standardized_problem(6, 30)
         cfg = MlpRecipe(max_epochs=200, target_mse=5e-2)
-        report = self.assert_same_fit(mlp_init(9, 6), X, T, cfg)
+        report = self.assert_same_fit(mlp_init(MlpRecipe(hidden=9), 6), X, T, cfg)
         assert report.converged
 
     def test_trainer_equals_reference_after_failed_solves(self, monkeypatch):
         X, T = standardized_problem(7, 50)
         cfg = MlpRecipe(max_epochs=15, target_mse=1e-12)
-        model = mlp_init(4, 7)
+        model = mlp_init(MlpRecipe(hidden=4), 7)
         monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=2))
         expected = reference_train_lm(model, X, T, cfg)
         monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=2))
@@ -278,7 +278,7 @@ class TestAgainstReference:
         X, T = standardized_problem(8, 20)
         monkeypatch.setattr(np.linalg, "solve", CountingSolve(fail_first=10**6))
         with pytest.raises(SingularUpdate):
-            train_lm_arrays(mlp_init(3, 8), X, T, MlpRecipe(target_mse=1e-12))
+            train_lm_arrays(mlp_init(MlpRecipe(hidden=3), 8), X, T, MlpRecipe(target_mse=1e-12))
 
 
 class OverflowingFirstStep(CountingSolve):
@@ -296,11 +296,11 @@ class TestTraining:
         # overflows must still only raise the damping.
         X, T = standardized_problem(3, 40)
         cfg = MlpRecipe(max_epochs=5)
-        want_model, want = train_lm_arrays(mlp_init(4, 1), X, T, cfg)
+        want_model, want = train_lm_arrays(mlp_init(MlpRecipe(hidden=4), 1), X, T, cfg)
         solve = OverflowingFirstStep()
         monkeypatch.setattr(np.linalg, "solve", solve)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            model, report = train_lm_arrays(mlp_init(4, 1), X, T, cfg)
+            model, report = train_lm_arrays(mlp_init(MlpRecipe(hidden=4), 1), X, T, cfg)
         assert solve.calls > want.epochs_run
         assert np.isfinite(report.final_mse) and report.epochs_run == want.epochs_run
         assert list(report.mse_history) == sorted(report.mse_history, reverse=True)
@@ -326,7 +326,7 @@ class TestTraining:
         # the trainer would loop forever instead of stalling.
         X, T = self.xor_data()
         with pytest.raises(ValueError, match=key):
-            train_lm_arrays(mlp_init(2, 0), X, T, MlpRecipe(**{key: lam}))
+            train_lm_arrays(mlp_init(MlpRecipe(hidden=2), 0), X, T, MlpRecipe(**{key: lam}))
 
     @pytest.mark.parametrize("knob", [{"lm_lambda_down": 1e-200},
                                       {"lm_lambda_init": 5e-324}])
@@ -350,7 +350,7 @@ class TestTraining:
         solve = BoundedSolve()
         monkeypatch.setattr(np.linalg, "solve", solve)
         try:
-            _, report = train_lm_arrays(mlp_init(2, 0), X, T, cfg)
+            _, report = train_lm_arrays(mlp_init(MlpRecipe(hidden=2), 0), X, T, cfg)
         except SingularUpdate:
             return
         assert not report.converged
@@ -363,7 +363,7 @@ class TestTraining:
         X = rng.normal(size=(40, 3))
         labels = [ClassLabel.DIRECT_DOS if x[0] > 0 else ClassLabel.NORMAL for x in X]
         data = dataset_from_arrays(np.abs(X), labels)
-        _, report = mlp_train_lm(mlp_init(5, 2), data,
+        _, report = mlp_train_lm(mlp_init(MlpRecipe(hidden=5), 2), data,
                                  MlpRecipe(max_epochs=60, target_mse=1e-12))
         history = report.mse_history
         assert all(a >= b for a, b in zip(history, history[1:]))
@@ -377,7 +377,7 @@ class TestTraining:
         # Slow but independent check that the task itself is solvable:
         # plain gradient descent with finite-difference gradients.
         X, T = self.xor_data()
-        model = mlp_init(7, 1)
+        model = mlp_init(MlpRecipe(hidden=7), 1)
         params = get_params(model)
 
         def mse_at(p):
@@ -398,7 +398,7 @@ class TestTraining:
 
     def test_xor_conquered_quickly(self):
         X, T = self.xor_data()
-        model = mlp_init(7, 1)
+        model = mlp_init(MlpRecipe(hidden=7), 1)
         trained, report = train_lm_arrays(model, X, T,
                                           MlpRecipe(max_epochs=200, target_mse=1e-3))
         assert report.final_mse <= 1e-3
@@ -448,7 +448,7 @@ class TestClassify:
         assert self.predict_one(m, [1, 1, 1]) is ClassLabel.AMPLIFICATION
 
     def test_any_finite_input_gets_a_label(self):
-        m = mlp_init(7, 2)
+        m = mlp_init(MlpRecipe(hidden=7), 2)
         rng = np.random.default_rng(0)
         X = np.array([rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
                       for _ in range(50)])

@@ -139,7 +139,7 @@ class TestRecipePredict:
     @given(seed=st.integers(0, 2**32 - 1), hidden=st.integers(1, 21),
            init_range=st.floats(0.05, 3.0), n=st.integers(1, 40))
     def test_mlp_matches_per_sample_classify(self, seed, hidden, init_range, n):
-        model = mlp_init(hidden, seed, init_range)
+        model = mlp_init(MlpRecipe(hidden=hidden, weight_init_range=init_range), seed)
         X = wide_inputs(np.random.default_rng(seed), n)
         expected = [reference_nearest_code_label(reference_mlp_forward(model, x))
                     for x in X]

@@ -105,7 +105,7 @@ class TestTraining:
                   else ClassLabel.DIRECT_DOS if i % 3 == 1
                   else ClassLabel.AMPLIFICATION for i in range(12)]
         data = dataset_from_arrays(X, labels)
-        model, report = rbf_train(data, k=12, seed=0)
+        model, report = rbf_train(data, RbfRecipe(centers=12), seed=0)
         assert report.final_mse <= 1e-6
         assert report.converged
 
@@ -130,20 +130,15 @@ class TestTraining:
                 for a in centers.values() for b in centers.values() if a != b]
         assert min(gaps) > 8 * 0.5  # margin dwarfs blob spread
         data = dataset_from_arrays(np.array(X), labels)
-        model, _ = rbf_train(data, k=6, seed=1)
+        model, _ = rbf_train(data, RbfRecipe(centers=6), seed=1)
         preds = RbfRecipe().score(model, data.X)[0]
         assert class_labels(preds) == labels
-
-    def test_k_below_two_rejected(self):
-        data = dataset_from_arrays(np.eye(3), [ClassLabel.NORMAL] * 3)
-        with pytest.raises(NeedTwoCenters):
-            rbf_train(data, k=1, seed=0)
 
     def test_duplicate_heavy_dataset_rejected(self):
         X = np.array([[1.0, 1.0, 0.0]] * 10)
         data = dataset_from_arrays(X, [ClassLabel.NORMAL] * 10)
         with pytest.raises(TooFewSamples):
-            rbf_train(data, k=3, seed=0)
+            rbf_train(data, RbfRecipe(centers=3), seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -151,8 +146,8 @@ class TestTraining:
         labels = [ClassLabel.NORMAL] * 20 + [ClassLabel.DIRECT_DOS] * 20 \
             + [ClassLabel.AMPLIFICATION] * 20
         data = dataset_from_arrays(X, labels)
-        m1, _ = rbf_train(data, k=5, seed=4)
-        m2, _ = rbf_train(data, k=5, seed=4)
+        m1, _ = rbf_train(data, RbfRecipe(centers=5), seed=4)
+        m2, _ = rbf_train(data, RbfRecipe(centers=5), seed=4)
         assert np.array_equal(m1.centers, m2.centers)
         assert np.array_equal(m1.output_weights, m2.output_weights)
 
@@ -184,7 +179,7 @@ class TestClassify:
         X, _ = blob_data(rng, [(0, 0, 0), (10, 0, 0), (0, 10, 0)])
         labels = ([ClassLabel.NORMAL] * 20 + [ClassLabel.DIRECT_DOS] * 20
                   + [ClassLabel.AMPLIFICATION] * 20)
-        model, _ = rbf_train(dataset_from_arrays(X, labels), k=4, seed=0)
+        model, _ = rbf_train(dataset_from_arrays(X, labels), RbfRecipe(centers=4), seed=0)
         X = np.array([rng.normal(scale=10.0 ** rng.integers(-3, 7), size=3)
                       for _ in range(50)])
         labels = class_labels(RbfRecipe().score(model, X)[0])
